@@ -21,9 +21,10 @@ trajectory for :mod:`benchmarks.trend`::
 
     PYTHONPATH=src python benchmarks/bench_serving.py --backend columnar
 
-writes ``benchmarks/BENCH_<backend>_serve.json`` (payload ``backend``
-key ``"<backend>_serve"``), rendered by ``trend.py`` as an extra column
-next to the serial backends.
+writes ``benchmarks/BENCH_<backend>_serve.json`` whole (payload
+``backend`` key ``"<backend>_serve"``, stamped like every BENCH
+artifact), rendered by ``trend.py`` in its own table: its broom-shaped
+data is not TPC-H, so it never shares a row with the fig-7 timings.
 """
 
 import time
@@ -195,34 +196,34 @@ def run_comparison(backend, seed, rounds):
 
 
 def write_bench_report(path, backend, seed, results):
-    """Merge serving timings into BENCH_<backend>_serve.json for trend.py."""
+    """Write BENCH_<backend>_serve.json whole from this run, for trend.py."""
     import json
 
-    timings = {}
-    if path.exists():
-        try:
-            timings = json.loads(path.read_text()).get("timings_seconds", {})
-        except (ValueError, OSError):
-            timings = {}
-    timings["bench_serving.py::probe::coalesced"] = round(
-        results["coalesced_seconds"], 6
-    )
-    timings["bench_serving.py::probe::serial"] = round(
-        results["serial_seconds"], 6
-    )
+    from conftest import bench_stamp
+
     payload = {
         "backend": f"{backend}_serve",
+        "stamp": bench_stamp(None, seed),
         "requests": N_REQUESTS,
         "rows_per_probe": ROWS_PER_PROBE,
-        "seed": seed,
-        "timings_seconds": dict(sorted(timings.items())),
+        "timings_seconds": {
+            "bench_serving.py::probe::coalesced": round(
+                results["coalesced_seconds"], 6
+            ),
+            "bench_serving.py::probe::serial": round(
+                results["serial_seconds"], 6
+            ),
+        },
     }
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
     import argparse
+    import sys
     from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
 
     parser = argparse.ArgumentParser(
         description="Coalesced admission vs serial serving throughput."

@@ -5,14 +5,19 @@ preserving every shape claim; pass larger scales through the experiment
 modules (``python -m repro.experiments.fig6a``) for paper-sized runs.
 
 The suite is backend-parametrised: ``pytest benchmarks/ --backend columnar``
-runs every benchmark on the vectorized columnar engine.  Each run emits a
-machine-readable ``benchmarks/BENCH_<backend>.json`` with per-test wall
-times so the performance trajectory of both backends is tracked over time
-(compare the two files for the python-vs-columnar picture).
+runs every benchmark on the vectorized columnar engine.  Each successful
+run writes ``benchmarks/BENCH_<backend>.json`` whole — the per-test wall
+times of that run only, never merged with an earlier file — stamped with
+the git commit, core count, python and numpy versions, TPC-H scale and
+seed (:func:`bench_stamp`), so the performance trajectory of both
+backends is tracked over time (compare the two files for the
+python-vs-columnar picture; ``trend.py`` renders them).
 """
 
 import json
 import os
+import platform
+import subprocess
 import time
 from pathlib import Path
 
@@ -20,10 +25,10 @@ import pytest
 
 from repro.datasets import generate_ego_network, generate_tpch
 
-#: Default TPC-H scale for the ``tpch_base`` fixture — raised 10× (0.0005 →
-#: 0.005) when sharded execution landed, so the heavy joins are big enough
-#: for fan-out to bite.  Override per run with ``--tpch-scale`` or the
-#: ``REPRO_TPCH_SCALE`` environment variable.
+#: Default TPC-H scale for the ``tpch_base`` fixture: at 0.005 the fig-7
+#: q3 multiplicity tables dominate a TSens run (~93% of a columnar run,
+#: ``perfbench/first_split.json``).  Override per run with
+#: ``--tpch-scale`` or the ``REPRO_TPCH_SCALE`` environment variable.
 TPCH_SCALE = float(os.environ.get("REPRO_TPCH_SCALE", "0.005"))
 SEED = 0
 
@@ -84,8 +89,8 @@ def _normalized_nodeid(nodeid: str) -> str:
 
     ``pytest benchmarks/bench_x.py`` from the repo root and ``pytest
     bench_x.py`` from inside ``benchmarks/`` must key the same timing
-    entry, or the merged BENCH_<backend>.json accumulates diverging
-    duplicates."""
+    entry, or artifacts from the two invocations would not line up in
+    ``trend.py``."""
     prefix = Path(__file__).resolve().parent.name + "/"
     return nodeid[len(prefix):] if nodeid.startswith(prefix) else nodeid
 
@@ -100,6 +105,38 @@ def _record_wall_time(request):
     )
 
 
+def _git(*args: str) -> str:
+    root = Path(__file__).resolve().parent.parent
+    return subprocess.run(
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def bench_stamp(tpch_scale, seed) -> dict:
+    """Provenance of a BENCH artifact: the code, host and inputs it ran on.
+
+    ``git_dirty`` marks a run from a working tree with uncommitted changes
+    to tracked files (``git_sha`` is then the commit they sit on).
+    ``tpch_scale`` is ``None`` for benchmarks that generate their own data.
+    """
+    import numpy
+
+    try:
+        sha = _git("rev-parse", "HEAD")
+        dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    except (OSError, subprocess.CalledProcessError):
+        sha, dirty = None, None
+    return {
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "tpch_scale": tpch_scale,
+        "seed": seed,
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
     config = session.config
     times = getattr(config, "_bench_wall_times", None)
@@ -108,19 +145,16 @@ def pytest_sessionfinish(session, exitstatus):
         return
     backend = config.getoption("--backend")
     out = Path(__file__).resolve().parent / f"BENCH_{backend}.json"
-    # Merge into any existing report so filtered runs (-k, single file)
-    # update only the tests they actually ran.
-    timings = {}
-    if out.exists():
-        try:
-            timings = json.loads(out.read_text()).get("timings_seconds", {})
-        except (ValueError, OSError):
-            timings = {}
-    timings.update({node: round(t, 6) for node, t in times.items()})
+    # Written whole from this run: timings of an earlier run (another
+    # scale, host or commit) must never sit under this run's stamp.  A
+    # filtered run (-k, single file) therefore leaves a partial artifact,
+    # recognisable by its ``invocation``.
     payload = {
         "backend": backend,
-        "tpch_scale": config.getoption("tpch_scale"),
-        "seed": SEED,
-        "timings_seconds": dict(sorted(timings.items())),
+        "stamp": bench_stamp(config.getoption("tpch_scale"), SEED),
+        "invocation": list(config.invocation_params.args),
+        "timings_seconds": {
+            node: round(t, 6) for node, t in sorted(times.items())
+        },
     }
     out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")

@@ -1,78 +1,39 @@
 #!/usr/bin/env python
-"""Render every BENCH_*.json timing artifact as one trajectory report.
+"""Render every BENCH_*.json timing artifact as trajectory tables.
 
-The benchmark conftest merges per-test wall times into
-``benchmarks/BENCH_<backend>.json`` after every successful run, and the
-script-mode benchmarks record execution-strategy flavours alongside:
-``BENCH_<backend>_w<N>.json`` (per-op sharded, ``bench_sharded.py``),
-``BENCH_<backend>_serve.json`` (epoch server, ``bench_serving.py``) and
-``BENCH_<backend>_pipeline.json`` (worker-resident chains,
-``bench_pipeline.py``).  This script is the read side: it folds all of
-them into one table — one row per benchmark, one column per backend
-flavour, serial first and its strategies beside it — plus a fig-7
-summary that lines the strategies up per workload, so CI logs (and
-anyone running the suite locally) see the performance trajectory
-instead of a pile of opaque JSON blobs.
+The benchmark conftest writes ``benchmarks/BENCH_<backend>.json`` whole
+after every successful pytest run, and ``bench_serving.py`` writes
+``BENCH_<backend>_serve.json`` in script mode.  Every artifact carries a
+``stamp``: git commit, core count, python and numpy versions, TPC-H
+scale and seed.  Timings only compare when they were measured at the
+same scale on the same kind of host, so artifacts are grouped by
+:data:`GROUP_KEYS` and each group prints as its own table — one row per
+benchmark, one column per artifact.  Runs whose stamps differ never
+share a row; artifacts without a stamp form their own group.
 
 Run with::
 
     python benchmarks/trend.py [--json]
 
-``--json`` emits the merged structure for machine consumption (the CI
-artifact upload keeps the raw files as well).
+``--json`` emits the loaded artifacts, stamps included, for machine
+consumption (the CI artifact upload keeps the raw files as well).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 
-#: Known execution-strategy suffixes, in display order after the serial
-#: column.  ``w<N>`` worker counts sort numerically between ``serial``
-#: and ``pipeline``.
-_VARIANT_ORDER = {"serial": (0, 0), "pipeline": (2, 0), "serve": (3, 0)}
-
-#: Where each strategy records the fig-7 per-workload TSens time.
-_FIG7_KEYS = {
-    "serial": "bench_fig7_runtime.py::test_fig7_tsens_time[{q}]",
-    "sharded": "bench_sharded.py::{q}::tsens",
-    "pipeline": "bench_pipeline.py::{q}::tsens",
-}
-
-
-def split_backend(name: str) -> tuple[str, str]:
-    """``"columnar_w2"`` -> ``("columnar", "w2")``; bare names -> serial."""
-    match = re.fullmatch(r"(.+?)_(w\d+|serve|pipeline)", name)
-    if match:
-        return match.group(1), match.group(2)
-    return name, "serial"
-
-
-def _variant_rank(variant: str) -> tuple[int, int]:
-    if variant in _VARIANT_ORDER:
-        return _VARIANT_ORDER[variant]
-    match = re.fullmatch(r"w(\d+)", variant)
-    if match:
-        return (1, int(match.group(1)))
-    return (9, 0)
-
-
-def ordered_backends(reports: dict) -> list[str]:
-    """Serial backends first (alphabetical), each followed by its own
-    strategy flavours: ``w<N>`` (ascending), ``pipeline``, ``serve``."""
-    return sorted(
-        reports, key=lambda b: (split_backend(b)[0],
-                                _variant_rank(split_backend(b)[1]))
-    )
+#: Stamp fields that must agree for two artifacts to share a table.
+GROUP_KEYS = ("tpch_scale", "cpu_count", "python", "numpy")
 
 
 def load_reports() -> dict:
-    """``backend -> {test node id -> seconds}`` from every BENCH file."""
+    """``artifact name -> payload`` from every readable BENCH file."""
     reports = {}
     for path in sorted(BENCH_DIR.glob("BENCH_*.json")):
         try:
@@ -80,96 +41,85 @@ def load_reports() -> dict:
         except (ValueError, OSError) as error:
             print(f"warning: skipping {path.name}: {error}", file=sys.stderr)
             continue
-        backend = payload.get("backend", path.stem.replace("BENCH_", ""))
-        reports[backend] = payload.get("timings_seconds", {})
+        reports[payload.get("backend", path.stem.replace("BENCH_", ""))] = payload
     return reports
 
 
-def render(reports: dict) -> str:
-    if not reports:
-        return "no BENCH_<backend>.json files found — run the benchmarks first"
-    backends = ordered_backends(reports)
-    tests = sorted({node for timings in reports.values() for node in timings})
+def group_key(payload: dict) -> tuple | None:
+    """The comparability key of one artifact (``None``: unstamped)."""
+    stamp = payload.get("stamp")
+    if not stamp:
+        return None
+    return tuple(stamp.get(key) for key in GROUP_KEYS)
+
+
+def render_table(timings: dict) -> str:
+    """One row per benchmark, one column per artifact of the group."""
+    names = sorted(timings)
+    tests = sorted({node for report in timings.values() for node in report})
+    if not tests:
+        return "(no timings)"
     name_width = max(len(t) for t in tests)
-    col_width = max(10, max(len(b) for b in backends))
+    col_width = max(10, max(len(n) for n in names))
     header = f"{'benchmark':<{name_width}}" + "".join(
-        f"  {b:>{col_width}}" for b in backends
+        f"  {n:>{col_width}}" for n in names
     )
-    show_ratio = {"python", "columnar"} <= set(backends)
+    show_ratio = {"python", "columnar"} <= set(names)
     if show_ratio:
         header += f"  {'py/col':>7}"
     lines = [header, "-" * len(header)]
     for test in tests:
         row = f"{test:<{name_width}}"
-        for backend in backends:
-            seconds = reports[backend].get(test)
+        for name in names:
+            seconds = timings[name].get(test)
             row += (f"  {seconds:>{col_width}.3f}" if seconds is not None
                     else f"  {'-':>{col_width}}")
         if show_ratio:
-            py = reports["python"].get(test)
-            col = reports["columnar"].get(test)
+            py = timings["python"].get(test)
+            col = timings["columnar"].get(test)
             if py is not None and col:
                 row += f"  {py / col:>6.1f}x"
             else:
                 row += f"  {'-':>7}"
         lines.append(row)
-    for backend in backends:
-        total = sum(reports[backend].values())
-        lines.append(f"total {backend}: {total:.2f}s over "
-                     f"{len(reports[backend])} benchmarks")
-    fig7 = render_fig7(reports)
-    if fig7:
-        lines += ["", fig7]
+    for name in names:
+        total = sum(timings[name].values())
+        lines.append(f"total {name}: {total:.2f}s over "
+                     f"{len(timings[name])} benchmarks")
     return "\n".join(lines)
 
 
-def render_fig7(reports: dict) -> str:
-    """Per-workload TSens time, execution strategies side by side.
-
-    Each strategy records the same measurement — a fresh prepared
-    session's count + TSens on the fig-7 workload — under its own node
-    id, so a plain per-node table never lines them up.  This one does:
-    serial (``bench_fig7_runtime``), per-op sharded (``bench_sharded``)
-    and worker-resident chains (``bench_pipeline``), one block per base
-    backend that has at least one strategy flavour recorded.
-    """
+def render(reports: dict) -> str:
+    if not reports:
+        return "no BENCH_<backend>.json files found — run the benchmarks first"
+    groups: dict = {}
+    for name, payload in reports.items():
+        groups.setdefault(group_key(payload), {})[name] = payload
     blocks = []
-    for base in sorted({split_backend(b)[0] for b in reports}):
-        flavours = {
-            split_backend(b)[1]: timings
-            for b, timings in reports.items()
-            if split_backend(b)[0] == base
+    for key in sorted(groups, key=repr):
+        members = groups[key]
+        if key is None:
+            title = "unstamped"
+        else:
+            title = "  ".join(f"{k}={v}" for k, v in zip(GROUP_KEYS, key))
+            shas = sorted({
+                str(p["stamp"].get("git_sha"))[:10]
+                + ("+dirty" if p["stamp"].get("git_dirty") else "")
+                for p in members.values()
+            })
+            title += f"  git={','.join(shas)}"
+        timings = {
+            name: payload.get("timings_seconds", {})
+            for name, payload in members.items()
         }
-        # serial times live in the base artifact; sharded in any w<N>.
-        strategies = {"serial": flavours.get("serial", {})}
-        for variant in sorted(flavours, key=_variant_rank):
-            if variant.startswith("w"):
-                strategies[f"sharded {variant}"] = flavours[variant]
-            elif variant == "pipeline":
-                strategies["pipeline"] = flavours[variant]
-        if len(strategies) < 2:
-            continue
-        cols = list(strategies)
-        header = f"{base + ' fig-7 tsens':<24}" + "".join(
-            f"  {c:>12}" for c in cols
-        )
-        rows = [header, "-" * len(header)]
-        for q in ("q1", "q2", "q3"):
-            row = f"{q:<24}"
-            for col in cols:
-                kind = "sharded" if col.startswith("sharded") else col
-                seconds = strategies[col].get(_FIG7_KEYS[kind].format(q=q))
-                row += (f"  {seconds:>12.3f}" if seconds is not None
-                        else f"  {'-':>12}")
-            rows.append(row)
-        blocks.append("\n".join(rows))
+        blocks.append(f"== {title}\n{render_table(timings)}")
     return "\n\n".join(blocks)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--json", action="store_true", help="emit the merged JSON instead"
+        "--json", action="store_true", help="emit the loaded artifacts instead"
     )
     args = parser.parse_args()
     reports = load_reports()

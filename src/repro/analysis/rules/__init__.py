@@ -17,7 +17,6 @@ from repro.analysis.rules.asserts import NoBareAssertRule
 from repro.analysis.rules.dispatch import DispatchCompletenessRule
 from repro.analysis.rules.invalidation import InvalidateOnMutateRule
 from repro.analysis.rules.overflow import CheckedOverflowRule
-from repro.analysis.rules.pipeline import ResidentChainMaterialisationRule
 from repro.analysis.rules.privacy import PrivacyTaintRule
 from repro.analysis.rules.serving import EpochLeaseBoundaryRule
 from repro.analysis.rules.staging import StagedCommitRule
@@ -34,7 +33,6 @@ def builtin_rules() -> List[Rule]:
         CheckedOverflowRule(),
         NoBareAssertRule(),
         EpochLeaseBoundaryRule(),
-        ResidentChainMaterialisationRule(),
     ]
 
 

@@ -91,7 +91,7 @@ def _session_from_args(args: argparse.Namespace) -> PreparedQuery:
     """The shared prepare step: load → parse → selections → plan."""
     db = _load_data(args.data, args.int_columns, args.backend)
     query = _apply_where(parse_query(args.query), args.where)
-    return prepare(query, db, workers=getattr(args, "workers", 1))
+    return prepare(query, db)
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
@@ -325,11 +325,6 @@ def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
         "--where", action="append",
         help="selection clause 'RELATION: predicate', repeatable "
              "(e.g. --where \"R: A = 1 and B in {2, 3}\")",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="sharded-execution worker processes; 1 (default) runs the "
-             "serial path, N>1 hash-shards the heavy joins across N workers",
     )
 
 

@@ -19,14 +19,6 @@ from repro.engine.backend import (
 )
 from repro.engine.columnar import ColumnarRelation, reset_vocabulary
 from repro.engine.database import Database, ForeignKey
-from repro.engine.parallel import (
-    ParallelContext,
-    PipelinePlan,
-    WorkerPool,
-    WorkerState,
-    default_worker_count,
-)
-from repro.engine.sharding import ShardMap, ShardedRelation
 from repro.engine.operators import (
     cross_product,
     difference,
@@ -50,17 +42,10 @@ __all__ = [
     "DEFAULT_BACKEND",
     "Database",
     "ForeignKey",
-    "ParallelContext",
-    "PipelinePlan",
     "Relation",
     "Schema",
-    "ShardMap",
-    "ShardedRelation",
-    "WorkerPool",
-    "WorkerState",
     "backend_of",
     "cross_product",
-    "default_worker_count",
     "difference",
     "empty_like",
     "get_backend",

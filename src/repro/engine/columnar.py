@@ -31,11 +31,9 @@ remain available for adversarial inputs).
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from collections import OrderedDict
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -59,12 +57,6 @@ _EMPTY_INT64 = np.empty(0, dtype=np.int64)
 _INT64_MAX = 2**63 - 1
 
 
-#: Monotonic ids for vocabularies created in this process.  A vocabulary's
-#: ``generation`` travels with it through pickling, so shard workers can
-#: tell codes from different coordinator vocabularies apart.
-_VOCAB_GENERATIONS = itertools.count()
-
-
 class _Vocabulary:
     """Process-wide value dictionary: every attribute value maps to one code.
 
@@ -73,27 +65,13 @@ class _Vocabulary:
     per-column dictionaries.  Values that compare equal (``1``, ``1.0``,
     ``True``) share a code, matching Python-dict key semantics of the
     Python backend.
-
-    A vocabulary's state is exactly its ordered ``values`` list (``code_of``
-    is the derived inverse) plus a process-unique ``generation`` id, and it
-    pickles as that pair — sharded worker processes rebuild an equivalent
-    read-only dictionary from it (:mod:`repro.engine.parallel`).
     """
 
-    __slots__ = ("code_of", "values", "generation", "__weakref__")
+    __slots__ = ("code_of", "values")
 
-    def __init__(
-        self,
-        values: Optional[Sequence[object]] = None,
-        generation: Optional[int] = None,
-    ) -> None:
-        self.values: List[object] = list(values) if values is not None else []
-        self.code_of: Dict[object, int] = {
-            value: code for code, value in enumerate(self.values)
-        }
-        self.generation: int = (
-            next(_VOCAB_GENERATIONS) if generation is None else generation
-        )
+    def __init__(self) -> None:
+        self.code_of: Dict[object, int] = {}
+        self.values: List[object] = []
 
     def encode(self, value: object) -> int:
         code = self.code_of.get(value)
@@ -107,32 +85,8 @@ class _Vocabulary:
         """Code of ``value`` or ``None`` when never seen (multiplicity 0)."""
         return self.code_of.get(value)
 
-    def __reduce__(self):
-        return (_restore_vocabulary, (self.values, self.generation))
-
-
-def _restore_vocabulary(values: Sequence[object], generation: int) -> "_Vocabulary":
-    """Unpickle hook: rebuild a vocabulary from its explicit state."""
-    return _Vocabulary(values=values, generation=generation)
-
 
 _VOCAB = _Vocabulary()
-
-#: Hooks run *before* :func:`reset_vocabulary` swaps the dictionary.  A hook
-#: may raise to veto the reset — the sharded execution layer registers one
-#: so a reset cannot silently invalidate codes already exported to worker
-#: processes (see :mod:`repro.engine.parallel`).
-_RESET_GUARDS: List[Callable[[], None]] = []
-
-
-def register_reset_guard(guard: Callable[[], None]) -> None:
-    """Register a veto hook consulted by :func:`reset_vocabulary`."""
-    _RESET_GUARDS.append(guard)
-
-
-def current_vocabulary() -> _Vocabulary:
-    """The live process vocabulary new relations encode under."""
-    return _VOCAB
 
 
 def reset_vocabulary() -> None:
@@ -145,18 +99,7 @@ def reset_vocabulary() -> None:
     Existing relations stay valid: each keeps a reference to the
     vocabulary it was encoded under, and operators transparently re-encode
     when operands disagree.
-
-    Raises
-    ------
-    InternalError
-        When a registered guard vetoes the reset — e.g. a sharded
-        :class:`~repro.engine.parallel.ParallelContext` has exported code
-        arrays to worker processes, which would silently decode stale
-        codes under a fresh dictionary.  Guards run before the swap, so a
-        vetoed reset leaves the vocabulary untouched.
     """
-    for guard in _RESET_GUARDS:
-        guard()
     global _VOCAB
     _VOCAB = _Vocabulary()
 
@@ -273,7 +216,7 @@ def intersect_column_values(
     The shared process vocabulary gives equal values equal codes, so the
     intersection is ``np.intersect1d`` over per-relation unique code
     arrays, decoding only the final survivors.  Returns ``None`` when the
-    relations span different vocabulary generations (caller falls back to
+    relations span different vocabularies (caller falls back to
     the value-level path).
     """
     vocab = relations[0]._vocab
@@ -410,9 +353,8 @@ def _sorted_key(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
     Only owning arrays at least :data:`_SORT_CACHE_MIN_SIZE` long are
     cached: small sorts are cheaper than the bookkeeping, and views
-    (``key.base is not None`` — e.g. shared-memory shard columns whose
-    buffer lifetime is managed elsewhere) are excluded so cache entries
-    never pin or outlive foreign buffers.
+    (``key.base is not None``) are excluded so cache entries never pin
+    or outlive a buffer owned elsewhere.
     """
     if key.size < _SORT_CACHE_MIN_SIZE or key.base is not None:
         order = np.argsort(key, kind="stable")
@@ -914,7 +856,7 @@ def _aligned(
 ) -> Tuple[ColumnarRelation, ColumnarRelation]:
     """Ensure both operands share one vocabulary (codes comparable).
 
-    Only does work after :func:`reset_vocabulary` split generations —
+    Only does work after :func:`reset_vocabulary` swapped vocabularies —
     the common case is a pointer comparison."""
     if left._vocab is not right._vocab:
         right = _reencode(right, left._vocab)

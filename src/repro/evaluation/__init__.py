@@ -4,12 +4,7 @@ from repro.evaluation.incremental import PROBE_ATTRIBUTE, IncrementalEvaluator
 from repro.evaluation.joinstate import AppliedUpdate, JoinState
 from repro.evaluation.yannakakis import (
     BoundTree,
-    ChainUnsupported,
-    ResidentFoldPipeline,
-    ResidentMapping,
     bind,
-    compile_botjoin_chain,
-    compile_topjoin_chain,
     compute_botjoins,
     compute_topjoins,
     count_bound,
@@ -24,15 +19,10 @@ from repro.evaluation.yannakakis import (
 __all__ = [
     "AppliedUpdate",
     "BoundTree",
-    "ChainUnsupported",
     "IncrementalEvaluator",
     "JoinState",
     "PROBE_ATTRIBUTE",
-    "ResidentFoldPipeline",
-    "ResidentMapping",
     "bind",
-    "compile_botjoin_chain",
-    "compile_topjoin_chain",
     "compute_botjoins",
     "compute_topjoins",
     "count_bound",

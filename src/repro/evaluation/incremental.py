@@ -257,7 +257,6 @@ class IncrementalEvaluator:
         component_pairs: Optional[
             Sequence[Tuple[ConjunctiveQuery, DecompositionTree]]
         ] = None,
-        parallel=None,
     ):
         query.validate_against(db)
         if PROBE_ATTRIBUTE in query.variables:
@@ -272,7 +271,7 @@ class IncrementalEvaluator:
         if component_pairs is None:
             component_pairs = _component_trees(query, tree, max_width)
         for sub, sub_tree in component_pairs:
-            component = self._build_component(sub, sub_tree, db, parallel)
+            component = self._build_component(sub, sub_tree, db)
             index = len(self._components)
             self._components.append(component)
             for relation in sub.relation_names:
@@ -285,9 +284,8 @@ class IncrementalEvaluator:
         sub: ConjunctiveQuery,
         sub_tree: DecompositionTree,
         db: Database,
-        parallel=None,
     ) -> _Component:
-        return _Component(state=JoinState(sub, sub_tree, db, parallel=parallel))
+        return _Component(state=JoinState(sub, sub_tree, db))
 
     @staticmethod
     def _edge_complements(
@@ -503,9 +501,9 @@ class IncrementalEvaluator:
         :class:`JoinState` stages the whole batch against an overlay.
         Validation and every fallible step (including columnar ``int64``
         overflow anywhere on a delta path) run before the first cache
-        mutation, so a raising batch leaves the evaluator — counts,
-        sensitivity state, shard partitionings — bit-identical to its
-        pre-batch value.  Returns the maintained ``|Q(D)|``.
+        mutation, so a raising batch leaves the evaluator — counts and
+        sensitivity state — bit-identical to its pre-batch value.
+        Returns the maintained ``|Q(D)|``.
         """
         deltas = [delta for delta in deltas if not delta.is_empty()]
         if not deltas:

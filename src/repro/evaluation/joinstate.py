@@ -50,10 +50,8 @@ from repro.engine.database import Database
 from repro.engine.operators import difference, group_by, join, join_all, union_all
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
-from repro.engine.sharding import ShardMap
 from repro.evaluation.yannakakis import (
     BoundTree,
-    ResidentFoldPipeline,
     bind,
     bound_delta,
     compute_botjoins,
@@ -170,24 +168,11 @@ def table_layout(
     return TableLayout(relation, node_id, effective, tuple(components))
 
 
-def _part_shard_key(part: _TablePart) -> str:
-    """Shard-map key of a table part (kinds map onto the cache namespaces
-    the botjoin/topjoin passes already use, so partitionings are shared)."""
-    return f"{part.kind}:{part.key}"
-
-
 def build_table(
     layout: TableLayout,
     part_value: Callable[[_TablePart], Relation],
-    parallel=None,
-    shard_cache=None,
 ) -> MultiplicityTable:
-    """Materialise a table from its layout and a part-resolving callback.
-
-    ``parallel``/``shard_cache`` shard each factor's join+group across the
-    worker pool, re-using the botjoin/topjoin partitionings already cached
-    for this state; inactive contexts take the identical serial path.
-    """
+    """Materialise a table from its layout and a part-resolving callback."""
     if not layout.components:
         # Single-relation query: Q(D) = R, every tuple has sensitivity 1.
         table = Relation(
@@ -195,18 +180,9 @@ def build_table(
         )
         return MultiplicityTable(layout.relation, (table,))
     factors: List[Relation] = []
-    sharded = parallel is not None and parallel.active
     for component in layout.components:
         parts = [part_value(part) for part in component.parts]
-        if sharded:
-            keys = [_part_shard_key(part) for part in component.parts]
-            factors.append(
-                parallel.join_group(
-                    parts, component.effective, cache=shard_cache, keys=keys
-                )
-            )
-        else:
-            factors.append(group_by(join_all(parts), component.effective))
+        factors.append(group_by(join_all(parts), component.effective))
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
@@ -252,7 +228,7 @@ class _BatchStaging:
 
     __slots__ = (
         "state", "atoms", "nodes", "botjoins", "topjoins", "tables",
-        "reports", "touched_columns", "shard_deltas",
+        "reports", "touched_columns",
     )
 
     def __init__(self, state: "JoinState"):
@@ -264,9 +240,6 @@ class _BatchStaging:
         self.tables: Dict[str, MultiplicityTable] = {}
         self.reports: List[AppliedUpdate] = []
         self.touched_columns: Set[str] = set()
-        #: shard-map name -> [(delta relation, insert)] folds, in order;
-        #: consumed at commit to re-shard only the delta rows.
-        self.shard_deltas: Dict[str, List[Tuple[Relation, bool]]] = {}
 
     def atom(self, relation: str) -> Relation:
         got = self.atoms.get(relation)
@@ -291,9 +264,6 @@ class _BatchStaging:
     def table(self, relation: str) -> MultiplicityTable:
         got = self.tables.get(relation)
         return got if got is not None else self.state._tables[relation]
-
-    def record_shard_delta(self, name: str, delta: Relation, insert: bool) -> None:
-        self.shard_deltas.setdefault(name, []).append((delta, insert))
 
 
 @dataclass(frozen=True)
@@ -350,31 +320,10 @@ class JoinState:
         query: ConjunctiveQuery,
         tree: DecompositionTree,
         db: Database,
-        parallel=None,
     ):
         self.query = query
-        #: sharded-execution context (None or inactive = serial build);
-        #: the shard map below keeps this state's hash partitionings alive
-        #: across maintained reads, invalidated by identity on commit.
-        self.parallel = parallel
-        self.shards = (
-            ShardMap() if parallel is not None and parallel.active else None
-        )
-        self.bound: BoundTree = bind(query, tree, db, parallel=parallel)
-        #: worker-resident fold pipeline (None = per-op sharded / serial):
-        #: keeps botjoin/topjoin shards inside the worker processes across
-        #: both sweeps and across maintained updates, so only root
-        #: aggregates and lazily-fetched registers cross process
-        #: boundaries.
-        self.resident = ResidentFoldPipeline.try_create(
-            self.bound, parallel, self.shards
-        )
-        self.botjoins: Dict[str, Relation] = compute_botjoins(
-            self.bound,
-            parallel=parallel,
-            shard_cache=self.shards,
-            resident=self.resident,
-        )
+        self.bound: BoundTree = bind(query, tree, db)
+        self.botjoins: Dict[str, Relation] = compute_botjoins(self.bound)
         self._topjoins: Optional[Dict[str, Optional[Relation]]] = None
         self._layouts: Dict[str, TableLayout] = {}
         self._tables: Dict[str, MultiplicityTable] = {}
@@ -419,13 +368,7 @@ class JoinState:
             # First materialisation from committed botjoins — there is no
             # staged predecessor state for an update to corrupt.
             # repro-lint: disable=R002 -- lazy first build, not an update
-            self._topjoins = compute_topjoins(
-                self.bound,
-                self.botjoins,
-                parallel=self.parallel,
-                shard_cache=self.shards,
-                resident=self.resident,
-            )
+            self._topjoins = compute_topjoins(self.bound, self.botjoins)
         return self._topjoins
 
     def layout(self, relation: str) -> TableLayout:
@@ -449,23 +392,9 @@ class JoinState:
             # Same lazy-first-build exemption as topjoins() above.
             # repro-lint: disable=R002 -- lazy first build, not an update
             self._tables[relation] = build_table(
-                self.layout(relation),
-                self._part_value,
-                parallel=self.parallel,
-                shard_cache=self.shards,
+                self.layout(relation), self._part_value
             )
         return self._tables[relation]
-
-    def close(self) -> None:
-        """Release the shared-memory shard map (serial states no-op).
-
-        The state itself stays readable — partitionings are rebuilt on
-        demand if another sharded read follows.  Idempotent.
-        """
-        if self.resident is not None:
-            self.resident.close()
-        if self.shards is not None:
-            self.shards.close()
 
     def base_columns(self, relation: str) -> frozenset:
         """Base-schema column names of one of this component's relations."""
@@ -557,53 +486,7 @@ class JoinState:
         # too — within this component; the evaluator repeats this for the
         # other components of a disconnected query.
         self.drop_domain_dependent_witnesses(staging.touched_columns)
-        if self.shards is not None:
-            self._commit_shard_deltas(staging)
         return tuple(staging.reports)
-
-    @staticmethod
-    def _committed_source(mapping, key):
-        """A committed relation for delta patching, without fetching.
-
-        :class:`~repro.evaluation.yannakakis.ResidentMapping` values that
-        are not locally materialised must not be pulled off the workers
-        just to patch a coordinator-side shard cache — ``peek`` returns
-        only what the commit sweep (or an earlier read) already holds.
-        """
-        if hasattr(mapping, "peek"):
-            return mapping.peek(key)
-        return mapping.get(key)
-
-    def _commit_shard_deltas(self, staging: _BatchStaging) -> None:
-        """Re-shard only the delta rows of the batch's replaced relations.
-
-        Part of the commit sweep: :meth:`ShardMap.apply_delta` never
-        raises — partitionings it cannot patch (shared-memory exports,
-        backend or vocabulary-generation mismatches) fall back to plain
-        invalidation and are rebuilt lazily on the next sharded read.
-        Worker-resident registers (``node:``/``bot:``/``top:``) fold the
-        same deltas in place via
-        :meth:`~repro.evaluation.yannakakis.ResidentFoldPipeline.fold`,
-        which is equally non-raising: a failed fold drops the register
-        and the next resident read recomputes.
-        """
-        topjoins = self._topjoins if self._topjoins is not None else {}
-        for name, folds in staging.shard_deltas.items():
-            kind, _, key = name.partition(":")
-            if kind == "atom":
-                new_source = self.bound.atom_relations.get(key)
-            elif kind == "node":
-                new_source = self.bound.node_relations.get(key)
-            elif kind == "bot":
-                new_source = self._committed_source(self.botjoins, key)
-            else:
-                new_source = self._committed_source(topjoins, key)
-            if self.resident is not None and kind in ("node", "bot", "top"):
-                self.resident.fold(name, folds, new_source)
-            if new_source is None:
-                self.shards.invalidate([name])
-                continue
-            self.shards.apply_delta(name, new_source, folds)
 
     def _stage_delta_fold(
         self,
@@ -663,13 +546,7 @@ class JoinState:
                 new_atom if rel == relation else staging.atom(rel)
                 for rel in node.relations
             ]
-            if self.parallel is not None and self.parallel.active:
-                # Full node rejoin is the one big join in a fold; fan it
-                # out ephemerally (no cache keys — new_atom is uncommitted,
-                # so a failure here must not touch the shard map).
-                new_node_relation = self.parallel.join_all(node_parts)
-            else:
-                new_node_relation = join_all(node_parts)
+            new_node_relation = join_all(node_parts)
 
         # ----- stage: botjoins along the leaf-to-root path
         staged_botjoins: Dict[str, Relation] = {}
@@ -735,12 +612,6 @@ class JoinState:
         staging.botjoins.update(staged_botjoins)
         staging.topjoins.update(staged_topjoins)
         staging.tables.update(staged_tables)
-        staging.record_shard_delta(f"atom:{relation}", atom_delta, insert)
-        staging.record_shard_delta(f"node:{node_id}", node_delta, insert)
-        for changed, path_delta in path_deltas.items():
-            staging.record_shard_delta(f"bot:{changed}", path_delta, insert)
-        for changed, topjoin_delta in topjoin_deltas.items():
-            staging.record_shard_delta(f"top:{changed}", topjoin_delta, insert)
         staging.reports.append(
             AppliedUpdate(
                 relation, node_id, False, tuple(staged_botjoins), multi_atom

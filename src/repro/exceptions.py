@@ -111,6 +111,15 @@ class TenantError(ServeError):
     """A multi-tenant request referenced an invalid or unknown tenant."""
 
 
+class OverloadedError(ServeError):
+    """The serving layer shed a request instead of queueing it.
+
+    Raised when the epoch manager's writer queue already holds its
+    ``max_queue`` pending update batches.  Nothing was committed; the
+    caller may retry once the writer catches up.
+    """
+
+
 class InternalError(ReproError):
     """An internal invariant of the library was violated.
 

@@ -150,16 +150,13 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(atoms, name=name or self.name, selections=selections)
 
     # ------------------------------------------------------------- data side
-    def bound_relation(self, db: Database, relation: str, parallel=None) -> Relation:
+    def bound_relation(self, db: Database, relation: str) -> Relation:
         """The relation renamed to query variables, with selections applied.
 
         The database column names are mapped positionally onto the atom's
         variables, then the atom's selection predicate (if any) filters the
         bag.  All algorithms consume relations through this method so that
-        selections are honoured uniformly.  ``parallel`` (a
-        :class:`~repro.engine.parallel.ParallelContext`) fans the selection
-        filter across shard workers when active; ``None`` and single-worker
-        contexts run the identical serial filter.
+        selections are honoured uniformly.
         """
         atom = self.atom(relation)
         base = db.relation(relation)
@@ -171,10 +168,7 @@ class ConjunctiveQuery:
         renamed = base.rename(dict(zip(base.attributes, atom.variables)))
         predicate = self._selections.get(relation)
         if predicate is not None:
-            if parallel is not None and parallel.active:
-                renamed = parallel.filter(renamed, predicate)
-            else:
-                renamed = renamed.filter(predicate)
+            renamed = renamed.filter(predicate)
         return renamed
 
     def validate_against(self, db: Database) -> None:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
-from repro.exceptions import ServeError
+from repro.exceptions import OverloadedError, ServeError
 from repro.session import PreparedQuery, Update
 
 #: Sentinel shutting the writer thread down.
@@ -177,8 +177,10 @@ class EpochManager:
         ``session.apply``/``insert``/``delete`` directly and go through
         :meth:`submit` / :meth:`apply` instead (reads through leases).
     max_queue:
-        Bound on queued-but-unapplied writer batches; submissions beyond
-        it block, back-pressuring producers.
+        Bound on queued-but-unapplied writer batches.  A submission
+        beyond it raises :class:`~repro.exceptions.OverloadedError` at
+        once instead of blocking, so a writer that falls behind sheds
+        load rather than stalling every caller.
 
     Locking protocol (the heart of the epoch guarantee): the writer
     thread holds ``session.lock`` across *both* the fold and the head
@@ -199,6 +201,7 @@ class EpochManager:
         self._retired_count = 0
         self._batches_applied = 0
         self._batches_failed = 0
+        self._batches_rejected = 0
         self._closed = False
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue)
         self._writer = threading.Thread(
@@ -345,13 +348,25 @@ class EpochManager:
         A failed batch (unknown relation, malformed element, count
         overflow) commits nothing and does not advance the epoch — the
         error surfaces on this future only.
+
+        Never blocks: when ``max_queue`` batches are already pending this
+        raises :class:`~repro.exceptions.OverloadedError` and queues
+        nothing.
         """
         from concurrent.futures import Future
 
         if self._closed:
             raise ServeError("epoch manager is closed")
         future: "Future" = Future()
-        self._queue.put((list(batch), future))
+        try:
+            self._queue.put_nowait((list(batch), future))
+        except queue.Full:
+            with self._mutex:
+                self._batches_rejected += 1
+            raise OverloadedError(
+                f"writer queue full ({self._queue.maxsize} batches pending); "
+                "retry later"
+            ) from None
         return future
 
     def apply(self, batch: Iterable[Update]) -> AppliedBatch:
@@ -421,6 +436,7 @@ class EpochManager:
                 "queued_batches": self._queue.qsize(),
                 "batches_applied": self._batches_applied,
                 "batches_failed": self._batches_failed,
+                "batches_rejected": self._batches_rejected,
                 "closed": self._closed,
             }
         return info

@@ -63,7 +63,6 @@ import threading
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
-from repro.engine.parallel import ParallelContext
 from repro.evaluation.incremental import IncrementalEvaluator, compact_updates
 from repro.evaluation.yannakakis import _component_trees
 from repro.query.classify import is_path_query
@@ -100,8 +99,6 @@ def prepare(
     backend: Optional[str] = None,
     tree: Optional[DecompositionTree] = None,
     max_width: int = 3,
-    workers: int = 1,
-    parallel=None,
 ) -> "PreparedQuery":
     """Plan ``query`` over ``db`` once and return the reusable session.
 
@@ -124,18 +121,6 @@ def prepare(
         :func:`repro.core.api.local_sensitivity`.
     max_width:
         GHD node-size cap for automatic decomposition of cyclic queries.
-    workers:
-        Sharded-execution fan-out.  The default ``1`` is the serial path,
-        bit-identical to sessions prepared before this knob existed.
-        ``workers=N`` (N > 1) keeps N worker processes alive for the
-        session's lifetime and hash-shards the heavy botjoin/topjoin/table
-        builds across them (:mod:`repro.engine.parallel`); results are
-        exactly equal either way.  Call :meth:`PreparedQuery.close` (or
-        use the session as a context manager) to release the workers.
-    parallel:
-        A pre-built :class:`~repro.engine.parallel.ParallelContext` to
-        share across sessions (overrides ``workers``); the caller keeps
-        ownership and closes it.
 
     Examples
     --------
@@ -158,9 +143,7 @@ def prepare(
     """
     if backend is not None:
         db = db.with_backend(backend)
-    return PreparedQuery(
-        query, db, tree=tree, max_width=max_width, workers=workers, parallel=parallel
-    )
+    return PreparedQuery(query, db, tree=tree, max_width=max_width)
 
 
 def rebuild_per_update_counts(
@@ -212,8 +195,6 @@ class PreparedQuery:
         db: Database,
         tree: Optional[DecompositionTree] = None,
         max_width: int = 3,
-        workers: int = 1,
-        parallel=None,
     ):
         query.validate_against(db)
         self._query = query
@@ -223,17 +204,6 @@ class PreparedQuery:
         # One re-entrant lock serialises every public read and mutation;
         # see the module docstring's thread-safety contract.
         self._lock = threading.RLock()
-        if parallel is not None:
-            self._parallel = parallel
-            self._owns_parallel = False
-        elif workers > 1:
-            self._parallel = ParallelContext(workers)
-            self._owns_parallel = True
-        else:
-            if workers < 1:
-                raise SessionError(f"workers must be >= 1, got {workers}")
-            self._parallel = None
-            self._owns_parallel = False
         # Planned once: classification + per-component decomposition.
         self._is_path = tree is None and is_path_query(query)
         self._pairs: List[Tuple[ConjunctiveQuery, DecompositionTree]] = list(
@@ -286,11 +256,6 @@ class PreparedQuery:
         return self._updates_applied
 
     @property
-    def workers(self) -> int:
-        """Sharded-execution fan-out (1 = serial)."""
-        return self._parallel.workers if self._parallel is not None else 1
-
-    @property
     def lock(self) -> "threading.RLock":
         """The session's state lock (re-entrant).
 
@@ -310,20 +275,11 @@ class PreparedQuery:
         return self._lock
 
     def close(self) -> None:
-        """Release sharded-execution resources.
+        """No-op, kept so sessions stay usable as context managers.
 
-        Drops the per-component shared-memory shard maps and, when the
-        session owns its :class:`~repro.engine.parallel.ParallelContext`
-        (built from ``workers=N``), shuts the worker processes down.
-        Serial sessions no-op.  Idempotent; reads keep working afterwards
-        via the serial path state already materialised.
+        A session holds no resources beyond memory; reads keep working
+        after ``close``.
         """
-        with self._lock:
-            if self._evaluator is not None:
-                for state in self._evaluator.component_states:
-                    state.close()
-            if self._owns_parallel and self._parallel is not None:
-                self._parallel.close()
 
     def __enter__(self) -> "PreparedQuery":
         return self
@@ -346,7 +302,6 @@ class PreparedQuery:
                 self._db,
                 max_width=self._max_width,
                 component_pairs=self._pairs,
-                parallel=self._parallel,
             )
         return self._evaluator
 
@@ -530,7 +485,7 @@ class PreparedQuery:
         """Epoch/state metadata for operational monitoring.
 
         A plain JSON-able dictionary describing the session: execution
-        backend, worker fan-out, per-relation cardinalities, how many
+        backend, per-relation cardinalities, how many
         updates have been committed, and — once the evaluator exists —
         which maintained levels each component has materialised (botjoin
         node count, topjoins, multiplicity tables).  Everything here is
@@ -541,7 +496,6 @@ class PreparedQuery:
             maintained: List[Dict[str, object]] = []
             if self._evaluator is not None:
                 for state in self._evaluator.component_states:
-                    resident = getattr(state, "resident", None)
                     maintained.append(
                         {
                             "relations": list(state.query.relation_names),
@@ -551,20 +505,11 @@ class PreparedQuery:
                             "tables_materialised": list(
                                 state.tables_materialised
                             ),
-                            "resident_pipeline": (
-                                resident is not None and resident.enabled
-                            ),
-                            "resident_registers": (
-                                len(resident.state.registers)
-                                if resident is not None and resident.enabled
-                                else 0
-                            ),
                         }
                     )
             return {
                 "query": str(self._query),
                 "backend": self.backend,
-                "workers": self.workers,
                 "components": len(self._pairs),
                 "is_path": self._is_path,
                 "relation_cardinalities": {
@@ -585,10 +530,9 @@ class PreparedQuery:
         Re-plans the same query (deterministically, so the decomposition
         is identical) over ``db`` — by default the session's *current*
         snapshot.  The fork shares nothing mutable with its parent: it
-        has its own lock, caches, and maintained state, and always runs
-        serially (``workers=1``).  The serving layer uses forks to answer
-        reads pinned to superseded epochs from their frozen snapshots
-        while the live session advances.
+        has its own lock, caches, and maintained state.  The serving layer
+        uses forks to answer reads pinned to superseded epochs from their
+        frozen snapshots while the live session advances.
         """
         with self._lock:
             target = self._db if db is None else db

@@ -154,7 +154,6 @@ class TestRegistry:
         assert ids == sorted(ids)
         assert set(ids) == {
             "R001", "R002", "R003", "R004", "R005", "R006", "R007",
-            "R008",
         }
 
     def test_load_rules_filter(self):

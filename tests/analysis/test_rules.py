@@ -17,7 +17,7 @@ from repro.analysis import LintRunner, builtin_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R007", "R008"]
+RULE_IDS = ["R001", "R002", "R003", "R004", "R005", "R006", "R007"]
 
 
 def _rule(rule_id):
@@ -105,24 +105,6 @@ class TestRuleSpecifics:
         assert not rule.applies_to(Path("src/repro/serve/epochs.py"))
         assert not rule.applies_to(Path("tests/serve/test_server.py"))
         assert not rule.applies_to(Path("src/repro/session.py"))
-
-    def test_r008_scoped_to_engine_parallel(self):
-        rule = _rule("R008")
-        assert rule.applies_to(Path("src/repro/engine/parallel.py"))
-        assert not rule.applies_to(Path("src/repro/engine/sharding.py"))
-        assert not rule.applies_to(Path("src/repro/serve/parallel.py"))
-
-    def test_r008_counts_each_materialisation(self, tmp_path):
-        runner = LintRunner([_rule("R008")])
-        for kind, path in _copied_fixtures("R008", tmp_path):
-            messages = [f.message for f in runner.check_file(path)]
-            if kind == "bad":
-                # run_plan import_result + peek decode_relation +
-                # peek _combine; the fetch body is sanctioned.
-                assert len(messages) == 3
-                assert all("worker-resident" in m for m in messages)
-            else:
-                assert not messages
 
     def test_r007_counts_each_bypass(self, tmp_path):
         runner = LintRunner([_rule("R007")])

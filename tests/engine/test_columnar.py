@@ -21,9 +21,11 @@ from repro.engine import (
     group_by,
     join,
     semijoin,
+    symmetric_difference_size,
     to_backend,
     union_all,
 )
+from repro.engine import columnar as columnar_mod
 from repro.engine.columnar import reset_vocabulary
 from repro.exceptions import MechanismConfigError, MultiplicityOverflowError, SchemaError
 
@@ -367,3 +369,53 @@ class TestVocabularyReset:
         assert union_all([old, old.rename({})]) == old.scale_counts(2)
         assert difference(old, ColumnarRelation(["A", "B"], [(1, 2)])) == \
             Relation(["A", "B"], [(3, 2)])
+
+
+class TestSortCache:
+    """The ``_match_pairs`` argsort memo (:func:`columnar._sorted_key`)."""
+
+    def test_small_and_view_arrays_bypass_cache(self):
+        columnar_mod._SORT_CACHE.clear()
+        small = np.arange(10, dtype=np.int64)[::-1].copy()
+        order, sorted_key = columnar_mod._sorted_key(small)
+        assert list(sorted_key) == sorted(small.tolist())
+        assert len(columnar_mod._SORT_CACHE) == 0
+        big = np.random.default_rng(0).integers(
+            0, 100, columnar_mod._SORT_CACHE_MIN_SIZE + 1
+        )
+        view = big[1:]
+        columnar_mod._sorted_key(view)
+        assert len(columnar_mod._SORT_CACHE) == 0
+
+    def test_cache_hit_returns_same_arrays(self):
+        columnar_mod._SORT_CACHE.clear()
+        key = np.random.default_rng(1).integers(
+            0, 1000, columnar_mod._SORT_CACHE_MIN_SIZE + 5
+        )
+        order1, sorted1 = columnar_mod._sorted_key(key)
+        order2, sorted2 = columnar_mod._sorted_key(key)
+        assert order1 is order2 and sorted1 is sorted2
+        assert len(columnar_mod._SORT_CACHE) == 1
+
+    def test_cache_evicts_by_capacity(self):
+        columnar_mod._SORT_CACHE.clear()
+        keys = [
+            np.random.default_rng(i).integers(
+                0, 1000, columnar_mod._SORT_CACHE_MIN_SIZE
+            )
+            for i in range(columnar_mod._SORT_CACHE_MAX_ENTRIES + 4)
+        ]
+        for key in keys:
+            columnar_mod._sorted_key(key)
+        assert (
+            len(columnar_mod._SORT_CACHE)
+            <= columnar_mod._SORT_CACHE_MAX_ENTRIES
+        )
+
+    def test_join_correct_with_cache_across_calls(self):
+        rows = [(i % 97, i) for i in range(3000)]
+        left = ColumnarRelation(["A", "B"], rows)
+        right = ColumnarRelation(["A", "C"], [(i % 97, -i) for i in range(3000)])
+        once = join(left, right)
+        again = join(left, right)
+        assert symmetric_difference_size(once, again) == 0

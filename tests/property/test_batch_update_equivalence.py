@@ -12,8 +12,8 @@ vectorized pass per relation.  Three observable contracts pin that down:
   no-ops) is an execution strategy, never a semantic change — in
   particular :attr:`updates_applied` advances by the raw stream length.
 * **Shape coverage** — the contract holds for acyclic queries, cyclic
-  (GHD) queries, disconnected queries, selection-filtered atoms and
-  sharded (``workers=2``) sessions, on both execution backends.
+  (GHD) queries, disconnected queries and selection-filtered atoms, on
+  both execution backends.
 * **Maintained path reads** — ``method="path"`` reads served from the
   maintained two-sweep :class:`~repro.core.path.PathState` equal fresh
   ``ls_path_join`` runs after every batch.
@@ -150,25 +150,6 @@ class TestBatchedEqualsSequential:
                     maintained.per_relation[relation].sensitivity
                     == fresh.per_relation[relation].sensitivity
                 )
-
-
-class TestBatchedSharded:
-    @given(seeds)
-    @settings(max_examples=4, deadline=None)
-    def test_workers_two_matches_serial(self, seed):
-        rng = np.random.default_rng(seed)
-        query = random_acyclic_query(rng, num_atoms=3)
-        db = random_database(query, rng, backend="columnar")
-        stream = _compacting_stream(query, db, rng, 10)
-        with prepare(query, db, workers=2) as sharded:
-            sharded.apply(stream)
-            serial = prepare(query, db)
-            serial.apply(stream)
-            assert sharded.count() == serial.count()
-            assert (
-                sharded.sensitivity().local_sensitivity
-                == serial.sensitivity().local_sensitivity
-            )
 
 
 class TestBatchAtomicity:

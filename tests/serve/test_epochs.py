@@ -1,9 +1,12 @@
 """Unit tests for the epoch manager: leases, swaps, retirement, writer."""
 
+import threading
+import time
+
 import pytest
 
 from repro.engine import Database, Relation
-from repro.exceptions import ServeError, UnknownRelationError
+from repro.exceptions import OverloadedError, ServeError, UnknownRelationError
 from repro.query import parse_query
 from repro.serve import AppliedBatch, EpochManager
 from repro.session import prepare
@@ -95,6 +98,63 @@ class TestWriter:
             manager.apply([("insert", "Nope", (1,))])
         assert manager.apply([("insert", "R", (5, 2))]).epoch_id == 1
 
+    def test_full_queue_rejects_instead_of_blocking(self):
+        session = _session()
+        manager = EpochManager(session, max_queue=1)
+        outcome = {}
+
+        def third_submit():
+            try:
+                manager.submit([("insert", "R", (7, 2))])
+            except OverloadedError as exc:
+                outcome["error"] = exc
+
+        try:
+            with session.lock:  # the writer stalls on its first batch
+                first = manager.submit([("insert", "R", (5, 2))])
+                deadline = time.monotonic() + 10
+                while manager.stats()["queued_batches"]:
+                    assert time.monotonic() < deadline, "writer never dequeued"
+                    time.sleep(0.01)
+                second = manager.submit([("insert", "R", (6, 2))])  # fills it
+                submitter = threading.Thread(target=third_submit, daemon=True)
+                submitter.start()
+                submitter.join(timeout=1.0)
+                blocked = submitter.is_alive()
+            assert not blocked, "submit blocked on a full writer queue"
+            assert isinstance(outcome.get("error"), OverloadedError)
+            assert manager.stats()["batches_rejected"] == 1
+            assert first.result(timeout=60).epoch_id == 1
+            assert second.result(timeout=60).epoch_id == 2
+            assert manager.session.updates_applied == 2
+        finally:
+            manager.close()
+            session.close()
+
+    def test_submit_is_accepted_again_once_the_writer_drains(self):
+        session = _session()
+        manager = EpochManager(session, max_queue=1)
+        try:
+            with session.lock:  # the writer stalls on its first batch
+                first = manager.submit([("insert", "R", (5, 2))])
+                deadline = time.monotonic() + 10
+                while manager.stats()["queued_batches"]:
+                    assert time.monotonic() < deadline, "writer never dequeued"
+                    time.sleep(0.01)
+                manager.submit([("insert", "R", (6, 2))])
+                with pytest.raises(OverloadedError):
+                    manager.submit([("insert", "R", (7, 2))])
+            first.result(timeout=60)
+            # The rejected batch left nothing behind; the next one queues.
+            applied = manager.apply([("insert", "R", (8, 2))])
+            assert applied.epoch_id == 3
+            assert applied.count == 5
+            stats = manager.stats()
+            assert (stats["batches_applied"], stats["batches_rejected"]) == (3, 1)
+        finally:
+            manager.close()
+            session.close()
+
 
 class TestEpochPinning:
     def test_superseded_lease_reads_frozen_snapshot(self, manager):
@@ -177,4 +237,5 @@ class TestLifecycle:
         assert stats["head_epoch"] == 0
         assert stats["live_epochs"] == {0: 0}
         assert stats["queued_batches"] == 0
+        assert stats["batches_rejected"] == 0
         assert stats["closed"] is False

@@ -7,6 +7,7 @@ import pytest
 from repro.core.result import SensitiveTuple, SensitivityResult
 from repro.dp.tsensdp import TSensDPOutcome
 from repro.exceptions import (
+    OverloadedError,
     PrivacyBudgetError,
     ProtocolError,
     ServeError,
@@ -99,6 +100,17 @@ class TestResponses:
             raise_remote({"type": "PrivacyBudgetError", "message": "empty"})
         with pytest.raises(SessionError):
             raise_remote({"type": "SessionError", "message": "bad op"})
+        with pytest.raises(OverloadedError):
+            raise_remote({"type": "OverloadedError", "message": "queue full"})
+
+    def test_overloaded_error_survives_the_wire(self):
+        frame = encode_frame(error_response(3, OverloadedError("queue full")))
+        error = decode_frame(frame)["error"]
+        assert error == {"type": "OverloadedError", "message": "queue full"}
+        # Still a ServeError, so generic client-side handlers catch it.
+        with pytest.raises(ServeError) as raised:
+            raise_remote(error)
+        assert type(raised.value) is OverloadedError
 
     def test_raise_remote_unknown_type(self):
         with pytest.raises(ServeError):

@@ -194,6 +194,48 @@ class TestConcurrency:
             assert count == 2 + epoch
 
 
+class TestOverload:
+    def test_full_writer_queue_answers_overloaded_without_stalling(
+        self, monkeypatch
+    ):
+        """A full writer queue rejects the next ``apply`` at once; the
+        event loop keeps answering instead of blocking on the queue."""
+        import time
+
+        import repro.serve.server as server_module
+        from repro.exceptions import OverloadedError
+        from repro.serve.epochs import EpochManager
+
+        monkeypatch.setattr(
+            server_module,
+            "EpochManager",
+            lambda session: EpochManager(session, max_queue=1),
+        )
+        session = _session()
+        server = SessionServer(session).start_background()
+        try:
+            manager = server.manager
+            with session.lock:  # the writer stalls on its first batch
+                first = manager.submit([("insert", "R", (5, 2))])
+                deadline = time.monotonic() + 10
+                while manager.stats()["queued_batches"]:
+                    assert time.monotonic() < deadline, "writer never dequeued"
+                    time.sleep(0.01)
+                second = manager.submit([("insert", "R", (6, 2))])  # fills it
+                with ServeClient(server.host, server.port, timeout=5) as client:
+                    with pytest.raises(OverloadedError):
+                        client.apply([("insert", "R", (7, 2))])
+                    assert client.epoch()["epoch"] == 0
+            assert first.result(timeout=60).epoch_id == 1
+            assert second.result(timeout=60).epoch_id == 2
+            with ServeClient(server.host, server.port) as client:
+                assert client.count() == 4  # the rejected batch never ran
+                assert client.stats()["epochs"]["batches_rejected"] == 1
+        finally:
+            server.stop()
+            session.close()
+
+
 class TestLifecycle:
     def test_shutdown_via_client(self):
         session = _session()

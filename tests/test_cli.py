@@ -167,6 +167,22 @@ class TestWhereClauses:
         assert code == 2
 
 
+class TestRemovedWorkersFlag:
+    """Execution is serial only; ``--workers`` is an unknown flag."""
+
+    @pytest.mark.parametrize("command", ["sensitivity", "count", "explain"])
+    def test_workers_flag_is_a_usage_error(self, csv_data, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    command, "--query", "R(A,B), S(B,C)",
+                    "--data", str(csv_data), "--workers", "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestExplainCommand:
     def test_explain_renders(self, csv_data, capsys):
         code = main(

@@ -476,7 +476,6 @@ class TestServingSurface:
         session = prepare(fig1_query, fig1_db)
         stats = session.stats()
         assert stats["backend"] == "python"
-        assert stats["workers"] == 1
         assert stats["evaluator_built"] is False
         assert stats["updates_applied"] == 0
         assert stats["maintained_components"] == []
@@ -565,3 +564,50 @@ class TestServingSurface:
         for applied, count in snapshots:
             assert count == base
             assert applied % 2 == 0
+
+
+class TestCloseIsNoOp:
+    """``close()`` and the context-manager protocol hold no resources but
+    stay, because the serving layer closes every session and fork it
+    retires."""
+
+    def test_close_is_idempotent_and_reads_keep_working(
+        self, fig1_query, fig1_db
+    ):
+        session = prepare(fig1_query, fig1_db)
+        before = session.sensitivity().local_sensitivity
+        session.close()
+        session.close()
+        assert session.count() == count_query(fig1_query, fig1_db)
+        assert session.sensitivity(method="tsens").local_sensitivity == before
+
+    def test_updates_commit_after_close(self, fig1_query, fig1_db):
+        session = prepare(fig1_query, fig1_db, backend="columnar")
+        session.close()
+        row = ("a2", "b2", "c1")
+        (weight,) = session.probe("R1", [row])
+        assert session.insert("R1", row) == count_query(fig1_query, fig1_db) + weight
+        assert session.updates_applied == 1
+
+    def test_context_manager_yields_the_session(self, fig1_query, fig1_db):
+        with prepare(fig1_query, fig1_db) as session:
+            assert isinstance(session, PreparedQuery)
+            inside = session.count()
+        assert session.count() == inside
+        session.insert("R3", ("a1", "e9"))
+        assert session.count() == count_query(session.query, session.db)
+
+    def test_context_manager_propagates_errors(self, fig1_query, fig1_db):
+        with pytest.raises(UnknownRelationError):
+            with prepare(fig1_query, fig1_db) as session:
+                session.insert("Nope", (1,))
+        assert session.updates_applied == 0
+        assert session.count() == count_query(fig1_query, fig1_db)
+
+    def test_closing_a_fork_leaves_its_parent_usable(self, fig1_query, fig1_db):
+        session = prepare(fig1_query, fig1_db)
+        fork = session.fork()
+        fork.close()
+        session.insert("R1", ("a2", "b2", "c1"))
+        assert fork.count() == count_query(fig1_query, fig1_db)
+        assert session.count() == count_query(fig1_query, session.db)
