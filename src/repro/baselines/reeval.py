@@ -9,11 +9,11 @@ but uses the efficient evaluator per probe; the paper estimates it at
 Two probe engines are available through ``mode``:
 
 ``"incremental"`` (default)
-    :class:`~repro.evaluation.incremental.IncrementalEvaluator` — cache
-    the join-tree count aggregates once, then answer every candidate with
-    a leaf-to-root delta propagation (Berkholz-style).  Whole relations
-    probe in one vectorized batch, so the baseline runs *unsampled* at
-    bench scale.
+    :class:`~repro.evaluation.incremental.IncrementalEvaluator` — build
+    the join-tree botjoins and topjoins once, then answer every candidate
+    with one short delta join chain at its relation's node
+    (Berkholz-style).  Whole relations probe in one vectorized batch, so
+    the baseline runs *unsampled* at bench scale.
 ``"full"``
     The historical strawman: one complete re-evaluation per candidate.
     Kept as the cross-check the incremental engine is validated against,

@@ -544,8 +544,15 @@ class ColumnarRelation:
         return int(self._mult.size)
 
     def total_count(self) -> int:
-        """Total multiplicity (bag cardinality) — the paper's ``|Q(D)|``."""
-        return int(self._mult.sum()) if self._mult.size else 0
+        """Total multiplicity (bag cardinality) — the paper's ``|Q(D)|``.
+
+        Exact like the python backend: a total past ``int64`` is summed in
+        Python ints instead of wrapping."""
+        if not self._mult.size:
+            return 0
+        if int(self._mult.max()) * self._mult.size <= _INT64_MAX:
+            return int(self._mult.sum())
+        return sum(self._mult.tolist())
 
     def multiplicity(self, row: Sequence[object]) -> int:
         """Multiplicity of ``row`` (0 if absent)."""

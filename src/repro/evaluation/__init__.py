@@ -1,7 +1,7 @@
 """Query evaluation over decomposition trees (Yannakakis-style)."""
 
 from repro.evaluation.incremental import PROBE_ATTRIBUTE, IncrementalEvaluator
-from repro.evaluation.joinstate import AppliedUpdate, JoinState
+from repro.evaluation.joinstate import JoinState
 from repro.evaluation.yannakakis import (
     BoundTree,
     bind,
@@ -17,7 +17,6 @@ from repro.evaluation.yannakakis import (
 )
 
 __all__ = [
-    "AppliedUpdate",
     "BoundTree",
     "IncrementalEvaluator",
     "JoinState",

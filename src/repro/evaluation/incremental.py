@@ -9,49 +9,45 @@ FO+MOD queries under updates") observe that counting under single-tuple
 updates only needs *delta propagation* over a materialized structure.
 This module implements that idea on the repo's decomposition trees:
 
-**Base structure (built once).**  Bind the tree and compute every botjoin
-``K(v)`` (:func:`repro.evaluation.yannakakis.compute_botjoins`).  The
-first *probe* additionally caches, for every non-root node ``v`` with
-parent ``p``, the *sibling complement* ``J(v) = rel_p r̃join (r̃join of
-K(c) for siblings c of v)`` — everything ``K(p)`` multiplies ``K(v)``
-with.  Probe state is lazy so count-only users (sessions maintaining
-``|Q(D)|`` under updates) never pay for it.
+**Base structure.**  Bind the tree and compute every botjoin ``K(v)``
+(:func:`repro.evaluation.yannakakis.compute_botjoins`) in the
+component's maintained :class:`~repro.evaluation.joinstate.JoinState`.
+The first *probe* also materialises that state's topjoins ``J(v)`` —
+the join of everything outside ``v``'s subtree, grouped on the
+attributes ``v`` shares with its parent — which the TSens tables read
+too.  Topjoins are lazy, so count-only users (sessions maintaining
+``|Q(D)|`` under updates) never pay for them.
 
 **Probe (per hypothetical update).**  ``|Q(D)|`` is multilinear in each
 relation's multiplicity vector, so changing the multiplicity of ``t ∈ R``
 by ``±1`` changes the count by exactly ``±w(t)`` where ``w(t)`` is the
 number of join results (with multiplicity) one occurrence of ``t``
-participates in.  ``w(t)`` is obtained by pushing the one-tuple delta
-relation up the leaf-to-root path::
+participates in — the paper's tuple sensitivity ``T^R[t]`` (Sec. 5,
+Eqn. 6).  With ``v`` the node holding ``R``::
 
-    ΔK(v)  = γ_{shared(v)} (Δrel_v r̃join ∏_c K(c))        (v's node)
-    ΔK(p)  = γ_{shared(p)} (ΔK(v) r̃join J(v))              (each ancestor)
-    w(t)   = ΔK(root).total_count()
+    ΔK(v) = γ_{shared(v)} (Δt r̃join (v's other atoms) r̃join ∏_c K(c))
+    w(t)  = γ_∅ (ΔK(v) r̃join J(v))            (the root has no J: w(t) = ΔK(v))
 
-Each probe therefore touches only the path from ``R``'s node to the root
-— ``O(depth)`` small joins against cached relations instead of a full
-re-evaluation, turning the re-evaluation baseline from ``O(runs · n)``
-into ``O(updates)`` after one ``O(n)`` build.
+Each probe is one short join chain at ``R``'s node against maintained
+relations instead of a full re-evaluation, turning the re-evaluation
+baseline from ``O(runs · n)`` into ``O(updates)`` after one ``O(n)``
+build.
 
-**Batching.**  Probes are independent and propagation is linear, so a
-whole batch propagates in *one* pass: the delta relation carries an extra
+**Batching.**  Probes are independent and the chain is linear, so a
+whole batch runs it *once*: the delta relation carries an extra
 probe-id column (:data:`PROBE_ATTRIBUTE`) that joins ignore and group-bys
 retain, keeping per-probe contributions separate.  On the columnar
-backend the batch pass runs entirely inside the vectorized join/group-by
-kernels — one numpy pass per tree edge for thousands of probes.
+backend the batch runs entirely inside the vectorized join/group-by
+kernels — a handful of numpy passes for thousands of probes.
 
 **Applied updates (streams).**  Beyond hypothetical probes, the evaluator
 can *commit* updates: :meth:`IncrementalEvaluator.apply_insert` /
 :meth:`~IncrementalEvaluator.apply_delete` fold the one-tuple delta into
 the per-component :class:`~repro.evaluation.joinstate.JoinState` — the
 maintained layer owning the botjoins (and, lazily, the topjoins and
-multiplicity tables the sensitivity algorithms read) — recomputing only
-the touched leaf-to-root path, no re-decomposition, no re-binding of
-untouched relations, no visits to off-path subtrees.  Sibling
-complements and within-node complements that the update invalidates are
-merely *marked* stale and rebuilt lazily before the next probe, so a
-stream of updates interleaved with count reads never pays for probe
-state it does not use.  This is the engine behind
+multiplicity tables the sensitivity algorithms and probes read) — with
+no re-decomposition and no re-binding of untouched relations.  Probes
+read that folded state directly.  This is the engine behind
 :class:`repro.session.PreparedQuery`'s mutation methods.
 
 **Batched streams.**  A whole update stream compacts into per-relation
@@ -72,13 +68,13 @@ as a full re-evaluation would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.database import Database
 from repro.engine.operators import difference, group_by, join, union_all
 from repro.engine.relation import Row
-from repro.evaluation.joinstate import AppliedUpdate, JoinState, RelationDelta
+from repro.evaluation.joinstate import JoinState, RelationDelta
 from repro.evaluation.yannakakis import _component_trees
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
@@ -167,36 +163,18 @@ class _Component:
     """Cached evaluation state for one connected component of the query.
 
     The join-tree structure itself (bound tree, botjoins, and — for
-    sensitivity consumers — topjoins and multiplicity tables) lives in
-    the component's maintained :class:`JoinState`; this wrapper adds the
-    evaluator's probe-only caches and the cross-component multiplier.
+    probes and sensitivity consumers — topjoins and multiplicity tables)
+    lives in the component's maintained :class:`JoinState`; this wrapper
+    adds only the cross-component multiplier.
     """
 
     state: JoinState
     #: product of the other components' counts (scales every delta).
     multiplier: int = 1
-    #: ``v -> rel_{parent(v)} r̃join (r̃join of K(c) for siblings c of v)``.
-    #: Built lazily on the first probe; see :meth:`_ensure_probe_state`.
-    sibling_complement: Dict[str, object] = field(default_factory=dict)
-    #: relation -> bag join of the *other* atoms in its node (GHD nodes).
-    node_others: Dict[str, Optional[object]] = field(default_factory=dict)
-    probe_ready: bool = False
-    #: parents whose children's complements an applied update invalidated.
-    stale_parents: Set[str] = field(default_factory=set)
-    #: multi-atom nodes whose ``node_others`` an applied update invalidated.
-    stale_other_nodes: Set[str] = field(default_factory=set)
 
     @property
     def query(self) -> ConjunctiveQuery:
         return self.state.query
-
-    @property
-    def bound(self):
-        return self.state.bound
-
-    @property
-    def botjoins(self) -> Dict[str, object]:
-        return self.state.botjoins
 
     @property
     def count(self) -> int:
@@ -287,80 +265,6 @@ class IncrementalEvaluator:
     ) -> _Component:
         return _Component(state=JoinState(sub, sub_tree, db))
 
-    @staticmethod
-    def _edge_complements(
-        component: _Component, parent: str
-    ) -> Dict[str, object]:
-        """Sibling complements for every child of ``parent``.
-
-        Prefix/suffix products keep this linear in the child count even
-        for high-degree nodes.
-        """
-        bound, botjoins = component.bound, component.botjoins
-        children = bound.tree.children(parent)
-        out: Dict[str, object] = {}
-        if not children:
-            return out
-        base = bound.relation(parent)
-        prefix = [base]
-        for child in children[:-1]:
-            prefix.append(join(prefix[-1], botjoins[child]))
-        suffix: List[Optional[object]] = [None] * len(children)
-        for i in range(len(children) - 2, -1, -1):
-            nxt = botjoins[children[i + 1]]
-            suffix[i] = nxt if suffix[i + 1] is None else join(nxt, suffix[i + 1])
-        for i, child in enumerate(children):
-            complement = prefix[i]
-            if suffix[i] is not None:
-                complement = join(complement, suffix[i])
-            out[child] = complement
-        return out
-
-    @staticmethod
-    def _node_other_complements(
-        component: _Component, node_id: str
-    ) -> Dict[str, Optional[object]]:
-        """Within-node complements for the relations of one (GHD) node."""
-        bound = component.bound
-        node = bound.tree.node(node_id)
-        out: Dict[str, Optional[object]] = {}
-        for relation in node.relations:
-            others = [r for r in node.relations if r != relation]
-            if not others:
-                out[relation] = None
-                continue
-            acc = bound.atom_relation(others[0])
-            for other in others[1:]:
-                acc = join(acc, bound.atom_relation(other))
-            out[relation] = acc
-        return out
-
-    def _ensure_probe_state(self, component: _Component) -> None:
-        """Build (or refresh the stale parts of) the probe-only caches."""
-        tree = component.bound.tree
-        if not component.probe_ready:
-            component.sibling_complement = {}
-            component.node_others = {}
-            for parent in tree.node_ids:
-                component.sibling_complement.update(
-                    self._edge_complements(component, parent)
-                )
-                component.node_others.update(
-                    self._node_other_complements(component, parent)
-                )
-            component.probe_ready = True
-        else:
-            for parent in sorted(component.stale_parents):
-                component.sibling_complement.update(
-                    self._edge_complements(component, parent)
-                )
-            for node_id in sorted(component.stale_other_nodes):
-                component.node_others.update(
-                    self._node_other_complements(component, node_id)
-                )
-        component.stale_parents.clear()
-        component.stale_other_nodes.clear()
-
     def _commit(self, new_db: Database) -> None:
         """Fold a fully-staged update into committed state.
 
@@ -420,12 +324,12 @@ class IncrementalEvaluator:
     def delta_batch(
         self, relation: str, rows: Sequence[Sequence[object]]
     ) -> List[int]:
-        """``w(t)`` for every probe tuple, via one shared propagation pass.
+        """``w(t)`` for every probe tuple, via one shared join chain.
 
         All probes ride a single delta relation tagged with a probe-id
-        column, so the cost is one leaf-to-root pass regardless of the
-        batch size — on the columnar backend every step is a vectorized
-        kernel call.
+        column, so the cost is one join chain at the relation's node
+        regardless of the batch size — on the columnar backend every step
+        is a vectorized kernel call.
         """
         if relation not in self._component_of:
             raise UnknownRelationError(relation)
@@ -437,7 +341,6 @@ class IncrementalEvaluator:
             # Arity checks must still run for a consistent error surface.
             self._check_probe_arity(component, relation, rows)
             return [0] * len(rows)
-        self._ensure_probe_state(component)
         probe = self._probe_relation(component, relation, rows)
         collapsed = self._propagate(component, relation, probe)
         per_probe = {key[0]: cnt for key, cnt in collapsed.items()}
@@ -464,9 +367,8 @@ class IncrementalEvaluator:
     def apply_insert(self, relation: str, row: Sequence[object]) -> int:
         """Commit ``D ← D ∪ {t}`` and return the maintained ``|Q(D)|``.
 
-        Only the botjoins on the path from ``relation``'s node to its
-        component root are recomputed; probe-only caches the update
-        invalidates are marked stale and refreshed on the next probe.
+        The one-tuple delta folds into the component's maintained
+        :class:`JoinState`, which later probes read directly.
         """
         return self._apply(relation, tuple(row), insert=True)
 
@@ -542,18 +444,14 @@ class IncrementalEvaluator:
                 self._component_of[delta.relation], []
             ).append(delta)
         stagings = [
-            (
-                self._components[index],
-                self._components[index].state.stage_update_batch(group),
-            )
+            self._components[index].state.stage_update_batch(group)
             for index, group in by_component.items()
         ]
         # ---- commit (nothing below raises)
         touched_columns: Set[str] = set()
-        for component, staging in stagings:
+        for staging in stagings:
             touched_columns.update(staging.touched_columns)
-            for report in component.state.commit_update_batch(staging):
-                self._mark_probe_caches_stale(component, report)
+            staging.state.commit_update_batch(staging)
         # Witness extrapolation reads representative domains across the
         # whole database, so *every* component's cached witnesses can go
         # stale when they share a base column name with a touched relation
@@ -562,28 +460,6 @@ class IncrementalEvaluator:
             component.state.drop_domain_dependent_witnesses(touched_columns)
         self._commit(new_db)
         return self._base_count
-
-    @staticmethod
-    def _mark_probe_caches_stale(
-        component: _Component, report: AppliedUpdate
-    ) -> None:
-        """Invalidate the probe-only complements an applied update moved."""
-        if report.filtered:
-            return  # filtered out before the join: no cached state moved
-        tree = component.state.tree
-        if report.node_multi_atom:
-            component.stale_other_nodes.add(report.node_id)
-        if tree.children(report.node_id):
-            # rel_node changed: every child-edge complement under the node
-            # embeds it, whether or not the botjoin delta survives below.
-            component.stale_parents.add(report.node_id)
-        for changed in report.changed_botjoins:
-            parent = tree.parent(changed)
-            if parent is not None:
-                # changed's botjoin moved: its siblings' complements (and
-                # the parent's other child edges) are stale; changed's own
-                # complement does not involve it.
-                component.stale_parents.add(parent)
 
     # ----------------------------------------------------------- propagation
     @staticmethod
@@ -613,31 +489,29 @@ class IncrementalEvaluator:
             probe = probe.filter(predicate)
         return probe
 
-    def _propagate(self, component: _Component, relation: str, probe):
-        """Push the tagged delta from ``relation``'s node to the root.
+    @staticmethod
+    def _propagate(component: _Component, relation: str, probe):
+        """``w(t)`` per probe id: ``T^R`` evaluated at the tagged probes.
 
-        Every join partner's attributes are contained in the current
-        node's attribute set, so the delta never grows columns beyond
-        ``A_v ∪ {probe}`` and shrinks to the parent-shared attributes at
-        each group-by — the per-probe work is bounded by the path, not
-        the database.
+        The probe joins the other atoms of ``relation``'s node ``v`` and
+        its children's botjoins, groups on the attributes ``v`` shares
+        with its parent, then joins the maintained topjoin ``J(v)`` (the
+        root has none).  Every join partner's attributes lie inside
+        ``A_v``, so the delta never grows beyond ``A_v ∪ {probe}``.
         """
-        tree = component.bound.tree
+        state = component.state
+        tree = state.tree
         node_id = tree.node_of_relation(relation)
         delta = probe
-        others = component.node_others[relation]
-        if others is not None:
-            delta = join(delta, others)
+        for other in tree.node(node_id).relations:
+            if other != relation:
+                delta = join(delta, state.bound.atom_relation(other))
         for child in tree.children(node_id):
-            delta = join(delta, component.botjoins[child])
+            delta = join(delta, state.botjoins[child])
         delta = group_by(
             delta, sorted(tree.shared_with_parent(node_id)) + [PROBE_ATTRIBUTE]
         )
-        while tree.parent(node_id) is not None:
-            parent = tree.parent(node_id)
-            delta = join(delta, component.sibling_complement[node_id])
-            delta = group_by(
-                delta, sorted(tree.shared_with_parent(parent)) + [PROBE_ATTRIBUTE]
-            )
-            node_id = parent
+        top = state.topjoins()[node_id]
+        if top is not None:
+            delta = group_by(join(delta, top), [PROBE_ATTRIBUTE])
         return delta

@@ -228,7 +228,7 @@ class _BatchStaging:
 
     __slots__ = (
         "state", "atoms", "nodes", "botjoins", "topjoins", "tables",
-        "reports", "touched_columns",
+        "touched_columns",
     )
 
     def __init__(self, state: "JoinState"):
@@ -238,7 +238,6 @@ class _BatchStaging:
         self.botjoins: Dict[str, Relation] = {}
         self.topjoins: Dict[str, Relation] = {}
         self.tables: Dict[str, MultiplicityTable] = {}
-        self.reports: List[AppliedUpdate] = []
         self.touched_columns: Set[str] = set()
 
     def atom(self, relation: str) -> Relation:
@@ -264,25 +263,6 @@ class _BatchStaging:
     def table(self, relation: str) -> MultiplicityTable:
         got = self.tables.get(relation)
         return got if got is not None else self.state._tables[relation]
-
-
-@dataclass(frozen=True)
-class AppliedUpdate:
-    """What one committed update changed inside a :class:`JoinState`.
-
-    Consumers holding caches *derived* from the state (the incremental
-    evaluator's sibling complements, say) use this to invalidate exactly
-    what moved.
-    """
-
-    relation: str
-    node_id: str
-    #: the row failed the relation's selection predicate: nothing changed.
-    filtered: bool
-    #: node ids whose botjoin was re-staged by this update.
-    changed_botjoins: Tuple[str, ...]
-    #: the touched node holds several atoms (GHD node).
-    node_multi_atom: bool
 
 
 class JoinState:
@@ -422,7 +402,7 @@ class JoinState:
     # --------------------------------------------------------------- updates
     def apply_update(
         self, relation: str, row: Sequence[object], insert: bool
-    ) -> AppliedUpdate:
+    ) -> None:
         """Fold one committed ``±row`` update of ``relation`` into every
         materialised level of the state (a one-delta batch)."""
         row = tuple(row)
@@ -431,11 +411,9 @@ class JoinState:
             {row: 1} if insert else {},
             {} if insert else {row: 1},
         )
-        return self.apply_update_batch([delta])[0]
+        self.apply_update_batch([delta])
 
-    def apply_update_batch(
-        self, deltas: Sequence[RelationDelta]
-    ) -> Tuple[AppliedUpdate, ...]:
+    def apply_update_batch(self, deltas: Sequence[RelationDelta]) -> None:
         """Fold whole signed delta relations into every materialised level.
 
         Each delta's minus side folds before its plus side (disjoint
@@ -444,10 +422,9 @@ class JoinState:
         is *staged* against an overlay first and committed in one
         non-raising sweep — a failure anywhere (unknown structure,
         columnar ``int64`` overflow) leaves the state bit-identical to
-        its pre-batch value.  Returns one :class:`AppliedUpdate` report
-        per signed fold, in fold order.
+        its pre-batch value.
         """
-        return self.commit_update_batch(self.stage_update_batch(deltas))
+        self.commit_update_batch(self.stage_update_batch(deltas))
 
     def stage_update_batch(self, deltas: Sequence[RelationDelta]) -> _BatchStaging:
         """Stage a batch into an uncommitted overlay (all fallible work)."""
@@ -459,9 +436,7 @@ class JoinState:
                 self._stage_delta_fold(staging, delta.relation, delta.plus, True)
         return staging
 
-    def commit_update_batch(
-        self, staging: _BatchStaging
-    ) -> Tuple[AppliedUpdate, ...]:
+    def commit_update_batch(self, staging: _BatchStaging) -> None:
         """Fold a fully-staged batch overlay into committed state.
 
         Dict assignments only; nothing here raises, so a failure anywhere
@@ -486,7 +461,6 @@ class JoinState:
         # too — within this component; the evaluator repeats this for the
         # other components of a disconnected query.
         self.drop_domain_dependent_witnesses(staging.touched_columns)
-        return tuple(staging.reports)
 
     def _stage_delta_fold(
         self,
@@ -507,16 +481,12 @@ class JoinState:
         tree = self.tree
         node_id = tree.node_of_relation(relation)
         node = tree.node(node_id)
-        multi_atom = len(node.relations) > 1
         # Whatever the selection filter keeps, the rows land in the
         # database, whose active domains feed witness extrapolation.
         staging.touched_columns.update(self._base_columns[relation])
         current_atom = staging.atom(relation)
         atom_delta = bound_delta(self.query, relation, rows, type(current_atom))
         if atom_delta.is_empty():
-            staging.reports.append(
-                AppliedUpdate(relation, node_id, True, (), multi_atom)
-            )
             return
         if atom_delta.distinct_count() == 1:
             # Single-tuple fast path: array-level bump instead of a
@@ -536,7 +506,7 @@ class JoinState:
         # atoms materialised in the same node.  For deletes this uses the
         # pre-fold state, which is exactly the removed contribution.
         node_delta = atom_delta
-        if not multi_atom:
+        if len(node.relations) == 1:
             new_node_relation = new_atom
         else:
             for other in node.relations:
@@ -612,11 +582,6 @@ class JoinState:
         staging.botjoins.update(staged_botjoins)
         staging.topjoins.update(staged_topjoins)
         staging.tables.update(staged_tables)
-        staging.reports.append(
-            AppliedUpdate(
-                relation, node_id, False, tuple(staged_botjoins), multi_atom
-            )
-        )
 
     def _stage_topjoin_deltas(
         self,

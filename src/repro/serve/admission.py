@@ -1,11 +1,11 @@
 """Admission control: coalescing concurrent reads into shared passes.
 
-The expensive serving reads are *batchable*: the PR 3 probe machinery
+The expensive serving reads are *batchable*: the probe machinery
 (:meth:`repro.session.PreparedQuery.probe`) answers a thousand probe
-tuples with **one** probe-id-tagged leaf-to-root propagation pass, at
-nearly the cost of answering one.  A server that executes each arriving
-request by itself throws that economy away.  The
-:class:`AdmissionQueue` gets it back:
+tuples with **one** probe-id-tagged join chain against the maintained
+botjoins and topjoins, at nearly the cost of answering one.  A server
+that executes each arriving request by itself throws that economy away.
+The :class:`AdmissionQueue` gets it back:
 
 * Callers submit requests (:meth:`~AdmissionQueue.submit_probe`,
   :meth:`~AdmissionQueue.submit_read`) and receive a

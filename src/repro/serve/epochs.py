@@ -188,8 +188,9 @@ class EpochManager:
     same lock before touching the session — so a read through a lease
     either sees the session exactly at its epoch, or detects the swap
     and falls back to the epoch's frozen fork.  The manager's own mutex
-    only guards the epoch map and refcounts and is never held across
-    engine work.
+    only guards the epoch map, refcounts, counters and the closed flag
+    (with the enqueue that checks it) and is never held across engine
+    work.
     """
 
     def __init__(self, session: PreparedQuery, max_queue: int = 1024):
@@ -355,18 +356,22 @@ class EpochManager:
         """
         from concurrent.futures import Future
 
-        if self._closed:
-            raise ServeError("epoch manager is closed")
         future: "Future" = Future()
-        try:
-            self._queue.put_nowait((list(batch), future))
-        except queue.Full:
-            with self._mutex:
+        item = (list(batch), future)
+        # The closed check and the enqueue share the mutex that close()
+        # sets ``_closed`` under, so a batch can never land behind the
+        # writer's stop sentinel (``put_nowait`` never blocks).
+        with self._mutex:
+            if self._closed:
+                raise ServeError("epoch manager is closed")
+            try:
+                self._queue.put_nowait(item)
+            except queue.Full:
                 self._batches_rejected += 1
-            raise OverloadedError(
-                f"writer queue full ({self._queue.maxsize} batches pending); "
-                "retry later"
-            ) from None
+                raise OverloadedError(
+                    f"writer queue full ({self._queue.maxsize} batches "
+                    "pending); retry later"
+                ) from None
         return future
 
     def apply(self, batch: Iterable[Update]) -> AppliedBatch:

@@ -328,11 +328,12 @@ class PreparedQuery:
         participates in: inserting one occurrence of ``rows[i]`` into
         ``relation`` would yield ``count() + probe(...)[i]``, deleting an
         existing occurrence ``count() - probe(...)[i]``.  All rows ride
-        one probe-id-tagged delta relation through a single leaf-to-root
-        propagation pass (vectorized on the columnar backend), so probing
-        a thousand tuples costs one pass, not a thousand — this is the
-        kernel the serving layer's admission queue coalesces concurrent
-        probe requests onto.  The database is not modified.
+        one probe-id-tagged delta relation through a single join chain at
+        the relation's node: its other atoms, its children's botjoins and
+        its maintained topjoin (vectorized on the columnar backend), so
+        probing a thousand tuples costs one pass, not a thousand — this is
+        the kernel the serving layer's admission queue coalesces
+        concurrent probe requests onto.  The database is not modified.
         """
         with self._lock:
             return self._ensure_evaluator().delta_batch(

@@ -348,6 +348,13 @@ class TestOverflowGuards:
         # bound check (max * count) trips, exact sum fits: must succeed
         assert group_by(rel, ["A"]).multiplicity((1,)) == 2 * near - 1
 
+    def test_total_count_past_int64_is_exact(self):
+        counts = {(1,): 2**62, (2,): 2**62}
+        rel = ColumnarRelation(["A"], counts)
+        assert rel.total_count() == 2**63
+        assert rel.max_frequency(()) == 2**63
+        assert Relation(["A"], counts).total_count() == 2**63
+
 
 class TestVocabularyReset:
     """reset_vocabulary() reclaims the process dictionary; relations built

@@ -10,15 +10,20 @@ query's atoms (paper Eqns. 5-8):
 * the multiplicity table ``T^R`` is the join of every atom except ``R``,
   grouped on ``R``'s effective attributes.
 
+A probe ``w(t)`` of a row ``t`` of ``R`` is that table's entry at ``t``
+(zero when ``t`` fails ``R``'s selection).
+
 The oracle below computes each of these by brute-force nested loops over
 plain dicts, so it shares no code with the engine kernels, and compares
 them with what :func:`bind`, :func:`compute_botjoins`,
-:func:`compute_topjoins` and :class:`JoinState` produce on both backends,
-before and after a maintained update batch.
+:func:`compute_topjoins`, :class:`JoinState` and
+:class:`IncrementalEvaluator` produce on both backends, before and after a
+maintained update batch.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from typing import Dict, Iterable, List, Tuple
@@ -27,6 +32,7 @@ import pytest
 
 from repro.engine import Database, Relation
 from repro.evaluation import (
+    IncrementalEvaluator,
     JoinState,
     bind,
     compute_botjoins,
@@ -189,6 +195,37 @@ def case(request):
     return query, auto_decompose(query), db
 
 
+def _probe_rows(query, db: Database, rel: str) -> List[tuple]:
+    """Every row of ``rel`` plus two absent ones: the first missing row
+    over the data domain, and one whose values occur nowhere."""
+    arity = len(query.atom(rel).variables)
+    present = set(db.relation(rel))
+    missing = next(
+        row for row in itertools.product(range(3), repeat=arity)
+        if row not in present
+    )
+    return sorted(present) + [missing, (9,) * arity]
+
+
+def _assert_probes_match_oracle(evaluator, query, db: Database) -> None:
+    """``w(t)`` of every probe row equals its leave-one-out table entry."""
+    atoms = _atom_bags(query, db)
+    for rel in query.relation_names:
+        variables = query.atom(rel).variables
+        predicate = query.selections.get(rel)
+        others = [atoms[r] for r in query.relation_names if r != rel]
+        attrs, table = _group(_join_all(others), effective_attributes(query, rel))
+        rows = _probe_rows(query, db, rel)
+        expected = []
+        for row in rows:
+            values = dict(zip(variables, row))
+            if predicate is not None and not predicate(values):
+                expected.append(0)
+            else:
+                expected.append(table.get(tuple(values[a] for a in attrs), 0))
+        assert evaluator.delta_batch(rel, rows) == expected, rel
+
+
 # ------------------------------------------------------------------ tests
 def _assert_chain_matches_oracle(state: JoinState, query, db: Database) -> None:
     """Every materialised level of ``state`` equals its definition on ``db``."""
@@ -286,3 +323,11 @@ class TestChainMatchesDefinitions:
         deltas = _batch(query, db, seed=len(query.relation_names))
         state.apply_update_batch(deltas)
         _assert_chain_matches_oracle(state, query, _applied(db, deltas))
+
+    def test_probes_are_leave_one_out_entries(self, case, backend):
+        query, tree, db = case
+        evaluator = IncrementalEvaluator(query, db.with_backend(backend), tree=tree)
+        _assert_probes_match_oracle(evaluator, query, db)
+        deltas = _batch(query, db, seed=len(query.relation_names))
+        evaluator.apply_batch(deltas)
+        _assert_probes_match_oracle(evaluator, query, _applied(db, deltas))

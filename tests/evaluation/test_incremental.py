@@ -67,6 +67,40 @@ class TestAgainstFullReevaluation:
                 )
                 assert evaluator.delta(relation, row) == expected
 
+    def test_probes_read_maintained_topjoins(
+        self, fig1_query, fig1_db, backend, monkeypatch
+    ):
+        """Probes join the state's own topjoins: the first probe builds
+        them, ``apply`` folds them, and no later probe rebuilds them."""
+        from repro.evaluation import joinstate
+
+        built = []
+        compute_topjoins = joinstate.compute_topjoins
+
+        def counting(*args):
+            built.append(args)
+            return compute_topjoins(*args)
+
+        monkeypatch.setattr(joinstate, "compute_topjoins", counting)
+        evaluator = IncrementalEvaluator(fig1_query, fig1_db.with_backend(backend))
+        probes = {
+            "R1": ("a2", "b2", "c1"),
+            "R2": ("a2", "b1", "d9"),
+            "R3": ("a2", "e9"),
+            "R4": ("b2", "f9"),
+        }
+
+        def check():
+            for relation, row in probes.items():
+                assert evaluator.delta(relation, row) == naive_tuple_sensitivity(
+                    fig1_query, evaluator.db, relation, row
+                ), relation
+
+        check()
+        evaluator.apply_insert("R3", ("a2", "e3"))
+        check()
+        assert len(built) == 1
+
     def test_disconnected_components_multiply(self, backend):
         query = parse_query("Q(A,B) :- R(A), S(B)")
         db = Database(

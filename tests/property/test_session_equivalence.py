@@ -185,9 +185,9 @@ class TestSessionAfterUpdateStream:
     @given(seeds, st.integers(min_value=1, max_value=12))
     @settings(max_examples=15, deadline=None)
     def test_interleaved_probes_and_commits(self, backend, seed, n_updates):
-        """Probes *between* commits exercise the stale-complement refresh
-        (probe state exists, then an applied update partially invalidates
-        it) — every delta must still match a freshly built evaluator."""
+        """Probes *between* commits read topjoins that the first probe
+        built and every later commit folded — every delta must still
+        match a freshly built evaluator."""
         from repro.evaluation import IncrementalEvaluator
 
         rng = np.random.default_rng(seed)

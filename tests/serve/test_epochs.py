@@ -224,6 +224,37 @@ class TestLifecycle:
         manager.close()  # idempotent
         session.close()
 
+    def test_submit_racing_close_is_not_stranded(self):
+        """close() starting inside submit's enqueue and given time to
+        finish: the batch must still commit, never land behind the
+        writer's stop sentinel with a future that never resolves."""
+        session = _session()
+        manager = EpochManager(session)
+        enqueue = manager._queue.put_nowait
+        closers = []
+
+        def close_during_enqueue(item):
+            closed = threading.Event()
+            closer = threading.Thread(
+                target=lambda: (manager.close(), closed.set()), daemon=True
+            )
+            closers.append(closer)
+            closer.start()
+            closed.wait(timeout=0.5)
+            enqueue(item)
+
+        manager._queue.put_nowait = close_during_enqueue
+        try:
+            future = manager.submit([("insert", "R", (5, 2))])
+            assert future.result(timeout=1).epoch_id == 1
+        finally:
+            for closer in closers:
+                closer.join(timeout=10)
+            manager.close()
+            session.close()
+        assert len(closers) == 1 and not closers[0].is_alive()
+        assert manager.closed
+
     def test_context_manager(self):
         session = _session()
         with EpochManager(session) as manager:
