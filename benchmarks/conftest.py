@@ -25,10 +25,10 @@ import pytest
 
 from repro.datasets import generate_ego_network, generate_tpch
 
-#: Default TPC-H scale for the ``tpch_base`` fixture: at 0.005 the fig-7
-#: q3 multiplicity tables dominate a TSens run (~93% of a columnar run,
-#: ``perfbench/first_split.json``).  Override per run with
-#: ``--tpch-scale`` or the ``REPRO_TPCH_SCALE`` environment variable.
+#: Default TPC-H scale for the ``tpch_base`` fixture: 0.005, the scale of
+#: the layered benchmark's fig-7 q3 workloads (``perfbench/``).  Override
+#: per run with ``--tpch-scale`` or the ``REPRO_TPCH_SCALE`` environment
+#: variable.
 TPCH_SCALE = float(os.environ.get("REPRO_TPCH_SCALE", "0.005"))
 SEED = 0
 

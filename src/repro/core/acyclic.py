@@ -64,7 +64,13 @@ def multiplicity_table(
 
     Joins everything *except* ``relation``: the node's topjoin, the node's
     children botjoins, and the other relations assigned to the same node,
-    then groups by the relation's effective attributes.
+    grouped by the relation's effective attributes.  The join does not run
+    in written order and group once at the end:
+    :func:`~repro.evaluation.joinstate.join_aggregate` starts from the
+    first part, joins next the part with the smallest UES upper bound, and
+    sums out each attribute as soon as no later part and no output column
+    needs it — so q3's root tables never materialise the many-to-many
+    ``K(gOC) ⋈ K(gSP)`` join on NK that written order implies.
 
     The paper notes (Sec. 5.2) that these partial joins "may not share any
     attributes in general" — materialising their cross product is exactly

@@ -66,7 +66,12 @@ class Explanation:
     seconds: float = 0.0
 
     def largest_intermediate(self) -> int:
-        """The biggest materialised row count anywhere in the run."""
+        """The biggest distinct-row count among the profiled structures.
+
+        Those are node relations, botjoins, topjoins and final table
+        factors.  The transient joins inside a table build (its
+        :func:`~repro.evaluation.joinstate.join_aggregate` stages) are not
+        profiled, so this is not a bound on peak memory."""
         sizes = [n.materialised_rows for n in self.nodes]
         sizes += [n.botjoin_rows for n in self.nodes]
         sizes += [n.topjoin_rows for n in self.nodes if n.topjoin_rows is not None]

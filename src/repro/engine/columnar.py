@@ -983,6 +983,17 @@ def difference(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelat
     )
 
 
+def max_rows_per_value(relation: ColumnarRelation, attributes: Sequence[str]) -> int:
+    """Vectorized ``mcf`` for :func:`repro.engine.operators.join_bound`: one
+    ``bincount`` per code column, the minimum over the columns."""
+    if relation._mult.size == 0:
+        return 0
+    return min(
+        int(np.bincount(relation._codes[p]).max())
+        for p in relation.schema.project_positions(attributes)
+    )
+
+
 def clamp_counts_to_top_k(relation: ColumnarRelation, k: int) -> ColumnarRelation:
     """Vectorized top-k clamp (Sec. 5.4): counts below the k-th largest rise
     to it.  Used by :func:`repro.core.topk.clamp_to_top_k`."""

@@ -7,6 +7,9 @@ These are the building blocks the paper's algorithms are written in:
 * :func:`group_by` — the paper's ``γ_A``: project onto ``A`` and *sum*
   multiplicities into the new count.
 * :func:`semijoin` — Yannakakis-style reducer.
+* :func:`next_join` — the join-order policy of the early-aggregating
+  multiplicity-table build, by PostBOUND's UES upper bound
+  (:func:`join_bound`).
 * :func:`select`, :func:`project`, :func:`cross_product`, :func:`union_all`,
   :func:`difference` — standard bag operators used by tests, baselines and
   the naive algorithm.
@@ -25,6 +28,7 @@ paper's ``r̃join`` of attribute-disjoint topjoins/botjoins requires.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.engine import columnar as _columnar
@@ -101,6 +105,55 @@ def join_all(relations: Sequence[Relation]) -> Relation:
     for rel in relations[1:]:
         result = join(result, rel)
     return result
+
+
+def max_rows_per_value(relation: Relation, attributes: Sequence[str]) -> int:
+    """Most distinct rows sharing one value of ``attributes`` (the ``mcf`` of
+    :func:`join_bound`; 0 for an empty relation).
+
+    Rows sharing a value combination share each of its values, so for a
+    composite key the minimum over its columns is a valid upper bound."""
+    if isinstance(relation, ColumnarRelation):
+        return _columnar.max_rows_per_value(relation, attributes)
+    if relation.is_empty():
+        return 0
+    return min(
+        max(Counter(row[p] for row in relation.counts).values())
+        for p in relation.schema.project_positions(attributes)
+    )
+
+
+def join_bound(left: Relation, right: Relation) -> int:
+    """PostBOUND's UES upper bound on the distinct rows of ``join(left, right)``.
+
+    Each ``left`` row meets at most ``mcf`` rows of ``right`` on the shared
+    key and vice versa, so the join has at most
+    ``min(|L|·mcf_R, |R|·mcf_L)`` rows; a cross product has ``|L|·|R|``.
+    """
+    common = left.schema.common(right.schema)
+    if not common:
+        return left.distinct_count() * right.distinct_count()
+    return min(
+        left.distinct_count() * max_rows_per_value(right, common),
+        right.distinct_count() * max_rows_per_value(left, common),
+    )
+
+
+def next_join(result: Relation, candidates: Sequence[Relation]) -> int:
+    """Index of the candidate an early-aggregating join should take next.
+
+    Candidates sharing an attribute with ``result`` come before cross
+    products; among them the smallest :func:`join_bound` wins, ties to the
+    earliest.  A lone connected candidate is forced, so no statistic is
+    computed for it.
+    """
+    connected = [
+        i for i, part in enumerate(candidates) if result.schema.common(part.schema)
+    ]
+    pool = connected or list(range(len(candidates)))
+    if len(pool) == 1:
+        return pool[0]
+    return min(pool, key=lambda i: join_bound(result, candidates[i]))
 
 
 def cross_product(left: Relation, right: Relation) -> Relation:

@@ -27,7 +27,9 @@ consistent under committed updates:
   co-located relations, the path-child botjoin for tables on the path,
   the node's topjoin everywhere else — so only the one factor containing
   that part is patched (``factor ± γ(Δpart ⋈ other parts)``); all other
-  factors are reused as-is.
+  factors are reused as-is.  Both the cold build and the patch compute
+  ``γ(⋈ parts)`` with :func:`join_aggregate`, which joins in UES-bound
+  order and sums out attributes as soon as nothing later needs them.
 
 Every level below the botjoins is **lazy**: a count-only consumer never
 materialises topjoins or tables, and an update folds deltas only into
@@ -47,7 +49,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.engine.database import Database
-from repro.engine.operators import difference, group_by, join, join_all, union_all
+from repro.engine.operators import (
+    difference,
+    group_by,
+    join,
+    join_all,
+    next_join,
+    union_all,
+)
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.evaluation.yannakakis import (
@@ -60,7 +69,11 @@ from repro.evaluation.yannakakis import (
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
 from repro.core.result import MultiplicityTable
-from repro.exceptions import InternalError, QueryStructureError
+from repro.exceptions import (
+    InternalError,
+    MultiplicityOverflowError,
+    QueryStructureError,
+)
 
 
 def effective_attributes(
@@ -168,6 +181,43 @@ def table_layout(
     return TableLayout(relation, node_id, effective, tuple(components))
 
 
+def join_aggregate(parts: Sequence[Relation], keep: Sequence[str]) -> Relation:
+    """``group_by(join_all(parts), keep)``, summing out attributes early.
+
+    Starts from ``parts[0]``.  Before each stage, every attribute that
+    neither ``keep`` nor a remaining part needs is summed out of the
+    running result; the stage then joins the result with the part
+    :func:`~repro.engine.operators.next_join` picks, plus every remaining
+    part whose attributes the two cover (those joins only filter).  The
+    last stage groups on ``keep`` in the given order, so the output is the
+    same bag under the same schema whatever order the joins ran in — and a
+    one-part list runs exactly ``group_by(join_all([part]), keep)``.
+    """
+    stage, remaining = [parts[0]], list(parts[1:])
+    while remaining:
+        joined = join_all(stage)
+        needed = set(keep).union(*(part.attributes for part in remaining))
+        kept = [a for a in joined.attributes if a in needed]
+        result = joined if len(kept) == len(joined.attributes) else group_by(joined, kept)
+        chosen = remaining.pop(next_join(result, remaining))
+        covered = set(result.attributes) | set(chosen.attributes)
+        stage = [result, chosen]
+        stage += [part for part in remaining if covered.issuperset(part.attributes)]
+        remaining = [
+            part for part in remaining if not covered.issuperset(part.attributes)
+        ]
+    return group_by(join_all(stage), keep)
+
+
+def _located_overflow(
+    error: MultiplicityOverflowError, relation: str, index: int
+) -> MultiplicityOverflowError:
+    """``error`` restated with the table and factor it came from."""
+    return MultiplicityOverflowError(
+        f"multiplicity table for {relation!r}, factor {index}: {error}"
+    )
+
+
 def build_table(
     layout: TableLayout,
     part_value: Callable[[_TablePart], Relation],
@@ -180,9 +230,12 @@ def build_table(
         )
         return MultiplicityTable(layout.relation, (table,))
     factors: List[Relation] = []
-    for component in layout.components:
+    for index, component in enumerate(layout.components):
         parts = [part_value(part) for part in component.parts]
-        factors.append(group_by(join_all(parts), component.effective))
+        try:
+            factors.append(join_aggregate(parts, component.effective))
+        except MultiplicityOverflowError as error:
+            raise _located_overflow(error, layout.relation, index) from error
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
@@ -733,15 +786,18 @@ class JoinState:
                 for part in component.parts
                 if part != changed
             ]
-            factor_delta = group_by(join_all(parts), component.effective)
-            if factor_delta.is_empty():
-                return None
-            old = table.factors[index]
-            new_factor = (
-                union_all([old, factor_delta])
-                if insert
-                else difference(old, factor_delta)
-            )
+            try:
+                factor_delta = join_aggregate(parts, component.effective)
+                if factor_delta.is_empty():
+                    return None
+                old = table.factors[index]
+                new_factor = (
+                    union_all([old, factor_delta])
+                    if insert
+                    else difference(old, factor_delta)
+                )
+            except MultiplicityOverflowError as error:
+                raise _located_overflow(error, rel, index) from error
             factors = (
                 table.factors[:index] + (new_factor,) + table.factors[index + 1:]
             )

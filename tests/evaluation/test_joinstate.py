@@ -368,3 +368,102 @@ class TestBatchAtomicity:
         state.apply_update("R", (9, 9), True)
         assert state.count == before_count
         assert state.bound.atom_relation("R").multiplicity((9, 9)) == 1
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestEarlyAggregatingTables:
+    def test_q3_table_joins_stay_within_parts_and_factors(
+        self, backend, monkeypatch
+    ):
+        """No pairwise join of a q3 table build outgrows both its largest
+        input part and its largest output factor.
+
+        Joining the parts in written order paired the R and N tables'
+        ``K(gOC)[NK,OK]`` with ``K(gSP)[NK,SK,PK]`` on NK alone — a
+        114,200-row join at TPC-H 0.001 against a 5,818-row largest part.
+        Covers every table the q3 workload builds.  Its skipped L table is
+        left out: a left-deep order from its first part still joins
+        ``K(gOC) ⋈ K(gSP)`` on NK before the ``K(gPS)`` filter.
+        """
+        from repro.datasets.tpch import generate_tpch
+        from repro.engine import operators
+        from repro.workloads.tpch_queries import q3_workload
+
+        workload = q3_workload()
+        db = workload.prepare(generate_tpch(0.001, seed=0, backend=backend))
+        state = JoinState(workload.query, workload.tree, db)
+        state.topjoins()  # no table build below includes the topjoin pass
+        join = operators.join
+        sizes = []
+
+        def spy(left, right):
+            out = join(left, right)
+            sizes.append(out.distinct_count())
+            return out
+
+        monkeypatch.setattr(operators, "join", spy)
+        for relation in workload.query.relation_names:
+            if relation in workload.skip_relations:
+                continue
+            layout = state.layout(relation)
+            largest_part = max(
+                (
+                    state._part_value(part).distinct_count()
+                    for component in layout.components
+                    for part in component.parts
+                ),
+                default=0,
+            )
+            sizes.clear()
+            table = state.multiplicity_table(relation)
+            largest_factor = max(f.distinct_count() for f in table.factors)
+            bound = max(largest_part, largest_factor)
+            assert all(size <= bound for size in sizes), (relation, sizes, bound)
+
+
+class TestOverflowNamesTheTable:
+    def test_table_build_overflow_names_the_relation(self):
+        """γ_B(R ⋈ T) = 2**64 overflows S's table on columnar; the error
+        says which table and factor, and python still answers."""
+        from repro.session import prepare
+
+        query = parse_query("R(A,B), S(B,C), T(B,D)")
+        relations = {
+            "R": Relation(["A", "B"], {(1, 2): 2**62}),
+            "S": Relation(["B", "C"], {(9, 9): 1}),
+            "T": Relation(["B", "D"], {(2, 4): 4}),
+        }
+        python = prepare(query, Database(relations, backend="python"))
+        assert python.sensitivity().local_sensitivity == 2**64
+        session = prepare(query, Database(relations, backend="columnar"))
+        assert session.count() == 0
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            session.sensitivity()
+        assert "multiplicity table for 'S', factor 0" in str(raised.value)
+        assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+
+    def test_table_patch_overflow_names_the_relation_and_commits_nothing(self):
+        """A one-node tree: inserting into T changes no botjoin (R joins
+        nothing), but R's table factor γ_B(T) passes int64 in the staged
+        patch — which must name R and leave the state untouched."""
+        from repro.query.ghd import ghd_from_groups
+
+        query = parse_query("R(A,B), T(B,D)")
+        tree = ghd_from_groups(query, {"g": ["R", "T"]}, "g", {})
+        db = Database(
+            {
+                "R": Relation(["A", "B"], {(1, 9): 1}),
+                "T": Relation(["B", "D"], {(2, 4): 2**62, (2, 5): 2**62 - 1}),
+            },
+            backend="columnar",
+        )
+        state = JoinState(query, tree, db)
+        before = state.multiplicity_table("R")
+        before_atom = state.bound.atom_relation("T")
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            state.apply_update("T", (2, 6), True)
+        assert "multiplicity table for 'R', factor 0" in str(raised.value)
+        assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+        assert state.multiplicity_table("R") is before
+        assert state.bound.atom_relation("T") is before_atom
+        assert state.count == 0
