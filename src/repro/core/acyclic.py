@@ -112,11 +112,17 @@ def best_witness(
     """The most sensitive tuple of ``relation`` honouring its selection.
 
     Without a selection predicate this is the table argmax.  With one,
-    entries stream out in descending sensitivity until the first whose
-    extrapolated full assignment satisfies the predicate — matching the
-    paper's rule that tuples failing the selection have sensitivity 0.
-    (Exclusive attributes take their fixed representative value, exactly
-    as the brute-force Theorem 3.1 enumeration does.)
+    tuples failing the predicate have sensitivity 0, and the brute-force
+    Theorem 3.1 enumeration has two kinds of candidate left:
+
+    * insertions — table entries whose exclusive attributes take their
+      fixed representative value: entries stream out in descending
+      sensitivity until the first whose extrapolated assignment passes;
+    * deletions — the relation's existing tuples that pass, each scored
+      against the table in one linear scan (ties to the smallest tuple).
+      Only these reach exclusive values other than the representative one.
+
+    The larger of the two wins; a tie keeps the insertion.
     """
     predicate = query.selections.get(relation)
     if predicate is None:
@@ -125,13 +131,30 @@ def best_witness(
             return SensitiveTuple(relation, {}, 0)
         assignment = extrapolate_assignment(query, db, relation, partial)
         return SensitiveTuple(relation, assignment, sensitivity)
+    best = SensitiveTuple(relation, {}, 0)
     for partial, sensitivity in table.iter_descending():
         if sensitivity == 0:
             break
         assignment = extrapolate_assignment(query, db, relation, dict(partial))
         if predicate(assignment):
-            return SensitiveTuple(relation, assignment, sensitivity)
-    return SensitiveTuple(relation, {}, 0)
+            best = SensitiveTuple(relation, assignment, sensitivity)
+            break
+    existing = query.bound_relation(db, relation)
+    columns = [
+        [existing.attributes.index(a) for a in factor.attributes]
+        for factor in table.factors
+    ]
+    scores: Dict[Tuple[object, ...], int] = {}
+    for row in existing:
+        score = table.multiplier
+        for factor, cols in zip(table.factors, columns):
+            score *= factor.counts.get(tuple(row[c] for c in cols), 0)
+        scores[row] = score
+    top = max(scores.values(), default=0)
+    if top > best.sensitivity:
+        row = min(row for row, score in scores.items() if score == top)
+        best = SensitiveTuple(relation, dict(zip(existing.attributes, row)), top)
+    return best
 
 
 def extrapolate_assignment(

@@ -5,7 +5,9 @@
 =======================  ==================================================
 query shape              algorithm
 =======================  ==================================================
-path join                Algorithm 1 (:func:`repro.core.path.ls_path_join`)
+path join                Algorithm 1 (:func:`repro.core.path.ls_path_join`),
+                         whose sweeps and tables are Algorithm 2's over
+                         the path's join tree
 acyclic / cyclic /       Algorithm 2 with join tree or GHD
 disconnected             (:func:`repro.core.general.tsens`)
 any, ``method="naive"``  brute force (:func:`repro.core.naive`)

@@ -12,6 +12,15 @@ then reads off, per relation, the max-count entries of ``J(Ri)`` and
 ``K(Ri+1)`` whose product is the most sensitive tuple's sensitivity.  Total
 time is ``O(n log n)`` irrespective of the join output size (Theorem 4.1).
 
+On a path query every join tree is the path itself, so Algorithm 2's
+passes over that tree *are* the two sweeps: the botjoin and topjoin of
+each node group the partial joins on either side of it, and the factored
+multiplicity table of ``Ri`` (Eqn. 6) is exactly ``J(Ri) × K(Ri+1)``.
+This module therefore runs no sweep of its own.  It reads the tables off a
+:class:`~repro.evaluation.joinstate.JoinState` — the session's maintained
+one, or a fresh one over the GYO join tree — and keeps only Algorithm 1's
+step III: the per-relation witness scan in path order.
+
 The implementation generalises the paper's two-attribute form slightly:
 
 * adjacent relations may share several attributes (the paper's "replace
@@ -22,195 +31,44 @@ The implementation generalises the paper's two-attribute form slightly:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.engine.database import Database
-from repro.engine.operators import difference, group_by, join, union_all
-from repro.engine.relation import Relation
-from repro.engine.schema import Schema
-from repro.evaluation.yannakakis import bound_delta
+from repro.evaluation.joinstate import JoinState
 from repro.query.classify import path_order
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.core.acyclic import best_witness, extrapolate_assignment
+from repro.query.gyo import gyo_join_tree
+from repro.core.acyclic import best_witness
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
-from repro.exceptions import InternalError, QueryStructureError
-
-_UNIT = Relation(Schema(()), {(): 1})  # zero-arity bag with count 1
-
-Row = Tuple[object, ...]
-
-
-def _shared(query: ConjunctiveQuery, left: str, right: str) -> Tuple[str, ...]:
-    """Attributes shared by two atoms, in the left atom's variable order."""
-    left_vars = query.atom(left).variables
-    right_vars = query.atom(right).variable_set
-    return tuple(v for v in left_vars if v in right_vars)
+from repro.exceptions import QueryStructureError
 
 
 class PathState:
-    """Maintained two-sweep state of Algorithm 1 for one path query.
+    """Algorithm 1's view of a :class:`JoinState`: the path order plus the
+    state whose botjoins and topjoins are the two sweeps.
 
-    Holds the bound relations plus the topjoin (``J``) and botjoin
-    (``K``) sweeps over them.  :meth:`apply_relation_delta` folds a
-    compacted signed delta relation into both sweeps — ``ΔJ`` propagates
-    rightward from the updated position, ``ΔK`` leftward, each one small
-    ``join``/``group_by`` per hop against the cached sweep values — so a
-    ``method="path"`` read after updates re-runs only step III (the
-    per-relation argmax scan) instead of both full sweeps.  The session
-    layer treats the state as a pure cache: a failed fold just drops it
-    and the next read rebuilds from the current database.
+    ``state`` is the session's maintained component state, which
+    committed updates already fold in place; without one a fresh state is
+    built over ``gyo_join_tree(query)`` against ``db``.
     """
 
-    __slots__ = (
-        "query", "order", "relations", "left_attrs", "right_attrs",
-        "topjoins", "botjoins", "_position",
-    )
+    __slots__ = ("order", "join_state")
 
-    def __init__(self, query: ConjunctiveQuery, db: Database):
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        db: Database,
+        state: Optional[JoinState] = None,
+    ):
         order = path_order(query)
         if order is None:
             raise QueryStructureError(
                 f"query {query.name} is not a path join query"
             )
-        self.query = query
-        self.order: List[str] = list(order)
-        self._position = {name: i for i, name in enumerate(order)}
-        m = len(order)
-        self.relations: List[Relation] = [
-            query.bound_relation(db, name) for name in order
-        ]
-        if m == 1:
-            # Trivial case: step III never reads the sweeps.
-            self.left_attrs: List[Tuple[str, ...]] = [()]
-            self.right_attrs: List[Tuple[str, ...]] = [()]
-            self.topjoins: List[Relation] = [_UNIT]
-            self.botjoins: List[Optional[Relation]] = [None, _UNIT]
-            return
-        left_attrs: List[Tuple[str, ...]] = [()]
-        for i in range(1, m):
-            left_attrs.append(_shared(query, order[i], order[i - 1]))
-        right_attrs: List[Tuple[str, ...]] = []
-        for i in range(m - 1):
-            right_attrs.append(_shared(query, order[i], order[i + 1]))
-        right_attrs.append(())
-        self.left_attrs = left_attrs
-        self.right_attrs = right_attrs
-
-        # I) topjoins: J[i] groups the join of R1..R_{i-1} on left_attrs[i].
-        topjoins: List[Relation] = [_UNIT]
-        topjoins.append(group_by(self.relations[0], right_attrs[0]))
-        for i in range(2, m):
-            expanded = join(topjoins[i - 1], self.relations[i - 1])
-            topjoins.append(group_by(expanded, left_attrs[i]))
-        self.topjoins = topjoins
-
-        # II) botjoins: K[i] groups the join of R_i..R_m on left_attrs[i].
-        botjoins: List[Optional[Relation]] = [None] * (m + 1)
-        botjoins[m] = _UNIT
-        botjoins[m - 1] = group_by(self.relations[m - 1], left_attrs[m - 1])
-        for i in range(m - 2, 0, -1):
-            expanded = join(self.relations[i], botjoins[i + 1])
-            botjoins[i] = group_by(expanded, left_attrs[i])
-        self.botjoins = botjoins
-
-    def apply_relation_delta(
-        self, relation: str, plus: Mapping[Row, int], minus: Mapping[Row, int]
-    ) -> None:
-        """Fold one relation's compacted signed delta into both sweeps.
-
-        ``minus`` folds first (tuple-disjoint sides after compaction, so
-        the order is mathematically free but matches the join-state
-        folds); monus is exact because compaction bounds every minus
-        count by the tuple's pre-batch multiplicity.
-        """
-        position = self._position[relation]
-        if minus:
-            self._fold(position, minus, False)
-        if plus:
-            self._fold(position, plus, True)
-
-    def _fold(self, p: int, rows: Mapping[Row, int], insert: bool) -> None:
-        """Stage one single-signed delta at position ``p``, then commit.
-
-        ``J[j]`` depends on relations strictly left of ``j`` and ``K[i]``
-        on relations at or right of ``i``, so the delta touches exactly
-        ``J[p+1..m-1]`` and ``K[1..p]`` — each reached by one join against
-        a cached relation or sweep value, with empty deltas pruning the
-        rest of a sweep.  All fallible work happens before the first
-        assignment.
-        """
-        base = self.relations[p]
-        delta = bound_delta(self.query, self.order[p], rows, type(base))
-        if delta.is_empty():
-            return
-        m = len(self.order)
-        staged_tops: List[Tuple[int, Relation]] = []
-        staged_bots: List[Tuple[int, Relation]] = []
-
-        # Topjoin sweep, rightward from p+1.
-        if m > 1 and p + 1 <= m - 1:
-            if p == 0:
-                dt = group_by(delta, self.right_attrs[0])
-            else:
-                dt = group_by(
-                    join(self.topjoins[p], delta), self.left_attrs[p + 1]
-                )
-            j = p + 1
-            while not dt.is_empty():
-                old = self.topjoins[j]
-                staged_tops.append(
-                    (j, union_all([old, dt]) if insert else difference(old, dt))
-                )
-                if j + 1 > m - 1:
-                    break
-                dt = group_by(join(dt, self.relations[j]), self.left_attrs[j + 1])
-                j += 1
-
-        # Botjoin sweep, leftward from p.
-        if m > 1 and p >= 1:
-            if p == m - 1:
-                dk = group_by(delta, self.left_attrs[m - 1])
-            else:
-                outgoing = self.botjoins[p + 1]
-                if outgoing is None:
-                    raise InternalError(f"missing botjoin for path position {p + 1}")
-                dk = group_by(join(delta, outgoing), self.left_attrs[p])
-            i = p
-            while not dk.is_empty():
-                old_bot = self.botjoins[i]
-                if old_bot is None:
-                    raise InternalError(f"missing botjoin for path position {i}")
-                staged_bots.append(
-                    (
-                        i,
-                        union_all([old_bot, dk])
-                        if insert
-                        else difference(old_bot, dk),
-                    )
-                )
-                if i - 1 < 1:
-                    break
-                dk = group_by(
-                    join(self.relations[i - 1], dk), self.left_attrs[i - 1]
-                )
-                i -= 1
-
-        # The relation itself (single-tuple fast path mirrors the
-        # maintained join-state fold).
-        if delta.distinct_count() == 1:
-            ((row, cnt),) = tuple(delta.items())
-            new_base = base.add(row, cnt) if insert else base.remove(row, cnt)
-        else:
-            new_base = (
-                union_all([base, delta]) if insert else difference(base, delta)
-            )
-
-        # Commit: assignments only.
-        self.relations[p] = new_base
-        for j, new_top in staged_tops:
-            self.topjoins[j] = new_top
-        for i, new_bot in staged_bots:
-            self.botjoins[i] = new_bot
+        self.order = order
+        if state is None:
+            state = JoinState(query, gyo_join_tree(query), db)
+        self.join_state = state
 
 
 def ls_path_join(
@@ -218,11 +76,10 @@ def ls_path_join(
 ) -> SensitivityResult:
     """Run Algorithm 1 on a path join query.
 
-    ``state`` — a :class:`PathState` maintained under committed updates —
-    skips both sweeps entirely, leaving only the per-relation argmax scan
-    of step III; without one the sweeps run from scratch against ``db``.
-    Either way the result is computed against ``db``, which must be the
-    database the state reflects.
+    ``state`` — a :class:`PathState` over the session's maintained join
+    state — reuses its sweeps and tables; without one they are built from
+    scratch against ``db``.  Either way the result is computed against
+    ``db``, which must be the database the state reflects.
 
     Raises :class:`~repro.exceptions.QueryStructureError` when the query is
     not a path query (use :func:`repro.core.api.local_sensitivity`, which
@@ -230,44 +87,19 @@ def ls_path_join(
     """
     if state is None:
         state = PathState(query, db)
-    order = state.order
-    m = len(order)
-
-    if m == 1:
-        # Single relation: LS = 1 and any representative tuple witnesses it
-        # (the paper's trivial case in Sec. 2.1).
-        assignment = extrapolate_assignment(query, db, order[0], {})
-        witness = SensitiveTuple(order[0], assignment, 1)
-        table = MultiplicityTable(order[0], (_UNIT,))
-        return SensitivityResult(
-            query_name=query.name,
-            method="path",
-            local_sensitivity=1,
-            witness=witness,
-            per_relation={order[0]: witness},
-            tables={order[0]: table},
-        )
-
-    # I/II) the two sweeps come from the state (freshly built above, or
-    # incrementally maintained by PathState.apply_relation_delta).
-    topjoins = state.topjoins
-    botjoins = state.botjoins
 
     # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]).
     tables: Dict[str, MultiplicityTable] = {}
     per_relation: Dict[str, SensitiveTuple] = {}
-    for i, name in enumerate(order):
-        incoming = topjoins[i]
-        outgoing = botjoins[i + 1]
-        if outgoing is None:
-            raise InternalError(f"missing botjoin for path position {i + 1}")
-        table = MultiplicityTable(name, (incoming, outgoing))
-        tables[name] = table
-        per_relation[name] = best_witness(table, query, db, name)
+    for name in state.order:
+        tables[name] = state.join_state.multiplicity_table(name)
+        per_relation[name] = best_witness(tables[name], query, db, name)
 
     local = max(w.sensitivity for w in per_relation.values())
     witness: Optional[SensitiveTuple] = None
     if local > 0:
+        # Ties go to the earliest relation in path order, not in body
+        # order as TSens breaks them.
         witness = next(
             w for w in per_relation.values() if w.sensitivity == local
         )

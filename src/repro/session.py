@@ -26,10 +26,12 @@ component's :class:`~repro.evaluation.joinstate.JoinState` folds every
 committed update into its botjoins (leaf-to-root), topjoins
 (root-to-leaf) and factored multiplicity tables (one patched factor),
 so sensitivity reads after updates refresh from maintained structures.
-Result objects are cached per configuration and invalidated exactly
-when a mutation lands, so a session is always observationally
-equivalent to a fresh session over its current database (pinned by
-``tests/property/test_session_equivalence.py`` and
+It is the only maintained state: on a path query the prepared join tree
+is the path, so ``method="path"`` reads take Algorithm 1's sweeps and
+tables from it too.  Result objects are cached per configuration and
+invalidated exactly when a mutation lands, so a session is always
+observationally equivalent to a fresh session over its current database
+(pinned by ``tests/property/test_session_equivalence.py`` and
 ``tests/property/test_sensitivity_maintenance.py``).
 
 Quickstart::
@@ -77,7 +79,6 @@ from repro.core.topk import tsens_topk
 from repro.exceptions import (
     InternalError,
     MechanismConfigError,
-    ReproError,
     SessionError,
     UnknownRelationError,
 )
@@ -211,10 +212,6 @@ class PreparedQuery:
         )
         # Built on first count/update/reeval use.
         self._evaluator: Optional[IncrementalEvaluator] = None
-        # Maintained two-sweep state for ``method="path"`` reads, built on
-        # the first such read and folded under committed batches.  A pure
-        # cache: dropped (never rolled back) when a fold fails.
-        self._path_state: Optional[PathState] = None
         # (kind, config) -> result caches, cleared on every mutation.
         self._results: Dict[Tuple, object] = {}
         self._oracles: Dict[Tuple, object] = {}
@@ -352,8 +349,9 @@ class PreparedQuery:
 
         Parameters and semantics match the one-shot function; the
         decomposition prepared at session creation is reused instead of
-        being re-derived, and results are cached per configuration until
-        the next committed update.
+        being re-derived, ``"path"`` and ``"tsens"`` reads both take their
+        tables from the maintained join state, and results are cached per
+        configuration until the next committed update.
         """
         if method not in ("auto", "path", "tsens", "naive", "reeval"):
             raise MechanismConfigError(f"unknown method {method!r}")
@@ -424,11 +422,12 @@ class PreparedQuery:
                 state=state,
             )
         if method == "path":
-            if self._is_path:
-                return ls_path_join(
-                    self._query, self._db, state=self._ensure_path_state()
-                )
-            return ls_path_join(self._query, self._db)
+            # A path query's prepared tree is the path, so its maintained
+            # state holds Algorithm 1's sweeps; otherwise build afresh.
+            state = self._states()[0] if self._is_path else None
+            return ls_path_join(
+                self._query, self._db, PathState(self._query, self._db, state)
+            )
         return tsens_from_states(
             self._query, self._db, self._states(), skip_relations=skip
         )
@@ -489,9 +488,10 @@ class PreparedQuery:
         backend, per-relation cardinalities, how many
         updates have been committed, and — once the evaluator exists —
         which maintained levels each component has materialised (botjoin
-        node count, topjoins, multiplicity tables).  Everything here is
-        structural metadata, not query answers; the server's ``stats``
-        endpoint and ``repro explain`` both surface it.
+        node count, topjoins, multiplicity tables).  These are the only
+        maintained structures: ``method="path"`` reads use them too.
+        Everything here is structural metadata, not query answers; the
+        server's ``stats`` endpoint and ``repro explain`` both surface it.
         """
         with self._lock:
             maintained: List[Dict[str, object]] = []
@@ -519,7 +519,6 @@ class PreparedQuery:
                 },
                 "updates_applied": self._updates_applied,
                 "evaluator_built": self._evaluator is not None,
-                "path_state_maintained": self._path_state is not None,
                 "cached_results": len(self._results),
                 "cached_oracles": len(self._oracles),
                 "maintained_components": maintained,
@@ -768,38 +767,10 @@ class PreparedQuery:
                     raise UnknownRelationError(relation)
             deltas = compact_updates(evaluator.db, updates)
             count = evaluator.apply_batch(deltas)
-            self._fold_path_state(deltas)
             # Even a fully-cancelled batch committed: the database is
             # bitwise unchanged but the stream elements were applied.
             self._after_mutation(len(updates))
             return count
-
-    def _ensure_path_state(self) -> PathState:
-        if self._path_state is None:
-            self._path_state = PathState(self._query, self._db)
-        return self._path_state
-
-    def _fold_path_state(self, deltas) -> None:
-        """Fold committed deltas into the maintained path sweeps, if any.
-
-        The evaluator has already committed, so a failing fold must not
-        abort the batch: expected engine errors drop the state (the next
-        ``method="path"`` read rebuilds from :attr:`db`); anything else
-        also drops it but propagates — a genuine bug should not hide
-        behind the cache.
-        """
-        if self._path_state is None:
-            return
-        try:
-            for delta in deltas:
-                self._path_state.apply_relation_delta(
-                    delta.relation, delta.plus, delta.minus
-                )
-        except ReproError:
-            self._path_state = None
-        except Exception:
-            self._path_state = None
-            raise
 
     def _after_mutation(self, n: int = 1) -> None:
         if self._evaluator is None:

@@ -156,6 +156,48 @@ class TestSelections:
         assert result.local_sensitivity == naive.local_sensitivity
 
 
+@pytest.mark.parametrize("backend", ["python", "columnar"])
+class TestSelectionOnExclusiveVariable:
+    """The selection rejects the representative value of R's exclusive A
+    (0), yet the existing R(1,1) passes it: deleting it loses 2 outputs."""
+
+    @staticmethod
+    def _instance(backend):
+        from repro.query import parse_predicate
+
+        query = parse_query("R(A,B), S(B,C)").with_selection(
+            "R", parse_predicate("A != 0")
+        )
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(0, 1), (1, 1)]),
+                "S": Relation(["B", "C"], [(1, 5), (1, 6)]),
+            }
+        ).with_backend(backend)
+        return query, db
+
+    @pytest.mark.parametrize("method", ["path", "tsens"])
+    def test_existing_tuple_witnesses(self, backend, method):
+        from repro.core import local_sensitivity
+
+        query, db = self._instance(backend)
+        naive = naive_local_sensitivity(query, db)
+        result = local_sensitivity(query, db, method=method)
+        assert naive.local_sensitivity == 2
+        assert result.local_sensitivity == 2
+        witness = result.per_relation["R"]
+        assert witness.sensitivity == 2
+        assert dict(witness.assignment) == {"A": 1, "B": 1}
+
+    def test_top_k_stays_an_upper_bound(self, backend):
+        from repro import prepare
+
+        query, db = self._instance(backend)
+        result = prepare(query, db).top_k(5)
+        assert result.local_sensitivity >= 2
+        assert result.per_relation["R"].sensitivity == 2
+
+
 class TestGhdNodes:
     def test_triangle_matches_naive(self, triangle_query, triangle_db):
         tree = auto_decompose(triangle_query)

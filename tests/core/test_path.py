@@ -1,10 +1,13 @@
 """Unit tests for LSPathJoin (Algorithm 1) — :mod:`repro.core.path`."""
 
+import numpy as np
 import pytest
 
+from repro import prepare
 from repro.core import ls_path_join, naive_local_sensitivity, tsens
+from repro.datasets import random_database
 from repro.engine import Database, Relation
-from repro.query import parse_query
+from repro.query import parse_predicate, parse_query
 from repro.exceptions import QueryStructureError
 
 
@@ -98,6 +101,45 @@ class TestEndpoints:
         assert result.witness.relation == "S"
 
 
+@pytest.mark.parametrize("backend", ["python", "columnar"])
+class TestSingleRelation:
+    """A one-atom path query honours its selection like any other."""
+
+    def test_selection_rejecting_every_tuple(self, backend):
+        query = parse_query("R(A)").with_selection("R", parse_predicate("A != 0"))
+        db = Database({"R": Relation(["A"], [(0,)])}).with_backend(backend)
+        result = ls_path_join(query, db)
+        assert naive_local_sensitivity(query, db).local_sensitivity == 0
+        assert result.local_sensitivity == 0
+        assert result.witness is None
+
+    def test_existing_tuple_passing_selection(self, backend):
+        query = parse_query("R(A)").with_selection("R", parse_predicate("A != 0"))
+        db = Database({"R": Relation(["A"], [(0,), (1,)])}).with_backend(backend)
+        naive = naive_local_sensitivity(query, db)
+        assert naive.local_sensitivity == 1
+        for result in (ls_path_join(query, db), tsens(query, db)):
+            assert result.local_sensitivity == 1
+            assert dict(result.witness.assignment) == {"A": 1}
+
+
+class TestWitnessesMatchTsens:
+    """Path and TSens read the same tables, so they pick the same witness
+    even where adjacent atoms list their shared variables in different
+    orders and the maxima tie."""
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_shared_variables_in_different_orders(self, backend):
+        query = parse_query("R1(X,A,B), R2(B,A,C), R3(C,Y)")
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            db = random_database(query, rng, backend=backend)
+            path = ls_path_join(query, db)
+            tree_based = tsens(query, db)
+            assert path.per_relation == tree_based.per_relation, seed
+            assert path.witness == tree_based.witness, seed
+
+
 class TestMultiAttributeBoundaries:
     def test_shared_pair_of_attributes(self):
         q = parse_query("R(A,B,C), S(B,C,D)")
@@ -146,64 +188,48 @@ class TestSelections:
 
 
 class TestPathState:
-    """Maintained two-sweep state: folds == fresh sweeps."""
+    """Path reads over the session's maintained join state == fresh runs.
+
+    Each stream replays through :meth:`PreparedQuery.apply`, which folds
+    the session's one :class:`JoinState`; ``method="path"`` reads it."""
 
     @staticmethod
-    def _replay(db, stream):
-        for relation, row, insert in stream:
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
+    def _assert_matches_fresh(session, query):
+        maintained = session.sensitivity(method="path")
+        fresh = ls_path_join(query, session.db)
+        assert maintained.local_sensitivity == fresh.local_sensitivity
+        for name in query.relation_names:
+            assert (
+                maintained.per_relation[name].sensitivity
+                == fresh.per_relation[name].sensitivity
             )
-        return db
 
     def test_maintained_matches_fresh(self, fig3_query, fig3_db):
-        from repro.core.path import PathState
-
-        state = PathState(fig3_query, fig3_db)
-        stream = [
+        session = prepare(fig3_query, fig3_db)
+        session.sensitivity(method="path")
+        for relation, row, insert in [
             ("R1", ("a1", "b2"), True),
             ("R3", ("c1", "d9"), True),
             ("R2", ("b2", "c1"), False),
             ("R1", ("a9", "b9"), True),   # joins nothing downstream
             ("R3", ("c2", "d2"), False),
-        ]
-        db = fig3_db
-        for relation, row, insert in stream:
-            plus = {row: 1} if insert else {}
-            minus = {} if insert else {row: 1}
-            state.apply_relation_delta(relation, plus, minus)
-            db = self._replay(db, [(relation, row, insert)])
-            maintained = ls_path_join(fig3_query, db, state=state)
-            fresh = ls_path_join(fig3_query, db)
-            assert maintained.local_sensitivity == fresh.local_sensitivity
-            for name in fig3_query.relation_names:
-                assert (
-                    maintained.per_relation[name].sensitivity
-                    == fresh.per_relation[name].sensitivity
-                )
+        ]:
+            session.apply([("insert" if insert else "delete", relation, row)])
+            self._assert_matches_fresh(session, fig3_query)
 
     def test_whole_delta_relations_fold(self, fig3_query, fig3_db):
-        from repro.core.path import PathState
-
-        state = PathState(fig3_query, fig3_db)
-        state.apply_relation_delta(
-            "R2", {("b1", "c2"): 3, ("b9", "c9"): 1}, {("b2", "c1"): 1}
+        session = prepare(fig3_query, fig3_db)
+        session.sensitivity(method="path")
+        session.apply(
+            [("delete", "R2", ("b2", "c1"))]
+            + [("insert", "R2", ("b1", "c2"))] * 3
+            + [("insert", "R2", ("b9", "c9"))]
         )
-        db = fig3_db
-        rel = db.relation("R2").remove(("b2", "c1"))
-        rel = rel.add(("b1", "c2"), 3).add(("b9", "c9"))
-        db = db.with_relation("R2", rel)
-        maintained = ls_path_join(fig3_query, db, state=state)
-        assert maintained.local_sensitivity == (
-            ls_path_join(fig3_query, db).local_sensitivity
-        )
+        self._assert_matches_fresh(session, fig3_query)
 
     def test_endpoint_updates(self):
-        """Updates at both path endpoints: position 0 touches only the
-        topjoin sweep, the last position only the botjoin sweep."""
-        from repro.core.path import PathState
-
+        """Updates at both path endpoints: the first relation feeds only
+        the rightward sweep, the last only the leftward one."""
         query = parse_query("R1(A,B), R2(B,C), R3(C,D)")
         db = Database(
             {
@@ -212,23 +238,16 @@ class TestPathState:
                 "R3": Relation(["C", "D"], [("c1", "d1")]),
             }
         )
-        state = PathState(query, db)
-        for relation, row, insert in [
-            ("R1", ("a3", "b1"), True),
-            ("R3", ("c1", "d2"), True),
-            ("R3", ("c1", "d1"), False),
-            ("R1", ("a1", "b1"), False),
+        session = prepare(query, db)
+        session.sensitivity(method="path")
+        for update in [
+            ("insert", "R1", ("a3", "b1")),
+            ("insert", "R3", ("c1", "d2")),
+            ("delete", "R3", ("c1", "d1")),
+            ("delete", "R1", ("a1", "b1")),
         ]:
-            plus = {row: 1} if insert else {}
-            minus = {} if insert else {row: 1}
-            state.apply_relation_delta(relation, plus, minus)
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
-            )
-            maintained = ls_path_join(query, db, state=state)
-            fresh = ls_path_join(query, db)
-            assert maintained.local_sensitivity == fresh.local_sensitivity
+            session.apply([update])
+            self._assert_matches_fresh(session, query)
 
     def test_non_path_query_rejected(self, fig1_query, fig1_db):
         from repro.core.path import PathState
@@ -237,17 +256,35 @@ class TestPathState:
             PathState(fig1_query, fig1_db)
 
     def test_selection_filters_fold(self, fig3_query, fig3_db):
-        from repro.core.path import PathState
-        from repro.query import parse_predicate
-
         query = fig3_query.with_selection("R2", parse_predicate("B != 'b2'"))
-        state = PathState(query, fig3_db)
-        # A filtered-out insert must not change any sweep, but the row
-        # still lands in the database.
-        state.apply_relation_delta("R2", {("b2", "c1"): 5}, {})
-        db = fig3_db.with_relation(
-            "R2", fig3_db.relation("R2").add(("b2", "c1"), 5)
+        session = prepare(query, fig3_db)
+        before = session.sensitivity(method="path").local_sensitivity
+        # A filtered-out insert changes no sweep, but the rows still land
+        # in the database.
+        session.apply([("insert", "R2", ("b2", "c1"))] * 5)
+        assert session.db.relation("R2").multiplicity(("b2", "c1")) == 7
+        assert session.sensitivity(method="path").local_sensitivity == before
+        self._assert_matches_fresh(session, query)
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_tables_are_the_session_join_state_tables(
+        self, backend, fig3_query, fig3_db
+    ):
+        from repro.core.path import PathState
+
+        session = prepare(fig3_query, fig3_db, backend=backend)
+        session.sensitivity(method="path")
+        session.apply(
+            [("insert", "R1", ("a3", "b1")), ("delete", "R4", ("d2", "e4"))]
         )
-        maintained = ls_path_join(query, db, state=state)
-        fresh = ls_path_join(query, db)
-        assert maintained.local_sensitivity == fresh.local_sensitivity
+        result = session.sensitivity(method="path")
+        (state,) = session._states()
+        assert set(result.tables) == set(fig3_query.relation_names)
+        for name, table in result.tables.items():
+            assert table is state.multiplicity_table(name)
+        # A PathState over a given join state reads that state's tables.
+        view = PathState(fig3_query, session.db, state)
+        again = ls_path_join(fig3_query, session.db, state=view)
+        for name, table in again.tables.items():
+            assert table is state.multiplicity_table(name)
+        assert again.local_sensitivity == result.local_sensitivity

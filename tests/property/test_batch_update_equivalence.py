@@ -14,8 +14,9 @@ vectorized pass per relation.  Three observable contracts pin that down:
 * **Shape coverage** — the contract holds for acyclic queries, cyclic
   (GHD) queries, disconnected queries and selection-filtered atoms, on
   both execution backends.
-* **Maintained path reads** — ``method="path"`` reads served from the
-  maintained two-sweep :class:`~repro.core.path.PathState` equal fresh
+* **Maintained path reads** — ``method="path"`` reads, which take
+  Algorithm 1's sweeps and tables from the session's maintained
+  :class:`~repro.evaluation.joinstate.JoinState`, equal fresh
   ``ls_path_join`` runs after every batch.
 """
 
@@ -136,7 +137,7 @@ class TestBatchedEqualsSequential:
         query = random_path_query(rng, length=length)
         db = random_database(query, rng, backend=backend)
         session = prepare(query, db)
-        # First read builds the PathState; later reads fold deltas.
+        # First read builds the tables; each batch then folds into them.
         before = session.sensitivity(method="path")
         assert before.local_sensitivity >= 0
         for _ in range(3):

@@ -120,3 +120,67 @@ class TestSelectionsEquivalence:
         fast = tsens(filtered, db)
         slow = naive_local_sensitivity(filtered, db)
         assert fast.local_sensitivity == slow.local_sensitivity
+
+
+def _exclusive_selection(query, db, rng, reject_representative):
+    """``query`` with a ``!=`` selection on one relation's exclusive
+    variable, or ``None`` when no atom has one.  The rejected value is
+    either random or the relation's representative one — the value every
+    extrapolated witness takes, so only existing tuples can then pass."""
+    choices = [
+        (relation, var)
+        for relation in query.relation_names
+        for var in query.exclusive_variables(relation)
+    ]
+    if not choices:
+        return None
+    relation, var = choices[int(rng.integers(0, len(choices)))]
+    pivot = int(rng.integers(0, 3))
+    if reject_representative:
+        column = db.relation(relation).attributes[
+            query.atom(relation).variables.index(var)
+        ]
+        (pivot,) = db.representative_domain(column, relation)
+    return query.with_selection(relation, lambda row: row[var] != pivot)
+
+
+def _assert_matches_naive(result, filtered, db):
+    from repro.core import naive_tuple_sensitivity
+
+    slow = naive_local_sensitivity(filtered, db)
+    assert result.local_sensitivity == slow.local_sensitivity
+    for relation, witness in result.per_relation.items():
+        assert witness.sensitivity == slow.per_relation[relation].sensitivity
+        if witness.sensitivity == 0:
+            continue
+        # The witness passes its selection and really has its sensitivity.
+        predicate = filtered.selections.get(relation)
+        assert predicate is None or predicate(witness.assignment)
+        row = witness.as_row(filtered.atom(relation).variables)
+        assert naive_tuple_sensitivity(filtered, db, relation, row) == (
+            witness.sensitivity
+        )
+
+
+class TestExclusiveSelectionEquivalence:
+    @given(seeds, st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tsens_equals_naive(self, seed, reject_representative):
+        rng = np.random.default_rng(seed)
+        query = random_acyclic_query(rng, num_atoms=3, exclusive_probability=0.7)
+        db = random_database(query, rng)
+        filtered = _exclusive_selection(query, db, rng, reject_representative)
+        if filtered is None:
+            return
+        _assert_matches_naive(tsens(filtered, db), filtered, db)
+
+    @given(seeds, st.integers(min_value=1, max_value=4), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_path_equals_naive(self, seed, length, reject_representative):
+        rng = np.random.default_rng(seed)
+        query = random_path_query(rng, length=length)
+        db = random_database(query, rng)
+        filtered = _exclusive_selection(query, db, rng, reject_representative)
+        if filtered is None:
+            return
+        _assert_matches_naive(ls_path_join(filtered, db), filtered, db)
