@@ -12,7 +12,7 @@ connected full CQ without self-joins, TSens makes two passes over ``T``:
 
 The **multiplicity table** ``T^i`` of a relation ``R_i`` assigned to node
 ``v`` joins the topjoin of ``v``, the botjoins of ``v``'s children, and the
-*other* relations materialised inside ``v`` (Sec. 5.4 "General joins"),
+*other* relations assigned to ``v`` (Sec. 5.4 "General joins"),
 grouped on ``R_i``'s effective attributes.  ``T^i[t]`` is simultaneously the
 upward and the downward tuple sensitivity of ``t`` because the join excludes
 ``R_i`` itself — adding or removing ``t`` adds or removes exactly ``T^i[t]``

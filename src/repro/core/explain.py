@@ -2,12 +2,12 @@
 
 Theorem 5.1's running time is governed by concrete intermediates — the
 botjoin/topjoin group tables and each relation's multiplicity table.  This
-module re-runs the two passes while recording, per node, the materialised
-relation size, botjoin/topjoin sizes and grouping attributes, and per
+module re-runs the two passes while recording, per node, the rows of its
+bound atoms, botjoin/topjoin sizes and grouping attributes, and per
 relation the multiplicity-table factor shapes.  Useful for:
 
-* spotting *why* a query is slow (e.g. q3's {R,N,L} node materialising a
-  cross product of Nation × Lineitem);
+* spotting *why* a query is slow (e.g. which botjoin or topjoin of q3's
+  wide GHD nodes dominates);
 * checking double-acyclicity in practice (all multiplicity tables stay
   factored);
 * teaching — ``print(explain(...))`` walks the whole algorithm.
@@ -30,7 +30,12 @@ from repro.exceptions import QueryStructureError
 
 @dataclass
 class NodeProfile:
-    """Size accounting for one decomposition-tree node."""
+    """Size accounting for one decomposition-tree node.
+
+    ``materialised_rows`` is what the state stores for the node itself: the
+    summed distinct rows of its bound atoms.  No bag of a GHD node is
+    built; the passes join its atoms inside their own joins.
+    """
 
     node_id: str
     relations: Tuple[str, ...]
@@ -68,10 +73,10 @@ class Explanation:
     def largest_intermediate(self) -> int:
         """The biggest distinct-row count among the profiled structures.
 
-        Those are node relations, botjoins, topjoins and final table
-        factors.  The transient joins inside a table build (its
-        :func:`~repro.evaluation.joinstate.join_aggregate` stages) are not
-        profiled, so this is not a bound on peak memory."""
+        Those are each node's summed atoms, botjoins, topjoins and final
+        table factors.  The transient joins inside a pass level or a table
+        build (its :func:`~repro.evaluation.joinstate.join_aggregate`
+        stages) are not profiled, so this is not a bound on peak memory."""
         sizes = [n.materialised_rows for n in self.nodes]
         sizes += [n.botjoin_rows for n in self.nodes]
         sizes += [n.topjoin_rows for n in self.nodes if n.topjoin_rows is not None]
@@ -141,7 +146,9 @@ def explain(
             NodeProfile(
                 node_id=node_id,
                 relations=tree.node(node_id).relations,
-                materialised_rows=bound.relation(node_id).distinct_count(),
+                materialised_rows=sum(
+                    atom.distinct_count() for atom in bound.atoms(node_id)
+                ),
                 botjoin_rows=botjoins[node_id].distinct_count(),
                 botjoin_attributes=tuple(sorted(tree.shared_with_parent(node_id))),
                 topjoin_rows=None if top is None else top.distinct_count(),

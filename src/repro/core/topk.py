@@ -10,21 +10,22 @@ is an over-estimate: the result is a valid **upper bound** on each tuple
 sensitivity and on the local sensitivity, trading tightness for bounded
 frequency skew in the intermediates.
 
-``tsens_topk`` monkey-patches nothing: it wraps the bound tree's botjoin /
-topjoin passes with a clamping step, reusing the exact multiplicity-table
-construction from :mod:`repro.core.acyclic`.
+``tsens_topk`` runs the same botjoin/topjoin passes as the exact algorithm
+(:func:`~repro.evaluation.yannakakis.compute_botjoins`,
+:func:`~repro.evaluation.yannakakis.compute_topjoins`) with a per-level
+clamp, and reuses the exact multiplicity-table construction from
+:mod:`repro.core.acyclic`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.engine.columnar import ColumnarRelation, clamp_counts_to_top_k
 from repro.engine.database import Database
-from repro.engine.operators import group_by, join_all
 from repro.engine.relation import Relation
 from repro.evaluation.joinstate import JoinState
-from repro.evaluation.yannakakis import bind
+from repro.evaluation.yannakakis import bind, compute_botjoins, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import DecompositionTree
@@ -34,7 +35,7 @@ from repro.core.acyclic import (
     select_overall_witness,
 )
 from repro.core.result import SensitiveTuple, SensitivityResult
-from repro.exceptions import InternalError, MechanismConfigError, QueryStructureError
+from repro.exceptions import MechanismConfigError, QueryStructureError
 
 
 def clamp_to_top_k(relation: Relation, k: int) -> Relation:
@@ -80,44 +81,23 @@ def tsens_topk(
     supplies the bound tree so sessions skip re-binding after updates.
     Clamping is *not* linear, so the clamped botjoin/topjoin passes cannot
     be folded incrementally — they rerun per call over the maintained
-    node relations, with clamping applied at every level exactly as the
-    one-shot computation does.
+    atoms, with clamping applied at every level exactly as the one-shot
+    computation does.
     """
     if not query.is_connected():
         raise QueryStructureError("tsens_topk needs a connected query")
     if state is not None:
         bound = state.bound
-        tree = state.tree
     else:
         if tree is None:
             tree = gyo_join_tree(query)
         bound = bind(query, tree, db)
 
-    # Botjoins with clamping (post-order).
-    botjoins: Dict[str, Relation] = {}
-    for node_id in tree.post_order():
-        current = bound.relation(node_id)
-        for child in tree.children(node_id):
-            current = join_all([current, botjoins[child]])
-        group_attrs = sorted(tree.shared_with_parent(node_id))
-        botjoins[node_id] = clamp_to_top_k(group_by(current, group_attrs), k)
+    def clamp(level: Relation) -> Relation:
+        return clamp_to_top_k(level, k)
 
-    # Topjoins with clamping (pre-order).
-    topjoins: Dict[str, Optional[Relation]] = {tree.root: None}
-    for node_id in tree.pre_order():
-        if node_id == tree.root:
-            continue
-        parent = tree.parent(node_id)
-        if parent is None:
-            raise InternalError(f"non-root node {node_id} has no parent")
-        parts: List[Relation] = [bound.relation(parent)]
-        if topjoins[parent] is not None:
-            parts.append(topjoins[parent])  # type: ignore[arg-type]
-        for sibling in tree.neighbours(node_id):
-            parts.append(botjoins[sibling])
-        joined = join_all(parts)
-        group_attrs = sorted(tree.shared_with_parent(node_id))
-        topjoins[node_id] = clamp_to_top_k(group_by(joined, group_attrs), k)
+    botjoins = compute_botjoins(bound, clamp)
+    topjoins = compute_topjoins(bound, botjoins, clamp)
 
     skip = set(skip_relations)
     per_relation: Dict[str, SensitiveTuple] = {}

@@ -40,25 +40,20 @@ retain, keeping per-probe contributions separate.  On the columnar
 backend the batch runs entirely inside the vectorized join/group-by
 kernels — a handful of numpy passes for thousands of probes.
 
-**Applied updates (streams).**  Beyond hypothetical probes, the evaluator
-can *commit* updates: :meth:`IncrementalEvaluator.apply_insert` /
-:meth:`~IncrementalEvaluator.apply_delete` fold the one-tuple delta into
-the per-component :class:`~repro.evaluation.joinstate.JoinState` — the
-maintained layer owning the botjoins (and, lazily, the topjoins and
-multiplicity tables the sensitivity algorithms and probes read) — with
-no re-decomposition and no re-binding of untouched relations.  Probes
-read that folded state directly.  This is the engine behind
-:class:`repro.session.PreparedQuery`'s mutation methods.
-
-**Batched streams.**  A whole update stream compacts into per-relation
+**Applied updates.**  Beyond hypothetical probes, the evaluator can
+*commit* updates.  A whole update stream compacts into per-relation
 signed delta *relations* (:func:`compact_updates`: matching ``+t``/``-t``
 pairs cancel, duplicate tuples coalesce into multiplicities) and
 :meth:`IncrementalEvaluator.apply_batch` folds each delta relation into
-the database and every maintained level in one vectorized pass per
-relation side — the same leaf-to-root/root-to-leaf walks, but carrying a
-bag of tuples instead of one.  The entire batch is staged then committed
-across all components, so a mid-batch failure leaves the evaluator
-bit-identical to its pre-batch state.
+the database and into the per-component
+:class:`~repro.evaluation.joinstate.JoinState` — the maintained layer
+owning the botjoins (and, lazily, the topjoins and multiplicity tables
+the sensitivity algorithms and probes read) — in one vectorized pass per
+relation side, with no re-decomposition and no re-binding of untouched
+relations.  Probes read that folded state directly.  The entire batch is
+staged then committed across all components, so a mid-batch failure
+leaves the evaluator bit-identical to its pre-batch state.  This is the
+engine behind :class:`repro.session.PreparedQuery`'s mutation methods.
 
 Deltas stay non-negative throughout (the update's sign factors out), so
 both relation backends can represent them; columnar ``int64`` overflow
@@ -193,8 +188,8 @@ class IncrementalEvaluator:
     db:
         The database instance the cache is built over.  ``delta`` probes
         are hypothetical and leave the evaluator untouched;
-        ``apply_insert`` / ``apply_delete`` commit updates, after which
-        :attr:`db` reflects the mutated instance.
+        :meth:`apply_batch` commits updates, after which :attr:`db`
+        reflects the mutated instance.
     tree:
         Decomposition override for connected queries (defaults to GYO /
         automatic GHD, like the rest of the evaluation stack).
@@ -220,7 +215,7 @@ class IncrementalEvaluator:
     2
     >>> ev.delta("S", (2, 9))     # inserting (2,9) adds both R tuples
     2
-    >>> ev.apply_insert("S", (2, 9))
+    >>> ev.apply_batch(compact_updates(ev.db, [(True, "S", (2, 9))]))
     4
     >>> ev.delta_batch("R", [(1, 2), (5, 5)])
     [2, 0]
@@ -348,52 +343,7 @@ class IncrementalEvaluator:
             per_probe.get(i, 0) * component.multiplier for i in range(len(rows))
         ]
 
-    def count_after_insert(self, relation: str, row: Sequence[object]) -> int:
-        """``|Q(D ∪ {t})|`` without re-evaluating."""
-        return self._base_count + self.delta(relation, tuple(row))
-
-    def count_after_delete(self, relation: str, row: Sequence[object]) -> int:
-        """``|Q(D \\ {t})|`` without re-evaluating.
-
-        Deleting an absent tuple is a no-op (the paper's ``D \\ {t}``
-        semantics), so the base count is returned unchanged in that case.
-        """
-        row = tuple(row)
-        if self._db.relation(relation).multiplicity(row) == 0:
-            return self._base_count
-        return self._base_count - self.delta(relation, row)
-
     # -------------------------------------------------------- applied updates
-    def apply_insert(self, relation: str, row: Sequence[object]) -> int:
-        """Commit ``D ← D ∪ {t}`` and return the maintained ``|Q(D)|``.
-
-        The one-tuple delta folds into the component's maintained
-        :class:`JoinState`, which later probes read directly.
-        """
-        return self._apply(relation, tuple(row), insert=True)
-
-    def apply_delete(self, relation: str, row: Sequence[object]) -> int:
-        """Commit ``D ← D \\ {t}`` and return the maintained ``|Q(D)|``.
-
-        Deleting an absent tuple is a no-op, matching ``D \\ {t}``.
-        """
-        row = tuple(row)
-        if relation not in self._component_of:
-            raise UnknownRelationError(relation)
-        if self._db.relation(relation).multiplicity(row) == 0:
-            component = self._components[self._component_of[relation]]
-            self._check_probe_arity(component, relation, [row])
-            return self._base_count
-        return self._apply(relation, row, insert=False)
-
-    def _apply(self, relation: str, row: Row, insert: bool) -> int:
-        delta = RelationDelta(
-            relation,
-            {row: 1} if insert else {},
-            {} if insert else {row: 1},
-        )
-        return self.apply_batch([delta])
-
     def apply_batch(self, deltas: Sequence[RelationDelta]) -> int:
         """Commit a compacted batch of delta relations atomically.
 

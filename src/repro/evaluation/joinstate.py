@@ -17,10 +17,14 @@ consistent under committed updates:
 * **Topjoins** are the mirror image.  ``J(v)`` is the complement of
   ``v``'s subtree, so an update at node ``u`` leaves ``J`` unchanged on
   the whole ``u``-to-root path and changes it *everywhere else* — but
-  each changed node has exactly one changed input (``rel_u`` for ``u``'s
-  children, ``ΔK(path child)`` for siblings of path nodes, ``ΔJ(parent)``
-  below), so the delta propagates root-to-leaf through small joins
-  against cached relations, never re-joining full inputs.
+  each changed node has exactly one changed input (the updated atom for
+  ``u``'s children, ``ΔK(path child)`` for siblings of path nodes,
+  ``ΔJ(parent)`` below), so the delta propagates root-to-leaf through
+  small joins against cached relations, never re-joining full inputs.
+* **GHD nodes** are never materialised as bags.  Wherever a delta
+  crosses a node it joins that node's atoms through
+  :func:`join_aggregate`, keeping only the attributes the node shares
+  with its parent and children, so a fold's cost follows the delta.
 * **Multiplicity tables** are stored factored by attribute-connected
   components (the same layout the one-shot algorithm uses).  An update
   changes exactly one input part of each table — the updated atom for
@@ -90,8 +94,8 @@ class _TablePart:
     """One symbolic input of a multiplicity table.
 
     ``kind`` is ``"top"`` (the node's topjoin), ``"bot"`` (a child's
-    botjoin) or ``"atom"`` (another relation materialised in the same
-    node); ``key`` is the node id or relation name respectively.
+    botjoin) or ``"atom"`` (another atom assigned to the same node);
+    ``key`` is the node id or relation name respectively.
     """
 
     kind: str
@@ -127,11 +131,11 @@ def table_layout(
 ) -> TableLayout:
     """The factored shape of ``relation``'s table ``T^i`` (paper Eqn. 6).
 
-    Groups the table's inputs — topjoin, child botjoins, co-located atoms
-    — into attribute-connected components with the same greedy sweep the
-    one-shot algorithm applied to the materialised relations, so the
-    factorisation (and therefore every downstream argmax/tie-break) is
-    bit-identical whether the table is built fresh or maintained.
+    Groups the table's inputs — topjoin, child botjoins, the node's other
+    atoms — into attribute-connected components with one greedy sweep over
+    their attributes, so the factorisation (and therefore every downstream
+    argmax/tie-break) is bit-identical whether the table is built fresh or
+    maintained.
     """
     node_id = tree.node_of_relation(relation)
     parts: List[Tuple[_TablePart, Tuple[str, ...]]] = []
@@ -193,7 +197,7 @@ def join_aggregate(parts: Sequence[Relation], keep: Sequence[str]) -> Relation:
     same bag under the same schema whatever order the joins ran in — and a
     one-part list runs exactly ``group_by(join_all([part]), keep)``.
     """
-    stage, remaining = [parts[0]], list(parts[1:])
+    stage, remaining = list(parts[:1]), list(parts[1:])
     while remaining:
         joined = join_all(stage)
         needed = set(keep).union(*(part.attributes for part in remaining))
@@ -280,14 +284,12 @@ class _BatchStaging:
     """
 
     __slots__ = (
-        "state", "atoms", "nodes", "botjoins", "topjoins", "tables",
-        "touched_columns",
+        "state", "atoms", "botjoins", "topjoins", "tables", "touched_columns",
     )
 
     def __init__(self, state: "JoinState"):
         self.state = state
         self.atoms: Dict[str, Relation] = {}
-        self.nodes: Dict[str, Relation] = {}
         self.botjoins: Dict[str, Relation] = {}
         self.topjoins: Dict[str, Relation] = {}
         self.tables: Dict[str, MultiplicityTable] = {}
@@ -297,9 +299,8 @@ class _BatchStaging:
         got = self.atoms.get(relation)
         return got if got is not None else self.state.bound.atom_relations[relation]
 
-    def node(self, node_id: str) -> Relation:
-        got = self.nodes.get(node_id)
-        return got if got is not None else self.state.bound.node_relations[node_id]
+    def node_atoms(self, node_id: str) -> List[Relation]:
+        return [self.atom(rel) for rel in self.state.tree.node(node_id).relations]
 
     def botjoin(self, node_id: str) -> Relation:
         got = self.botjoins.get(node_id)
@@ -332,7 +333,7 @@ class JoinState:
         same errors it always did before building a state.
     db:
         Database to bind against.  The state never mutates the caller's
-        object; :meth:`apply_update` advances the *bound* relations only
+        object; :meth:`apply_update_batch` advances the *bound* atoms only
         (the session layer owns the database snapshots).
 
     Botjoins are materialised eagerly (they are the count structure);
@@ -453,29 +454,16 @@ class JoinState:
                 self.witnesses.pop(relation, None)
 
     # --------------------------------------------------------------- updates
-    def apply_update(
-        self, relation: str, row: Sequence[object], insert: bool
-    ) -> None:
-        """Fold one committed ``±row`` update of ``relation`` into every
-        materialised level of the state (a one-delta batch)."""
-        row = tuple(row)
-        delta = RelationDelta(
-            relation,
-            {row: 1} if insert else {},
-            {} if insert else {row: 1},
-        )
-        self.apply_update_batch([delta])
-
     def apply_update_batch(self, deltas: Sequence[RelationDelta]) -> None:
         """Fold whole signed delta relations into every materialised level.
 
         Each delta's minus side folds before its plus side (disjoint
-        tuples after compaction, so the order is mathematically free but
-        matches the single-update monus path exactly).  The entire batch
-        is *staged* against an overlay first and committed in one
-        non-raising sweep — a failure anywhere (unknown structure,
-        columnar ``int64`` overflow) leaves the state bit-identical to
-        its pre-batch value.
+        tuples after compaction, so the order is mathematically free).
+        The entire batch is *staged* against an overlay first and
+        committed in one non-raising sweep — a failure anywhere (unknown
+        structure, columnar ``int64`` overflow) leaves the state
+        bit-identical to its pre-batch value.  A single committed update
+        is a one-tuple batch.
         """
         self.commit_update_batch(self.stage_update_batch(deltas))
 
@@ -499,8 +487,6 @@ class JoinState:
         """
         for relation, atom in staging.atoms.items():
             self.bound.atom_relations[relation] = atom
-        for node_id, node_relation in staging.nodes.items():
-            self.bound.node_relations[node_id] = node_relation
         for changed, botjoin in staging.botjoins.items():
             self.botjoins[changed] = botjoin
         if self._topjoins is not None:
@@ -533,7 +519,6 @@ class JoinState:
         """
         tree = self.tree
         node_id = tree.node_of_relation(relation)
-        node = tree.node(node_id)
         # Whatever the selection filter keeps, the rows land in the
         # database, whose active domains feed witness extrapolation.
         staging.touched_columns.update(self._base_columns[relation])
@@ -556,26 +541,18 @@ class JoinState:
                 else difference(current_atom, atom_delta)
             )
         # The node-level delta joins the delta relation with the other
-        # atoms materialised in the same node.  For deletes this uses the
-        # pre-fold state, which is exactly the removed contribution.
+        # atoms of the same node.  For deletes this uses the pre-fold
+        # state, which is exactly the removed contribution.
         node_delta = atom_delta
-        if len(node.relations) == 1:
-            new_node_relation = new_atom
-        else:
-            for other in node.relations:
-                if other != relation:
-                    node_delta = join(node_delta, staging.atom(other))
-            node_parts = [
-                new_atom if rel == relation else staging.atom(rel)
-                for rel in node.relations
-            ]
-            new_node_relation = join_all(node_parts)
+        for other in tree.node(node_id).relations:
+            if other != relation:
+                node_delta = join(node_delta, staging.atom(other))
 
         # ----- stage: botjoins along the leaf-to-root path
         staged_botjoins: Dict[str, Relation] = {}
         path_deltas: Dict[str, Relation] = {}
-        #: ancestor -> ΔK(path child) ⋈ rel_ancestor, cached because the
-        #: topjoin staging needs exactly this join as its sideways core.
+        #: ancestor -> ΔK(path child) ⋈ atoms(ancestor), cached because
+        #: the topjoin staging needs exactly this join as its sideways core.
         path_expanded: Dict[str, Relation] = {}
         delta = node_delta
         previous: Optional[str] = None
@@ -585,7 +562,7 @@ class JoinState:
                 for child in tree.children(current):
                     delta = join(delta, staging.botjoin(child))
             else:
-                delta = join(delta, staging.node(current))
+                delta = self._node_delta(staging, current, delta)
                 path_expanded[current] = delta
                 for child in tree.children(current):
                     if child != previous:
@@ -631,10 +608,23 @@ class JoinState:
 
         # ----- merge the fold into the batch overlay
         staging.atoms[relation] = new_atom
-        staging.nodes[node_id] = new_node_relation
         staging.botjoins.update(staged_botjoins)
         staging.topjoins.update(staged_topjoins)
         staging.tables.update(staged_tables)
+
+    def _node_delta(
+        self, staging: _BatchStaging, node_id: str, delta: Relation
+    ) -> Relation:
+        """``delta`` joined with the node's atoms, early-aggregating.
+
+        Keeps only what the passes read next: the attributes the node
+        shares with its parent and with its children.
+        """
+        tree = self.tree
+        keep = set(tree.shared_with_parent(node_id)).union(
+            *(tree.shared_with_parent(child) for child in tree.children(node_id))
+        )
+        return join_aggregate([delta] + staging.node_atoms(node_id), sorted(keep))
 
     def _stage_topjoin_deltas(
         self,
@@ -653,7 +643,7 @@ class JoinState:
         update happened inside ``v``'s subtree, and ``J(v)`` is the
         complement).  Every other node has exactly one changed input:
 
-        * children of the updated node see ``Δrel_u``,
+        * children of the updated node see the updated atom's delta,
         * siblings of a path node ``p_{i-1}`` (children of ``p_i``) see
           ``ΔK(p_{i-1})``,
         * every node below a changed topjoin sees ``ΔJ(parent)``,
@@ -683,7 +673,7 @@ class JoinState:
             """ΔJ for every child of ``parent`` except ``exclude``.
 
             The shared core delta is already joined with everything common
-            to all children (the parent relation and topjoin — the only
+            to all children (the parent's atoms and topjoin — the only
             large inputs, probed once per update level, not per child);
             each target then picks up its *other* siblings' botjoins
             left-deep from the core.  Sibling botjoins may be mutually
@@ -701,7 +691,7 @@ class JoinState:
                         acc = join(acc, staging.botjoin(sibling))
                 stage(child, group_by(acc, sorted(tree.shared_with_parent(child))))
 
-        # Children of the updated node: the changed input is rel_u.
+        # Children of the updated node: the changed input is its atom.
         if tree.children(node_id):
             core = node_delta
             own_top = staging.topjoin(node_id)
@@ -716,7 +706,7 @@ class JoinState:
             if path_delta is None:
                 break  # the botjoin delta died below: nothing changes here up
             if any(c != previous for c in tree.children(current)):
-                # ΔK(prev) ⋈ rel_current was already computed by the
+                # ΔK(prev) ⋈ atoms(current) was already computed by the
                 # botjoin fold; only the topjoin factor is new here.
                 core = path_expanded[current]
                 parent_top = staging.topjoin(current)
@@ -729,8 +719,7 @@ class JoinState:
         while pending:
             parent = pending.pop()
             if tree.children(parent):
-                core = join(deltas[parent], staging.node(parent))
-                fan_out(core, parent, None)
+                fan_out(self._node_delta(staging, parent, deltas[parent]), parent, None)
 
     def _staged_part_value(self, staging: _BatchStaging, part: _TablePart) -> Relation:
         """:meth:`_part_value` through the batch overlay."""

@@ -1,8 +1,8 @@
 """Yannakakis-style evaluation of (decomposed) conjunctive queries.
 
 This module binds a structural decomposition tree to a concrete database —
-materialising each node as the bag join of its assigned atoms — and then
-evaluates the query:
+each node keeps its assigned atoms, renamed and selection-filtered, and no
+bag is materialised — and then evaluates the query:
 
 * :func:`count_query` — ``|Q(D)|`` via a single bottom-up botjoin pass
   (near-linear for join trees, the paper's query-evaluation baseline in
@@ -10,80 +10,81 @@ evaluates the query:
 * :func:`evaluate_query` — the full join output, using semijoin reduction
   before joining so intermediate sizes stay bounded by input + output.
 
-The botjoin pass implemented here (:func:`compute_botjoins`) is shared with
-the sensitivity algorithms in :mod:`repro.core.acyclic`, which add the
-top-down topjoin pass on top of it.
+Both passes (:func:`compute_botjoins`, :func:`compute_topjoins`) compute
+each level as one :func:`~repro.evaluation.joinstate.join_aggregate` over
+the node's atoms and its neighbours' levels, so a GHD node's ``n^p`` factor
+(Theorem 5.1) is paid inside those early-aggregating joins rather than by a
+stored bag.  They are shared with the sensitivity algorithms in
+:mod:`repro.core.acyclic` and, with a per-level clamp, the top-k
+approximation in :mod:`repro.core.topk`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.engine.operators import group_by, join, join_all, semijoin
+from repro.engine.operators import join, join_all, semijoin
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.ghd import auto_decompose
 from repro.query.jointree import DecompositionTree
-from repro.exceptions import InternalError
+from repro.exceptions import InternalError, MultiplicityOverflowError
 
 
 @dataclass
 class BoundTree:
-    """A decomposition tree with each node materialised over a database.
+    """A decomposition tree bound to a database through its atoms.
+
+    Nothing is joined at binding time: a node is the list of its bound
+    atoms (:meth:`atoms`), and every pass joins those inside its own
+    early-aggregating joins.
 
     Attributes
     ----------
     tree:
         The structural decomposition.
-    node_relations:
-        ``node_id -> Relation``: the bag join of the node's atoms, with the
-        query's selections already applied and columns renamed to query
-        variables.
     atom_relations:
-        ``relation name -> Relation``: the individual bound atoms (needed
-        when a GHD node holds several relations and one must be excluded).
+        ``relation name -> Relation``: each atom with the query's
+        selection applied and columns renamed to query variables.
     query:
         The query this binding was made for.
     """
 
     tree: DecompositionTree
-    node_relations: Dict[str, Relation]
     atom_relations: Dict[str, Relation]
     query: ConjunctiveQuery
 
-    def relation(self, node_id: str) -> Relation:
-        return self.node_relations[node_id]
+    def atoms(self, node_id: str) -> List[Relation]:
+        """The bound atoms of one node, in the node's relation order."""
+        return [self.atom_relations[rel] for rel in self.tree.node(node_id).relations]
 
     def atom_relation(self, relation: str) -> Relation:
         return self.atom_relations[relation]
+
+    @property
+    def node_relations(self) -> Dict[str, Relation]:
+        """What :func:`bind` materialises: the atoms.  Read only by the
+        layered benchmark's bind span (``perfbench/spans.py::_bound_rows``);
+        delete it once that span is recorded from inside the program."""
+        return self.atom_relations
 
 
 def bind(
     query: ConjunctiveQuery, tree: DecompositionTree, db: Database
 ) -> BoundTree:
-    """Materialise every tree node over ``db``.
+    """Bind every atom of ``query`` over ``db``; performs no join.
 
-    Width-1 nodes are just the (renamed, selection-filtered) base relation;
-    wider GHD nodes are the bag join of their atoms.  The per-node join cost
-    is the paper's ``n^p`` factor.
+    Each atom is renamed to its query variables and filtered by its
+    selection.  A GHD node's bag is never built here: the passes join its
+    atoms, and that is where the paper's ``n^p`` per-node factor is paid.
     """
     query.validate_against(db)
     atom_relations: Dict[str, Relation] = {
         rel: query.bound_relation(db, rel) for rel in query.relation_names
     }
-    node_relations: Dict[str, Relation] = {}
-    for node_id in tree.node_ids:
-        node = tree.node(node_id)
-        parts = [atom_relations[rel] for rel in node.relations]
-        node_relations[node_id] = join_all(parts)
-    return BoundTree(
-        tree=tree,
-        node_relations=node_relations,
-        atom_relations=atom_relations,
-        query=query,
-    )
+    return BoundTree(tree=tree, atom_relations=atom_relations, query=query)
 
 
 def bound_delta(
@@ -111,32 +112,62 @@ def bound_delta(
     return relation_cls(list(atom.variables), dict(rows))
 
 
-def compute_botjoins(bound: BoundTree) -> Dict[str, Relation]:
+def _pass_level(
+    label: str,
+    parts: List[Relation],
+    keep: List[str],
+    clamp: Optional[Callable[[Relation], Relation]],
+) -> Relation:
+    """One botjoin/topjoin level: ``join_aggregate(parts, keep)``, clamped.
+
+    A columnar overflow is restated with the pass and node (``label``).
+    """
+    # joinstate imports this module, so its primitive is imported here.
+    from repro.evaluation.joinstate import join_aggregate
+
+    try:
+        level = join_aggregate(parts, keep)
+    except MultiplicityOverflowError as error:
+        raise MultiplicityOverflowError(f"{label}: {error}") from error
+    return level if clamp is None else clamp(level)
+
+
+def compute_botjoins(
+    bound: BoundTree, clamp: Optional[Callable[[Relation], Relation]] = None
+) -> Dict[str, Relation]:
     """Botjoins ``K(v)`` for every node, in post-order (paper Eqn. 5/7).
 
-    ``K(v) = γ_{A_v ∩ A_p(v)} r̃join(rel_v, {K(c) | c ∈ children(v)})``.
+    ``K(v) = γ_{A_v ∩ A_p(v)} r̃join(atoms(v), {K(c) | c ∈ children(v)})``.
     For the root the grouping attribute set is empty, so ``K(root)`` is a
-    zero-arity relation whose single count is ``|Q(D)|``.
+    zero-arity relation whose single count is ``|Q(D)|``.  ``clamp``, if
+    given, rewrites every level before its parent reads it (the top-k
+    approximation).
     """
     tree = bound.tree
     botjoins: Dict[str, Relation] = {}
     for node_id in tree.post_order():
-        current = bound.relation(node_id)
-        for child in tree.children(node_id):
-            current = join(current, botjoins[child])
-        group_attrs = sorted(tree.shared_with_parent(node_id))
-        botjoins[node_id] = group_by(current, group_attrs)
+        parts = bound.atoms(node_id)
+        parts += [botjoins[child] for child in tree.children(node_id)]
+        botjoins[node_id] = _pass_level(
+            f"botjoin K({node_id!r})",
+            parts,
+            sorted(tree.shared_with_parent(node_id)),
+            clamp,
+        )
     return botjoins
 
 
 def compute_topjoins(
-    bound: BoundTree, botjoins: Dict[str, Relation]
+    bound: BoundTree,
+    botjoins: Dict[str, Relation],
+    clamp: Optional[Callable[[Relation], Relation]] = None,
 ) -> Dict[str, Optional[Relation]]:
     """Topjoins ``J(v)`` for every node, in pre-order (paper Eqn. 8).
 
     ``J(root)`` is ``None`` (the complement of the whole tree is empty).
     For a node whose parent is the root the topjoin omits ``J(parent)``;
-    otherwise ``J(v) = γ_{A_v ∩ A_p} r̃join(rel_p, J(p), {K(s) | s ∈ N(v)})``.
+    otherwise ``J(v) = γ_{A_v ∩ A_p} r̃join(atoms(p), J(p), {K(s) | s ∈ N(v)})``.
+    ``clamp`` is applied to every level as in :func:`compute_botjoins`.
     """
     tree = bound.tree
     topjoins: Dict[str, Optional[Relation]] = {tree.root: None}
@@ -146,14 +177,17 @@ def compute_topjoins(
         parent = tree.parent(node_id)
         if parent is None:
             raise InternalError(f"non-root node {node_id} has no parent")
-        parts: List[Relation] = [bound.relation(parent)]
+        parts = bound.atoms(parent)
         parent_top = topjoins[parent]
         if parent_top is not None:
             parts.append(parent_top)
-        for sibling in tree.neighbours(node_id):
-            parts.append(botjoins[sibling])
-        group_attrs = sorted(tree.shared_with_parent(node_id))
-        topjoins[node_id] = group_by(join_all(parts), group_attrs)
+        parts += [botjoins[sibling] for sibling in tree.neighbours(node_id)]
+        topjoins[node_id] = _pass_level(
+            f"topjoin J({node_id!r})",
+            parts,
+            sorted(tree.shared_with_parent(node_id)),
+            clamp,
+        )
     return topjoins
 
 
@@ -164,14 +198,15 @@ def count_bound(bound: BoundTree) -> int:
 
 
 def semijoin_reduce(bound: BoundTree) -> Dict[str, Relation]:
-    """Full (two-pass) semijoin reduction of the node relations.
+    """Full (two-pass) semijoin reduction of the node bags.
 
-    After the bottom-up and top-down passes, every remaining tuple
+    Each node's bag is joined from its atoms here, for this evaluation
+    only.  After the bottom-up and top-down passes, every remaining tuple
     participates in at least one join result, so the final join phase never
-    grows beyond the output size.  Returns the reduced node relations.
+    grows beyond the output size.  Returns the reduced node bags.
     """
     tree = bound.tree
-    reduced = dict(bound.node_relations)
+    reduced = {node_id: join_all(bound.atoms(node_id)) for node_id in tree.node_ids}
     for node_id in tree.post_order():
         for child in tree.children(node_id):
             reduced[node_id] = semijoin(reduced[node_id], reduced[child])

@@ -1,7 +1,7 @@
 """Generalized hypertree decompositions (Sec. 5.4 "General joins").
 
 For a cyclic query, Algorithm 2 still applies if the atoms can be grouped
-into *nodes* — each node materialised as the bag join of its atoms — such
+into *nodes* — each node standing for the bag join of its atoms — such
 that the node tree is a valid join tree (running intersection over node
 attribute sets).  The paper parameterises the resulting complexity by the
 max node size ``p``: ``O(m^p d n^{p d} log n)``.

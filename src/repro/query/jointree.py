@@ -8,8 +8,8 @@ more query atoms.  Two uses:
 * **Generalized hypertree decomposition** (Sec. 5.4 "General joins"): nodes
   may cover several atoms; each atom is assigned to exactly one node and the
   node's attribute set is the union of its atoms' variables.  Algorithm 2
-  then runs over the node tree with each node materialised as the bag join
-  of its atoms.
+  then runs over the node tree with each node standing for the bag join of
+  its atoms (the passes join the atoms; no bag is stored).
 
 The class enforces the *running intersection property* — for every variable,
 the nodes whose attribute sets contain it form a connected subtree — which
@@ -34,7 +34,7 @@ class TreeNode:
     node_id:
         Unique identifier within the tree.
     relations:
-        The atoms (by relation name) materialised at this node.  Singleton
+        The atoms (by relation name) assigned to this node.  Singleton
         for plain join trees.
     attributes:
         Variables covered by the node: the union of its atoms' variables.

@@ -3,7 +3,8 @@
 Every level of the evaluation chain has a closed-form meaning over the
 query's atoms (paper Eqns. 5-8):
 
-* a bound node is the bag join of its (selection-filtered) atoms;
+* a bound node holds its (selection-filtered) atoms, whose bag join is
+  the node;
 * the botjoin ``K(v)`` is the join of every atom in ``v``'s subtree,
   grouped on the attributes ``v`` shares with its parent;
 * the topjoin ``J(v)`` is the same for every atom *outside* the subtree;
@@ -31,6 +32,7 @@ from typing import Dict, Iterable, List, Tuple
 import pytest
 
 from repro.engine import Database, Relation
+from repro.engine.operators import join_all
 from repro.evaluation import (
     IncrementalEvaluator,
     JoinState,
@@ -261,8 +263,13 @@ class TestChainMatchesDefinitions:
         bound = bind(query, tree, db.with_backend(backend))
         atoms = _atom_bags(query, db)
         for node_id in tree.node_ids:
-            expected = _join_all(atoms[r] for r in tree.node(node_id).relations)
-            _assert_bag(bound.relation(node_id), expected)
+            relations = tree.node(node_id).relations
+            node_atoms = bound.atoms(node_id)
+            assert len(node_atoms) == len(relations)
+            for rel, atom in zip(relations, node_atoms):
+                _assert_bag(atom, atoms[rel])
+            expected = _join_all(atoms[r] for r in relations)
+            _assert_bag(join_all(node_atoms), expected)
         for rel in query.relation_names:
             _assert_bag(bound.atom_relation(rel), atoms[rel])
 

@@ -5,6 +5,8 @@ import pytest
 from repro.engine import Database, Relation
 from repro.engine.columnar import ColumnarRelation
 from repro.evaluation import IncrementalEvaluator, PROBE_ATTRIBUTE, count_query
+from repro.evaluation.incremental import compact_updates
+from repro.evaluation.joinstate import RelationDelta
 from repro.core import naive_tuple_sensitivity
 from repro.query import parse_predicate, parse_query
 from repro.query.jointree import join_tree_from_parents
@@ -30,11 +32,12 @@ class TestAgainstFullReevaluation:
         for relation in fig1_query.relation_names:
             for row in db.relation(relation):
                 expected = naive_tuple_sensitivity(fig1_query, db, relation, row)
-                assert evaluator.delta(relation, row) == expected
-                assert evaluator.count_after_insert(relation, row) == count_query(
+                delta = evaluator.delta(relation, row)
+                assert delta == expected
+                assert evaluator.base_count + delta == count_query(
                     fig1_query, db.add_tuple(relation, row)
                 )
-                assert evaluator.count_after_delete(relation, row) == count_query(
+                assert evaluator.base_count - delta == count_query(
                     fig1_query, db.remove_tuple(relation, row)
                 )
 
@@ -97,7 +100,7 @@ class TestAgainstFullReevaluation:
                 ), relation
 
         check()
-        evaluator.apply_insert("R3", ("a2", "e3"))
+        evaluator.apply_batch([RelationDelta("R3", {("a2", "e3"): 1}, {})])
         check()
         assert len(built) == 1
 
@@ -115,7 +118,7 @@ class TestAgainstFullReevaluation:
         # Inserting into R adds |S| join results, and vice versa.
         assert evaluator.delta("R", (9,)) == 2
         assert evaluator.delta("S", (9,)) == 3
-        assert evaluator.count_after_delete("R", (1,)) == 4
+        assert evaluator.base_count - evaluator.delta("R", (1,)) == 4
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -141,9 +144,10 @@ class TestEdgeCases:
         # A tuple joining nothing contributes nothing.
         assert evaluator.delta("R3", ("zz", "zz")) == 0
         # Deleting an absent tuple is a no-op.
-        assert evaluator.count_after_delete("R3", ("zz", "zz")) == (
-            evaluator.base_count
-        )
+        before = evaluator.base_count
+        absent = compact_updates(evaluator.db, [(False, "R3", ("zz", "zz"))])
+        assert evaluator.apply_batch(absent) == before
+        assert evaluator.db.relation("R3").multiplicity(("zz", "zz")) == 0
 
     def test_selection_blocks_probe(self, backend):
         query = parse_query("Q(A,B) :- R(A), S(A,B)").with_selection(
@@ -228,11 +232,11 @@ class TestOverflowPropagation:
         evaluator = IncrementalEvaluator(query, db)
         assert evaluator.base_count == 2 * big
         with pytest.raises(MultiplicityOverflowError):
-            evaluator.apply_insert("S", ("x",))
+            evaluator.apply_batch([RelationDelta("S", {("x",): 1}, {})])
         assert evaluator.db.relation("S").multiplicity(("x",)) == 2
         assert evaluator.base_count == 2 * big
         # The evaluator is still fully usable after the failed commit.
-        assert evaluator.apply_delete("S", ("x",)) == big
+        assert evaluator.apply_batch([RelationDelta("S", {}, {("x",): 1})]) == big
         assert evaluator.base_count == count_query(query, evaluator.db)
 
     def test_python_backend_is_arbitrary_precision(self):
@@ -258,8 +262,6 @@ class TestCompaction:
         return Database({"R": Relation(["A", "B"], counts)}, backend=backend)
 
     def test_duplicate_inserts_coalesce(self):
-        from repro.evaluation.incremental import compact_updates
-
         db = self._db({})
         deltas = compact_updates(
             db, [(True, "R", (1, 2)), (True, "R", (1, 2)), (True, "R", (3, 4))]
@@ -269,8 +271,6 @@ class TestCompaction:
         assert deltas[0].minus == {}
 
     def test_insert_then_delete_cancels(self):
-        from repro.evaluation.incremental import compact_updates
-
         db = self._db({})
         deltas = compact_updates(
             db, [(True, "R", (1, 2)), (False, "R", (1, 2))]
@@ -278,8 +278,6 @@ class TestCompaction:
         assert deltas == []
 
     def test_delete_clamps_against_pre_batch_multiplicity(self):
-        from repro.evaluation.incremental import compact_updates
-
         db = self._db({(1, 2): 1})
         # Two deletes of a singleton: the second is a clamped no-op, so
         # the net minus is 1 — never 2.
@@ -291,8 +289,6 @@ class TestCompaction:
         assert compact_updates(db, [(False, "R", (9, 9))]) == []
 
     def test_delete_insert_reorder_respects_clamping(self):
-        from repro.evaluation.incremental import compact_updates
-
         db = self._db({})
         # delete-then-insert on an absent row: the delete clamps first,
         # so the net is +1 (NOT a cancellation — order inside a relation
@@ -304,8 +300,6 @@ class TestCompaction:
         assert deltas[0].minus == {}
 
     def test_mixed_net_signs_split_per_tuple(self):
-        from repro.evaluation.incremental import compact_updates
-
         db = self._db({(1, 2): 3, (3, 4): 1})
         deltas = compact_updates(
             db,
@@ -323,7 +317,6 @@ class TestCompaction:
     def test_over_delete_delta_rejected(self, fig1_query, fig1_db, backend):
         """apply_batch trusts compacted deltas; a hand-built delta that
         deletes more copies than exist is rejected before any commit."""
-        from repro.evaluation.joinstate import RelationDelta
         from repro.exceptions import SessionError
 
         db = fig1_db.with_backend(backend)

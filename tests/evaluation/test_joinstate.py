@@ -11,7 +11,7 @@ import pytest
 
 from repro.engine import Database, Relation
 from repro.evaluation import JoinState, compute_topjoins
-from repro.evaluation.joinstate import table_layout
+from repro.evaluation.joinstate import RelationDelta, table_layout
 from repro.query import parse_predicate, parse_query
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import join_tree_from_parents
@@ -23,6 +23,13 @@ BACKENDS = ("python", "columnar")
 def _state(query, db, backend):
     db = db.with_backend(backend)
     return JoinState(query, gyo_join_tree(query), db), db
+
+
+def _one(relation, row, insert):
+    """A one-tuple signed delta: ``+row`` or ``-row`` of ``relation``."""
+    return RelationDelta(
+        relation, {row: 1} if insert else {}, {} if insert else {row: 1}
+    )
 
 
 def _same_bag(left, right):
@@ -67,7 +74,7 @@ class TestMaintainedLevels:
             ("R1", ("a9", "b9", "c9"), True),  # joins nothing below the node
         ]
         for relation, row, insert in updates:
-            state.apply_update(relation, row, insert)
+            state.apply_update_batch([_one(relation, row, insert)])
             base = db.relation(relation)
             db = db.with_relation(
                 relation, base.add(row) if insert else base.remove(row)
@@ -84,7 +91,7 @@ class TestMaintainedLevels:
             ("R1", ("a1", "b1"), False),
             ("R2", ("b2", "c1"), False),
         ]:
-            state.apply_update(relation, row, insert)
+            state.apply_update_batch([_one(relation, row, insert)])
             base = db.relation(relation)
             db = db.with_relation(
                 relation, base.add(row) if insert else base.remove(row)
@@ -122,7 +129,7 @@ class TestMaintainedLevels:
             ("T1", (1, 4), False),  # mid-handle delete
             ("Hub", (1, 1), False), # root: pure downward everywhere
         ]:
-            state.apply_update(relation, row, insert)
+            state.apply_update_batch([_one(relation, row, insert)])
             base = db.relation(relation)
             db = db.with_relation(
                 relation, base.add(row) if insert else base.remove(row)
@@ -151,7 +158,7 @@ class TestMaintainedLevels:
             ("R2", (1, 1), False),
             ("R3", (0, 0), False),
         ]:
-            state.apply_update(relation, row, insert)
+            state.apply_update_batch([_one(relation, row, insert)])
             base = db.relation(relation)
             db = db.with_relation(
                 relation, base.add(row) if insert else base.remove(row)
@@ -167,14 +174,14 @@ class TestLazinessAndInvalidation:
         state, _ = _state(fig1_query, fig1_db, backend)
         assert not state.topjoins_materialised
         assert state.tables_materialised == ()
-        state.apply_update("R3", ("a1", "e9"), True)
+        state.apply_update_batch([_one("R3", ("a1", "e9"), True)])
         assert not state.topjoins_materialised
         assert state.tables_materialised == ()
 
     def test_partial_tables_stay_partial(self, fig1_query, fig1_db, backend):
         state, _ = _state(fig1_query, fig1_db, backend)
         state.multiplicity_table("R3")
-        state.apply_update("R4", ("b1", "f9"), True)
+        state.apply_update_batch([_one("R4", ("b1", "f9"), True)])
         assert state.tables_materialised == ("R3",)
 
     def test_witness_cache_invalidation(self, fig1_query, fig1_db, backend):
@@ -186,7 +193,7 @@ class TestLazinessAndInvalidation:
         # The updated relation's witness is always dropped (its domain
         # feeds extrapolation); every other relation's witness must be
         # dropped exactly when its table object was patched.
-        state.apply_update("R3", ("a1", "e9"), True)
+        state.apply_update_batch([_one("R3", ("a1", "e9"), True)])
         assert "R3" not in state.witnesses
         for relation in ("R1", "R2", "R4"):
             patched = state.multiplicity_table(relation) is not before[relation]
@@ -200,7 +207,7 @@ class TestLazinessAndInvalidation:
         # A leaf insert whose join value exists nowhere else: the botjoin
         # delta dies at the leaf's parent, so no other table moves and
         # every witness except the updated relation's survives.
-        state.apply_update("R3", ("zz", "e9"), True)
+        state.apply_update_batch([_one("R3", ("zz", "e9"), True)])
         assert "R3" not in state.witnesses
         for relation in ("R1", "R2", "R4"):
             assert state.witnesses[relation] == f"cached-{relation}"
@@ -220,7 +227,7 @@ class TestLazinessAndInvalidation:
         state.topjoins()
         before = state.count
         before_bots = dict(state.botjoins)
-        state.apply_update("R", (0, 2), True)
+        state.apply_update_batch([_one("R", (0, 2), True)])
         for node_id, bot in state.botjoins.items():
             assert bot is before_bots[node_id]
         assert state.count == before
@@ -251,7 +258,7 @@ class TestStagedAtomicity:
             for relation in query.relation_names
         }
         with pytest.raises(MultiplicityOverflowError):
-            state.apply_update("R", (1, 2), True)
+            state.apply_update_batch([_one("R", (1, 2), True)])
         assert state.count == before_count
         assert state.bound.atom_relation("R") is before_atom
         for relation in query.relation_names:
@@ -281,8 +288,6 @@ class TestBatchFolds:
     ):
         """One apply_update_batch over whole delta relations lands on the
         same levels as a fresh rebuild on the mutated database."""
-        from repro.evaluation.joinstate import RelationDelta
-
         state, db = _state(fig1_query, fig1_db, backend)
         state.topjoins()
         for relation in fig1_query.relation_names:
@@ -306,28 +311,25 @@ class TestBatchFolds:
             db = db.with_relation(delta.relation, base)
         _assert_levels_match_fresh(state, fig1_query, db)
 
-    def test_single_update_wrapper_matches_batch(
-        self, fig1_query, fig1_db, backend
-    ):
-        from repro.evaluation.joinstate import RelationDelta
-
-        one, db = _state(fig1_query, fig1_db, backend)
-        batch, _ = _state(fig1_query, fig1_db, backend)
-        one.apply_update("R3", ("a2", "e3"), True)
-        batch.apply_update_batch([RelationDelta("R3", {("a2", "e3"): 1}, {})])
-        assert one.count == batch.count
-        _same_bag(
-            one.bound.atom_relation("R3"), batch.bound.atom_relation("R3")
-        )
+    def test_one_tuple_batch_matches_fresh(self, fig1_query, fig1_db, backend):
+        """A one-tuple batch takes the atom's single-row fast path and
+        still lands every level, and the atom, on a fresh rebuild."""
+        state, db = _state(fig1_query, fig1_db, backend)
+        state.topjoins()
+        for relation in fig1_query.relation_names:
+            state.multiplicity_table(relation)
+        state.apply_update_batch([_one("R3", ("a2", "e3"), True)])
+        db = db.with_relation("R3", db.relation("R3").add(("a2", "e3")))
+        _assert_levels_match_fresh(state, fig1_query, db)
+        fresh = JoinState(fig1_query, state.tree, db)
+        assert state.count == fresh.count
+        _same_bag(state.bound.atom_relation("R3"), fresh.bound.atom_relation("R3"))
 
 
 class TestBatchAtomicity:
     def test_overflow_mid_batch_commits_nothing(self):
         """A batch whose second delta overflows must leave every level
         bit-identical: the first delta's staged folds never commit."""
-        from repro.evaluation.joinstate import RelationDelta
-        from repro.engine.columnar import ColumnarRelation
-
         big = (2**63 - 1) // 2
         query = parse_query("R(A,B), S(B,C)")
         db = Database(
@@ -365,7 +367,7 @@ class TestBatchAtomicity:
             assert bot is before_bots[node_id]
         # Still fully usable afterwards: (9, 9) joins nothing, so the
         # count is unchanged but the atom did commit this time.
-        state.apply_update("R", (9, 9), True)
+        state.apply_update_batch([_one("R", (9, 9), True)])
         assert state.count == before_count
         assert state.bound.atom_relation("R").multiplicity((9, 9)) == 1
 
@@ -461,9 +463,94 @@ class TestOverflowNamesTheTable:
         before = state.multiplicity_table("R")
         before_atom = state.bound.atom_relation("T")
         with pytest.raises(MultiplicityOverflowError) as raised:
-            state.apply_update("T", (2, 6), True)
+            state.apply_update_batch([_one("T", (2, 6), True)])
         assert "multiplicity table for 'R', factor 0" in str(raised.value)
         assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
         assert state.multiplicity_table("R") is before
         assert state.bound.atom_relation("T") is before_atom
         assert state.count == 0
+
+
+class TestOverflowNamesThePassLevel:
+    def test_botjoin_overflow_names_the_node(self):
+        """|Q(D)| = 2**62 * 4 = 2**64 overflows the root botjoin on
+        columnar; the error names the pass and node, python answers."""
+        from repro.session import prepare
+
+        query = parse_query("R(A,B), T(B,D)")
+        relations = {
+            "R": Relation(["A", "B"], {(1, 2): 2**62}),
+            "T": Relation(["B", "D"], {(2, 4): 4}),
+        }
+        assert prepare(query, Database(relations, backend="python")).count() == 2**64
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            prepare(query, Database(relations, backend="columnar")).count()
+        root = gyo_join_tree(query).root
+        assert f"botjoin K({root!r}): " in str(raised.value)
+        assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+
+    def test_topjoin_overflow_names_the_node(self):
+        """S1 is empty, so every botjoin fits and |Q(D)| = 0, but
+        J(S1) = γ_A(R ⋈ K(S2)) = 2**64 overflows on columnar."""
+        query = parse_query("R(A), S1(A), S2(A)")
+        tree = join_tree_from_parents(query, "R", {"S1": "R", "S2": "R"})
+        relations = {
+            "R": Relation(["A"], {("x",): 2**62}),
+            "S1": Relation(["A"], {}),
+            "S2": Relation(["A"], {("x",): 4}),
+        }
+        python = JoinState(query, tree, Database(relations, backend="python"))
+        assert python.topjoins()["S1"].multiplicity(("x",)) == 2**64
+        state = JoinState(query, tree, Database(relations, backend="columnar"))
+        assert state.count == 0
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            state.topjoins()
+        assert "topjoin J('S1'): " in str(raised.value)
+        assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+        assert not state.topjoins_materialised
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNoMaterialisedBags:
+    def test_q3_joins_stay_within_atoms_and_levels(self, backend, monkeypatch):
+        """No join of a cold q3 state, its topjoins or two folded batches
+        outgrows the largest atom or the largest botjoin/topjoin.
+
+        Materialising the root node (R ⋈ N) × L took 145,450 rows at
+        TPC-H 0.001 against a 5,818-row largest atom, and every L fold
+        rebuilt it.  The passes and folds now join a node's atoms inside
+        their own early-aggregating joins.
+        """
+        from repro.datasets.tpch import generate_tpch
+        from repro.engine import operators
+        from repro.evaluation import joinstate
+        from repro.workloads.tpch_queries import q3_workload
+
+        workload = q3_workload()
+        db = workload.prepare(generate_tpch(0.001, seed=0, backend=backend))
+        join = operators.join
+        sizes = []
+
+        def spy(left, right):
+            out = join(left, right)
+            sizes.append(out.distinct_count())
+            return out
+
+        monkeypatch.setattr(operators, "join", spy)
+        monkeypatch.setattr(joinstate, "join", spy)
+
+        def largest_structure(state):
+            levels = list(state.bound.atom_relations.values())
+            levels += state.botjoins.values()
+            levels += [top for top in state.topjoins().values() if top is not None]
+            return max(level.distinct_count() for level in levels)
+
+        state = JoinState(workload.query, workload.tree, db)
+        limit = largest_structure(state)
+        lineitems = sorted(db.relation("L"))[:20]
+        orders = sorted(db.relation("O"))[:20]
+        state.apply_update_batch([RelationDelta("L", dict.fromkeys(lineitems, 1), {})])
+        state.apply_update_batch([RelationDelta("O", {}, dict.fromkeys(orders, 1))])
+        limit = max(limit, largest_structure(state))
+        assert sizes
+        assert max(sizes) <= limit, (max(sizes), limit)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import Database, Relation
+from repro.engine.operators import join_all
 from repro.evaluation import (
     bind,
     compute_botjoins,
@@ -18,18 +19,40 @@ from repro.query import auto_decompose, gyo_join_tree, parse_query
 
 class TestBinding:
     def test_bind_materialises_nodes(self, fig1_query, fig1_db):
+        """Every node is bound as its (non-empty) atoms, nothing else."""
         tree = gyo_join_tree(fig1_query)
         bound = bind(fig1_query, tree, fig1_db)
         for node_id in tree.node_ids:
-            assert not bound.relation(node_id).is_empty()
+            atoms = bound.atoms(node_id)
+            assert atoms == [
+                bound.atom_relation(rel) for rel in tree.node(node_id).relations
+            ]
+            assert all(not atom.is_empty() for atom in atoms)
 
     def test_bind_ghd_node_joins_atoms(self, triangle_query, triangle_db):
+        """A wide GHD node keeps one relation per atom; their join spans
+        the node's attributes."""
         tree = auto_decompose(triangle_query)
         bound = bind(triangle_query, tree, triangle_db)
         wide = [nid for nid in tree.node_ids if len(tree.node(nid).relations) == 2]
         assert wide
-        node = bound.relation(wide[0])
-        assert set(node.attributes) == {"A", "B", "C"}
+        atoms = bound.atoms(wide[0])
+        assert len(atoms) == 2
+        assert set(join_all(atoms).attributes) == {"A", "B", "C"}
+
+    def test_atomless_leaf_node_is_a_schema_error(self):
+        """A GHD node with no atoms has no parts to join: the pass raises
+        the engine's typed error rather than an index error."""
+        from repro.exceptions import SchemaError
+        from repro.query.ghd import ghd_from_groups
+
+        query = parse_query("R(A,B), S(B,C)")
+        tree = ghd_from_groups(query, {"g": ["R", "S"], "e": []}, "g", {"e": "g"})
+        db = Database(
+            {"R": Relation(["A", "B"], [(1, 2)]), "S": Relation(["B", "C"], [(2, 3)])}
+        )
+        with pytest.raises(SchemaError):
+            count_query(query, db, tree=tree)
 
     def test_atom_relations_available(self, fig1_query, fig1_db):
         tree = gyo_join_tree(fig1_query)
@@ -98,11 +121,11 @@ class TestEvaluation:
         tree = gyo_join_tree(fig3_query)
         bound = bind(fig3_query, tree, fig3_db)
         reduced = semijoin_reduce(bound)
-        # Reduction never increases a relation.
+        # Reduction never increases a node's bag of its atoms.
         for node_id in tree.node_ids:
             assert (
                 reduced[node_id].total_count()
-                <= bound.relation(node_id).total_count()
+                <= join_all(bound.atoms(node_id)).total_count()
             )
         assert evaluate_bound(bound).same_bag(naive_join(fig3_query, fig3_db))
 
