@@ -52,10 +52,15 @@ def _candidates(
 ) -> List[Tuple[object, ...]]:
     """Deletion + insertion candidate tuples for one relation, possibly
     sampled.  Deletion and insertion probes need no distinction: the count
-    is multilinear in the multiplicities, so both deltas equal ``w(t)``."""
+    is multilinear in the multiplicities, so both deltas equal ``w(t)``.
+
+    Candidates come in sorted order, so neither a sample nor the first of
+    several equally sensitive tuples (the smallest, as in ``argmax_count``)
+    depends on the relation's physical row order."""
     candidates: List[Tuple[object, ...]] = list(db.relation(relation))
     if include_insertions:
         candidates.extend(db.representative_tuples(relation))
+    candidates.sort()
     if max_probes is not None and len(candidates) > max_probes:
         picks = rng.choice(len(candidates), size=max_probes, replace=False)
         candidates = [candidates[i] for i in sorted(picks)]

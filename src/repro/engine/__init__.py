@@ -25,6 +25,7 @@ from repro.engine.operators import (
     group_by,
     join,
     join_all,
+    patch,
     project,
     select,
     semijoin,
@@ -52,6 +53,7 @@ __all__ = [
     "group_by",
     "join",
     "join_all",
+    "patch",
     "project",
     "register_backend",
     "reset_vocabulary",

@@ -14,15 +14,25 @@ Rows are kept distinct, mirroring the dict representation of the Python
 backend, so the two backends are observationally identical: every operator
 in :mod:`repro.engine.operators` dispatches on the relation type and the
 columnar implementations below (`join`, `group_by`, `semijoin`,
-`cross_product`, `union_all`, `difference`) produce bags equal to the
+`cross_product`, `union_all`, `patch`) produce bags equal to the
 per-tuple versions, only via vectorized kernels:
 
 * joins match packed key codes with ``argsort`` + ``searchsorted`` and
   expand match ranges without a Python-level loop;
 * group-by deduplicates with ``np.unique`` on the stacked key columns and
   sums multiplicities with ``np.add.at``;
-* semijoin is an ``np.isin`` mask; union/difference are concatenate +
-  regroup.
+* semijoin is an ``np.isin`` mask; union is concatenate + regroup;
+* patch (bag union or monus with a delta, which is also `difference`)
+  locates the delta's rows by ``searchsorted`` in the relation's packed
+  row key and copies only the arrays it changes.
+
+**Code order.** Every relation built through :func:`_dedupe_sum` — the
+constructor, `group_by`, `union_all` — stores its rows sorted
+lexicographically by their codes, and a patched relation keeps that order
+and carries its packed row key (:class:`_RowKey`), so the next patch
+never re-sorts it and re-packs it only once new values outgrow the key's
+radices.  Join outputs and rows appended by :meth:`ColumnarRelation.add`
+are not in code order; a patch sorts such an input once.
 
 Multiplicities use ``int64``: this engine targets counting workloads whose
 counts fit machine integers (the Python backend's arbitrary-precision ints
@@ -31,6 +41,7 @@ remain available for adversarial inputs).
 
 from __future__ import annotations
 
+import math
 import weakref
 from collections import OrderedDict
 from typing import (
@@ -39,6 +50,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -143,6 +155,20 @@ def _checked_scale(mult: np.ndarray, factor: int) -> np.ndarray:
     return mult * np.int64(factor)
 
 
+def _checked_add(mult: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Element-wise sums of non-negative multiplicities, overflow-checked.
+
+    ``mult + extra`` leaves ``int64`` exactly where ``mult > max - extra``,
+    which is computed without overflow, so no exact recomputation pass is
+    needed."""
+    if bool((mult > _INT64_MAX - extra).any()):
+        raise MultiplicityOverflowError(
+            "patch would overflow int64 multiplicities on the columnar "
+            "backend; use the python backend for counts this large"
+        )
+    return mult + extra
+
+
 def _group_sums(inverse: np.ndarray, mult: np.ndarray, n_groups: int) -> np.ndarray:
     """Per-group multiplicity sums, overflow-checked.
 
@@ -238,25 +264,42 @@ def intersect_column_values(
 
 
 # ----------------------------------------------------------------- kernels
+def _key_radices(*column_sets: Sequence[np.ndarray]) -> Optional[Tuple[int, ...]]:
+    """Mixed radices covering the codes of aligned column sets.
+
+    Any radices above each column's top code preserve lexicographic row
+    order.  Each radix gets 2x headroom when the packed span still fits
+    62 bits, so a cached row key keeps covering new values (which take the
+    next free codes) for a while; ``None`` when even tight radices do not
+    fit."""
+    tops = [
+        max((int(col.max()) for col in cols if col.size), default=0) + 1
+        for cols in zip(*column_sets)
+    ]
+    for radices in ([2 * top for top in tops], tops):
+        if math.prod(radices) < 2**62:
+            return tuple(radices)
+    return None
+
+
+def _pack_rows(cols: Sequence[np.ndarray], radices: Tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix key of rows whose codes lie within ``radices``."""
+    if not radices:
+        return cols[0]
+    key = np.zeros(cols[0].shape, dtype=np.int64)
+    for col, radix in zip(cols, radices):
+        key = key * radix + col
+    return key
+
+
 def _pack_single(cols: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """Mixed-radix pack of several code columns into one ``int64`` key.
 
     Preserves lexicographic row order (first column most significant).
-    Returns ``None`` when the combined range would overflow 63 bits.
+    Returns ``None`` when the combined range would overflow 62 bits.
     """
-    radices = []
-    for col in cols:
-        top = int(col.max()) if col.size else 0
-        radices.append(top + 1)
-    span = 1
-    for radix in radices:
-        span *= radix
-    if span >= 2**62:
-        return None
-    packed = np.zeros(cols[0].shape, dtype=np.int64)
-    for col, radix in zip(cols, radices):
-        packed = packed * radix + col
-    return packed
+    radices = _key_radices(cols)
+    return None if radices is None else _pack_rows(cols, radices)
 
 
 def _dedupe_sum(
@@ -302,29 +345,14 @@ def _pack_keys(
     """Single ``int64`` key per row for two aligned column sets.
 
     Equal keys ⇔ equal code rows.  Multi-column keys use mixed-radix
-    packing when the combined range fits 63 bits, otherwise a joint
-    ``np.unique`` renumbering (exact, never overflows).
+    packing (:func:`_key_radices`) when the combined range fits 62 bits,
+    otherwise a joint ``np.unique`` renumbering (exact, never overflows).
     """
     if len(cols_a) == 1:
         return cols_a[0], cols_b[0]
-    radices = []
-    for ca, cb in zip(cols_a, cols_b):
-        top = 0
-        if ca.size:
-            top = max(top, int(ca.max()))
-        if cb.size:
-            top = max(top, int(cb.max()))
-        radices.append(top + 1)
-    span = 1
-    for radix in radices:
-        span *= radix
-    if span < 2**62:
-        a = np.zeros(cols_a[0].shape, dtype=np.int64)
-        b = np.zeros(cols_b[0].shape, dtype=np.int64)
-        for ca, cb, radix in zip(cols_a, cols_b, radices):
-            a = a * radix + ca
-            b = b * radix + cb
-        return a, b
+    radices = _key_radices(cols_a, cols_b)
+    if radices is not None:
+        return _pack_rows(cols_a, radices), _pack_rows(cols_b, radices)
     stacked = np.concatenate(
         [np.column_stack(cols_a), np.column_stack(cols_b)], axis=0
     )
@@ -406,6 +434,115 @@ def _match_pairs(lkey: np.ndarray, rkey: np.ndarray) -> Tuple[np.ndarray, np.nda
     return lidx, ridx
 
 
+class _RowKey(NamedTuple):
+    """Where a relation's rows sit in code order.
+
+    ``key`` holds one strictly increasing ``int64`` per row in code order;
+    ``order`` is the permutation that puts the stored rows in code order,
+    ``None`` when they already are.  ``radices`` are the mixed radices the
+    key was packed with — ``()`` for a single column, whose codes are the
+    key — or ``None`` for joint ranks, which hold only against the probe
+    rows they were computed with and so are never cached.
+    """
+
+    key: np.ndarray
+    order: Optional[np.ndarray]
+    radices: Optional[Tuple[int, ...]]
+
+
+def _probe_key(cols: Sequence[np.ndarray], radices: Tuple[int, ...]) -> np.ndarray:
+    """Probe rows packed under ``radices``; a row with a code outside them
+    gets key ``-1``, which matches no relation row."""
+    if not radices:
+        return cols[0]
+    outside = np.zeros(cols[0].shape, dtype=bool)
+    for col, radix in zip(cols, radices):
+        outside |= col >= radix
+    if not outside.any():
+        return _pack_rows(cols, radices)
+    key = _pack_rows([np.where(outside, 0, col) for col in cols], radices)
+    key[outside] = -1
+    return key
+
+
+def _covers(cols: Sequence[np.ndarray], radices: Tuple[int, ...]) -> bool:
+    return all(
+        int(col.max()) < radix for col, radix in zip(cols, radices) if col.size
+    )
+
+
+def _keyed(
+    relation: "ColumnarRelation", probes: Sequence[np.ndarray], cover: bool
+) -> Tuple[_RowKey, np.ndarray]:
+    """``relation``'s code-order row key, and the probe rows' keys in the
+    same space.
+
+    The key is computed once per relation and cached on it (a patched
+    relation is born with its own).  It is reused unless ``cover`` — an
+    insert, whose new rows need keys of their own — meets a probe code its
+    radices do not cover; it is then re-packed over the rows already in
+    code order, so no relation is sorted twice.  Rows whose span does not
+    fit 62 bits fall back to joint ranks against the probes.
+    """
+    codes = relation._codes
+    cached = relation._row_key
+    if cached is not None and (not cover or _covers(probes, cached.radices)):
+        return cached, _probe_key(probes, cached.radices)
+    order = cached.order if cached is not None else None
+    if len(codes) == 1:
+        radices: Optional[Tuple[int, ...]] = ()
+    else:
+        radices = _key_radices(codes, probes)
+    if radices is None:
+        key, probe_key = _pack_keys(codes, probes)
+    else:
+        key, probe_key = _pack_rows(codes, radices), _probe_key(probes, radices)
+    if order is not None:
+        key = key[order]
+    elif key.size > 1 and not bool((key[1:] > key[:-1]).all()):
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+    row_key = _RowKey(key, order, radices)
+    if radices is not None:
+        # Racing callers may each store a key; every one is valid for the
+        # relation, and each caller goes on with the key it computed.
+        relation._row_key = row_key
+    return row_key, probe_key
+
+
+def _spliced(
+    arrays: Sequence[np.ndarray], slots: np.ndarray, values: Sequence[np.ndarray]
+) -> List[np.ndarray]:
+    """Copies of ``arrays`` with ``values`` inserted before the sorted
+    ``slots``; one placement mask serves every array."""
+    size = arrays[0].size + slots.size
+    target = slots + np.arange(slots.size)
+    kept = np.ones(size, dtype=bool)
+    kept[target] = False
+    out = []
+    for array, value in zip(arrays, values):
+        spliced = np.empty(size, dtype=array.dtype)
+        spliced[target] = value
+        spliced[kept] = array
+        out.append(spliced)
+    return out
+
+
+def _dropped(arrays: Sequence[np.ndarray], rows: np.ndarray) -> List[np.ndarray]:
+    """Copies of ``arrays`` without ``rows``; one mask serves every array."""
+    kept = np.ones(arrays[0].size, dtype=bool)
+    kept[rows] = False
+    return [array[kept] for array in arrays]
+
+
+def _search(key: np.ndarray, probe_key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each probe key in the sorted ``key``."""
+    pos = np.searchsorted(key, probe_key)
+    found = pos < key.size
+    found[found] = key[pos[found]] == probe_key[found]
+    return pos, found
+
+
 # ------------------------------------------------------------------ class
 class ColumnarRelation:
     """A finite bag of tuples over a fixed schema, stored columnar.
@@ -426,7 +563,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "_schema", "_codes", "_mult", "_counts_cache", "_vocab",
-        "_column_values_cache",
+        "_column_values_cache", "_row_key",
     )
 
     def __init__(
@@ -471,6 +608,7 @@ class ColumnarRelation:
         self._counts_cache: Optional[Dict[Row, int]] = None
         self._vocab = _VOCAB
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
+        self._row_key: Optional[_RowKey] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -501,6 +639,7 @@ class ColumnarRelation:
         rel._counts_cache = None
         rel._vocab = vocab if vocab is not None else _VOCAB
         rel._column_values_cache = None
+        rel._row_key = None
         return rel
 
     @classmethod
@@ -564,9 +703,9 @@ class ColumnarRelation:
     def multiplicities(self, rows: Sequence[Sequence[object]]) -> list:
         """Bulk :meth:`multiplicity` lookup: one count per input row.
 
-        One vectorized key probe for the whole batch instead of a
-        per-row mask scan — batched update compaction asks for every
-        mixed-sign tuple's pre-batch count at once."""
+        Located by ``searchsorted`` in the relation's code-order row key,
+        the same lookup :func:`patch` uses — batched update compaction and
+        validation ask for many pre-batch counts at once."""
         rows = [tuple(row) for row in rows]
         for row in rows:
             self._check_row(row)
@@ -590,10 +729,11 @@ class ColumnarRelation:
             np.asarray([codes[j] for codes in encoded], dtype=np.int64)
             for j in range(self._schema.arity)
         ]
-        lkey, rkey = _pack_keys(list(self._codes), qarrays)
-        lidx, ridx = _match_pairs(lkey, rkey)
-        for li, ri in zip(lidx.tolist(), ridx.tolist()):
-            out[present[ri]] = int(self._mult[li])
+        row_key, probe_key = _keyed(self, qarrays, cover=False)
+        pos, found = _search(row_key.key, probe_key)
+        at = pos[found] if row_key.order is None else row_key.order[pos[found]]
+        for i, cnt in zip(np.nonzero(found)[0].tolist(), self._mult[at].tolist()):
+            out[present[i]] = cnt
         return out
 
     def is_empty(self) -> bool:
@@ -963,24 +1103,80 @@ def union_all(relations: Sequence[ColumnarRelation]) -> ColumnarRelation:
     return ColumnarRelation._from_parts(schema, codes, mult, vocab=vocab)
 
 
-def difference(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
-    """Bag difference ``left ∸ right`` (monus: counts floor at zero)."""
-    if left.schema != right.schema:
-        raise SchemaError(f"difference schema mismatch: {left.schema} vs {right.schema}")
-    if left.schema.arity == 0:
-        remaining = left.total_count() - right.total_count()
-        return ColumnarRelation(
-            left.schema, {(): remaining} if remaining > 0 else {}
+def patch(
+    relation: ColumnarRelation, delta: ColumnarRelation, insert: bool
+) -> ColumnarRelation:
+    """``relation`` with ``delta`` added (``insert``) or subtracted by monus.
+
+    Equal as a bag to ``union_all([relation, delta])`` or
+    ``difference(relation, delta)``, in delta time: the delta's rows are
+    found by ``searchsorted`` in ``relation``'s code-order key
+    (:func:`_keyed`), matched counts change in a copied count vector
+    (:func:`_checked_add` for inserts), rows that reach zero are deleted
+    and new rows are inserted at their sorted positions.  Code columns
+    nothing touches are shared.  The output is in code order and carries
+    its key, so patching it again neither sorts nor re-packs.  An empty
+    delta returns ``relation`` itself.
+    """
+    if relation.schema != delta.schema:
+        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
+    if delta.is_empty():
+        return relation
+    relation, delta = _aligned(relation, delta)
+    if not relation._codes:
+        base = relation._mult
+        if insert:
+            total = _checked_add(base, delta._mult) if base.size else delta._mult
+        else:
+            total = base - delta._mult  # an empty base broadcasts to empty
+            total = total[total > 0]
+        return ColumnarRelation._from_parts(
+            relation.schema, (), total, vocab=relation._vocab
         )
-    left, right = _aligned(left, right)
-    lkey, rkey = _pack_keys(left._codes, right._codes)
-    lidx, ridx = _match_pairs(lkey, rkey)
-    mult = left._mult.copy()
-    mult[lidx] -= right._mult[ridx]
-    keep = mult > 0
-    return ColumnarRelation._from_parts(
-        left.schema, [c[keep] for c in left._codes], mult[keep], vocab=left._vocab
+    row_key, probe_key = _keyed(relation, delta._codes, cover=insert)
+    key, order = row_key.key, row_key.order
+    packed = bool(row_key.radices)  # a key array of its own to keep in step
+    codes = list(relation._codes)
+    mult = relation._mult
+    if order is not None:
+        codes = [column[order] for column in codes]
+        mult = mult[order]
+    pos, found = _search(key, probe_key)
+    at = pos[found]
+    arity = len(codes)
+    arrays = codes + [mult] + ([key] if packed else [])
+    if insert:
+        counts = _checked_add(mult[at], delta._mult[found])
+        fresh = np.nonzero(~found)[0]
+        fresh = fresh[np.argsort(probe_key[fresh], kind="stable")]
+        slots = pos[fresh]
+        # A matched row moves up by the new rows inserted at or before it.
+        at = at + np.searchsorted(slots, at, side="right")
+        if fresh.size:
+            added = [column[fresh] for column in delta._codes]
+            arrays = _spliced(
+                arrays, slots, added + [delta._mult[fresh], probe_key[fresh]]
+            )
+    else:
+        counts = mult[at] - delta._mult[found]
+        gone = np.sort(at[counts <= 0])
+        at, counts = at[counts > 0], counts[counts > 0]
+        # A surviving row moves down by the deleted rows before it.
+        at = at - np.searchsorted(gone, at)
+        if gone.size:
+            arrays = _dropped(arrays, gone)
+    codes, new_mult = arrays[:arity], arrays[arity]
+    if new_mult is relation._mult:
+        new_mult = new_mult.copy()
+    new_mult[at] = counts
+    if packed:
+        key = arrays[-1]
+    out = ColumnarRelation._from_parts(
+        relation.schema, codes, new_mult, vocab=relation._vocab
     )
+    if row_key.radices is not None:
+        out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
+    return out
 
 
 def max_rows_per_value(relation: ColumnarRelation, attributes: Sequence[str]) -> int:

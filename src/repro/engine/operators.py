@@ -10,6 +10,9 @@ These are the building blocks the paper's algorithms are written in:
 * :func:`next_join` — the join-order policy of the early-aggregating
   multiplicity-table build, by PostBOUND's UES upper bound
   (:func:`join_bound`).
+* :func:`patch` — bag union or monus with a delta, the one way maintained
+  state absorbs an update; on columnar relations its cost follows the
+  delta, not the relation.
 * :func:`select`, :func:`project`, :func:`cross_product`, :func:`union_all`,
   :func:`difference` — standard bag operators used by tests, baselines and
   the naive algorithm.
@@ -238,18 +241,38 @@ def union_all(relations: Iterable[Relation]) -> Relation:
     return Relation._from_counts(schema, out)
 
 
+def patch(relation: Relation, delta: Relation, insert: bool) -> Relation:
+    """``relation`` with the bag ``delta`` folded in.
+
+    ``union_all([relation, delta])`` when ``insert``, else
+    ``difference(relation, delta)`` — counts floor at zero and rows absent
+    from ``relation`` are ignored.  The columnar kernel locates the
+    delta's rows in ``relation``'s code-order key and copies only the
+    arrays it changes; the python backend copies the dict and updates the
+    delta's counts.
+    """
+    if _any_columnar(relation, delta):
+        return _columnar.patch(_promote(relation), _promote(delta), insert)
+    if relation.schema != delta.schema:
+        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
+    counts = dict(relation.counts)
+    for row, cnt in delta.items():
+        if insert:
+            counts[row] = counts.get(row, 0) + cnt
+            continue
+        remaining = counts.get(row, 0) - cnt
+        if remaining > 0:
+            counts[row] = remaining
+        else:
+            counts.pop(row, None)
+    return Relation._from_counts(relation.schema, counts)
+
+
 def difference(left: Relation, right: Relation) -> Relation:
     """Bag difference ``left ∸ right`` (monus: counts floor at zero)."""
-    if _any_columnar(left, right):
-        return _columnar.difference(_promote(left), _promote(right))
     if left.schema != right.schema:
         raise SchemaError(f"difference schema mismatch: {left.schema} vs {right.schema}")
-    out: Dict[Row, int] = {}
-    for row, cnt in left.items():
-        remaining = cnt - right.multiplicity(row)
-        if remaining > 0:
-            out[row] = remaining
-    return Relation._from_counts(left.schema, out)
+    return patch(left, right, False)
 
 
 def symmetric_difference_size(left: Relation, right: Relation) -> int:

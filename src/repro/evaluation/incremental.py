@@ -67,9 +67,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.database import Database
-from repro.engine.operators import difference, group_by, join, union_all
+from repro.engine.operators import group_by, join, patch
 from repro.engine.relation import Row
-from repro.evaluation.joinstate import JoinState, RelationDelta
+from repro.evaluation.joinstate import JoinState, RelationDelta, _overflow_named
 from repro.evaluation.yannakakis import _component_trees
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
@@ -133,23 +133,16 @@ def compact_updates(
 def _patched_relation(base, delta: RelationDelta):
     """``base`` with ``delta`` folded in (minus first, then plus).
 
-    Single-tuple sides take the array-level ``add``/``remove`` fast path;
-    larger sides go through one vectorized union/monus kernel pass.
-    After compaction the two sides are tuple-disjoint, so the fold order
-    is mathematically free — minus-first matches the staged join folds.
+    Each side is one :func:`~repro.engine.operators.patch`, whatever its
+    size — on the columnar backend the database relation's rows stay in
+    code order and the patch costs a lookup of the delta rows plus a copy
+    of the arrays it changes.  After compaction the two sides are
+    tuple-disjoint, so the fold order is mathematically free —
+    minus-first matches the staged join folds.
     """
-    if delta.minus:
-        if len(delta.minus) == 1:
-            ((row, cnt),) = delta.minus.items()
-            base = base.remove(row, cnt)
-        else:
-            base = difference(base, type(base)(base.schema, dict(delta.minus)))
-    if delta.plus:
-        if len(delta.plus) == 1:
-            ((row, cnt),) = delta.plus.items()
-            base = base.add(row, cnt)
-        else:
-            base = union_all([base, type(base)(base.schema, dict(delta.plus))])
+    for rows, insert in ((delta.minus, False), (delta.plus, True)):
+        if rows:
+            base = patch(base, type(base)(base.schema, dict(rows)), insert)
     return base
 
 
@@ -348,9 +341,12 @@ class IncrementalEvaluator:
         """Commit a compacted batch of delta relations atomically.
 
         The batch folds into every maintained structure in one vectorized
-        pass per touched relation side: the database relations are patched
-        via union/monus, then each touched component's
-        :class:`JoinState` stages the whole batch against an overlay.
+        pass per touched relation side: each database relation takes one
+        :func:`~repro.engine.operators.patch` per side, then each touched
+        component's :class:`JoinState` stages the whole batch against an
+        overlay, patching every maintained relation the same way.  An
+        ``int64`` overflow names the structure it hit (``relation 'R'``
+        for the database relation itself).
         Validation and every fallible step (including columnar ``int64``
         overflow anywhere on a delta path) run before the first cache
         mutation, so a raising batch leaves the evaluator — counts and
@@ -384,10 +380,9 @@ class IncrementalEvaluator:
         # ---- stage (all fallible): patched database + join-state overlays
         new_db = self._db
         for delta in deltas:
-            new_db = new_db.with_relation(
-                delta.relation,
-                _patched_relation(new_db.relation(delta.relation), delta),
-            )
+            with _overflow_named(f"relation {delta.relation!r}"):
+                patched = _patched_relation(new_db.relation(delta.relation), delta)
+            new_db = new_db.with_relation(delta.relation, patched)
         by_component: Dict[int, List[RelationDelta]] = {}
         for delta in deltas:
             by_component.setdefault(

@@ -11,9 +11,13 @@ A :class:`JoinState` owns the *entire* chain and keeps every level
 consistent under committed updates:
 
 * **Botjoins** are folded along the leaf-to-root path of the updated
-  relation's node, exactly as before (bag union for inserts, monus for
-  deletes — monus is exact because a delete's delta never exceeds the
-  removed tuple's own contribution).
+  relation's node.  Every maintained relation — atom, botjoin, topjoin,
+  table factor — absorbs its delta through one engine operator,
+  :func:`~repro.engine.operators.patch`: bag union for inserts, monus
+  for deletes (monus is exact because a delete's delta never exceeds the
+  removed tuples' own contribution).  On the columnar backend a patch
+  locates the delta's rows in the relation's code-order key and copies
+  only the arrays it changes, so it never re-sorts the relation.
 * **Topjoins** are the mirror image.  ``J(v)`` is the complement of
   ``v``'s subtree, so an update at node ``u`` leaves ``J`` unchanged on
   the whole ``u``-to-root path and changes it *everywhere else* — but
@@ -39,7 +43,9 @@ Every level below the botjoins is **lazy**: a count-only consumer never
 materialises topjoins or tables, and an update folds deltas only into
 the structures that exist.  All fallible delta math (including columnar
 ``int64`` overflow) is *staged* against pre-update state and committed in
-one non-raising sweep, so a raising update leaves the state untouched.
+one non-raising sweep, so a raising update leaves the state untouched; an
+overflow names the structure it hit (``atom 'S'``, ``botjoin K('S')``,
+``topjoin J('S')`` or a table factor).
 
 Layering: this module sits in ``evaluation`` and only imports the result
 types from :mod:`repro.core.result`; the algorithm layer
@@ -49,18 +55,22 @@ one-shot callers build a throwaway instance, sessions keep one alive.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.engine.database import Database
-from repro.engine.operators import (
-    difference,
-    group_by,
-    join,
-    join_all,
-    next_join,
-    union_all,
-)
+from repro.engine.operators import group_by, join, join_all, next_join, patch
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.evaluation.yannakakis import (
@@ -213,13 +223,17 @@ def join_aggregate(parts: Sequence[Relation], keep: Sequence[str]) -> Relation:
     return group_by(join_all(stage), keep)
 
 
-def _located_overflow(
-    error: MultiplicityOverflowError, relation: str, index: int
-) -> MultiplicityOverflowError:
-    """``error`` restated with the table and factor it came from."""
-    return MultiplicityOverflowError(
-        f"multiplicity table for {relation!r}, factor {index}: {error}"
-    )
+@contextmanager
+def _overflow_named(label: str) -> Iterator[None]:
+    """Restate a columnar overflow with the structure it hit, chained."""
+    try:
+        yield
+    except MultiplicityOverflowError as error:
+        raise MultiplicityOverflowError(f"{label}: {error}") from error
+
+
+def _table_label(relation: str, index: int) -> str:
+    return f"multiplicity table for {relation!r}, factor {index}"
 
 
 def build_table(
@@ -236,10 +250,8 @@ def build_table(
     factors: List[Relation] = []
     for index, component in enumerate(layout.components):
         parts = [part_value(part) for part in component.parts]
-        try:
+        with _overflow_named(_table_label(layout.relation, index)):
             factors.append(join_aggregate(parts, component.effective))
-        except MultiplicityOverflowError as error:
-            raise _located_overflow(error, layout.relation, index) from error
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
@@ -526,27 +538,16 @@ class JoinState:
         atom_delta = bound_delta(self.query, relation, rows, type(current_atom))
         if atom_delta.is_empty():
             return
-        if atom_delta.distinct_count() == 1:
-            # Single-tuple fast path: array-level bump instead of a
-            # union/difference kernel pass (keeps one-update batches as
-            # cheap as the historical one-tuple fold).
-            ((row, cnt),) = tuple(atom_delta.items())
-            new_atom = (
-                current_atom.add(row, cnt) if insert else current_atom.remove(row, cnt)
-            )
-        else:
-            new_atom = (
-                union_all([current_atom, atom_delta])
-                if insert
-                else difference(current_atom, atom_delta)
-            )
+        with _overflow_named(f"atom {relation!r}"):
+            new_atom = patch(current_atom, atom_delta, insert)
         # The node-level delta joins the delta relation with the other
         # atoms of the same node.  For deletes this uses the pre-fold
         # state, which is exactly the removed contribution.
         node_delta = atom_delta
-        for other in tree.node(node_id).relations:
-            if other != relation:
-                node_delta = join(node_delta, staging.atom(other))
+        with _overflow_named(f"botjoin K({node_id!r})"):
+            for other in tree.node(node_id).relations:
+                if other != relation:
+                    node_delta = join(node_delta, staging.atom(other))
 
         # ----- stage: botjoins along the leaf-to-root path
         staged_botjoins: Dict[str, Relation] = {}
@@ -558,24 +559,18 @@ class JoinState:
         previous: Optional[str] = None
         current: Optional[str] = node_id
         while current is not None:
-            if previous is None:
-                for child in tree.children(current):
-                    delta = join(delta, staging.botjoin(child))
-            else:
-                delta = self._node_delta(staging, current, delta)
-                path_expanded[current] = delta
+            with _overflow_named(f"botjoin K({current!r})"):
+                if previous is not None:
+                    delta = self._node_delta(staging, current, delta)
+                    path_expanded[current] = delta
                 for child in tree.children(current):
                     if child != previous:
                         delta = join(delta, staging.botjoin(child))
-            delta = group_by(delta, sorted(tree.shared_with_parent(current)))
-            if delta.is_empty():
-                break  # joins nothing from here up: no botjoin changes
-            path_deltas[current] = delta
-            staged_botjoins[current] = (
-                union_all([staging.botjoin(current), delta])
-                if insert
-                else difference(staging.botjoin(current), delta)
-            )
+                delta = group_by(delta, sorted(tree.shared_with_parent(current)))
+                if delta.is_empty():
+                    break  # joins nothing from here up: no botjoin changes
+                path_deltas[current] = delta
+                staged_botjoins[current] = patch(staging.botjoin(current), delta, insert)
             previous, current = current, tree.parent(current)
 
         # ----- stage: topjoins everywhere off the path (if materialised)
@@ -664,62 +659,66 @@ class JoinState:
             old = staging.topjoin(target)
             if old is None:  # only non-root nodes are ever staged
                 raise InternalError(f"staged topjoin of root node {target}")
-            staged[target] = (
-                union_all([old, dj]) if insert else difference(old, dj)
-            )
+            staged[target] = patch(old, dj, insert)
             pending.append(target)
 
-        def fan_out(core: Relation, parent: str, exclude: Optional[str]) -> None:
+        def fan_out(
+            parent: str, exclude: Optional[str], core_of: Callable[[], Relation]
+        ) -> None:
             """ΔJ for every child of ``parent`` except ``exclude``.
 
-            The shared core delta is already joined with everything common
-            to all children (the parent's atoms and topjoin — the only
-            large inputs, probed once per update level, not per child);
-            each target then picks up its *other* siblings' botjoins
-            left-deep from the core.  Sibling botjoins may be mutually
-            attribute-disjoint (they connect only through the parent
-            relation), so products must stay seeded by the core — bare
-            suffix products would cross-multiply.
+            The shared core delta ``core_of()`` is already joined with
+            everything common to all children (the parent's atoms and
+            topjoin — the only large inputs, probed once per update level,
+            not per child); each target then picks up its *other*
+            siblings' botjoins left-deep from the core.  Sibling botjoins
+            may be mutually attribute-disjoint (they connect only through
+            the parent relation), so products must stay seeded by the core
+            — bare suffix products would cross-multiply.  An overflow in
+            the core names the first target, whose delta needs it first.
             """
             targets = [c for c in tree.children(parent) if c != exclude]
-            if not targets or core.is_empty():
+            if not targets:
+                return
+            with _overflow_named(f"topjoin J({targets[0]!r})"):
+                core = core_of()
+            if core.is_empty():
                 return
             for child in targets:
-                acc = core
-                for sibling in targets:
-                    if sibling != child:
-                        acc = join(acc, staging.botjoin(sibling))
-                stage(child, group_by(acc, sorted(tree.shared_with_parent(child))))
+                with _overflow_named(f"topjoin J({child!r})"):
+                    acc = core
+                    for sibling in targets:
+                        if sibling != child:
+                            acc = join(acc, staging.botjoin(sibling))
+                    stage(child, group_by(acc, sorted(tree.shared_with_parent(child))))
+
+        def with_topjoin(core: Relation, node: str) -> Relation:
+            top = staging.topjoin(node)
+            return core if top is None else join(core, top)
 
         # Children of the updated node: the changed input is its atom.
-        if tree.children(node_id):
-            core = node_delta
-            own_top = staging.topjoin(node_id)
-            if own_top is not None:
-                core = join(core, own_top)
-            fan_out(core, node_id, None)
+        fan_out(node_id, None, lambda: with_topjoin(node_delta, node_id))
 
         # Siblings of each path node: the changed input is ΔK(path child).
         previous, current = node_id, tree.parent(node_id)
         while current is not None:
-            path_delta = path_deltas.get(previous)
-            if path_delta is None:
+            if previous not in path_deltas:
                 break  # the botjoin delta died below: nothing changes here up
-            if any(c != previous for c in tree.children(current)):
-                # ΔK(prev) ⋈ atoms(current) was already computed by the
-                # botjoin fold; only the topjoin factor is new here.
-                core = path_expanded[current]
-                parent_top = staging.topjoin(current)
-                if parent_top is not None:
-                    core = join(core, parent_top)
-                fan_out(core, current, previous)
+            # ΔK(prev) ⋈ atoms(current) was already computed by the
+            # botjoin fold; only the topjoin factor is new here.
+            fan_out(
+                current, previous,
+                lambda: with_topjoin(path_expanded[current], current),
+            )
             previous, current = current, tree.parent(current)
 
         # Below every changed topjoin: the changed input is ΔJ(parent).
         while pending:
             parent = pending.pop()
-            if tree.children(parent):
-                fan_out(self._node_delta(staging, parent, deltas[parent]), parent, None)
+            fan_out(
+                parent, None,
+                lambda: self._node_delta(staging, parent, deltas[parent]),
+            )
 
     def _staged_part_value(self, staging: _BatchStaging, part: _TablePart) -> Relation:
         """:meth:`_part_value` through the batch overlay."""
@@ -775,18 +774,11 @@ class JoinState:
                 for part in component.parts
                 if part != changed
             ]
-            try:
+            with _overflow_named(_table_label(rel, index)):
                 factor_delta = join_aggregate(parts, component.effective)
                 if factor_delta.is_empty():
                     return None
-                old = table.factors[index]
-                new_factor = (
-                    union_all([old, factor_delta])
-                    if insert
-                    else difference(old, factor_delta)
-                )
-            except MultiplicityOverflowError as error:
-                raise _located_overflow(error, rel, index) from error
+                new_factor = patch(table.factors[index], factor_delta, insert)
             factors = (
                 table.factors[:index] + (new_factor,) + table.factors[index + 1:]
             )

@@ -107,3 +107,46 @@ class TestApiDispatch:
             local_sensitivity(
                 fig1_query, fig1_db, method="reeval", skip_relations=("R1",)
             )
+
+
+@pytest.mark.parametrize("backend", ["python", "columnar"])
+class TestWitnessIndependentOfRowOrder:
+    def test_ties_go_to_the_smallest_tuple(self, backend):
+        """Every R candidate has sensitivity 1.  With 3 and 0 encoded
+        before 1 and 2, a session's patched R holds its rows as 3, 0, 1, 2
+        on columnar, while a database replayed through ``add_tuple`` holds
+        1, 2, 3, 0; the reeval witness is A=0 either way, as in TSens."""
+        from repro.engine import ColumnarRelation, Database, Relation
+        from repro.engine.columnar import reset_vocabulary
+        from repro.query import parse_query
+        from repro.session import prepare
+
+        reset_vocabulary()
+        ColumnarRelation(["A"], [(3,), (0,), (1,), (2,)])  # codes 3 < 0 < 1 < 2
+        query = parse_query("Q(A,B) :- R(A), S(A,B)")
+        db = Database(
+            {
+                "R": Relation(["A"], [(1,), (2,)]),
+                "S": Relation(["A", "B"], [(1, 10), (2, 20)]),
+            },
+            backend=backend,
+        )
+        updates = [
+            ("insert", "R", (3,)),
+            ("insert", "R", (0,)),
+            ("insert", "S", (3, 30)),
+            ("insert", "S", (0, 5)),
+        ]
+        session = prepare(query, db)
+        session.apply(updates)
+        replayed = db
+        for _, relation, row in updates:
+            replayed = replayed.add_tuple(relation, row)
+        fresh = prepare(query, replayed)
+        for result in (
+            session.sensitivity(method="reeval"),
+            fresh.sensitivity(method="reeval"),
+            session.sensitivity(),
+        ):
+            witness = result.per_relation["R"]
+            assert (dict(witness.assignment), witness.sensitivity) == ({"A": 0}, 1)

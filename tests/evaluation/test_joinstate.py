@@ -554,3 +554,100 @@ class TestNoMaterialisedBags:
         limit = max(limit, largest_structure(state))
         assert sizes
         assert max(sizes) <= limit, (max(sizes), limit)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestFoldOverflowNamesTheStructure:
+    """A fold's columnar overflow names the atom, botjoin or topjoin it
+    hit, chained from the engine's error, and commits nothing; python
+    answers exactly."""
+
+    @staticmethod
+    def _raises(state, delta, label):
+        before_count = state.count
+        before_atoms = dict(state.bound.atom_relations)
+        before_botjoins = dict(state.botjoins)
+        before_topjoins = dict(state.topjoins()) if state.topjoins_materialised else None
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            state.apply_update_batch([delta])
+        assert str(raised.value).startswith(f"{label}: ")
+        assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+        assert state.count == before_count
+        assert all(state.bound.atom_relations[r] is rel for r, rel in before_atoms.items())
+        assert all(state.botjoins[n] is rel for n, rel in before_botjoins.items())
+        if before_topjoins is not None:
+            assert all(state.topjoins()[n] is rel for n, rel in before_topjoins.items())
+
+    def test_botjoin(self, backend):
+        """K('S') = γ_A(S) sits at 2**63 - 1; two more S rows take it to
+        2**63 + 1."""
+        from repro.session import prepare
+
+        query = parse_query("R(A), S(A,B)")
+        tree = join_tree_from_parents(query, "R", {"S": "R"})
+        db = Database(
+            {
+                "R": Relation(["A"], {("x",): 1}),
+                "S": Relation(["A", "B"], {("x", 1): 2**62, ("x", 2): 2**62 - 1}),
+            },
+            backend=backend,
+        )
+        rows = {("x", 3): 1, ("x", 4): 1}
+        batch = [("insert", "S", row) for row in rows]
+        session = prepare(query, db, tree=tree)
+        if backend == "python":
+            assert session.apply(batch) == 2**63 + 1
+            return
+        with pytest.raises(MultiplicityOverflowError, match=r"^botjoin K\('S'\): "):
+            session.apply(batch)
+        assert (session.count(), session.updates_applied) == (2**63 - 1, 0)
+        assert session.db is db
+        state = JoinState(query, tree, db)
+        self._raises(state, RelationDelta("S", rows, {}), "botjoin K('S')")
+
+    def test_atom(self, backend):
+        """R(x) sits at 2**63 - 1 and joins nothing; one more copy
+        overflows the atom (and, through a session, the database relation
+        it is bound from)."""
+        from repro.session import prepare
+
+        query = parse_query("R(A), S(A,B)")
+        tree = join_tree_from_parents(query, "R", {"S": "R"})
+        db = Database(
+            {
+                "R": Relation(["A"], {("x",): 2**63 - 1}),
+                "S": Relation(["A", "B"], {("y", 1): 1}),
+            },
+            backend=backend,
+        )
+        state = JoinState(query, tree, db)
+        if backend == "python":
+            state.apply_update_batch([_one("R", ("x",), True)])
+            assert state.bound.atom_relation("R").multiplicity(("x",)) == 2**63
+            return
+        self._raises(state, _one("R", ("x",), True), "atom 'R'")
+        session = prepare(query, db, tree=tree)
+        with pytest.raises(MultiplicityOverflowError, match=r"^relation 'R': "):
+            session.apply([("insert", "R", ("x",))])
+        assert session.db is db
+
+    def test_topjoin(self, backend):
+        """K(S) misses x, so inserting R(x) changes no botjoin, but
+        J(S) = γ_A(R ⋈ K(T)) sits at 2**63 - 1 and doubles."""
+        query = parse_query("R(A), S(A,B), T(A,C)")
+        tree = join_tree_from_parents(query, "R", {"S": "R", "T": "R"})
+        db = Database(
+            {
+                "R": Relation(["A"], {("x",): 1}),
+                "S": Relation(["A", "B"], {("y", 1): 1}),
+                "T": Relation(["A", "C"], {("x", 1): 2**62, ("x", 2): 2**62 - 1}),
+            },
+            backend=backend,
+        )
+        state = JoinState(query, tree, db)
+        state.topjoins()
+        if backend == "python":
+            state.apply_update_batch([_one("R", ("x",), True)])
+            assert state.topjoins()["S"].multiplicity(("x",)) == 2**64 - 2
+            return
+        self._raises(state, _one("R", ("x",), True), "topjoin J('S')")
