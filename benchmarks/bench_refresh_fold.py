@@ -1,4 +1,5 @@
-"""Ablation — refresh folds: ``patch`` vs whole-relation union/monus.
+"""Ablation — refresh folds: ``patch`` vs whole-relation union/monus, and
+lookup joins vs the sort path.
 
 A warm q3 session, with its multiplicity tables built as the maintained
 sensitivity reads keep them, absorbs three TPC-H-style refresh batches:
@@ -19,6 +20,17 @@ asserts that the two agree on every input, and on columnar at 0.005 that
 the inputs on relations of ≥100k rows patch ≥3× faster than the
 reference.  On python at 0.001 (no relation reaches 100k rows) the ratio
 over all inputs is recorded only.
+
+The joins that carry a delta past a node are timed the same way.  When
+every attribute of a join's larger operand is a join attribute — a
+maintained atom, botjoin, topjoin or table factor probed by a delta —
+the columnar ``join`` looks the smaller operand up in the larger one's
+cached row key.  The bench records every such join the three batches
+make, runs the sort path on the same operands (``_pack_keys`` +
+``_match_pairs``, same output assembly), asserts exact agreement, and
+on columnar asserts that the joins whose keyed side has ≥10k rows run
+≥5× faster in total.  The lookup is a columnar kernel, so the python run
+skips this part.
 """
 
 import time
@@ -38,8 +50,10 @@ SEED = 1
 BATCHES = 3
 ORDERS_PER_BATCH = 8
 MAX_LINES_PER_ORDER = 7
-#: Relations at least this large carry the speedup gate.
+#: Relations at least this large carry the patch speedup gate.
 LARGE_ROWS = 100_000
+#: Keyed join sides at least this large carry the join speedup gate.
+LARGE_KEYED_ROWS = 10_000
 ROUNDS = 3
 
 
@@ -111,6 +125,28 @@ def _reference(relation, delta, insert):
     return union_all([relation, delta]) if insert else _whole_relation_monus(relation, delta)
 
 
+def _keyed_side(left, right):
+    """The operand a columnar join looks the other up in — the larger one
+    (the right one on a tie), when its attributes are all join attributes
+    — or ``None``."""
+    larger = right if right.distinct_count() >= left.distinct_count() else left
+    common = left.schema.common(right.schema)
+    return larger if common and larger.schema.arity == len(common) else None
+
+
+def _sort_path_join(left, right):
+    """The join on the sort path: pack both keys, sort the smaller, scan
+    the larger, then assemble the output as ``join`` does."""
+    left, right = columnar._aligned(left, right)
+    common = left.schema.common(right.schema)
+    lkey, rkey = columnar._pack_keys(
+        [left._codes[p] for p in left.schema.project_positions(common)],
+        [right._codes[p] for p in right.schema.project_positions(common)],
+    )
+    lidx, ridx = columnar._match_pairs(lkey, rkey)
+    return columnar._joined(left, right, lidx, ridx)
+
+
 def _same_bag(left, right):
     """Exact bag equality.  Columnar bags are regrouped into code order
     under one vocabulary and compared array by array, which is far
@@ -176,3 +212,56 @@ def test_refresh_fold_patch_vs_union(benchmark, backend):
         # refresh batch at least 3x faster than whole-relation union/monus.
         assert gated[-1]
         assert speedup >= 3.0
+
+
+def test_refresh_fold_keyed_joins_lookup_vs_sort(benchmark, backend):
+    """Times only the joins the folds make, as the patch bench does, each
+    followed by the sort path on the same operands."""
+    if backend != "columnar":
+        pytest.skip("the lookup join is a columnar kernel")
+    rounds = []  # per round: (keyed rows, join seconds, sort-path seconds)
+    folding = []
+    real_join = columnar.join
+
+    def checked_join(left, right):
+        keyed = _keyed_side(left, right) if folding else None
+        if keyed is None:
+            return real_join(left, right)
+        out, seconds = _seconds(real_join, left, right)
+        expected, reference = _seconds(_sort_path_join, left, right)
+        assert _same_bag(out, expected), (left.attributes, right.attributes)
+        rounds[-1].append((keyed.distinct_count(), seconds, reference))
+        return out
+
+    def setup():
+        rounds.append([])
+        return _warm_session(backend), {}
+
+    def fold(session, batches):
+        folding.append(True)
+        try:
+            for batch in batches:
+                session.apply(batch)
+        finally:
+            folding.clear()
+
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(columnar, "join", checked_join)
+        benchmark.pedantic(fold, setup=setup, rounds=ROUNDS, iterations=1)
+
+    gated = [[call for call in calls if call[0] >= LARGE_KEYED_ROWS] for calls in rounds]
+    join_seconds = min(sum(call[1] for call in calls) for calls in gated)
+    reference_seconds = min(sum(call[2] for call in calls) for calls in gated)
+    speedup = reference_seconds / max(join_seconds, 1e-9)
+    benchmark.extra_info["scale"] = SCALES[backend]
+    benchmark.extra_info["keyed_joins_per_round"] = len(rounds[-1])
+    benchmark.extra_info["gated_keyed_rows_at_least"] = LARGE_KEYED_ROWS
+    benchmark.extra_info["gated_joins_per_round"] = len(gated[-1])
+    benchmark.extra_info["lookup_seconds"] = join_seconds
+    benchmark.extra_info["sort_path_seconds"] = reference_seconds
+    benchmark.extra_info["sort_path_vs_lookup_speedup"] = speedup
+
+    # The acceptance bar: fold joins probing keyed sides of ≥10k rows run
+    # at least 5x faster as lookups than on the sort path.
+    assert gated[-1]
+    assert speedup >= 5.0

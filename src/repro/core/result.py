@@ -20,7 +20,7 @@ produce different shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.relation import Relation, Row
 from repro.exceptions import UnknownAttributeError
@@ -94,17 +94,29 @@ class MultiplicityTable:
         (exclusive attributes) are ignored.  Unknown value combinations
         have sensitivity 0.
         """
-        product = self.multiplier
+        return self.sensitivities_of([assignment])[0]
+
+    def sensitivities_of(self, assignments: Sequence[Mapping[str, object]]) -> List[int]:
+        """:meth:`sensitivity_of` for many assignments, one per output slot.
+
+        Each factor answers every assignment with one bulk
+        ``multiplicities`` lookup, which the columnar backend runs as one
+        search in the factor's row key instead of a scan per tuple."""
+        products = [self.multiplier] * len(assignments)
         for factor in self.factors:
+            attributes = factor.attributes
             try:
-                key = tuple(assignment[a] for a in factor.attributes)
+                keys = [
+                    tuple([assignment[a] for a in attributes])
+                    for assignment in assignments
+                ]
             except KeyError as exc:
                 raise UnknownAttributeError(str(exc), where=f"table for {self.relation}") from None
-            count = factor.multiplicity(key)
-            if count == 0:
-                return 0
-            product *= count
-        return product
+            products = [
+                product * count
+                for product, count in zip(products, factor.multiplicities(keys))
+            ]
+        return products
 
     def argmax(self) -> Tuple[Optional[Dict[str, object]], int]:
         """The assignment with the largest sensitivity and its value.

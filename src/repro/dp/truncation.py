@@ -42,10 +42,10 @@ def tuple_sensitivities(
 ) -> Dict[Row, int]:
     """``δ(t, Q, D)`` for every distinct tuple of ``relation``.
 
-    Looks each tuple up in the TSens multiplicity table (computing TSens
-    first when no ``result`` is supplied).  Tuples failing the query's
-    selection predicate, or not joining with the rest of the database,
-    get sensitivity 0.
+    Looks the tuples up in the TSens multiplicity table (computing TSens
+    first when no ``result`` is supplied), all at once: one bulk lookup per
+    table factor.  Tuples failing the query's selection predicate, or not
+    joining with the rest of the database, get sensitivity 0.
     """
     if result is None:
         result = local_sensitivity(query, db, tree=tree)
@@ -53,12 +53,15 @@ def tuple_sensitivities(
     atom = query.atom(relation)
     predicate = query.selections.get(relation)
     sensitivities: Dict[Row, int] = {}
+    passing: List[Row] = []
+    assignments = []
     for row in db.relation(relation):
         assignment = dict(zip(atom.variables, row))
-        if predicate is not None and not predicate(assignment):
-            sensitivities[row] = 0
-            continue
-        sensitivities[row] = table.sensitivity_of(assignment)
+        sensitivities[row] = 0
+        if predicate is None or predicate(assignment):
+            passing.append(row)
+            assignments.append(assignment)
+    sensitivities.update(zip(passing, table.sensitivities_of(assignments)))
     return sensitivities
 
 

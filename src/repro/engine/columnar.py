@@ -17,8 +17,15 @@ columnar implementations below (`join`, `group_by`, `semijoin`,
 `cross_product`, `union_all`, `patch`) produce bags equal to the
 per-tuple versions, only via vectorized kernels:
 
-* joins match packed key codes with ``argsort`` + ``searchsorted`` and
-  expand match ranges without a Python-level loop;
+* joins take one of two paths (see `join`).  When every attribute of
+  the larger operand is a join attribute, that operand is unique on the
+  key, so the join is a *lookup*: one ``searchsorted`` of the smaller
+  operand's key columns in the larger one's code-order row key (below),
+  O(d log n) for ``d`` probe rows against ``n`` keyed rows.  Every other
+  join takes the *sort path*: pack both keys, argsort the smaller one,
+  locate each larger-side row's match range with ``searchsorted`` and
+  expand the ranges without a Python-level loop.  No sort is memoised
+  across joins; the row key cached on the relation is all a join reuses;
 * group-by deduplicates with ``np.unique`` on the stacked key columns and
   sums multiplicities with ``np.add.at``;
 * semijoin is an ``np.isin`` mask; union is concatenate + regroup;
@@ -32,7 +39,8 @@ lexicographically by their codes, and a patched relation keeps that order
 and carries its packed row key (:class:`_RowKey`), so the next patch
 never re-sorts it and re-packs it only once new values outgrow the key's
 radices.  Join outputs and rows appended by :meth:`ColumnarRelation.add`
-are not in code order; a patch sorts such an input once.
+are not in code order; the first patch or lookup join into such a
+relation sorts it once, and its key is cached for the next one.
 
 Multiplicities use ``int64``: this engine targets counting workloads whose
 counts fit machine integers (the Python backend's arbitrary-precision ints
@@ -42,8 +50,6 @@ remain available for adversarial inputs).
 from __future__ import annotations
 
 import math
-import weakref
-from collections import OrderedDict
 from typing import (
     Dict,
     Iterable,
@@ -362,67 +368,18 @@ def _pack_keys(
     return inverse[:split], inverse[split:]
 
 
-#: Sorted-key memo for :func:`_match_pairs`, keyed by key-array identity.
-#: Code columns are immutable once built (bag updates copy), so a key
-#: array's sort permutation can be reused every time the same keyed side
-#: is probed again — repeated joins against one cached relation (benchmark
-#: loops, maintained-state folds re-probing botjoins) skip the argsort.
-#: Entries hold a weakref so a dead array's slot is reclaimed; the id()
-#: key is validated against the weakref before use in case ids get reused.
-_SORT_CACHE: "OrderedDict[int, Tuple[weakref.ref, np.ndarray, np.ndarray]]" = (
-    OrderedDict()
-)
-_SORT_CACHE_MIN_SIZE = 1024
-_SORT_CACHE_MAX_ENTRIES = 32
-
-
-def _sorted_key(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(argsort(key), key[argsort(key)])``, memoized per array object.
-
-    Only owning arrays at least :data:`_SORT_CACHE_MIN_SIZE` long are
-    cached: small sorts are cheaper than the bookkeeping, and views
-    (``key.base is not None``) are excluded so cache entries never pin
-    or outlive a buffer owned elsewhere.
-    """
-    if key.size < _SORT_CACHE_MIN_SIZE or key.base is not None:
-        order = np.argsort(key, kind="stable")
-        return order, key[order]
-    slot = id(key)
-    entry = _SORT_CACHE.get(slot)
-    if entry is not None:
-        ref, order, sorted_key = entry
-        if ref() is key:
-            _SORT_CACHE.move_to_end(slot)
-            return order, sorted_key
-        del _SORT_CACHE[slot]
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    try:
-        ref = weakref.ref(key)
-    except TypeError:
-        return order, sorted_key
-    _SORT_CACHE[slot] = (ref, order, sorted_key)
-    while len(_SORT_CACHE) > _SORT_CACHE_MAX_ENTRIES:
-        _SORT_CACHE.popitem(last=False)
-    return order, sorted_key
-
-
 def _match_pairs(lkey: np.ndarray, rkey: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(lidx, ridx)`` with ``lkey[lidx] == rkey[ridx]``.
 
-    The vectorized hash-join core: sort the *smaller* key array once,
-    locate each probe key's match range with two ``searchsorted`` calls,
-    then expand the ranges into explicit pairs with ``repeat``/``cumsum``
-    arithmetic.  Sorting the smaller side matters for the maintained
-    join-state folds, whose joins are one tiny delta against one large
-    cached relation — argsorting the large side would dominate the probe.
-    The argsort itself is memoized per key array (:func:`_sorted_key`), so
-    repeatedly probing the same keyed side sorts once.
+    The sort-path join core: sort the *smaller* key array, locate each
+    probe key's match range with two ``searchsorted`` calls, then expand
+    the ranges into explicit pairs with ``repeat``/``cumsum`` arithmetic.
     """
     if lkey.size < rkey.size:
         ridx, lidx = _match_pairs(rkey, lkey)
         return lidx, ridx
-    order, sorted_r = _sorted_key(rkey)
+    order = np.argsort(rkey, kind="stable")
+    sorted_r = rkey[order]
     start = np.searchsorted(sorted_r, lkey, side="left")
     stop = np.searchsorted(sorted_r, lkey, side="right")
     counts = stop - start
@@ -801,18 +758,19 @@ class ColumnarRelation:
             i = int(candidates[0])
             return tuple(values[column[i]] for column in self._codes), best_cnt
         # Tie-break on the smallest decoded tuple.  When every candidate
-        # column is numeric the lexicographic min vectorises with lexsort;
-        # otherwise fall back to Python tuple ordering (identical result).
+        # column decodes to an exact integer array the lexicographic min
+        # vectorises with lexsort; anything else (a float among the values
+        # would round ints past 2**53 together) takes Python tuple ordering.
         decoded_columns = []
-        numeric = True
+        exact = True
         for column in self._codes:
             vals = [values[c] for c in column[candidates].tolist()]
             arr = np.asarray(vals)
-            if arr.dtype.kind not in "biuf":
-                numeric = False
+            if arr.dtype.kind not in "biu":
+                exact = False
                 break
             decoded_columns.append(arr)
-        if numeric:
+        if exact:
             order = np.lexsort(tuple(reversed(decoded_columns)))
             i = int(candidates[order[0]])
             best_row = tuple(values[column[i]] for column in self._codes)
@@ -1010,18 +968,32 @@ def _aligned(
     return left, right
 
 
-def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
-    """Vectorized natural join multiplying multiplicities (``r̃join``)."""
-    common = left.schema.common(right.schema)
-    if not common:
-        return cross_product(left, right)
-    left, right = _aligned(left, right)
-    left_key = left.schema.project_positions(common)
-    right_key = right.schema.project_positions(common)
-    lkey, rkey = _pack_keys(
-        [left._codes[p] for p in left_key], [right._codes[p] for p in right_key]
-    )
-    lidx, ridx = _match_pairs(lkey, rkey)
+def _lookup_pairs(
+    keyed: ColumnarRelation, probe: ColumnarRelation
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(kidx, pidx)`` of matching rows when every attribute
+    of ``keyed`` is a join attribute.
+
+    ``keyed`` is then unique on the join key, so each ``probe`` row meets
+    at most one of its rows: one ``searchsorted`` of the probe's key
+    columns, packed in ``keyed``'s attribute order, in ``keyed``'s cached
+    code-order row key (:func:`_keyed`) finds every pair."""
+    columns = [probe._codes[probe.schema.index_of(a)] for a in keyed.attributes]
+    row_key, probe_key = _keyed(keyed, columns, cover=False)
+    pos, found = _search(row_key.key, probe_key)
+    at = pos[found]
+    kidx = at if row_key.order is None else row_key.order[at]
+    return kidx, np.nonzero(found)[0]
+
+
+def _joined(
+    left: ColumnarRelation,
+    right: ColumnarRelation,
+    lidx: np.ndarray,
+    ridx: np.ndarray,
+) -> ColumnarRelation:
+    """The join output of the matched row pairs ``(lidx, ridx)``: every
+    left column, then the right columns the left lacks."""
     out_schema = left.schema.union(right.schema)
     right_extra = [
         i for i, a in enumerate(right.attributes) if a not in left.schema
@@ -1032,6 +1004,35 @@ def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
     # Distinct inputs give distinct outputs (all left attributes plus the
     # right extras pin the pair), so no regrouping pass is needed.
     return ColumnarRelation._from_parts(out_schema, codes, mult, vocab=left._vocab)
+
+
+def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
+    """Vectorized natural join multiplying multiplicities (``r̃join``).
+
+    When the larger operand's attributes (the right one's, on a tie) are
+    all join attributes, the join is a lookup of the smaller operand in
+    the larger one's cached row key (:func:`_lookup_pairs`): O(d log n)
+    for ``d`` probe rows against ``n`` keyed rows.  Every other join
+    sorts the smaller side's key and scans the larger side
+    (:func:`_match_pairs`)."""
+    common = left.schema.common(right.schema)
+    if not common:
+        return cross_product(left, right)
+    left, right = _aligned(left, right)
+    larger = right if right._mult.size >= left._mult.size else left
+    if larger.schema.arity == len(common):
+        if larger is right:
+            ridx, lidx = _lookup_pairs(right, left)
+        else:
+            lidx, ridx = _lookup_pairs(left, right)
+    else:
+        left_key = left.schema.project_positions(common)
+        right_key = right.schema.project_positions(common)
+        lkey, rkey = _pack_keys(
+            [left._codes[p] for p in left_key], [right._codes[p] for p in right_key]
+        )
+        lidx, ridx = _match_pairs(lkey, rkey)
+    return _joined(left, right, lidx, ridx)
 
 
 def cross_product(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
 from repro.engine import Relation
+from repro.exceptions import UnknownAttributeError
 
 
 @pytest.fixture
@@ -77,6 +78,29 @@ class TestFactoredTable:
         other = Relation(["A"], {("a",): 3})
         table = MultiplicityTable("R", (unit, other))
         assert table.sensitivity_of({"A": "a"}) == 12
+
+
+class TestBulkLookup:
+    ASSIGNMENTS = [
+        {"A": "a2", "B": "b1"},
+        {"A": "a1", "B": "b1", "Z": 9},
+        {"A": "a2", "B": "zz"},
+        {"A": "zz", "B": "b1"},
+    ]
+
+    @pytest.mark.parametrize("table", ["dense_table", "factored_table"])
+    def test_matches_single_lookups(self, table, request):
+        table = request.getfixturevalue(table)
+        assert table.sensitivities_of(self.ASSIGNMENTS) == [
+            table.sensitivity_of(assignment) for assignment in self.ASSIGNMENTS
+        ]
+        assert table.sensitivities_of([]) == []
+
+    def test_missing_attribute_raises(self, factored_table):
+        with pytest.raises(UnknownAttributeError):
+            factored_table.sensitivities_of([{"A": "a1", "B": "b1"}, {"A": "a1"}])
+        with pytest.raises(UnknownAttributeError):
+            factored_table.sensitivity_of({"A": "a1"})
 
 
 class TestScaling:

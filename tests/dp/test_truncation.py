@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import local_sensitivity
+from repro.datasets.tpch import generate_tpch
 from repro.dp import TruncationOracle, tsens_truncate, tuple_sensitivities
-from repro.engine import Database, Relation
+from repro.engine import ColumnarRelation, Database, Relation
 from repro.evaluation import count_query
 from repro.query import parse_query
 from repro.exceptions import MechanismConfigError
+from repro.workloads.tpch_queries import q1_workload, q2_workload
 
 
 @pytest.fixture
@@ -39,6 +42,42 @@ class TestTupleSensitivities:
         sens = tuple_sensitivities(filtered, star_db, "R")
         assert sens[("u1", "hot")] == 0
         assert sens[("u2", "hot")] == 4
+
+
+@pytest.mark.parametrize("workload", [q1_workload(), q2_workload()], ids=["q1", "q2"])
+class TestTupleSensitivitiesBulkLookup:
+    """The primary's sensitivities come from one bulk ``multiplicities``
+    lookup per table factor, never a per-tuple ``multiplicity`` scan."""
+
+    def _prepared(self, workload, backend):
+        db = workload.prepare(generate_tpch(0.002, seed=3, backend=backend))
+        return db, local_sensitivity(workload.query, db, tree=workload.tree)
+
+    def _sensitivities(self, workload, db, result):
+        return tuple_sensitivities(
+            workload.query, db, workload.primary, result=result, tree=workload.tree
+        )
+
+    def test_backends_identical(self, workload):
+        python = self._sensitivities(workload, *self._prepared(workload, "python"))
+        columnar = self._sensitivities(workload, *self._prepared(workload, "columnar"))
+        assert columnar == python
+        assert any(python.values())
+
+    def test_one_bulk_lookup_per_factor(self, workload, monkeypatch):
+        db, result = self._prepared(workload, "columnar")
+        calls = {"multiplicities": 0, "multiplicity": 0}
+        for name in calls:
+            original = getattr(ColumnarRelation, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(ColumnarRelation, name, counted)
+        self._sensitivities(workload, db, result)
+        factors = result.table(workload.primary).factors
+        assert calls == {"multiplicities": len(factors), "multiplicity": 0}
 
 
 class TestTruncate:

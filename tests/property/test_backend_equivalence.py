@@ -9,10 +9,13 @@ and most sensitive tuples.  This is the contract that makes the
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import local_sensitivity, ls_path_join, tsens, tsens_topk
 from repro.datasets import random_acyclic_query, random_database, random_path_query
+from repro.engine import ColumnarRelation, Relation
+from repro.engine.columnar import reset_vocabulary
 from repro.evaluation import count_query, evaluate_query
 from repro.query import parse_query
 
@@ -136,3 +139,23 @@ class TestMultiplicityTablesEquivalence:
                     fast.tables[relation].sensitivity_of(assignment)
                     == sensitivity
                 )
+
+
+class TestArgmaxTieBreak:
+    """Ties for the largest count break on the smallest tuple under Python
+    ordering.  A float among the tied values must not round integers past
+    2**53 together: ``2**53 + 1`` and ``2**53`` are distinct and ordered."""
+
+    @pytest.mark.parametrize(
+        "attributes, counts",
+        [
+            (["A"], {(2**53 + 1,): 3, (1e20,): 3, (2**53,): 3}),
+            (["A", "B"], {(7, 2**53 + 1): 3, (7, 1e20): 3, (7, 2**53): 3}),
+        ],
+        ids=["one-column", "two-column"],
+    )
+    def test_exact_past_2_53(self, attributes, counts):
+        reset_vocabulary()
+        expected = Relation(attributes, counts).argmax_count()
+        assert ColumnarRelation(attributes, counts).argmax_count() == expected
+        assert expected[0][-1] == 2**53
