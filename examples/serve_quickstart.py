@@ -29,8 +29,9 @@ def main() -> None:
             "S": Relation(["B", "C"], [(2, 9), (7, 5)]),
         }
     )
-    session = prepare(query, db)
-    server = serve(session, default_epsilon=2.0).start_background()
+    # The server owns the session: it is epoch 0's, and each batch folds
+    # into a fork of the head, so it is never mutated.
+    server = serve(prepare(query, db), default_epsilon=2.0).start_background()
     print(f"serving {query.name} on {server.host}:{server.port}")
 
     with ServeClient(server.host, server.port, tenant="alice") as client:
@@ -81,7 +82,6 @@ def main() -> None:
         )
 
     server.stop()
-    session.close()
     print("server drained and stopped")
 
 

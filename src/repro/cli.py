@@ -264,6 +264,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"--tenant budget must be a number, got {epsilon!r}"
             ) from None
     session = _session_from_args(args)
+    banner = f"serving {session.query.name} [{session.backend}]"
     server = serve(
         session,
         host=args.host,
@@ -272,19 +273,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         tenant_budgets=budgets,
         max_batch=args.max_batch,
     )
+    # The server owns epoch 0's session from here: holding it would keep
+    # its state alive after the first batch supersedes that epoch.
+    del session
     server.start_background()
-    print(
-        f"serving {session.query.name} [{session.backend}] on "
-        f"{server.host}:{server.port}",
-        flush=True,
-    )
+    print(f"{banner} on {server.host}:{server.port}", flush=True)
     try:
         server.wait()
     except KeyboardInterrupt:
         pass
     finally:
         server.stop()
-        session.close()
     return 0
 
 

@@ -31,14 +31,14 @@ The implementation generalises the paper's two-attribute form slightly:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 from repro.engine.database import Database
 from repro.evaluation.joinstate import JoinState
 from repro.query.classify import path_order
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
-from repro.core.acyclic import best_witness
+from repro.core.acyclic import best_witness, select_overall_witness
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
 from repro.exceptions import QueryStructureError
 
@@ -72,7 +72,10 @@ class PathState:
 
 
 def ls_path_join(
-    query: ConjunctiveQuery, db: Database, state: Optional[PathState] = None
+    query: ConjunctiveQuery,
+    db: Database,
+    state: Optional[PathState] = None,
+    skip_relations: Iterable[str] = (),
 ) -> SensitivityResult:
     """Run Algorithm 1 on a path join query.
 
@@ -81,28 +84,31 @@ def ls_path_join(
     scratch against ``db``.  Either way the result is computed against
     ``db``, which must be the database the state reflects.
 
+    ``skip_relations`` are certified to have tuple sensitivity ≤ 1, as in
+    :func:`~repro.core.acyclic.tsens_connected`: each gets bound 1 and no
+    table is built for it.
+
     Raises :class:`~repro.exceptions.QueryStructureError` when the query is
     not a path query (use :func:`repro.core.api.local_sensitivity`, which
     dispatches automatically).
     """
     if state is None:
         state = PathState(query, db)
+    skip = set(skip_relations)
 
     # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]).
     tables: Dict[str, MultiplicityTable] = {}
     per_relation: Dict[str, SensitiveTuple] = {}
     for name in state.order:
+        if name in skip:
+            per_relation[name] = SensitiveTuple(name, {}, 1)
+            continue
         tables[name] = state.join_state.multiplicity_table(name)
         per_relation[name] = best_witness(tables[name], query, db, name)
 
-    local = max(w.sensitivity for w in per_relation.values())
-    witness: Optional[SensitiveTuple] = None
-    if local > 0:
-        # Ties go to the earliest relation in path order, not in body
-        # order as TSens breaks them.
-        witness = next(
-            w for w in per_relation.values() if w.sensitivity == local
-        )
+    # Ties prefer a concrete witness over a skipped relation's bound, then
+    # the earliest relation in path order, not in body order as TSens.
+    local, witness = select_overall_witness(per_relation)
     return SensitivityResult(
         query_name=query.name,
         method="path",

@@ -14,7 +14,6 @@ from repro.engine.backend import (
     DEFAULT_BACKEND,
     backend_of,
     get_backend,
-    register_backend,
     to_backend,
 )
 from repro.engine.columnar import ColumnarRelation, reset_vocabulary
@@ -55,7 +54,6 @@ __all__ = [
     "join_all",
     "patch",
     "project",
-    "register_backend",
     "reset_vocabulary",
     "select",
     "semijoin",

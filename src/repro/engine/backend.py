@@ -1,4 +1,4 @@
-"""Execution-backend registry: pluggable physical representations.
+"""Execution-backend registry: the two physical representations.
 
 The algorithmic layers (Yannakakis evaluation, TSens, the DP mechanisms)
 are written against the *logical* relation interface — schema, counts,
@@ -22,7 +22,7 @@ need to know about each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple
 
 from repro.engine.columnar import ColumnarRelation
 from repro.engine.relation import Relation
@@ -79,17 +79,10 @@ BACKENDS: Dict[str, Backend] = {
     COLUMNAR_BACKEND.name: COLUMNAR_BACKEND,
 }
 
-#: Valid ``backend=`` values, in registration order (for argparse choices).
+#: Valid ``backend=`` values (for argparse choices).
 BACKEND_NAMES: Tuple[str, ...] = tuple(BACKENDS)
 
 DEFAULT_BACKEND = PYTHON_BACKEND.name
-
-
-def register_backend(backend: Backend) -> None:
-    """Add a third-party backend to the registry (name must be fresh)."""
-    if backend.name in BACKENDS:
-        raise MechanismConfigError(f"backend {backend.name!r} already registered")
-    BACKENDS[backend.name] = backend
 
 
 def get_backend(name: str) -> Backend:

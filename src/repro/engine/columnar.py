@@ -50,6 +50,7 @@ remain available for adversarial inputs).
 from __future__ import annotations
 
 import math
+import threading
 from typing import (
     Dict,
     Iterable,
@@ -83,20 +84,31 @@ class _Vocabulary:
     per-column dictionaries.  Values that compare equal (``1``, ``1.0``,
     ``True``) share a code, matching Python-dict key semantics of the
     Python backend.
+
+    Threads may encode at once (a served head read runs while the writer
+    folds a batch).  A known value is looked up without a lock; a new one
+    is assigned its code under :attr:`_lock`, after a second look-up, so
+    each value gets exactly one code and no two values share one.  The
+    value is appended before its code is published, so a code read
+    without the lock always indexes :attr:`values`.
     """
 
-    __slots__ = ("code_of", "values")
+    __slots__ = ("code_of", "values", "_lock")
 
     def __init__(self) -> None:
         self.code_of: Dict[object, int] = {}
         self.values: List[object] = []
+        self._lock = threading.Lock()
 
     def encode(self, value: object) -> int:
         code = self.code_of.get(value)
         if code is None:
-            code = len(self.values)
-            self.code_of[value] = code
-            self.values.append(value)
+            with self._lock:
+                code = self.code_of.get(value)
+                if code is None:
+                    code = len(self.values)
+                    self.values.append(value)
+                    self.code_of[value] = code
         return code
 
     def lookup(self, value: object) -> Optional[int]:

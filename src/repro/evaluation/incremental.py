@@ -63,7 +63,8 @@ as a full re-evaluation would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.database import Database
@@ -146,29 +147,6 @@ def _patched_relation(base, delta: RelationDelta):
     return base
 
 
-@dataclass
-class _Component:
-    """Cached evaluation state for one connected component of the query.
-
-    The join-tree structure itself (bound tree, botjoins, and — for
-    probes and sensitivity consumers — topjoins and multiplicity tables)
-    lives in the component's maintained :class:`JoinState`; this wrapper
-    adds only the cross-component multiplier.
-    """
-
-    state: JoinState
-    #: product of the other components' counts (scales every delta).
-    multiplier: int = 1
-
-    @property
-    def query(self) -> ConjunctiveQuery:
-        return self.state.query
-
-    @property
-    def count(self) -> int:
-        return self.state.count
-
-
 class IncrementalEvaluator:
     """Answer count-update probes, and apply update streams, from cached
     join-tree state.
@@ -232,26 +210,24 @@ class IncrementalEvaluator:
             )
         self._query = query
         self._db = db
-        self._components: List[_Component] = []
+        #: One maintained state per connected component, in component order.
+        self._states: List[JoinState] = []
         self._component_of: Dict[str, int] = {}
         if component_pairs is None:
             component_pairs = _component_trees(query, tree, max_width)
         for sub, sub_tree in component_pairs:
-            component = self._build_component(sub, sub_tree, db)
-            index = len(self._components)
-            self._components.append(component)
             for relation in sub.relation_names:
-                self._component_of[relation] = index
+                self._component_of[relation] = len(self._states)
+            self._states.append(JoinState(sub, sub_tree, db))
         self._commit_totals()
 
-    # -------------------------------------------------------------- building
-    @staticmethod
-    def _build_component(
-        sub: ConjunctiveQuery,
-        sub_tree: DecompositionTree,
-        db: Database,
-    ) -> _Component:
-        return _Component(state=JoinState(sub, sub_tree, db))
+    def fork(self) -> "IncrementalEvaluator":
+        """A copy over the same database whose component states are
+        :meth:`JoinState.fork` copies: a batch applied to either leaves
+        the other unchanged."""
+        clone = copy.copy(self)
+        clone._states = [state.fork() for state in self._states]
+        return clone
 
     def _commit(self, new_db: Database) -> None:
         """Fold a fully-staged update into committed state.
@@ -263,16 +239,14 @@ class IncrementalEvaluator:
         self._commit_totals()
 
     def _commit_totals(self) -> None:
-        total = 1
-        for component in self._components:
-            total *= component.count
-        self._base_count = total
-        for i, component in enumerate(self._components):
-            multiplier = 1
-            for j, other in enumerate(self._components):
-                if j != i:
-                    multiplier *= other.count
-            component.multiplier = multiplier
+        self._base_count = math.prod(state.count for state in self._states)
+
+    def _multiplier(self, index: int) -> int:
+        """The product of the other components' counts, which scales every
+        delta of component ``index``."""
+        return math.prod(
+            state.count for other, state in enumerate(self._states) if other != index
+        )
 
     # ------------------------------------------------------------- accessors
     @property
@@ -296,7 +270,7 @@ class IncrementalEvaluator:
         in component order.  The sensitivity algorithms consume these
         directly, so session reads after updates reuse the folded
         botjoins/topjoins/tables instead of rebuilding them."""
-        return tuple(component.state for component in self._components)
+        return tuple(self._states)
 
     # ----------------------------------------------------------------- probes
     def delta(self, relation: str, row: Sequence[object]) -> int:
@@ -324,17 +298,17 @@ class IncrementalEvaluator:
         rows = [tuple(row) for row in rows]
         if not rows:
             return []
-        component = self._components[self._component_of[relation]]
-        if component.multiplier == 0:
+        index = self._component_of[relation]
+        state = self._states[index]
+        multiplier = self._multiplier(index)
+        if multiplier == 0:
             # Arity checks must still run for a consistent error surface.
-            self._check_probe_arity(component, relation, rows)
+            self._check_probe_arity(state, relation, rows)
             return [0] * len(rows)
-        probe = self._probe_relation(component, relation, rows)
-        collapsed = self._propagate(component, relation, probe)
+        probe = self._probe_relation(state, relation, rows)
+        collapsed = self._propagate(state, relation, probe)
         per_probe = {key[0]: cnt for key, cnt in collapsed.items()}
-        return [
-            per_probe.get(i, 0) * component.multiplier for i in range(len(rows))
-        ]
+        return [per_probe.get(i, 0) * multiplier for i in range(len(rows))]
 
     # -------------------------------------------------------- applied updates
     def apply_batch(self, deltas: Sequence[RelationDelta]) -> int:
@@ -360,9 +334,9 @@ class IncrementalEvaluator:
         for delta in deltas:
             if delta.relation not in self._component_of:
                 raise UnknownRelationError(delta.relation)
-            component = self._components[self._component_of[delta.relation]]
+            state = self._states[self._component_of[delta.relation]]
             self._check_probe_arity(
-                component, delta.relation, list(delta.plus) + list(delta.minus)
+                state, delta.relation, list(delta.plus) + list(delta.minus)
             )
         for delta in deltas:
             if not delta.minus:
@@ -389,7 +363,7 @@ class IncrementalEvaluator:
                 self._component_of[delta.relation], []
             ).append(delta)
         stagings = [
-            self._components[index].state.stage_update_batch(group)
+            self._states[index].stage_update_batch(group)
             for index, group in by_component.items()
         ]
         # ---- commit (nothing below raises)
@@ -401,17 +375,17 @@ class IncrementalEvaluator:
         # whole database, so *every* component's cached witnesses can go
         # stale when they share a base column name with a touched relation
         # (the touched components already dropped their own at commit).
-        for component in self._components:
-            component.state.drop_domain_dependent_witnesses(touched_columns)
+        for state in self._states:
+            state.drop_domain_dependent_witnesses(touched_columns)
         self._commit(new_db)
         return self._base_count
 
     # ----------------------------------------------------------- propagation
     @staticmethod
     def _check_probe_arity(
-        component: _Component, relation: str, rows: Sequence[Row]
+        state: JoinState, relation: str, rows: Sequence[Row]
     ) -> None:
-        atom = component.query.atom(relation)
+        atom = state.query.atom(relation)
         for row in rows:
             if len(row) != atom.arity:
                 raise SchemaError(
@@ -420,22 +394,22 @@ class IncrementalEvaluator:
                 )
 
     def _probe_relation(
-        self, component: _Component, relation: str, rows: Sequence[Row]
+        self, state: JoinState, relation: str, rows: Sequence[Row]
     ):
         """The tagged delta relation: one row per probe, selection applied."""
-        self._check_probe_arity(component, relation, rows)
-        atom = component.query.atom(relation)
+        self._check_probe_arity(state, relation, rows)
+        atom = state.query.atom(relation)
         attributes = list(atom.variables) + [PROBE_ATTRIBUTE]
         relation_cls = type(self._db.relation(relation))
         counts = {row + (index,): 1 for index, row in enumerate(rows)}
         probe = relation_cls(attributes, counts)
-        predicate = component.query.selections.get(relation)
+        predicate = state.query.selections.get(relation)
         if predicate is not None:
             probe = probe.filter(predicate)
         return probe
 
     @staticmethod
-    def _propagate(component: _Component, relation: str, probe):
+    def _propagate(state: JoinState, relation: str, probe):
         """``w(t)`` per probe id: ``T^R`` evaluated at the tagged probes.
 
         The probe joins the other atoms of ``relation``'s node ``v`` and
@@ -444,7 +418,6 @@ class IncrementalEvaluator:
         root has none).  Every join partner's attributes lie inside
         ``A_v``, so the delta never grows beyond ``A_v ∪ {probe}``.
         """
-        state = component.state
         tree = state.tree
         node_id = tree.node_of_relation(relation)
         delta = probe

@@ -55,8 +55,9 @@ one-shot callers build a throwaway instance, sessions keep one alive.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
@@ -445,6 +446,25 @@ class JoinState:
     def base_columns(self, relation: str) -> frozenset:
         """Base-schema column names of one of this component's relations."""
         return self._base_columns[relation]
+
+    def fork(self) -> "JoinState":
+        """A copy that shares every relation and table with this state.
+
+        Only the dicts that a fold or a lazy build writes are copied: the
+        bound atoms, botjoins, topjoins, tables, layouts and witnesses.
+        Relations are never mutated in place, so a batch committed to
+        either copy, or a level built lazily on it, leaves the other
+        unchanged.  Costs O(nodes + tables).
+        """
+        clone = copy.copy(self)
+        clone.bound = replace(self.bound, atom_relations=dict(self.bound.atom_relations))
+        clone.botjoins = dict(self.botjoins)
+        if self._topjoins is not None:
+            clone._topjoins = dict(self._topjoins)
+        clone._tables = dict(self._tables)
+        clone._layouts = dict(self._layouts)
+        clone.witnesses = dict(self.witnesses)
+        return clone
 
     def drop_domain_dependent_witnesses(self, columns) -> None:
         """Invalidate witnesses whose extrapolated values may have moved.

@@ -9,35 +9,32 @@ batches in between.  This module adds that missing layer, in the spirit
 of MVCC engines and of maintained query answering under updates
 (Berkholz, Keppeler & Schweikardt):
 
-* An :class:`Epoch` is an immutable snapshot handle — an epoch id plus
-  the session's immutable :class:`~repro.engine.database.Database`
-  snapshot at one commit point.  Epochs form a chain; exactly one is the
+* An :class:`Epoch` is one committed version: an epoch id plus the
+  session that answers at it.  Epochs form a chain; exactly one is the
   *head*.
 * Readers pin an epoch with a refcounted :class:`EpochLease`
   (:meth:`EpochManager.acquire`).  Every read through a lease
   (:meth:`~EpochManager.count`, :meth:`~EpochManager.sensitivity`,
-  :meth:`~EpochManager.probe`, ...) answers exactly at the pinned
-  epoch — never newer, never torn.
+  :meth:`~EpochManager.probe`, ...) runs on the pinned epoch's session,
+  so it answers exactly at that epoch — never newer, never torn.
 * A **single writer thread** drains queued update batches
-  (:meth:`EpochManager.submit`), folds each one into the live session
-  (:meth:`~repro.session.PreparedQuery.apply` — compaction + one
-  staged-then-committed vectorized fold per maintained level) while
-  holding the session lock, and *atomically swaps in* the next epoch
-  under the same lock.  A batch that raises commits nothing: the head
-  epoch, and every answer served from it, stays bit-identical.
-* A superseded epoch lives as long as its leases: reads against it are
-  answered from a lazily *forked* session over its frozen snapshot
-  (:meth:`~repro.session.PreparedQuery.fork`), entirely outside the
-  writer's lock.  When the last lease drains the epoch retires and its
-  resources are dropped.
+  (:meth:`EpochManager.submit`).  For each one it forks the head session
+  (:meth:`~repro.session.PreparedQuery.fork`: the fork shares every
+  maintained relation and copies only the dicts a fold writes), folds the
+  batch into the fork with :meth:`~repro.session.PreparedQuery.apply`,
+  and publishes the fork as the next head.  No reader ever sees the
+  fold, and a batch that raises just drops its fork: the head epoch, and
+  every answer served from it, stays bit-identical.
+* A superseded epoch lives as long as its leases.  When the last lease
+  drains the epoch retires and drops its session.
 
-Head reads hit the maintained state (botjoins/topjoins/tables folded
-under updates — fast), stragglers on old epochs pay a rebuild but stay
-consistent, and the writer never blocks on readers longer than one
-session call.  Everything else in :mod:`repro.serve` — the coalescing
-admission queue, the asyncio front end — goes through this module; lint
-rule R007 pins that layering by banning direct maintained-state access
-(``_evaluator``, ``JoinState``, ...) anywhere else under ``serve/``.
+Reads at every epoch, stale or head, hit maintained state (botjoins,
+topjoins and tables folded under updates), and the writer never waits
+on a reader longer than one session call.  Everything else in
+:mod:`repro.serve` — the coalescing admission queue, the asyncio front
+end — goes through this module; lint rule R007 pins that layering by
+banning direct maintained-state access (``_evaluator``, ``JoinState``,
+...) anywhere else under ``serve/``.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.engine.database import Database
 from repro.exceptions import OverloadedError, ServeError
@@ -56,25 +53,25 @@ _STOP = object()
 
 
 class Epoch:
-    """One immutable snapshot of the served session's state.
+    """One committed version of the served query.
 
-    An epoch never changes once created: it carries the epoch id, the
-    immutable database snapshot taken at its commit point, and the
-    update-stream position (:attr:`updates_applied`).  Mutable
-    bookkeeping (refcount, superseded/retired flags, the lazily built
-    frozen reader) belongs to the :class:`EpochManager` and is guarded by
-    its locks, not by this object.
+    An epoch carries its id, the session that answers at it, and that
+    session's immutable database snapshot and update-stream position
+    (:attr:`updates_applied`).  No batch folds into the session once the
+    epoch is published; it is dropped when the epoch retires.  Mutable
+    bookkeeping (refcount, superseded/retired flags) belongs to the
+    :class:`EpochManager` and is guarded by its mutex, not by this
+    object.
     """
 
-    def __init__(self, epoch_id: int, db: Database, updates_applied: int):
+    def __init__(self, epoch_id: int, session: PreparedQuery):
         self.epoch_id = epoch_id
-        self.db = db
-        self.updates_applied = updates_applied
+        self.session: Optional[PreparedQuery] = session
+        self.db = session.db
+        self.updates_applied = session.updates_applied
         self._refcount = 0
         self._superseded = False
         self._retired = False
-        self._frozen: Optional[PreparedQuery] = None
-        self._frozen_lock = threading.Lock()
 
     @property
     def refcount(self) -> int:
@@ -88,7 +85,7 @@ class Epoch:
 
     @property
     def retired(self) -> bool:
-        """True once the last lease drained and resources were dropped."""
+        """True once the last lease drained and the session was dropped."""
         return self._retired
 
     def __repr__(self) -> str:
@@ -167,36 +164,36 @@ class AppliedBatch:
 
 
 class EpochManager:
-    """Owns the session, the epoch chain, and the single writer thread.
+    """Owns the epoch chain and the single writer thread.
 
     Parameters
     ----------
     session:
-        The live maintained :class:`~repro.session.PreparedQuery`.  The
-        manager takes over all mutation: callers must stop calling
-        ``session.apply``/``insert``/``delete`` directly and go through
-        :meth:`submit` / :meth:`apply` instead (reads through leases).
+        Epoch 0's session.  The manager never mutates it: each batch
+        folds into a fork of the head session, so callers must not
+        mutate it either while the manager serves.  Writes go through
+        :meth:`submit` / :meth:`apply`, and reads through leases.
     max_queue:
         Bound on queued-but-unapplied writer batches.  A submission
         beyond it raises :class:`~repro.exceptions.OverloadedError` at
         once instead of blocking, so a writer that falls behind sheds
         load rather than stalling every caller.
 
-    Locking protocol (the heart of the epoch guarantee): the writer
-    thread holds ``session.lock`` across *both* the fold and the head
-    swap, and head reads check ``lease.epoch.superseded`` under that
-    same lock before touching the session — so a read through a lease
-    either sees the session exactly at its epoch, or detects the swap
-    and falls back to the epoch's frozen fork.  The manager's own mutex
-    only guards the epoch map, refcounts, counters and the closed flag
-    (with the enqueue that checks it) and is never held across engine
-    work.
+    Locking protocol: no batch folds into a published session, so a read
+    through a lease takes no lock beyond the session's own per-call one.
+    The writer holds the head session's lock only while it forks it, so a
+    fork never copies a half-built lazy level; a level a reader builds on
+    the head after that is built again on the next head at first use.
+    Reads and the fold may encode new values at once; the columnar
+    vocabulary assigns each its code under its own lock.
+    The manager's own mutex guards the head pointer, the epoch map,
+    refcounts, counters and the closed flag (with the enqueue that checks
+    it), and is never held across engine work.
     """
 
     def __init__(self, session: PreparedQuery, max_queue: int = 1024):
-        self._session = session
         self._mutex = threading.Lock()
-        head = Epoch(0, session.db, session.updates_applied)
+        head = Epoch(0, session)
         self._head = head
         self._epochs: Dict[int, Epoch] = {head.epoch_id: head}
         self._retired_count = 0
@@ -213,9 +210,8 @@ class EpochManager:
     # ------------------------------------------------------------- accessors
     @property
     def session(self) -> PreparedQuery:
-        """The live maintained session (head state).  Do not mutate it
-        directly; use :meth:`submit`."""
-        return self._session
+        """The head epoch's session.  Do not mutate it; use :meth:`submit`."""
+        return self._head.session
 
     @property
     def head(self) -> Epoch:
@@ -245,44 +241,21 @@ class EpochManager:
         """Retire a drained, superseded epoch (mutex held)."""
         if epoch._superseded and epoch._refcount <= 0 and not epoch._retired:
             epoch._retired = True
+            epoch.session = None
             self._epochs.pop(epoch.epoch_id, None)
             self._retired_count += 1
-            frozen, epoch._frozen = epoch._frozen, None
-            if frozen is not None:
-                frozen.close()
 
     # ----------------------------------------------------------------- reads
     def read(self, lease: EpochLease, fn: Callable[[PreparedQuery], object]):
-        """Run ``fn`` against a session view pinned to ``lease``'s epoch.
+        """Run ``fn`` on the session of ``lease``'s epoch.
 
-        While the lease's epoch is head, ``fn`` runs on the maintained
-        session under the session lock (so it cannot interleave with the
-        writer's fold-and-swap).  Once superseded, ``fn`` runs lock-free
-        on the epoch's frozen fork over its immutable snapshot — the
-        answer is identical to what the head read would have produced at
-        that epoch, pinned by the serving-equivalence property suite.
+        Head or superseded, no batch folds into an epoch's session once
+        it is published, so the answer is exactly the one a fresh session
+        over that epoch's database would give — pinned by the
+        serving-equivalence property suite.
         """
         lease._require_active()
-        epoch = lease.epoch
-        if not epoch._superseded:
-            with self._session.lock:
-                # Re-check under the lock: the writer swaps heads while
-                # holding it, so a non-superseded epoch here is proof the
-                # session state still belongs to this epoch.
-                if not epoch._superseded:
-                    return fn(self._session)
-        return fn(self._frozen_session(epoch))
-
-    def _frozen_session(self, epoch: Epoch) -> PreparedQuery:
-        """The epoch's lazily built read-only fork (one per epoch)."""
-        with epoch._frozen_lock:
-            if epoch._retired:
-                raise ServeError(
-                    f"epoch {epoch.epoch_id} already retired"
-                )
-            if epoch._frozen is None:
-                epoch._frozen = self._session.fork(epoch.db)
-            return epoch._frozen
+        return fn(lease.epoch.session)
 
     def count(self, lease: EpochLease) -> int:
         """``|Q(D)|`` at the lease's epoch."""
@@ -387,18 +360,18 @@ class EpochManager:
             if not future.set_running_or_notify_cancel():
                 continue
             try:
-                with self._session.lock:
-                    count = self._session.apply(batch)
-                    new_head = self._advance()
+                # Only the writer moves the head, so reading it here is safe.
+                session = self._head.session.fork()
+                count = session.apply(batch)
             except Exception as exc:
-                # The session's staged-then-commit contract already
-                # guarantees its state is untouched; reporting the error
-                # on the future (not crashing the writer) keeps the head
-                # epoch serving.
+                # The failed batch's fork is dropped, so the head is
+                # untouched by construction; reporting the error on the
+                # future (not crashing the writer) keeps it serving.
                 with self._mutex:
                     self._batches_failed += 1
                 future.set_exception(exc)
             else:
+                new_head = self._advance(session)
                 with self._mutex:
                     self._batches_applied += 1
                 future.set_result(
@@ -409,15 +382,11 @@ class EpochManager:
                     )
                 )
 
-    def _advance(self) -> Epoch:
-        """Swap in the next head epoch (session lock held by the writer)."""
+    def _advance(self, session: PreparedQuery) -> Epoch:
+        """Publish ``session`` as the next head epoch."""
         with self._mutex:
             old = self._head
-            new = Epoch(
-                old.epoch_id + 1,
-                self._session.db,
-                self._session.updates_applied,
-            )
+            new = Epoch(old.epoch_id + 1, session)
             self._epochs[new.epoch_id] = new
             self._head = new
             old._superseded = True
@@ -449,7 +418,7 @@ class EpochManager:
     def close(self) -> None:
         """Drain the writer queue, stop the writer thread and refuse new
         leases/batches.  Idempotent.  Already-pinned leases keep reading
-        (their epochs' frozen forks stay valid until released)."""
+        (their epochs keep their sessions until released)."""
         with self._mutex:
             if self._closed:
                 already = True

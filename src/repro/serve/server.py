@@ -1,7 +1,7 @@
 """The asyncio NDJSON front end of the serving layer.
 
 :class:`SessionServer` wires the pieces of :mod:`repro.serve` together
-around one live :class:`~repro.session.PreparedQuery`:
+around one maintained :class:`~repro.session.PreparedQuery`:
 
 * every read request pins an epoch lease
   (:class:`~repro.serve.epochs.EpochManager`) for exactly the lifetime
@@ -60,10 +60,10 @@ class SessionServer:
     Parameters
     ----------
     session:
-        The live maintained session.  The server takes over mutation
-        (its epoch manager owns the single writer); the caller keeps
-        ownership of the session object itself and closes it after
-        :meth:`stop`.
+        Epoch 0's session.  The server never mutates it: its epoch
+        manager's writer folds each batch into a fork of the head.  The
+        server holds the session only as epoch 0's, so it is dropped when
+        a batch supersedes that epoch and no lease pins it.
     host, port:
         Listen address; ``port=0`` (the default) binds an ephemeral port,
         published on :attr:`port` once the server is ready.
@@ -88,7 +88,6 @@ class SessionServer:
         tenants: Optional[TenantRegistry] = None,
         max_batch: int = 4096,
     ):
-        self._session = session
         self.manager = EpochManager(session)
         self.admission = AdmissionQueue(self.manager, max_batch=max_batch)
         self.tenants = (

@@ -53,13 +53,16 @@ Quickstart::
 half-committed update batch: it observes the session either entirely
 before or entirely after any concurrent ``apply``.  Callers needing a
 *sequence* of reads against one consistent snapshot hold the lock
-themselves (``with session.lock: ...``) — or use the epoch-pinned
-serving layer in :mod:`repro.serve`, which builds multi-reader /
-single-writer snapshot semantics on top of this contract.
+themselves (``with session.lock: ...``), or read a
+:meth:`~PreparedQuery.fork`, which no later update of its parent
+reaches.  The epoch-pinned serving layer in :mod:`repro.serve` is built
+on forks: each epoch owns a session, and its writer folds every batch
+into a fork of the head session, never into a session readers use.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -265,9 +268,9 @@ class PreparedQuery:
                 count = session.count()
                 ls = session.sensitivity().local_sensitivity
 
-        The serving layer's writer thread holds this lock across its
-        fold-and-swap step, which is what pins head-epoch readers to
-        fully committed state.
+        The serving layer's writer holds it only while it forks the head
+        session, so a fork never copies a half-built lazy level; it folds
+        each batch into the fork, without this lock.
         """
         return self._lock
 
@@ -426,7 +429,10 @@ class PreparedQuery:
             # state holds Algorithm 1's sweeps; otherwise build afresh.
             state = self._states()[0] if self._is_path else None
             return ls_path_join(
-                self._query, self._db, PathState(self._query, self._db, state)
+                self._query,
+                self._db,
+                PathState(self._query, self._db, state),
+                skip_relations=skip,
             )
         return tsens_from_states(
             self._query, self._db, self._states(), skip_relations=skip
@@ -524,24 +530,28 @@ class PreparedQuery:
                 "maintained_components": maintained,
             }
 
-    def fork(self, db: Optional[Database] = None) -> "PreparedQuery":
-        """A fresh, independent session with this session's configuration.
+    def fork(self) -> "PreparedQuery":
+        """An independent session at this session's snapshot that shares
+        its maintained structure.
 
-        Re-plans the same query (deterministically, so the decomposition
-        is identical) over ``db`` — by default the session's *current*
-        snapshot.  The fork shares nothing mutable with its parent: it
-        has its own lock, caches, and maintained state.  The serving layer
-        uses forks to answer reads pinned to superseded epochs from their
-        frozen snapshots while the live session advances.
+        The fork shares the plan, the database snapshot and every
+        maintained relation and table, and copies only the dicts a fold or
+        a lazy build writes (:meth:`IncrementalEvaluator.fork`), so it
+        costs O(nodes + tables) and keeps every botjoin, topjoin, table
+        and witness built so far.  It has its own lock and empty result
+        caches.  An update, or a level built lazily, on either session
+        leaves the other unchanged.  The serving layer folds each update
+        batch into a fork of its head session and publishes the fork as
+        the next epoch.
         """
         with self._lock:
-            target = self._db if db is None else db
-            return PreparedQuery(
-                self._query,
-                target,
-                tree=self._user_tree,
-                max_width=self._max_width,
-            )
+            clone = copy.copy(self)
+            clone._lock = threading.RLock()
+            if self._evaluator is not None:
+                clone._evaluator = self._evaluator.fork()
+            clone._results = {}
+            clone._oracles = {}
+            return clone
 
     # -------------------------------------------------------------- releases
     def release(

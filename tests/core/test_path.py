@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import prepare
+from repro import local_sensitivity, prepare
 from repro.core import ls_path_join, naive_local_sensitivity, tsens
-from repro.datasets import random_database
+from repro.core.result import SensitiveTuple
+from repro.datasets import random_database, random_path_query
 from repro.engine import Database, Relation
 from repro.query import parse_predicate, parse_query
 from repro.exceptions import QueryStructureError
@@ -288,3 +290,65 @@ class TestPathState:
         for name, table in again.tables.items():
             assert table is state.multiplicity_table(name)
         assert again.local_sensitivity == result.local_sensitivity
+
+
+class TestSkipRelations:
+    """A skipped relation gets bound 1 and no table, on the path method
+    exactly as on TSens."""
+
+    def test_skipped_relation_builds_no_table(self):
+        query = parse_query("Q(A,B,C) :- R(A,B), S(B,C)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+                "S": Relation(["B", "C"], [(2, 4), (2, 5)]),
+            }
+        )
+        session = prepare(query, db)
+        result = session.sensitivity(skip_relations=("S",))
+        assert result.method == "path"
+        assert result.per_relation["S"] == SensitiveTuple("S", {}, 1)
+        assert set(result.tables) == {"R"}
+        (component,) = session.stats()["maintained_components"]
+        assert component["tables_materialised"] == ["R"]
+        # R's tuples join two S tuples each: the concrete witness wins.
+        assert result.local_sensitivity == 2
+        assert result.witness.relation == "R"
+
+    def test_tie_prefers_a_concrete_witness(self):
+        query = parse_query("Q(A,B,C) :- R(A,B), S(B,C)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2)]),
+                "S": Relation(["B", "C"], [(2, 4)]),
+            }
+        )
+        result = local_sensitivity(query, db, method="path", skip_relations=("R",))
+        assert result.local_sensitivity == 1
+        assert result.witness.relation == "S"
+        assert result.witness.assignment
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @given(st.integers(min_value=0, max_value=10_000), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_path_queries_agree_with_tsens(self, backend, seed, length):
+        rng = np.random.default_rng(seed)
+        query = random_path_query(rng, length=length)
+        db = random_database(query, rng, backend=backend)
+        skip = tuple(
+            name for name in query.relation_names if rng.random() < 0.4
+        )
+        path = local_sensitivity(query, db, method="path", skip_relations=skip)
+        tree_based = local_sensitivity(
+            query, db, method="tsens", skip_relations=skip
+        )
+        assert path.local_sensitivity == tree_based.local_sensitivity
+        assert {
+            name: witness.sensitivity
+            for name, witness in path.per_relation.items()
+        } == {
+            name: witness.sensitivity
+            for name, witness in tree_based.per_relation.items()
+        }
+        assert set(path.tables) == set(tree_based.tables)
+        assert not set(path.tables) & set(skip)

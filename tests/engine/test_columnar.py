@@ -5,6 +5,9 @@ against the dict-based :class:`Relation` reference on the same inputs —
 the backends must be observationally identical.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from repro.engine import (
     to_backend,
     union_all,
 )
-from repro.engine.columnar import reset_vocabulary
+from repro.engine.columnar import _Vocabulary, reset_vocabulary
 from repro.exceptions import MechanismConfigError, MultiplicityOverflowError, SchemaError
 
 
@@ -375,6 +378,38 @@ class TestVocabularyReset:
         assert union_all([old, old.rename({})]) == old.scale_counts(2)
         assert difference(old, ColumnarRelation(["A", "B"], [(1, 2)])) == \
             Relation(["A", "B"], [(3, 2)])
+
+
+class TestVocabularyThreads:
+    """Threads encoding at once (a served read racing the writer's fold)
+    give every value exactly one code and every code one value."""
+
+    def test_threads_encoding_the_same_new_values_agree(self):
+        values = [("v", i) for i in range(20_000)]
+        vocab = _Vocabulary()
+        codes = [None] * 4
+        start = threading.Barrier(len(codes), timeout=30)
+
+        def work(i):
+            start.wait()
+            codes[i] = [vocab.encode(value) for value in values]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(codes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(other == codes[0] for other in codes[1:])
+        assert len(vocab.values) == len(vocab.code_of) == len(values)
+        for value, code in zip(values, codes[0]):
+            assert vocab.code_of[value] == code
+            assert vocab.values[code] == value
 
 
 class TestSortCache:

@@ -3,10 +3,10 @@
 The serving layer's whole contract is *epoch consistency*: a reader that
 acquired a lease observes answers equal to a fresh one-shot session over
 the database exactly as it stood at that epoch — no matter how many
-writer batches fold into newer epochs meanwhile, and no matter whether
-the answer came off the live head state (under the session lock) or a
-superseded epoch's frozen fork.  Three properties pin it, on both
-execution backends:
+writer batches fold into newer epochs meanwhile, and whether the epoch
+is still the head or superseded: every epoch answers from its own
+session, forked from the previous head, which no batch folds into once
+published.  Three properties pin it, on both execution backends:
 
 * **Concurrent readers** — N reader threads racing a writer that commits
   a random batch stream: every observed ``(epoch, count, LS)`` triple
@@ -21,6 +21,7 @@ execution backends:
   requests issued serially against the session.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -102,16 +103,21 @@ class TestConcurrentEpochConsistency:
         threads = [threading.Thread(target=reader) for _ in range(N_READERS)]
         for thread in threads:
             thread.start()
+        # A short switch interval interleaves the readers' lazy builds
+        # with the writer's fold far more often than the default 5 ms.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             for batch in batches:
                 manager.apply(batch)
         finally:
             stop.set()
+            sys.setswitchinterval(interval)
             for thread in threads:
                 thread.join()
 
         # The epoch-0 lease survived every swap: its answers still come
-        # from the frozen pre-update snapshot.
+        # from epoch 0's session, which no batch folded into.
         assert manager.head.epoch_id == len(batches)
         assert manager.count(pinned) == prepare(query, db).count()
 

@@ -185,15 +185,119 @@ class TestEpochPinning:
         new.release()
 
 
+class TestEpochSessions:
+    """Each epoch owns a session forked from the previous head, so no read
+    re-prepares and the writer's fold never blocks a reader."""
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_stale_read_neither_binds_nor_prepares(self, backend, monkeypatch):
+        import repro.evaluation.joinstate as joinstate
+        from repro.session import PreparedQuery
+
+        manager = EpochManager(_session(backend))
+        try:
+            manager.apply([("insert", "R", (5, 2))])
+            stale = manager.acquire()  # epoch 1, never read at its head
+            manager.apply([("insert", "S", (2, 9))])
+            assert stale.epoch.superseded
+            fresh = prepare(manager.session.query, stale.db)
+            expected = (
+                fresh.count(),
+                fresh.probe("S", [(2, 0), (7, 7)]),
+                fresh.sensitivity().local_sensitivity,
+            )
+            calls = []
+            bind, init = joinstate.bind, PreparedQuery.__init__
+
+            def spy_bind(*args, **kwargs):
+                calls.append("bind")
+                return bind(*args, **kwargs)
+
+            def spy_init(self, *args, **kwargs):
+                calls.append("PreparedQuery.__init__")
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(joinstate, "bind", spy_bind)
+            monkeypatch.setattr(PreparedQuery, "__init__", spy_init)
+            answers = (
+                manager.count(stale),
+                manager.probe(stale, "S", [(2, 0), (7, 7)]),
+                manager.sensitivity(stale).local_sensitivity,
+            )
+            assert answers == expected == (3, [3, 0], 3)
+            assert calls == []
+            stale.release()
+        finally:
+            manager.close()
+
+    def test_head_read_returns_while_the_writer_folds(self, monkeypatch):
+        from repro.evaluation.incremental import IncrementalEvaluator
+
+        manager = EpochManager(_session())
+        folding, resume = threading.Event(), threading.Event()
+        apply_batch = IncrementalEvaluator.apply_batch
+
+        def blocked_apply_batch(self, deltas):
+            folding.set()
+            resume.wait(timeout=60)
+            return apply_batch(self, deltas)
+
+        monkeypatch.setattr(IncrementalEvaluator, "apply_batch", blocked_apply_batch)
+        answers = []
+        try:
+            lease = manager.acquire()
+            future = manager.submit([("insert", "R", (5, 2))])
+            assert folding.wait(timeout=60), "the writer never started its fold"
+            reader = threading.Thread(
+                target=lambda: answers.append(
+                    (manager.count(lease), manager.probe(lease, "S", [(2, 0)]))
+                ),
+                daemon=True,
+            )
+            reader.start()
+            reader.join(timeout=10)
+            blocked = reader.is_alive()
+            resume.set()
+            assert not blocked, "a head read waited for the writer's fold"
+            assert answers == [(2, [2])]  # at its own epoch, 0
+            assert future.result(timeout=60).epoch_id == 1
+            assert manager.count(lease) == 2
+            lease.release()
+        finally:
+            resume.set()
+            manager.close()
+
+    def test_manager_never_mutates_its_session(self):
+        session = _session()
+        db, count = session.db, session.count()
+        manager = EpochManager(session)
+        try:
+            for row in [(5, 2), (6, 2), (7, 2)]:
+                manager.apply([("insert", "R", row)])
+            head = manager.session
+            assert head is not session
+            assert head.count() == 5 and head.updates_applied == 3
+            assert session.updates_applied == 0
+            assert session.db is db
+            assert session.count() == count
+            with pytest.raises(UnknownRelationError):
+                manager.apply([("insert", "R", (8, 2)), ("insert", "Nope", (1,))])
+            assert manager.session is head
+            assert head.count() == 5 and head.updates_applied == 3
+        finally:
+            manager.close()
+
+
 class TestRetirement:
     def test_drained_superseded_epoch_retires(self, manager):
         lease = manager.acquire()
         epoch = lease.epoch
         manager.apply([("insert", "R", (5, 2))])
         assert not epoch.retired  # still pinned
-        manager.count(lease)  # builds the frozen fork
+        assert manager.count(lease) == 2
         lease.release()
         assert epoch.retired
+        assert epoch.session is None
         assert epoch.epoch_id not in manager.stats()["live_epochs"]
         assert manager.stats()["retired_epochs"] == 1
 

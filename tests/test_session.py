@@ -468,6 +468,22 @@ class TestRelease:
         assert after.true_count == 5
 
 
+def _maintained(session):
+    """Every maintained object of a one-component session, keyed by kind:
+    bound atoms, botjoins, topjoins, table factors and witnesses."""
+    (state,) = session._states()
+    objects = {}
+    objects.update((("atom", rel), atom) for rel, atom in state.bound.atom_relations.items())
+    objects.update((("bot", node), botjoin) for node, botjoin in state.botjoins.items())
+    if state.topjoins_materialised:
+        objects.update((("top", node), top) for node, top in state.topjoins().items())
+    for rel in state.tables_materialised:
+        factors = state.multiplicity_table(rel).factors
+        objects.update((("factor", rel, i), factor) for i, factor in enumerate(factors))
+    objects.update((("witness", rel), witness) for rel, witness in state.witnesses.items())
+    return objects
+
+
 class TestServingSurface:
     """The session hooks the serving layer builds on: stats, probe, fork,
     and the documented thread-safety contract."""
@@ -514,20 +530,41 @@ class TestServingSurface:
         (weight,) = session.probe("R1", [row])
         assert session.insert("R1", row) == base + weight
 
-    def test_fork_is_independent(self, fig1_query, fig1_db):
-        session = prepare(fig1_query, fig1_db)
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("updated", ["parent", "fork"])
+    def test_fork_is_independent(self, backend, warm, updated, fig1_query, fig1_db):
+        probes = [("a2", "b2", "c1"), ("a1", "b1", "c9")]
+        fresh = prepare(fig1_query, fig1_db, backend=backend)
+        expected = (
+            fresh.count(),
+            fresh.sensitivity().local_sensitivity,
+            fresh.probe("R1", probes),
+        )
+        session = prepare(fig1_query, fig1_db, backend=backend)
+        if warm:
+            # Builds the topjoins, every table and every witness.
+            session.sensitivity()
+            session.probe("R1", probes)
         fork = session.fork()
-        session.insert("R1", ("a2", "b2", "c1"))
-        assert fork.count() == count_query(fig1_query, fig1_db)
-        assert session.count() != fork.count()
-        assert fork.updates_applied == 0
-
-    def test_fork_over_explicit_snapshot(self, fig1_query, fig1_db):
-        session = prepare(fig1_query, fig1_db)
-        snapshot = session.db
-        session.insert("R1", ("a2", "b2", "c1"))
-        pinned = session.fork(snapshot)
-        assert pinned.count() == count_query(fig1_query, fig1_db)
+        if warm:
+            # The fork shares every maintained object with its parent.
+            shared = _maintained(session)
+            assert {"atom", "bot", "top", "factor", "witness"} == {key[0] for key in shared}
+            assert _maintained(fork).keys() == shared.keys()
+            assert all(obj is shared[key] for key, obj in _maintained(fork).items())
+        updated_side, other = (session, fork) if updated == "parent" else (fork, session)
+        updated_side.insert("R1", ("a2", "b2", "c1"))
+        assert updated_side.count() == expected[0] + expected[2][0]
+        assert other.updates_applied == 0
+        assert (
+            other.count(),
+            other.sensitivity().local_sensitivity,
+            other.probe("R1", probes),
+        ) == expected
+        if warm:
+            assert _maintained(other).keys() == shared.keys()
+            assert all(obj is shared[key] for key, obj in _maintained(other).items())
 
     def test_lock_serialises_reads_against_apply(self, fig1_query, fig1_db):
         import threading
@@ -568,8 +605,7 @@ class TestServingSurface:
 
 class TestCloseIsNoOp:
     """``close()`` and the context-manager protocol hold no resources but
-    stay, because the serving layer closes every session and fork it
-    retires."""
+    stay, so sessions and their forks keep working as context managers."""
 
     def test_close_is_idempotent_and_reads_keep_working(
         self, fig1_query, fig1_db
