@@ -3,9 +3,9 @@
 The claim behind the batched :meth:`~repro.session.PreparedQuery.apply`:
 folding a stream as whole per-relation signed delta relations costs a
 constant number of vectorized passes per touched relation, while the
-one-at-a-time loop pays the full leaf-to-root fold (plus staging and
-cache invalidation) once per element.  Both sides are *maintained*
-sessions — the baseline here is already the winner of
+one-at-a-time loop pays the full leaf-to-root fold (plus a fork of the
+join state and cache invalidation) once per element.  Both sides are
+*maintained* sessions — the baseline here is already the winner of
 ``bench_session_updates.py`` — so the measured gap isolates the
 batching/compaction layer itself.
 

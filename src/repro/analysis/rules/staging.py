@@ -2,14 +2,16 @@
 
 :class:`~repro.evaluation.joinstate.JoinState` and
 :class:`~repro.evaluation.incremental.IncrementalEvaluator` follow a
-staged-then-commit protocol: update application builds ``_staged_*``
-structures first and folds them into the committed attributes in one
-place, so a failure mid-update can never leave the maintained botjoins,
-topjoins, or multiplicity tables half-new.  This rule pins that protocol:
-assignments to committed attributes are legal only inside ``__init__``
-and methods whose name contains ``commit`` as a word segment
-(``_commit``, ``_commit_totals``, ``apply_and_commit``, ...); everywhere
-else, write ``self._staged_*`` and hand off to a commit method.
+staged-then-commit protocol: an update batch folds into a fork of the
+join state (``JoinState.stage_update_batch``), which shares every
+relation and copies only the dicts, and the state adopts the fork in a
+commit method once every fold succeeded — so a failure mid-update can
+never leave the maintained botjoins, topjoins, or multiplicity tables
+half-new.  This rule pins that protocol: assignments to committed
+attributes are legal only inside ``__init__`` and methods whose name
+contains ``commit`` as a word segment (``_commit``, ``_commit_fold``,
+``commit_update_batch``, ...); everywhere else, stage into a fork or
+locals and hand them to a commit method.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ class StagedCommitRule(Rule):
     rule_id = "R002"
     title = "staged-commit: committed state assigned outside a commit method"
     rationale = (
-        "Writing maintained join state outside a commit-suffixed method can "
-        "leave botjoins/topjoins/tables half-updated when an update fails."
+        "Writing maintained join state outside a commit method can leave "
+        "botjoins/topjoins/tables half-updated when an update fails; stage "
+        "into a fork and adopt it in a commit method instead."
     )
 
     def applies_to(self, path: PurePath) -> bool:
@@ -81,7 +84,7 @@ class StagedCommitRule(Rule):
                             self,
                             node,
                             f"{class_name}.{method.name} assigns committed state "
-                            f"self.{attr}; stage to self._staged_* and fold in a "
-                            "commit-suffixed method",
+                            f"self.{attr}; stage into a fork or locals and "
+                            "adopt them in a commit method",
                         )
                         break

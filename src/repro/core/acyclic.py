@@ -32,17 +32,17 @@ reuse cached per-relation witnesses for tables no update has touched.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.evaluation.joinstate import JoinState, build_table, table_layout
+from repro.evaluation.joinstate import JoinState, build_table, part_relation, table_layout
 from repro.evaluation.yannakakis import BoundTree, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import DecompositionTree
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
-from repro.exceptions import InternalError, QueryStructureError
+from repro.exceptions import QueryStructureError
 
 __all__ = [
     "best_witness",
@@ -50,6 +50,7 @@ __all__ = [
     "extrapolate_assignment",
     "multiplicity_table",
     "select_overall_witness",
+    "sensitivity_from_tables",
     "tsens_connected",
 ]
 
@@ -87,20 +88,9 @@ def multiplicity_table(
     symbolic layout so maintained and freshly built tables are identical.
     """
     layout = table_layout(bound.query, bound.tree, relation)
-
-    def part_value(part):
-        if part.kind == "top":
-            top = topjoins[part.key]
-            if top is None:  # layouts never reference the root topjoin
-                raise InternalError(
-                    f"table layout references root topjoin {part.key}"
-                )
-            return top
-        if part.kind == "bot":
-            return botjoins[part.key]
-        return bound.atom_relation(part.key)
-
-    return build_table(layout, part_value)
+    return build_table(
+        layout, lambda part: part_relation(part, bound, botjoins, topjoins)
+    )
 
 
 def best_witness(
@@ -196,6 +186,49 @@ def select_overall_witness(
     return local, (with_assignment or candidates)[0]
 
 
+def sensitivity_from_tables(
+    query: ConjunctiveQuery,
+    db: Database,
+    order: Sequence[str],
+    table_of: Callable[[str], MultiplicityTable],
+    method: str,
+    skip_relations: Iterable[str] = (),
+    witnesses: Optional[Dict[str, object]] = None,
+) -> SensitivityResult:
+    """The witness of each relation in ``order``, and the overall one.
+
+    A skipped relation is certified to have tuple sensitivity ≤ 1 (its
+    attributes form a superkey of the join output, as LINEITEM's do in
+    the paper's q3): it gets bound 1 and no table.  Every other relation
+    reads its table from ``table_of`` and takes its witness from the
+    ``witnesses`` cache, or from :func:`best_witness`, storing it there.
+    Overall ties go to a concrete witness, then to the earlier relation in
+    ``order``.
+    """
+    skip = set(skip_relations)
+    cache = {} if witnesses is None else witnesses
+    tables: Dict[str, MultiplicityTable] = {}
+    per_relation: Dict[str, SensitiveTuple] = {}
+    for relation in order:
+        if relation in skip:
+            per_relation[relation] = SensitiveTuple(relation, {}, 1)
+            continue
+        table = tables[relation] = table_of(relation)
+        witness = cache.get(relation)
+        if witness is None:
+            witness = cache[relation] = best_witness(table, query, db, relation)
+        per_relation[relation] = witness  # type: ignore[assignment]
+    local, witness = select_overall_witness(per_relation)
+    return SensitivityResult(
+        query_name=query.name,
+        method=method,
+        local_sensitivity=local,
+        witness=witness,
+        per_relation=per_relation,
+        tables=tables,
+    )
+
+
 def tsens_connected(
     query: ConjunctiveQuery,
     db: Database,
@@ -240,31 +273,7 @@ def tsens_connected(
         )
     if state is None:
         state = JoinState(query, tree, db)
-    skip = set(skip_relations)
-
-    tables: Dict[str, MultiplicityTable] = {}
-    per_relation: Dict[str, SensitiveTuple] = {}
-    for relation in query.relation_names:
-        if relation in skip:
-            # The caller certifies δ ≤ 1 for this relation (e.g. its
-            # attributes form a superkey of the join output, as for
-            # LINEITEM in the paper's q3); record the bound, no table.
-            per_relation[relation] = SensitiveTuple(relation, {}, 1)
-            continue
-        table = state.multiplicity_table(relation)
-        tables[relation] = table
-        witness = state.witnesses.get(relation)
-        if witness is None:
-            witness = best_witness(table, query, db, relation)
-            state.witnesses[relation] = witness
-        per_relation[relation] = witness  # type: ignore[assignment]
-
-    local, witness = select_overall_witness(per_relation)
-    return SensitivityResult(
-        query_name=query.name,
-        method="tsens",
-        local_sensitivity=local,
-        witness=witness,
-        per_relation=per_relation,
-        tables=tables,
+    return sensitivity_from_tables(
+        query, db, query.relation_names, state.multiplicity_table, "tsens",
+        skip_relations, state.witnesses,
     )

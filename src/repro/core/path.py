@@ -19,7 +19,8 @@ multiplicity table of ``Ri`` (Eqn. 6) is exactly ``J(Ri) × K(Ri+1)``.
 This module therefore runs no sweep of its own.  It reads the tables off a
 :class:`~repro.evaluation.joinstate.JoinState` — the session's maintained
 one, or a fresh one over the GYO join tree — and keeps only Algorithm 1's
-step III: the per-relation witness scan in path order.
+step III: the per-relation witness scan in path order, which shares the
+state's witness cache with TSens reads.
 
 The implementation generalises the paper's two-attribute form slightly:
 
@@ -31,15 +32,15 @@ The implementation generalises the paper's two-attribute form slightly:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.engine.database import Database
 from repro.evaluation.joinstate import JoinState
 from repro.query.classify import path_order
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
-from repro.core.acyclic import best_witness, select_overall_witness
-from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
+from repro.core.acyclic import sensitivity_from_tables
+from repro.core.result import SensitivityResult
 from repro.exceptions import QueryStructureError
 
 
@@ -80,9 +81,10 @@ def ls_path_join(
     """Run Algorithm 1 on a path join query.
 
     ``state`` — a :class:`PathState` over the session's maintained join
-    state — reuses its sweeps and tables; without one they are built from
-    scratch against ``db``.  Either way the result is computed against
-    ``db``, which must be the database the state reflects.
+    state — reuses its sweeps, tables and cached witnesses; without one
+    they are built from scratch against ``db``.  Either way the result is
+    computed against ``db``, which must be the database the state
+    reflects.
 
     ``skip_relations`` are certified to have tuple sensitivity ≤ 1, as in
     :func:`~repro.core.acyclic.tsens_connected`: each gets bound 1 and no
@@ -94,26 +96,11 @@ def ls_path_join(
     """
     if state is None:
         state = PathState(query, db)
-    skip = set(skip_relations)
-
-    # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]).
-    tables: Dict[str, MultiplicityTable] = {}
-    per_relation: Dict[str, SensitiveTuple] = {}
-    for name in state.order:
-        if name in skip:
-            per_relation[name] = SensitiveTuple(name, {}, 1)
-            continue
-        tables[name] = state.join_state.multiplicity_table(name)
-        per_relation[name] = best_witness(tables[name], query, db, name)
-
-    # Ties prefer a concrete witness over a skipped relation's bound, then
-    # the earliest relation in path order, not in body order as TSens.
-    local, witness = select_overall_witness(per_relation)
-    return SensitivityResult(
-        query_name=query.name,
-        method="path",
-        local_sensitivity=local,
-        witness=witness,
-        per_relation=per_relation,
-        tables=tables,
+    # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]),
+    # the same witness TSens caches for the same table.  Overall ties go
+    # to the earliest relation in path order, not in body order as TSens.
+    join_state = state.join_state
+    return sensitivity_from_tables(
+        query, db, state.order, join_state.multiplicity_table, "path",
+        skip_relations, join_state.witnesses,
     )

@@ -19,7 +19,7 @@ clamp, and reuses the exact multiplicity-table construction from
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.engine.columnar import ColumnarRelation, clamp_counts_to_top_k
 from repro.engine.database import Database
@@ -29,12 +29,8 @@ from repro.evaluation.yannakakis import bind, compute_botjoins, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import DecompositionTree
-from repro.core.acyclic import (
-    best_witness,
-    multiplicity_table,
-    select_overall_witness,
-)
-from repro.core.result import SensitiveTuple, SensitivityResult
+from repro.core.acyclic import multiplicity_table, sensitivity_from_tables
+from repro.core.result import SensitivityResult
 from repro.exceptions import MechanismConfigError, QueryStructureError
 
 
@@ -98,24 +94,9 @@ def tsens_topk(
 
     botjoins = compute_botjoins(bound, clamp)
     topjoins = compute_topjoins(bound, botjoins, clamp)
-
-    skip = set(skip_relations)
-    per_relation: Dict[str, SensitiveTuple] = {}
-    tables = {}
-    for relation in query.relation_names:
-        if relation in skip:
-            per_relation[relation] = SensitiveTuple(relation, {}, 1)
-            continue
-        table = multiplicity_table(bound, botjoins, topjoins, relation)
-        tables[relation] = table
-        per_relation[relation] = best_witness(table, query, db, relation)
-
-    local, witness = select_overall_witness(per_relation)
-    return SensitivityResult(
-        query_name=query.name,
-        method=f"tsens-top{k}",
-        local_sensitivity=local,
-        witness=witness,
-        per_relation=per_relation,
-        tables=tables,
+    # No witness cache: the clamped tables are not the state's.
+    return sensitivity_from_tables(
+        query, db, query.relation_names,
+        lambda relation: multiplicity_table(bound, botjoins, topjoins, relation),
+        f"tsens-top{k}", skip_relations,
     )

@@ -50,8 +50,9 @@ the database and into the per-component
 owning the botjoins (and, lazily, the topjoins and multiplicity tables
 the sensitivity algorithms and probes read) — in one vectorized pass per
 relation side, with no re-decomposition and no re-binding of untouched
-relations.  Probes read that folded state directly.  The entire batch is
-staged then committed across all components, so a mid-batch failure
+relations.  Probes read that folded state directly.  Each touched
+component folds the batch into a fork of its state, and the components
+adopt their forks only once every fork has folded, so a mid-batch failure
 leaves the evaluator bit-identical to its pre-batch state.  This is the
 engine behind :class:`repro.session.PreparedQuery`'s mutation methods.
 
@@ -65,7 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.engine.operators import group_by, join, patch
@@ -317,14 +318,14 @@ class IncrementalEvaluator:
         The batch folds into every maintained structure in one vectorized
         pass per touched relation side: each database relation takes one
         :func:`~repro.engine.operators.patch` per side, then each touched
-        component's :class:`JoinState` stages the whole batch against an
-        overlay, patching every maintained relation the same way.  An
-        ``int64`` overflow names the structure it hit (``relation 'R'``
-        for the database relation itself).
+        component's :class:`JoinState` folds its deltas into a fork
+        (:meth:`JoinState.stage_update_batch`), patching every maintained
+        relation the same way.  An ``int64`` overflow names the structure
+        it hit (``relation 'R'`` for the database relation itself).
         Validation and every fallible step (including columnar ``int64``
-        overflow anywhere on a delta path) run before the first cache
-        mutation, so a raising batch leaves the evaluator — counts and
-        sensitivity state — bit-identical to its pre-batch value.
+        overflow anywhere on a delta path) run before any component
+        adopts its fork, so a raising batch leaves the evaluator — counts
+        and sensitivity state — bit-identical to its pre-batch value.
         Returns the maintained ``|Q(D)|``.
         """
         deltas = [delta for delta in deltas if not delta.is_empty()]
@@ -351,7 +352,7 @@ class IncrementalEvaluator:
                         "compact the update stream against the current "
                         "database first"
                     )
-        # ---- stage (all fallible): patched database + join-state overlays
+        # ---- stage (all fallible): patched database + join-state forks
         new_db = self._db
         for delta in deltas:
             with _overflow_named(f"relation {delta.relation!r}"):
@@ -362,19 +363,20 @@ class IncrementalEvaluator:
             by_component.setdefault(
                 self._component_of[delta.relation], []
             ).append(delta)
-        stagings = [
-            self._states[index].stage_update_batch(group)
+        works = {
+            index: self._states[index].stage_update_batch(group)
             for index, group in by_component.items()
-        ]
+        }
         # ---- commit (nothing below raises)
-        touched_columns: Set[str] = set()
-        for staging in stagings:
-            touched_columns.update(staging.touched_columns)
-            staging.state.commit_update_batch(staging)
+        for index, work in works.items():
+            self._states[index].commit_update_batch(work)
         # Witness extrapolation reads representative domains across the
         # whole database, so *every* component's cached witnesses can go
         # stale when they share a base column name with a touched relation
-        # (the touched components already dropped their own at commit).
+        # (each touched component already dropped its own in its fork).
+        touched_columns = set()
+        for delta in deltas:
+            touched_columns.update(self._db.relation(delta.relation).schema.attributes)
         for state in self._states:
             state.drop_domain_dependent_witnesses(touched_columns)
         self._commit(new_db)

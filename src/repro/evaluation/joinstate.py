@@ -41,11 +41,13 @@ consistent under committed updates:
 
 Every level below the botjoins is **lazy**: a count-only consumer never
 materialises topjoins or tables, and an update folds deltas only into
-the structures that exist.  All fallible delta math (including columnar
-``int64`` overflow) is *staged* against pre-update state and committed in
-one non-raising sweep, so a raising update leaves the state untouched; an
-overflow names the structure it hit (``atom 'S'``, ``botjoin K('S')``,
-``topjoin J('S')`` or a table factor).
+the structures that exist.  A batch folds into a :meth:`JoinState.fork`,
+which shares every relation and copies only the dicts, and the state
+adopts the fork's dicts once every fold succeeded.  So all fallible delta
+math (including columnar ``int64`` overflow) runs before the state
+changes, and a raising update leaves it untouched; an overflow names the
+structure it hit (``atom 'S'``, ``botjoin K('S')``, ``topjoin J('S')`` or
+a table factor).
 
 Layering: this module sits in ``evaluation`` and only imports the result
 types from :mod:`repro.core.result`; the algorithm layer
@@ -66,7 +68,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -256,6 +257,27 @@ def build_table(
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
+def part_relation(
+    part: _TablePart,
+    bound: BoundTree,
+    botjoins: Mapping[str, Relation],
+    topjoins: Optional[Mapping[str, Optional[Relation]]],
+) -> Relation:
+    """The relation one table part names, read off the given levels.
+
+    ``topjoins`` is read only for a topjoin part, so a caller whose
+    topjoins are not built may pass ``None`` for any other part.
+    """
+    if part.kind == "top":
+        top = topjoins[part.key]
+        if top is None:  # layouts never reference the root topjoin
+            raise InternalError(f"table layout references root topjoin {part.key}")
+        return top
+    if part.kind == "bot":
+        return botjoins[part.key]
+    return bound.atom_relation(part.key)
+
+
 Row = Tuple[object, ...]
 
 
@@ -281,55 +303,6 @@ class RelationDelta:
     def tuple_count(self) -> int:
         """Distinct tuples carried by this delta (both signs)."""
         return len(self.plus) + len(self.minus)
-
-
-class _BatchStaging:
-    """Uncommitted overlay of a :class:`JoinState` for one update batch.
-
-    Every read during staging goes through this overlay, so fold *k*
-    sees the state produced by folds ``1..k-1`` while the committed
-    structures stay untouched — any exception mid-batch (columnar
-    overflow, say) simply abandons the overlay, leaving the state
-    bit-identical to its pre-batch value.  Within a single fold all
-    overlay reads refer to structures that fold does not change (each
-    derived structure has exactly one changed input per update), so
-    read-before-write ordering inside a fold is immaterial.
-    """
-
-    __slots__ = (
-        "state", "atoms", "botjoins", "topjoins", "tables", "touched_columns",
-    )
-
-    def __init__(self, state: "JoinState"):
-        self.state = state
-        self.atoms: Dict[str, Relation] = {}
-        self.botjoins: Dict[str, Relation] = {}
-        self.topjoins: Dict[str, Relation] = {}
-        self.tables: Dict[str, MultiplicityTable] = {}
-        self.touched_columns: Set[str] = set()
-
-    def atom(self, relation: str) -> Relation:
-        got = self.atoms.get(relation)
-        return got if got is not None else self.state.bound.atom_relations[relation]
-
-    def node_atoms(self, node_id: str) -> List[Relation]:
-        return [self.atom(rel) for rel in self.state.tree.node(node_id).relations]
-
-    def botjoin(self, node_id: str) -> Relation:
-        got = self.botjoins.get(node_id)
-        return got if got is not None else self.state.botjoins[node_id]
-
-    def topjoin(self, node_id: str) -> Optional[Relation]:
-        if node_id in self.topjoins:
-            return self.topjoins[node_id]
-        tops = self.state._topjoins
-        if tops is None:
-            raise InternalError("staging read of unmaterialised topjoins")
-        return tops[node_id]
-
-    def table(self, relation: str) -> MultiplicityTable:
-        got = self.tables.get(relation)
-        return got if got is not None else self.state._tables[relation]
 
 
 class JoinState:
@@ -424,14 +397,8 @@ class JoinState:
         return self._layouts[relation]
 
     def _part_value(self, part: _TablePart) -> Relation:
-        if part.kind == "top":
-            top = self.topjoins()[part.key]
-            if top is None:  # layouts never reference the root topjoin
-                raise InternalError(f"table layout references root topjoin {part.key}")
-            return top
-        if part.kind == "bot":
-            return self.botjoins[part.key]
-        return self.bound.atom_relation(part.key)
+        topjoins = self.topjoins() if part.kind == "top" else self._topjoins
+        return part_relation(part, self.bound, self.botjoins, topjoins)
 
     def multiplicity_table(self, relation: str) -> MultiplicityTable:
         """``T^i`` for one relation — built once, patched under updates."""
@@ -442,10 +409,6 @@ class JoinState:
                 self.layout(relation), self._part_value
             )
         return self._tables[relation]
-
-    def base_columns(self, relation: str) -> frozenset:
-        """Base-schema column names of one of this component's relations."""
-        return self._base_columns[relation]
 
     def fork(self) -> "JoinState":
         """A copy that shares every relation and table with this state.
@@ -491,51 +454,66 @@ class JoinState:
 
         Each delta's minus side folds before its plus side (disjoint
         tuples after compaction, so the order is mathematically free).
-        The entire batch is *staged* against an overlay first and
-        committed in one non-raising sweep — a failure anywhere (unknown
-        structure, columnar ``int64`` overflow) leaves the state
+        The entire batch folds into a :meth:`fork`, which this state
+        adopts only once every fold succeeded — a failure anywhere
+        (unknown structure, columnar ``int64`` overflow) leaves the state
         bit-identical to its pre-batch value.  A single committed update
         is a one-tuple batch.
         """
         self.commit_update_batch(self.stage_update_batch(deltas))
 
-    def stage_update_batch(self, deltas: Sequence[RelationDelta]) -> _BatchStaging:
-        """Stage a batch into an uncommitted overlay (all fallible work)."""
-        staging = _BatchStaging(self)
+    def stage_update_batch(self, deltas: Sequence[RelationDelta]) -> "JoinState":
+        """A :meth:`fork` of this state with the whole batch folded in.
+
+        All fallible work runs here, on the fork; this state is left
+        untouched whether the batch folds or raises.
+        """
+        work = self.fork()
         for delta in deltas:
             if delta.minus:
-                self._stage_delta_fold(staging, delta.relation, delta.minus, False)
+                work._stage_delta_fold(delta.relation, delta.minus, False)
             if delta.plus:
-                self._stage_delta_fold(staging, delta.relation, delta.plus, True)
-        return staging
+                work._stage_delta_fold(delta.relation, delta.plus, True)
+        return work
 
-    def commit_update_batch(self, staging: _BatchStaging) -> None:
-        """Fold a fully-staged batch overlay into committed state.
+    def commit_update_batch(self, work: "JoinState") -> None:
+        """Adopt a fork that :meth:`stage_update_batch` returned.
 
-        Dict assignments only; nothing here raises, so a failure anywhere
-        in staging leaves every committed structure at its pre-batch
-        value.  Committed attributes are assigned here and in ``__init__``
-        only (enforced by lint rule R002).
+        Rebinds this state's dicts to the fork's, so nothing here raises;
+        the fork must not be used afterwards.  Committed attributes are
+        assigned here, in :meth:`_commit_fold` and in ``__init__`` only
+        (enforced by lint rule R002).
         """
-        for relation, atom in staging.atoms.items():
-            self.bound.atom_relations[relation] = atom
-        for changed, botjoin in staging.botjoins.items():
-            self.botjoins[changed] = botjoin
+        self.bound = work.bound
+        self.botjoins = work.botjoins
+        self._topjoins = work._topjoins
+        self._tables = work._tables
+        self._layouts = work._layouts
+        self.witnesses = work.witnesses
+
+    def _commit_fold(
+        self,
+        relation: str,
+        atom: Relation,
+        botjoins: Mapping[str, Relation],
+        topjoins: Mapping[str, Relation],
+        tables: Mapping[str, MultiplicityTable],
+    ) -> None:
+        """Write one fully staged fold into this state, a batch's fork.
+
+        Runs after every read of the fold, so each fold reads the state
+        the previous folds of the batch left.  Dict writes only.
+        """
+        self.bound.atom_relations[relation] = atom
+        self.botjoins.update(botjoins)
         if self._topjoins is not None:
-            for changed, topjoin in staging.topjoins.items():
-                self._topjoins[changed] = topjoin
-        for rel, table in staging.tables.items():
-            self._tables[rel] = table
+            self._topjoins.update(topjoins)
+        self._tables.update(tables)
+        for rel in tables:
             self.witnesses.pop(rel, None)
-        # Tables aside, any witness whose extrapolated exclusive values
-        # read a representative domain the batch may have moved is stale
-        # too — within this component; the evaluator repeats this for the
-        # other components of a disconnected query.
-        self.drop_domain_dependent_witnesses(staging.touched_columns)
 
     def _stage_delta_fold(
         self,
-        staging: _BatchStaging,
         relation: str,
         rows: Mapping[Row, int],
         insert: bool,
@@ -546,15 +524,16 @@ class JoinState:
         are multilinear in each relation's multiplicity vector, and the
         fold changes exactly one input of each derived structure — so the
         whole delta *relation* propagates through the same small join
-        chains the one-tuple fold used, with every read going through the
-        batch overlay (the state after all previous folds).
+        chains the one-tuple fold used.  Called on a batch's fork only:
+        every read sees the state after the batch's previous folds, and
+        :meth:`_commit_fold` writes this fold's levels last.
         """
         tree = self.tree
         node_id = tree.node_of_relation(relation)
         # Whatever the selection filter keeps, the rows land in the
         # database, whose active domains feed witness extrapolation.
-        staging.touched_columns.update(self._base_columns[relation])
-        current_atom = staging.atom(relation)
+        self.drop_domain_dependent_witnesses(self._base_columns[relation])
+        current_atom = self.bound.atom_relation(relation)
         atom_delta = bound_delta(self.query, relation, rows, type(current_atom))
         if atom_delta.is_empty():
             return
@@ -567,7 +546,7 @@ class JoinState:
         with _overflow_named(f"botjoin K({node_id!r})"):
             for other in tree.node(node_id).relations:
                 if other != relation:
-                    node_delta = join(node_delta, staging.atom(other))
+                    node_delta = join(node_delta, self.bound.atom_relation(other))
 
         # ----- stage: botjoins along the leaf-to-root path
         staged_botjoins: Dict[str, Relation] = {}
@@ -581,16 +560,16 @@ class JoinState:
         while current is not None:
             with _overflow_named(f"botjoin K({current!r})"):
                 if previous is not None:
-                    delta = self._node_delta(staging, current, delta)
+                    delta = self._node_delta(current, delta)
                     path_expanded[current] = delta
                 for child in tree.children(current):
                     if child != previous:
-                        delta = join(delta, staging.botjoin(child))
+                        delta = join(delta, self.botjoins[child])
                 delta = group_by(delta, sorted(tree.shared_with_parent(current)))
                 if delta.is_empty():
                     break  # joins nothing from here up: no botjoin changes
                 path_deltas[current] = delta
-                staged_botjoins[current] = patch(staging.botjoin(current), delta, insert)
+                staged_botjoins[current] = patch(self.botjoins[current], delta, insert)
             previous, current = current, tree.parent(current)
 
         # ----- stage: topjoins everywhere off the path (if materialised)
@@ -598,7 +577,7 @@ class JoinState:
         topjoin_deltas: Dict[str, Relation] = {}
         if self._topjoins is not None:
             self._stage_topjoin_deltas(
-                staging, node_id, node_delta, path_deltas, path_expanded,
+                node_id, node_delta, path_deltas, path_expanded,
                 insert, staged_topjoins, topjoin_deltas,
             )
 
@@ -615,21 +594,17 @@ class JoinState:
                 if rel == relation:
                     continue  # T^i excludes R_i itself: unchanged by design
                 patched = self._stage_table_patch(
-                    staging, rel, relation, node_id, ancestors,
+                    rel, relation, node_id, ancestors,
                     atom_delta, path_deltas, topjoin_deltas, insert,
                 )
                 if patched is not None:
                     staged_tables[rel] = patched
 
-        # ----- merge the fold into the batch overlay
-        staging.atoms[relation] = new_atom
-        staging.botjoins.update(staged_botjoins)
-        staging.topjoins.update(staged_topjoins)
-        staging.tables.update(staged_tables)
+        self._commit_fold(
+            relation, new_atom, staged_botjoins, staged_topjoins, staged_tables
+        )
 
-    def _node_delta(
-        self, staging: _BatchStaging, node_id: str, delta: Relation
-    ) -> Relation:
+    def _node_delta(self, node_id: str, delta: Relation) -> Relation:
         """``delta`` joined with the node's atoms, early-aggregating.
 
         Keeps only what the passes read next: the attributes the node
@@ -639,11 +614,10 @@ class JoinState:
         keep = set(tree.shared_with_parent(node_id)).union(
             *(tree.shared_with_parent(child) for child in tree.children(node_id))
         )
-        return join_aggregate([delta] + staging.node_atoms(node_id), sorted(keep))
+        return join_aggregate([delta] + self.bound.atoms(node_id), sorted(keep))
 
     def _stage_topjoin_deltas(
         self,
-        staging: _BatchStaging,
         node_id: str,
         node_delta: Relation,
         path_deltas: Dict[str, Relation],
@@ -668,7 +642,8 @@ class JoinState:
         deltas prune whole subtrees.
         """
         tree = self.tree
-        if self._topjoins is None:
+        topjoins = self._topjoins
+        if topjoins is None:
             raise InternalError("topjoin staging requires materialised topjoins")
         pending: List[str] = []
 
@@ -676,7 +651,7 @@ class JoinState:
             if dj.is_empty():
                 return
             deltas[target] = dj
-            old = staging.topjoin(target)
+            old = topjoins[target]
             if old is None:  # only non-root nodes are ever staged
                 raise InternalError(f"staged topjoin of root node {target}")
             staged[target] = patch(old, dj, insert)
@@ -709,11 +684,11 @@ class JoinState:
                     acc = core
                     for sibling in targets:
                         if sibling != child:
-                            acc = join(acc, staging.botjoin(sibling))
+                            acc = join(acc, self.botjoins[sibling])
                     stage(child, group_by(acc, sorted(tree.shared_with_parent(child))))
 
         def with_topjoin(core: Relation, node: str) -> Relation:
-            top = staging.topjoin(node)
+            top = topjoins[node]
             return core if top is None else join(core, top)
 
         # Children of the updated node: the changed input is its atom.
@@ -737,23 +712,11 @@ class JoinState:
             parent = pending.pop()
             fan_out(
                 parent, None,
-                lambda: self._node_delta(staging, parent, deltas[parent]),
+                lambda: self._node_delta(parent, deltas[parent]),
             )
-
-    def _staged_part_value(self, staging: _BatchStaging, part: _TablePart) -> Relation:
-        """:meth:`_part_value` through the batch overlay."""
-        if part.kind == "top":
-            top = staging.topjoin(part.key)
-            if top is None:  # layouts never reference the root topjoin
-                raise InternalError(f"table layout references root topjoin {part.key}")
-            return top
-        if part.kind == "bot":
-            return staging.botjoin(part.key)
-        return staging.atom(part.key)
 
     def _stage_table_patch(
         self,
-        staging: _BatchStaging,
         rel: str,
         updated_relation: str,
         updated_node: str,
@@ -768,8 +731,8 @@ class JoinState:
         Exactly one symbolic part of the table moved in this fold; the
         patch replaces the one factor containing it with ``factor ±
         γ(Δpart ⋈ other parts)``, reusing every other factor object
-        untouched.  All reads go through the overlay, so a fold sees the
-        factors and parts produced by the previous folds of the batch.
+        untouched.  It reads the fork's factors and parts, which the
+        previous folds of the batch produced.
         """
         layout = self.layout(rel)
         w = layout.node_id
@@ -785,12 +748,12 @@ class JoinState:
             part_delta = topjoin_deltas.get(w)
         if part_delta is None or part_delta.is_empty():
             return None
-        table = staging.table(rel)
+        table = self._tables[rel]
         for index, component in enumerate(layout.components):
             if changed not in component.parts:
                 continue
             parts = [part_delta] + [
-                self._staged_part_value(staging, part)
+                self._part_value(part)
                 for part in component.parts
                 if part != changed
             ]

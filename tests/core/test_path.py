@@ -142,6 +142,24 @@ class TestWitnessesMatchTsens:
             assert path.witness == tree_based.witness, seed
 
 
+class TestPathReadsShareTsensWitnesses:
+    """On a path session both methods read the same tables off one join
+    state, so a path read reuses the witnesses a TSens read cached."""
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_path_read_returns_the_cached_witnesses(
+        self, backend, fig3_query, fig3_db
+    ):
+        session = prepare(fig3_query, fig3_db, backend=backend)
+        tree_based = session.sensitivity(method="tsens")
+        path = session.sensitivity(method="path")
+        (state,) = session._states()
+        for name in fig3_query.relation_names:
+            assert state.witnesses[name] is tree_based.per_relation[name]
+            assert path.per_relation[name] is tree_based.per_relation[name]
+        assert path.local_sensitivity == tree_based.local_sensitivity
+
+
 class TestMultiAttributeBoundaries:
     def test_shared_pair_of_attributes(self):
         q = parse_query("R(A,B,C), S(B,C,D)")

@@ -6,10 +6,11 @@ from repro.engine import Database, Relation
 from repro.engine.columnar import ColumnarRelation
 from repro.evaluation import IncrementalEvaluator, PROBE_ATTRIBUTE, count_query
 from repro.evaluation.incremental import compact_updates
-from repro.evaluation.joinstate import RelationDelta
+from repro.evaluation.joinstate import JoinState, RelationDelta
 from repro.core import naive_tuple_sensitivity
 from repro.query import parse_predicate, parse_query
 from repro.query.jointree import join_tree_from_parents
+from repro.session import prepare
 from repro.exceptions import (
     MultiplicityOverflowError,
     SchemaError,
@@ -252,6 +253,84 @@ class TestOverflowPropagation:
         tree = join_tree_from_parents(query, "R", {"S1": "R", "S2": "R"})
         evaluator = IncrementalEvaluator(query, db, tree=tree)
         assert evaluator.delta("R", ("x",)) == huge * huge
+
+
+class TestBatchAcrossComponents:
+    """A batch spanning two components commits both or neither.
+
+    ``R ⋈ S`` and ``T ⋈ U`` are separate components.  ``R +(1,)`` folds
+    into the first; ``T +(x,)`` then takes ``K('U')`` from 2**62 to 2**63,
+    past int64 on columnar, so the first component must not commit its
+    fold either.  Python counts ``2 · 2**63``.
+    """
+
+    QUERY = parse_query("Q(A,B) :- R(A), S(A), T(B), U(B)")
+    RELATIONS = {
+        "R": Relation(["A"], {(1,): 1}),
+        "S": Relation(["A"], {(1,): 1}),
+        "T": Relation(["B"], {("x",): 1}),
+        "U": Relation(["B"], {("x",): 2**62}),
+    }
+    BATCH = [("insert", "R", (1,)), ("insert", "T", ("x",))]
+
+    @staticmethod
+    def _levels(state):
+        """Every maintained dict of a state: atoms, botjoins, topjoins,
+        tables and witnesses."""
+        tables = {rel: state.multiplicity_table(rel) for rel in state.tables_materialised}
+        return (
+            dict(state.bound.atom_relations),
+            dict(state.botjoins),
+            dict(state.topjoins()),
+            tables,
+            dict(state.witnesses),
+        )
+
+    @classmethod
+    def _assert_same_objects(cls, state, levels):
+        for before, after in zip(levels, cls._levels(state)):
+            assert before.keys() == after.keys()
+            assert all(after[key] is value for key, value in before.items())
+
+    def _session(self, backend):
+        session = prepare(self.QUERY, Database(self.RELATIONS, backend=backend))
+        session.sensitivity()  # builds topjoins, tables and witnesses
+        return session
+
+    def test_python_folds_both_components(self):
+        assert self._session("python").apply(self.BATCH) == 2**64
+
+    def test_columnar_overflow_commits_neither_component(self):
+        session = self._session("columnar")
+        evaluator = session._ensure_evaluator()
+        db, count = evaluator.db, evaluator.base_count
+        states = evaluator.component_states
+        levels = [self._levels(state) for state in states]
+        assert len(states) == 2
+        assert all(level for state_levels in levels for level in state_levels)
+        with pytest.raises(MultiplicityOverflowError, match=r"^botjoin K\('U'\): "):
+            session.apply(self.BATCH)
+        assert evaluator.db is db and session.db is db
+        assert evaluator.base_count == count
+        assert (session.count(), session.updates_applied) == (count, 0)
+        for state, state_levels in zip(states, levels):
+            self._assert_same_objects(state, state_levels)
+
+    def test_stage_returns_a_fork_and_commit_adopts_it(self):
+        session = self._session("columnar")
+        (state,) = [
+            state for state in session._states() if "R" in state.query.relation_names
+        ]
+        levels = self._levels(state)
+        botjoins = state.botjoins
+        work = state.stage_update_batch([RelationDelta("R", {(1,): 1}, {})])
+        assert isinstance(work, JoinState)
+        assert (work.count, state.count) == (2, 1)
+        assert state.botjoins is botjoins
+        self._assert_same_objects(state, levels)
+        state.commit_update_batch(work)
+        assert state.count == 2
+        assert state.botjoins is work.botjoins
 
 
 class TestCompaction:
