@@ -108,8 +108,9 @@ def best_witness(
     * insertions — table entries whose exclusive attributes take their
       fixed representative value: entries stream out in descending
       sensitivity until the first whose extrapolated assignment passes;
-    * deletions — the relation's existing tuples that pass, each scored
-      against the table in one linear scan (ties to the smallest tuple).
+    * deletions — the relation's existing tuples that pass, all scored
+      by one :meth:`MultiplicityTable.sensitivities_of` lookup (ties to the
+      smallest tuple).
       Only these reach exclusive values other than the representative one.
 
     The larger of the two wins; a tie keeps the insertion.
@@ -130,19 +131,13 @@ def best_witness(
             best = SensitiveTuple(relation, assignment, sensitivity)
             break
     existing = query.bound_relation(db, relation)
-    columns = [
-        [existing.attributes.index(a) for a in factor.attributes]
-        for factor in table.factors
-    ]
-    scores: Dict[Tuple[object, ...], int] = {}
-    for row in existing:
-        score = table.multiplier
-        for factor, cols in zip(table.factors, columns):
-            score *= factor.counts.get(tuple(row[c] for c in cols), 0)
-        scores[row] = score
-    top = max(scores.values(), default=0)
+    rows = list(existing)
+    scores = table.sensitivities_of(
+        [dict(zip(existing.attributes, row)) for row in rows]
+    )
+    top = max(scores, default=0)
     if top > best.sensitivity:
-        row = min(row for row, score in scores.items() if score == top)
+        row = min(row for row, score in zip(rows, scores) if score == top)
         best = SensitiveTuple(relation, dict(zip(existing.attributes, row)), top)
     return best
 

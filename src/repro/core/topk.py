@@ -54,7 +54,7 @@ def clamp_to_top_k(relation: Relation, k: int) -> Relation:
         row: (cnt if cnt >= threshold else threshold)
         for row, cnt in relation.items()
     }
-    return type(relation)._from_counts(relation.schema, clamped)
+    return Relation._from_counts(relation.schema, clamped)
 
 
 def tsens_topk(

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.engine.database import Database, ForeignKey
+from repro.engine.operators import patch, semijoin
 from repro.engine.relation import Relation
 from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
@@ -108,15 +109,13 @@ def _truncate_by_frequency(
     relation: Relation, attributes: Tuple[str, ...], threshold: int
 ) -> Relation:
     """Drop all tuples of any FK group whose frequency exceeds ``threshold``
-    (PrivateSQL's row-dropping semantics)."""
+    (PrivateSQL's row-dropping semantics): the groups' rows are patched
+    out by monus."""
     groups = _frequency_groups(relation, attributes)
-    positions = relation.schema.project_positions(attributes)
-    kept = {
-        row: cnt
-        for row, cnt in relation.items()
-        if groups[tuple(row[p] for p in positions)] <= threshold
-    }
-    return type(relation)._from_counts(relation.schema, kept)
+    over = type(relation)(
+        attributes, [key for key, freq in groups.items() if freq > threshold]
+    )
+    return patch(relation, semijoin(relation, over), False)
 
 
 def run_privsql(

@@ -22,7 +22,8 @@ from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.database import Database
-from repro.engine.relation import Relation, Row
+from repro.engine.operators import patch, semijoin
+from repro.engine.relation import Row
 from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
@@ -82,13 +83,19 @@ def tsens_truncate(
     if threshold < 0:
         raise MechanismConfigError(f"threshold must be >= 0, got {threshold}")
     sensitivities = tuple_sensitivities(query, db, primary, result=result, tree=tree)
+    return _truncated(db, primary, sensitivities, threshold)
+
+
+def _truncated(
+    db: Database, primary: str, sensitivities: Dict[Row, int], threshold: int
+) -> Database:
+    """``db`` with every copy of each primary row whose sensitivity exceeds
+    ``threshold`` patched out by monus."""
     base = db.relation(primary)
-    kept = {
-        row: cnt
-        for row, cnt in base.items()
-        if sensitivities[row] <= threshold
-    }
-    return db.with_relation(primary, type(base)._from_counts(base.schema, kept))
+    over = type(base)(
+        base.schema, [row for row, level in sensitivities.items() if level > threshold]
+    )
+    return db.with_relation(primary, patch(base, semijoin(base, over), False))
 
 
 class TruncationOracle:
@@ -105,7 +112,8 @@ class TruncationOracle:
     result:
         A precomputed TSens result (must include the primary's table).
     skip_relations:
-        Passed through to TSens when it must be computed here.
+        Passed through to TSens when it must be computed here.  The
+        primary may not be among them: truncation reads its table.
     base_count:
         ``|Q(D)|`` when the caller already holds it — the session layer
         passes its maintained count so building an oracle after updates
@@ -122,6 +130,11 @@ class TruncationOracle:
         skip_relations: Tuple[str, ...] = (),
         base_count: Optional[int] = None,
     ):
+        if primary in skip_relations:
+            raise MechanismConfigError(
+                f"primary {primary!r} is in skip_relations, but truncation "
+                "reads its multiplicity table"
+            )
         self._query = query
         self._db = db
         self._primary = primary
@@ -179,15 +192,7 @@ class TruncationOracle:
 
     def truncated_database(self, threshold: int) -> Database:
         """``T_TSens(Q, D, threshold)`` (uncached; use for final answers)."""
-        base = self._db.relation(self._primary)
-        kept = {
-            row: cnt
-            for row, cnt in base.items()
-            if self._sensitivities[row] <= threshold
-        }
-        return self._db.with_relation(
-            self._primary, type(base)._from_counts(base.schema, kept)
-        )
+        return _truncated(self._db, self._primary, self._sensitivities, threshold)
 
     def truncated_count(self, threshold: int) -> int:
         """``|Q(T_TSens(Q, D, threshold))|`` in O(log #levels).

@@ -38,9 +38,10 @@ constructor, `group_by`, `union_all` — stores its rows sorted
 lexicographically by their codes, and a patched relation keeps that order
 and carries its packed row key (:class:`_RowKey`), so the next patch
 never re-sorts it and re-packs it only once new values outgrow the key's
-radices.  Join outputs and rows appended by :meth:`ColumnarRelation.add`
-are not in code order; the first patch or lookup join into such a
-relation sorts it once, and its key is cached for the next one.
+radices.  Only join outputs, and filters or renames of them, are out of
+code order (besides operands re-encoded after :func:`reset_vocabulary`);
+the first patch or lookup join into such a relation sorts it once, and
+its key is cached for the next one.
 
 Multiplicities use ``int64``: this engine targets counting workloads whose
 counts fit machine integers (the Python backend's arbitrary-precision ints
@@ -517,7 +518,7 @@ class ColumnarRelation:
     """A finite bag of tuples over a fixed schema, stored columnar.
 
     Drop-in duck-type for :class:`~repro.engine.relation.Relation`: the
-    constructor, accessors, and bag-update helpers match signature for
+    constructor, accessors and derivations match signature for
     signature, so every layer above the engine runs unchanged on either
     backend.
 
@@ -611,12 +612,6 @@ class ColumnarRelation:
         rel._row_key = None
         return rel
 
-    @classmethod
-    def _from_counts(cls, schema: Schema, counts: Mapping[Row, int]) -> "ColumnarRelation":
-        """Constructor from a tuple→multiplicity mapping (mirrors
-        :meth:`Relation._from_counts`, used by backend-generic code)."""
-        return cls(schema, counts)
-
     # ------------------------------------------------------------------ basics
     @property
     def schema(self) -> Schema:
@@ -664,10 +659,7 @@ class ColumnarRelation:
 
     def multiplicity(self, row: Sequence[object]) -> int:
         """Multiplicity of ``row`` (0 if absent)."""
-        row = tuple(row)
-        self._check_row(row)
-        index = self._row_index(row)
-        return int(self._mult[index]) if index is not None else 0
+        return self.multiplicities([row])[0]
 
     def multiplicities(self, rows: Sequence[Sequence[object]]) -> list:
         """Bulk :meth:`multiplicity` lookup: one count per input row.
@@ -712,7 +704,7 @@ class ColumnarRelation:
     def __contains__(self, row: object) -> bool:
         if not isinstance(row, tuple) or len(row) != self._schema.arity:
             return False
-        return self.multiplicity(row) > 0
+        return self.multiplicities([row])[0] > 0
 
     def __iter__(self) -> Iterator[Row]:
         """Iterate over *distinct* tuples."""
@@ -793,86 +785,7 @@ class ColumnarRelation:
             )
         return best_row, best_cnt
 
-    # ----------------------------------------------------------- bag updates
-    def _row_index(self, row: Row) -> Optional[int]:
-        """Position of ``row`` among the distinct tuples, or ``None``."""
-        if not self._codes:
-            return 0 if self._mult.size else None
-        mask: Optional[np.ndarray] = None
-        for column, value in zip(self._codes, row):
-            code = self._vocab.lookup(value)
-            if code is None:
-                return None
-            hit = column == code
-            mask = hit if mask is None else (mask & hit)
-        if mask is None:
-            raise InternalError("_row_index reached an empty column set")
-        index = np.nonzero(mask)[0]
-        return int(index[0]) if index.size else None
-
-    def add(self, row: Sequence[object], multiplicity: int = 1) -> "ColumnarRelation":
-        """Return a copy with ``multiplicity`` extra occurrences of ``row``.
-
-        Array-level: an existing row bumps one slot of a copied count
-        vector (code columns are shared); a new row appends one slot —
-        no dict round-trip, no re-sort.
-        """
-        if multiplicity < 0:
-            raise SchemaError("use remove() to delete tuples")
-        row = tuple(row)
-        self._check_row(row)
-        if multiplicity == 0:
-            return self
-        index = self._row_index(row)
-        current = int(self._mult[index]) if index is not None else 0
-        if current + multiplicity > _INT64_MAX:
-            raise MultiplicityOverflowError(
-                "multiplicity exceeds int64 on the columnar backend; "
-                "use the python backend for counts this large"
-            )
-        if index is not None:
-            mult = self._mult.copy()
-            mult[index] = current + multiplicity
-            return ColumnarRelation._from_parts(
-                self._schema, self._codes, mult, vocab=self._vocab
-            )
-        codes = [
-            np.append(column, self._vocab.encode(value))
-            for column, value in zip(self._codes, row)
-        ]
-        mult = np.append(self._mult, np.int64(multiplicity))
-        return ColumnarRelation._from_parts(
-            self._schema, codes, mult, vocab=self._vocab
-        )
-
-    def remove(self, row: Sequence[object], multiplicity: int = 1) -> "ColumnarRelation":
-        """Return a copy with up to ``multiplicity`` occurrences of ``row``
-        removed.  Removing an absent tuple is a no-op.
-
-        Array-level, like :meth:`add`: decrement one slot of a copied
-        count vector, or mask the row out when its count hits zero.
-        """
-        row = tuple(row)
-        self._check_row(row)
-        index = self._row_index(row)
-        if index is None:
-            return self
-        remaining = int(self._mult[index]) - multiplicity
-        if remaining > 0:
-            mult = self._mult.copy()
-            mult[index] = remaining
-            return ColumnarRelation._from_parts(
-                self._schema, self._codes, mult, vocab=self._vocab
-            )
-        keep = np.ones(self._mult.size, dtype=bool)
-        keep[index] = False
-        return ColumnarRelation._from_parts(
-            self._schema,
-            [column[keep] for column in self._codes],
-            self._mult[keep],
-            vocab=self._vocab,
-        )
-
+    # ------------------------------------------------------------- derivation
     def filter(self, predicate) -> "ColumnarRelation":
         """Keep tuples satisfying ``predicate`` (a selection σ).
 

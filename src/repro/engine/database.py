@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from repro.engine.operators import patch, semijoin
 from repro.engine.relation import Relation, Row
 from repro.exceptions import SchemaError, UnknownRelationError
 
@@ -177,11 +178,17 @@ class Database:
 
     def add_tuple(self, name: str, row: Sequence[object]) -> "Database":
         """``D ∪ {t}`` — copy with one more occurrence of ``row`` in ``name``."""
-        return self.with_relation(name, self.relation(name).add(row))
+        return self.with_relation(name, self._patched(name, row, True))
 
     def remove_tuple(self, name: str, row: Sequence[object]) -> "Database":
-        """``D \\ {t}`` — copy with one occurrence of ``row`` removed."""
-        return self.with_relation(name, self.relation(name).remove(row))
+        """``D \\ {t}`` — copy with one occurrence of ``row`` removed (a
+        no-op when ``row`` is absent)."""
+        return self.with_relation(name, self._patched(name, row, False))
+
+    def _patched(self, name: str, row: Sequence[object], insert: bool) -> Relation:
+        """Relation ``name`` with one occurrence of ``row`` patched in or out."""
+        base = self.relation(name)
+        return patch(base, type(base)(base.schema, [row]), insert)
 
     def cascade_delete(self, name: str, row: Sequence[object]) -> "Database":
         """Delete ``row`` from ``name`` and cascade along foreign keys.
@@ -189,10 +196,12 @@ class Database:
         This implements PrivSQL's neighbouring-database semantics for
         multi-relational schemas: removing a primary-private tuple removes
         every tuple (in any relation) that transitively references it.
+        Each child relation loses, by monus, its semijoin with the deleted
+        parent row's key.
         """
         row = tuple(row)
         updated = dict(self._relations)
-        updated[name] = updated[name].remove(row)
+        updated[name] = self._patched(name, row, False)
         # Worklist of (relation, keyed values) whose dependants must go.
         frontier: List[Tuple[str, Row]] = [(name, row)]
         while frontier:
@@ -204,21 +213,13 @@ class Database:
                 parent_positions = parent_schema.project_positions(fk.parent_attributes)
                 key = tuple(parent_row[p] for p in parent_positions)
                 child_rel = updated[fk.child]
-                child_positions = child_rel.schema.project_positions(fk.child_attributes)
-                doomed = [
-                    crow
-                    for crow in child_rel
-                    if tuple(crow[p] for p in child_positions) == key
-                ]
-                if not doomed:
-                    continue
-                counts = dict(child_rel.counts)
-                for crow in doomed:
-                    del counts[crow]
-                    frontier.append((fk.child, crow))
-                updated[fk.child] = type(child_rel)._from_counts(
-                    child_rel.schema, counts
+                doomed = semijoin(
+                    child_rel, type(child_rel)(fk.child_attributes, [key])
                 )
+                if doomed.is_empty():
+                    continue
+                frontier.extend((fk.child, crow) for crow in doomed)
+                updated[fk.child] = patch(child_rel, doomed, False)
         return self._copy_with(updated)
 
     def _copy_with(self, relations: Dict[str, Relation]) -> "Database":

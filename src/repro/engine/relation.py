@@ -10,8 +10,10 @@ representation of a relation with an appended ``cnt`` column: the paper's
   multiplicities (:func:`repro.engine.operators.group_by`).
 
 Relations are *logically* immutable: every operator returns a new relation.
-A handful of ``add`` / ``remove`` helpers return modified copies so the
-sensitivity definitions (``Q(D ∪ {t})``, ``Q(D \\ {t})``) read naturally.
+A stored relation changes only through :func:`repro.engine.operators.patch`
+(bag union or monus with a delta bag); the sensitivity definitions'
+neighbours ``D ∪ {t}`` and ``D \\ {t}`` are the one-row patches
+:meth:`repro.engine.database.Database.add_tuple` and ``remove_tuple``.
 """
 
 from __future__ import annotations
@@ -183,36 +185,7 @@ class Relation:
         best_row = min(row for row, cnt in self._counts.items() if cnt == best_cnt)
         return best_row, best_cnt
 
-    # ----------------------------------------------------------- bag updates
-    def add(self, row: Sequence[object], multiplicity: int = 1) -> "Relation":
-        """Return a copy with ``multiplicity`` extra occurrences of ``row``."""
-        if multiplicity < 0:
-            raise SchemaError("use remove() to delete tuples")
-        row = tuple(row)
-        self._check_row(row)
-        if multiplicity == 0:
-            return self
-        counts = dict(self._counts)
-        counts[row] = counts.get(row, 0) + multiplicity
-        return Relation._from_counts(self._schema, counts)
-
-    def remove(self, row: Sequence[object], multiplicity: int = 1) -> "Relation":
-        """Return a copy with up to ``multiplicity`` occurrences of ``row``
-        removed.  Removing an absent tuple is a no-op, matching the paper's
-        ``D \\ {t}`` semantics."""
-        row = tuple(row)
-        self._check_row(row)
-        current = self._counts.get(row, 0)
-        if current == 0:
-            return self
-        counts = dict(self._counts)
-        remaining = current - multiplicity
-        if remaining > 0:
-            counts[row] = remaining
-        else:
-            del counts[row]
-        return Relation._from_counts(self._schema, counts)
-
+    # ------------------------------------------------------------- derivation
     def filter(self, predicate: Callable[[Mapping[str, object]], bool]) -> "Relation":
         """Keep tuples satisfying ``predicate`` (a selection σ).
 

@@ -141,10 +141,29 @@ def _patched_relation(base, delta: RelationDelta):
     of the arrays it changes.  After compaction the two sides are
     tuple-disjoint, so the fold order is mathematically free —
     minus-first matches the staged join folds.
+
+    The monus drops exactly the minus side's total count if and only if
+    no row loses more copies than ``base`` holds, so that comparison is
+    the over-delete guard; the rows are looked up only to name the
+    offending one.
     """
     for rows, insert in ((delta.minus, False), (delta.plus, True)):
-        if rows:
-            base = patch(base, type(base)(base.schema, dict(rows)), insert)
+        if not rows:
+            continue
+        patched = patch(base, type(base)(base.schema, dict(rows)), insert)
+        if not insert and (
+            base.total_count() - patched.total_count() != sum(rows.values())
+        ):
+            deleted = list(rows)
+            for row, available in zip(deleted, base.multiplicities(deleted)):
+                if rows[row] > available:
+                    raise SessionError(
+                        f"delta deletes {rows[row]} of {row!r} from "
+                        f"{delta.relation!r} but only {available} exist; "
+                        "compact the update stream against the current "
+                        "database first"
+                    )
+        base = patched
     return base
 
 
@@ -339,20 +358,8 @@ class IncrementalEvaluator:
             self._check_probe_arity(
                 state, delta.relation, list(delta.plus) + list(delta.minus)
             )
-        for delta in deltas:
-            if not delta.minus:
-                continue
-            rows = list(delta.minus)
-            have = self._db.relation(delta.relation).multiplicities(rows)
-            for row, available in zip(rows, have):
-                if delta.minus[row] > available:
-                    raise SessionError(
-                        f"delta deletes {delta.minus[row]} of {row!r} from "
-                        f"{delta.relation!r} but only {available} exist; "
-                        "compact the update stream against the current "
-                        "database first"
-                    )
-        # ---- stage (all fallible): patched database + join-state forks
+        # ---- stage (all fallible, over-deletes too): patched database +
+        # join-state forks
         new_db = self._db
         for delta in deltas:
             with _overflow_named(f"relation {delta.relation!r}"):

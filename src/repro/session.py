@@ -630,12 +630,17 @@ class PreparedQuery:
             )
         if mechanism == "tsensdp" and ell < 1:
             raise MechanismConfigError(f"ell must be >= 1, got {ell}")
+        skip = tuple(skip_relations)
+        if mechanism == "tsensdp" and primary in skip:
+            raise MechanismConfigError(
+                f"primary {primary!r} is in skip_relations, but TSensDP "
+                "truncates by its multiplicity table"
+            )
         if mechanism == "flexdp" and not 0 < delta < 1:
             raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
         with self._lock:
             if accountant is not None:
                 accountant.spend(epsilon, f"{mechanism}:{primary}")
-            skip = tuple(skip_relations)
             if mechanism == "tsensdp":
                 # DP runners import the one-shot API whose wrapper lives
                 # above this module; import lazily to avoid an

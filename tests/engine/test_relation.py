@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.operators import patch
 from repro.engine.relation import Relation, empty_like
 from repro.engine.schema import Schema
 from repro.exceptions import SchemaError
@@ -88,21 +89,25 @@ class TestColumnStatistics:
 
 
 class TestUpdates:
+    """A stored relation changes only through ``patch``."""
+
     def test_add_returns_copy(self, bag):
-        grown = bag.add((1, 2))
+        grown = patch(bag, Relation(bag.schema, [(1, 2)]), True)
         assert grown.multiplicity((1, 2)) == 3
         assert bag.multiplicity((1, 2)) == 2  # original untouched
 
     def test_remove_one_copy(self, bag):
-        shrunk = bag.remove((1, 2))
+        shrunk = patch(bag, Relation(bag.schema, [(1, 2)]), False)
         assert shrunk.multiplicity((1, 2)) == 1
+        assert bag.multiplicity((1, 2)) == 2
 
     def test_remove_absent_is_noop(self, bag):
-        assert bag.remove((9, 9)) is bag
+        assert patch(bag, Relation(bag.schema, [(9, 9)]), False) == bag
 
     def test_remove_all_copies(self, bag):
-        gone = bag.remove((1, 2), multiplicity=10)
+        gone = patch(bag, Relation(bag.schema, {(1, 2): 10}), False)
         assert (1, 2) not in gone
+        assert dict(gone.items()) == {(3, 4): 1}
 
     def test_filter(self, bag):
         kept = bag.filter(lambda row: row["A"] == 1)

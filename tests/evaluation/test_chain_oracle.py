@@ -32,7 +32,7 @@ from typing import Dict, Iterable, List, Tuple
 import pytest
 
 from repro.engine import Database, Relation
-from repro.engine.operators import join_all
+from repro.engine.operators import join_all, patch
 from repro.evaluation import (
     IncrementalEvaluator,
     JoinState,
@@ -182,10 +182,8 @@ def _batch(query, db: Database, seed: int) -> List[RelationDelta]:
 def _applied(db: Database, deltas: Iterable[RelationDelta]) -> Database:
     for delta in deltas:
         base = db.relation(delta.relation)
-        for row, count in delta.minus.items():
-            base = base.remove(row, count)
-        for row, count in delta.plus.items():
-            base = base.add(row, count)
+        for counts, insert in ((delta.minus, False), (delta.plus, True)):
+            base = patch(base, type(base)(base.schema, counts), insert)
         db = db.with_relation(delta.relation, base)
     return db
 

@@ -407,6 +407,37 @@ class TestCompaction:
         assert evaluator.base_count == before
         assert evaluator.db.relation("R1").multiplicity(("a1", "b1", "c1")) == 1
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_session_apply_looks_each_relation_up_once(
+        self, fig1_query, fig1_db, backend, monkeypatch
+    ):
+        """Compaction looks up the batch's rows once per touched relation;
+        the over-delete guard reads the monus patch, not the rows again."""
+        session = prepare(fig1_query, fig1_db.with_backend(backend))
+        session.sensitivity()
+        before = session.db
+        relation_cls = type(before.relation("R1"))
+        looked_up = []
+        real = relation_cls.multiplicities
+
+        def spy(relation, rows):
+            looked_up.append(relation)
+            return real(relation, rows)
+
+        monkeypatch.setattr(relation_cls, "multiplicities", spy)
+        session.apply(
+            [
+                ("delete", "R1", ("a1", "b1", "c1")),
+                ("insert", "R1", ("a9", "b9", "c9")),
+                ("delete", "R3", ("a2", "e2")),
+                ("insert", "R4", ("b9", "f9")),
+            ]
+        )
+        assert [id(rel) for rel in looked_up] == [
+            id(before.relation(name)) for name in ("R1", "R3", "R4")
+        ]
+        assert session.count() == prepare(fig1_query, session.db).count()
+
 
 class TestBulkMultiplicities:
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -414,7 +445,7 @@ class TestBulkMultiplicities:
         relation = fig1_db.with_backend(backend).relation("R1")
         rows = list(relation) + [("zz", "zz", "zz")]
         assert relation.multiplicities(rows) == [
-            relation.multiplicity(row) for row in rows
+            relation.counts.get(row, 0) for row in rows
         ]
 
     @pytest.mark.parametrize("backend", BACKENDS)

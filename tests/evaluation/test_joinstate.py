@@ -9,7 +9,7 @@ witness-cache invalidation, selection filtering and staged atomicity.
 
 import pytest
 
-from repro.engine import Database, Relation
+from repro.engine import Database, Relation, patch
 from repro.evaluation import JoinState, compute_topjoins
 from repro.evaluation.joinstate import RelationDelta, table_layout
 from repro.query import parse_predicate, parse_query
@@ -23,6 +23,14 @@ BACKENDS = ("python", "columnar")
 def _state(query, db, backend):
     db = db.with_backend(backend)
     return JoinState(query, gyo_join_tree(query), db), db
+
+
+def _patched(db, relation, counts, insert):
+    """``db`` with the bag ``counts`` patched into or out of ``relation``."""
+    base = db.relation(relation)
+    return db.with_relation(
+        relation, patch(base, type(base)(base.schema, counts), insert)
+    )
 
 
 def _one(relation, row, insert):
@@ -75,10 +83,7 @@ class TestMaintainedLevels:
         ]
         for relation, row, insert in updates:
             state.apply_update_batch([_one(relation, row, insert)])
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
-            )
+            db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, fig1_query, db)
 
     def test_deep_path_fold(self, fig3_query, fig3_db, backend):
@@ -92,10 +97,7 @@ class TestMaintainedLevels:
             ("R2", ("b2", "c1"), False),
         ]:
             state.apply_update_batch([_one(relation, row, insert)])
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
-            )
+            db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, fig3_query, db)
 
     def test_broom_sideways_then_downward_fold(self, backend):
@@ -130,10 +132,7 @@ class TestMaintainedLevels:
             ("Hub", (1, 1), False), # root: pure downward everywhere
         ]:
             state.apply_update_batch([_one(relation, row, insert)])
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
-            )
+            db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, query, db)
 
     def test_ghd_multi_atom_node_fold(self, backend):
@@ -159,10 +158,7 @@ class TestMaintainedLevels:
             ("R3", (0, 0), False),
         ]:
             state.apply_update_batch([_one(relation, row, insert)])
-            base = db.relation(relation)
-            db = db.with_relation(
-                relation, base.add(row) if insert else base.remove(row)
-            )
+            db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, query, db)
 
 
@@ -303,12 +299,8 @@ class TestBatchFolds:
         ]
         state.apply_update_batch(deltas)
         for delta in deltas:
-            base = db.relation(delta.relation)
-            for row, cnt in delta.minus.items():
-                base = base.remove(row, cnt)
-            for row, cnt in delta.plus.items():
-                base = base.add(row, cnt)
-            db = db.with_relation(delta.relation, base)
+            db = _patched(db, delta.relation, delta.minus, False)
+            db = _patched(db, delta.relation, delta.plus, True)
         _assert_levels_match_fresh(state, fig1_query, db)
 
     def test_one_tuple_batch_matches_fresh(self, fig1_query, fig1_db, backend):
@@ -319,7 +311,7 @@ class TestBatchFolds:
         for relation in fig1_query.relation_names:
             state.multiplicity_table(relation)
         state.apply_update_batch([_one("R3", ("a2", "e3"), True)])
-        db = db.with_relation("R3", db.relation("R3").add(("a2", "e3")))
+        db = _patched(db, "R3", {("a2", "e3"): 1}, True)
         _assert_levels_match_fresh(state, fig1_query, db)
         fresh = JoinState(fig1_query, state.tree, db)
         assert state.count == fresh.count

@@ -9,7 +9,7 @@ equal ``join(r, l)`` up to attribute order.  Inputs cover a keyed larger
 side with 1–3 key columns in a different column order on each side, a
 keyed smaller side, no keyed side, both sides keyed at equal sizes, empty
 operands, operands from different vocabularies, a keyed side out of code
-order (a join output, rows appended by ``add``), a keyed side patched
+order (a join output, rows stored in reverse), a keyed side patched
 after its key was cached and probed by codes past the key's radices, and
 a key past 62 bits, which takes the joint-rank fallback.
 """
@@ -29,7 +29,7 @@ KEY = ("K1", "K2", "K3")
 def join_cases(draw):
     """Two bags sharing 1–3 join attributes, each in its own column order.
     A side without an extra attribute is keyed; values 0–4 make the bags
-    share rows.  Either side may be built by ``add`` (out of code order),
+    share rows.  Either side may be stored in reverse (out of code order),
     and the right side may be encoded under a fresh vocabulary."""
     key = list(KEY[: draw(st.integers(min_value=1, max_value=3))])
     cases = []
@@ -78,11 +78,11 @@ UNORDERED_NEW_VOCABULARY = (
 
 
 def _unordered(attrs, counts):
-    """A columnar bag whose rows are appended by ``add`` in reverse order."""
-    out = ColumnarRelation(list(attrs), {})
-    for row, count in sorted(counts.items(), reverse=True):
-        out = out.add(row, count)
-    return out
+    """A columnar bag whose rows are stored in reverse code order."""
+    ordered = ColumnarRelation(list(attrs), counts)
+    return ColumnarRelation._from_parts(
+        ordered.schema, [column[::-1] for column in ordered._codes], ordered._mult[::-1]
+    )
 
 
 def _in_code_order(relation):
@@ -138,7 +138,7 @@ class TestKeyedSideOutOfCodeOrder:
         _assert_join_agrees(keyed, probe)
         assert keyed._row_key.order is not None
 
-    def test_rows_appended_by_add(self):
+    def test_rows_in_reverse_code_order(self):
         reset_vocabulary()
         keyed = _unordered(("K1", "K2"), {(i, 4 - i): i + 1 for i in range(5)})
         assert not _in_code_order(keyed)

@@ -5,7 +5,7 @@
 counts — on both backends and across them.  Inputs cover shared and new
 rows, deletes that reach zero or go past it, deleted rows absent from
 ``r``, an empty ``d``, arity 0, an ``r`` that is not in code order (a join
-output, rows appended by ``add``) and operands encoded under different
+output, rows stored in reverse) and operands encoded under different
 vocabularies.  On columnar the output is in code order and carries its
 key, so patching it again sorts nothing; a sum past ``int64`` raises
 :class:`MultiplicityOverflowError` and a sum of exactly ``2**63 - 1``
@@ -59,11 +59,11 @@ def _in_code_order(relation):
 
 
 def _unordered(attrs, counts):
-    """A columnar bag whose rows are appended by ``add`` in reverse order."""
-    out = ColumnarRelation(list(attrs), {})
-    for row, count in sorted(counts.items(), reverse=True):
-        out = out.add(row, count)
-    return out
+    """A columnar bag whose rows are stored in reverse code order."""
+    ordered = ColumnarRelation(list(attrs), counts)
+    return ColumnarRelation._from_parts(
+        ordered.schema, [column[::-1] for column in ordered._codes], ordered._mult[::-1]
+    )
 
 
 @pytest.mark.parametrize("insert", [True, False])

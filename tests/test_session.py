@@ -447,6 +447,34 @@ class TestRelease:
         )
         assert accountant.remaining == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_skipped_primary_rejected_before_spend(self, star_session, backend):
+        """TSensDP truncates by the primary's multiplicity table, which a
+        skipped relation lacks: the release fails on configuration with
+        the ledger untouched, and so does the one-shot runner."""
+        workload, session = star_session
+        db = session.db.with_backend(backend)
+        session = prepare(workload.query, db, tree=workload.tree)
+        accountant = BudgetAccountant(1.0)
+        accountant.spend(0.25, "earlier")
+        ledger = accountant.ledger()
+        skip = (workload.primary,)
+        with pytest.raises(MechanismConfigError, match="skip_relations"):
+            session.release(
+                0.5,
+                mechanism="tsensdp",
+                primary=workload.primary,
+                ell=workload.ell,
+                skip_relations=skip,
+                accountant=accountant,
+            )
+        assert accountant.ledger() == ledger
+        with pytest.raises(MechanismConfigError, match="skip_relations"):
+            run_tsens_dp(
+                workload.query, db, workload.primary, 0.5, workload.ell,
+                tree=workload.tree, skip_relations=skip,
+            )
+
     def test_release_sees_committed_updates(self, fig1_query, fig1_db):
         session = prepare(fig1_query, fig1_db)
         before = session.release(
