@@ -15,13 +15,17 @@ produce different shapes:
 * ``LSPathJoin`` (Algorithm 1) keeps the topjoin/botjoin *factors*, whose
   cross product would be the dense table — sensitivities are looked up as
   a product of two factor lookups, never materialising the quadratic table.
+
+A factor is a bag relation, or a :class:`KeyedFactor`: the join of two
+parts whose group-by sums nothing, kept unmaterialised (q3's ``T^O``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.engine.operators import cross_product, group_by, join, join_summary
 from repro.engine.relation import Relation, Row
 from repro.exceptions import UnknownAttributeError
 
@@ -50,21 +54,124 @@ class SensitiveTuple:
         return tuple(self.assignment[v] for v in variables)
 
 
+class KeyedFactor:
+    """A table factor ``γ_keep(first ⋈ second)`` kept as its two parts.
+
+    The parts share exactly the attributes the factor sums out, and the
+    part at index ``key`` has at most one row per value of its kept
+    attributes.  Each output row then meets exactly one shared value, so
+    the group sums nothing: an entry is the product of one row of each
+    part.  q3's ``T^O = γ_{CK,OK}(J(gOC)[NK,OK] ⋈ C[NK,CK])`` is one,
+    with C unique on CK.
+
+    ``distinct_count``, ``total_count`` and ``argmax_count`` come from one
+    :func:`~repro.engine.operators.join_summary` of the parts, run at
+    construction, so it also raises the columnar overflow the
+    materialised join would.  The argmax ties break on the smallest output
+    tuple, as a materialised factor's do: per shared value, the smallest
+    peak row of each part.  Reads of single entries (``multiplicities``,
+    ``items``, iteration) materialise the factor once and cache it.
+    """
+
+    __slots__ = ("parts", "attributes", "key", "_summary", "_argmax", "_materialised")
+
+    def __init__(
+        self, parts: Tuple[Relation, Relation], attributes: Sequence[str], key: int
+    ):
+        self.parts = parts
+        self.attributes = tuple(attributes)
+        self.key = key
+        self._summary = join_summary(*parts)
+        self._argmax = self._least_peak_row()
+        self._materialised: Optional[Relation] = None
+
+    def _least_peak_row(self) -> Optional[Row]:
+        """The smallest output tuple among the entries of the largest count.
+
+        Those entries pair each peak row of one part with each peak row
+        of the other at a tied shared value, so the smallest joins, per
+        shared value, each part's smallest kept values; the least of
+        those wins."""
+        summary = self._summary
+        if summary.best == 0:
+            return None
+        shared = self.parts[0].schema.common(self.parts[1].schema)
+        smallest: List[Tuple[Tuple[str, ...], Dict[Row, Row]]] = []
+        for part, peak_rows in zip(self.parts, (summary.left_best, summary.right_best)):
+            on = part.schema.project_positions(shared)
+            kept = tuple(a for a in self.attributes if a in part.schema)
+            at = part.schema.project_positions(kept)
+            least: Dict[Row, Row] = {}
+            for row in peak_rows:
+                value, out = tuple(row[p] for p in on), tuple(row[p] for p in at)
+                if value not in least or out < least[value]:
+                    least[value] = out
+            smallest.append((kept, least))
+        (first_kept, first), (second_kept, second) = smallest
+        candidates = []
+        for value, out in first.items():
+            assignment = dict(zip(first_kept, out))
+            assignment.update(zip(second_kept, second[value]))
+            candidates.append(tuple(assignment[a] for a in self.attributes))
+        return min(candidates)
+
+    def distinct_count(self) -> int:
+        return self._summary.rows
+
+    def total_count(self) -> int:
+        return self._summary.total
+
+    def argmax_count(self) -> Tuple[Optional[Row], int]:
+        return self._argmax, self._summary.best
+
+    def materialise(self) -> Relation:
+        """The factor as a bag relation, built on first use and cached.
+
+        Forks and epochs share the factor; racing readers may each build
+        it, and every copy is the same bag."""
+        if self._materialised is None:
+            self._materialised = group_by(join(*self.parts), self.attributes)
+        return self._materialised
+
+    def multiplicities(self, rows: Sequence[Sequence[object]]) -> list:
+        return self.materialise().multiplicities(rows)
+
+    def multiplicity(self, row: Sequence[object]) -> int:
+        return self.materialise().multiplicity(row)
+
+    def items(self) -> Iterable[Tuple[Row, int]]:
+        return self.materialise().items()
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.materialise())
+
+    def __repr__(self) -> str:
+        sizes = " ⋈ ".join(str(part.distinct_count()) for part in self.parts)
+        return (
+            f"KeyedFactor({list(self.attributes)!r}, {self.distinct_count()} "
+            f"distinct / {self.total_count()} total, parts {sizes})"
+        )
+
+
+Factor = Union[Relation, KeyedFactor]
+
+
 class MultiplicityTable:
     """Tuple sensitivities over a relation's effective attributes.
 
     A *dense* table wraps one bag relation whose multiplicity of a value
     combination is the tuple sensitivity of any tuple projecting onto it.
     A *factored* table wraps two attribute-disjoint bag relations whose
-    product plays the same role (path queries).  A scalar ``multiplier``
-    accounts for disconnected query components (their counts multiply every
-    sensitivity in this component, Sec. 5.4).
+    product plays the same role (path queries).  Any factor may be a
+    :class:`KeyedFactor` instead of a bag relation.  A scalar
+    ``multiplier`` accounts for disconnected query components (their
+    counts multiply every sensitivity in this component, Sec. 5.4).
     """
 
     def __init__(
         self,
         relation: str,
-        factors: Tuple[Relation, ...],
+        factors: Tuple[Factor, ...],
         multiplier: int = 1,
     ):
         if not factors:
@@ -186,10 +293,12 @@ class MultiplicityTable:
         """Materialise the table as one bag relation (cross product of the
         factors with counts scaled by the multiplier).  Potentially
         quadratic for factored tables — use lookups where possible."""
-        from repro.engine.operators import cross_product
-
-        result = self.factors[0]
-        for factor in self.factors[1:]:
+        bags = [
+            factor.materialise() if isinstance(factor, KeyedFactor) else factor
+            for factor in self.factors
+        ]
+        result = bags[0]
+        for factor in bags[1:]:
             result = cross_product(result, factor)
         if self.multiplier == 0:
             return Relation(result.schema, ())

@@ -106,12 +106,17 @@ def _frequency_groups(relation: Relation, attributes: Tuple[str, ...]) -> Dict:
 
 
 def _truncate_by_frequency(
-    relation: Relation, attributes: Tuple[str, ...], threshold: int
+    relation: Relation,
+    attributes: Tuple[str, ...],
+    threshold: int,
+    groups: Optional[Dict] = None,
 ) -> Relation:
     """Drop all tuples of any FK group whose frequency exceeds ``threshold``
     (PrivateSQL's row-dropping semantics): the groups' rows are patched
-    out by monus."""
-    groups = _frequency_groups(relation, attributes)
+    out by monus.  ``groups`` are the relation's
+    :func:`_frequency_groups` when the caller already has them."""
+    if groups is None:
+        groups = _frequency_groups(relation, attributes)
     over = type(relation)(
         attributes, [key for key, freq in groups.items() if freq > threshold]
     )
@@ -179,7 +184,7 @@ def run_privsql(
             policy_sensitivity[fk.child] = parent_sensitivity * cap
             truncated_db = truncated_db.with_relation(
                 fk.child,
-                _truncate_by_frequency(relation, fk.child_attributes, cap),
+                _truncate_by_frequency(relation, fk.child_attributes, cap, groups),
             )
         epsilon_answer = epsilon - epsilon_learning
     else:

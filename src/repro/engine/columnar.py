@@ -188,6 +188,20 @@ def _checked_add(mult: np.ndarray, extra: np.ndarray) -> np.ndarray:
     return mult + extra
 
 
+def _checked_exact_sums(
+    inverse: np.ndarray, mult: np.ndarray, n_groups: int
+) -> np.ndarray:
+    """Per-group multiplicity sums, exact: ``int64`` while ``max * count``
+    bounds every sum, Python ints in an object array otherwise."""
+    if int(mult.max()) * mult.size <= _INT64_MAX:
+        sums = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(sums, inverse, mult)
+        return sums
+    exact = np.zeros(n_groups, dtype=object)
+    np.add.at(exact, inverse, mult.astype(object))
+    return exact
+
+
 def _group_sums(inverse: np.ndarray, mult: np.ndarray, n_groups: int) -> np.ndarray:
     """Per-group multiplicity sums, overflow-checked.
 
@@ -195,18 +209,15 @@ def _group_sums(inverse: np.ndarray, mult: np.ndarray, n_groups: int) -> np.ndar
     bound trips, the sums are recomputed exactly in Python ints — so
     huge-but-fitting inputs still pass and only true int64 overflow raises
     :class:`MultiplicityOverflowError`."""
-    if int(mult.max()) * mult.size <= _INT64_MAX:
-        sums = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(sums, inverse, mult)
+    sums = _checked_exact_sums(inverse, mult, n_groups)
+    if sums.dtype != object:
         return sums
-    exact = np.zeros(n_groups, dtype=object)
-    np.add.at(exact, inverse, mult.astype(object))
-    if exact.size and max(exact.tolist()) > _INT64_MAX:
+    if sums.size and max(sums.tolist()) > _INT64_MAX:
         raise MultiplicityOverflowError(
             "aggregation would overflow int64 multiplicities on the "
             "columnar backend; use the python backend for counts this large"
         )
-    return exact.astype(np.int64)
+    return sums.astype(np.int64)
 
 
 def _predicate_mask(relation: "ColumnarRelation", predicate) -> Optional[np.ndarray]:
@@ -1103,6 +1114,85 @@ def patch(
     if row_key.radices is not None:
         out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
     return out
+
+
+class _KeyGroups(NamedTuple):
+    """One operand of :func:`join_summary` grouped on the join key: the
+    sorted distinct keys, each row's group, and per group its row count,
+    exact count sum and largest count."""
+
+    keys: np.ndarray
+    inverse: np.ndarray
+    rows: np.ndarray
+    sums: np.ndarray
+    peak: np.ndarray
+
+
+def _key_groups(key: np.ndarray, mult: np.ndarray) -> _KeyGroups:
+    keys, inverse = np.unique(key, return_inverse=True)
+    inverse = np.ravel(inverse)
+    peak = np.zeros(keys.size, dtype=np.int64)
+    np.maximum.at(peak, inverse, mult)
+    return _KeyGroups(
+        keys,
+        inverse,
+        np.bincount(inverse, minlength=keys.size),
+        _checked_exact_sums(inverse, mult, keys.size),
+        peak,
+    )
+
+
+def _peak_rows(
+    relation: ColumnarRelation, groups: _KeyGroups, tied: np.ndarray
+) -> List[Row]:
+    """Decoded rows of ``relation`` holding the largest count of a tied group."""
+    in_tie = np.zeros(groups.keys.size, dtype=bool)
+    in_tie[tied] = True
+    at = np.nonzero(in_tie[groups.inverse] & (relation._mult == groups.peak[groups.inverse]))[0]
+    values = relation._vocab.values
+    columns = [[values[c] for c in column[at].tolist()] for column in relation._codes]
+    return list(zip(*columns))
+
+
+def join_summary(
+    left: ColumnarRelation, right: ColumnarRelation
+) -> Tuple[int, int, int, List[Row], List[Row]]:
+    """Vectorized :func:`repro.engine.operators.join_summary`.
+
+    Each operand is grouped once on the packed join key; a key value with
+    ``l`` and ``r`` rows, count sums ``L`` and ``R`` and largest counts
+    ``ml`` and ``mr`` contributes ``l·r`` rows and ``L·R`` to the total,
+    and its largest product is ``ml·mr``, overflow-checked by
+    :func:`_pair_products` exactly as the join checks its pairs."""
+    left, right = _aligned(left, right)
+    if left.is_empty() or right.is_empty():
+        return 0, 0, 0, [], []
+    common = left.schema.common(right.schema)
+    lkey, rkey = _pack_keys(
+        [left._codes[p] for p in left.schema.project_positions(common)],
+        [right._codes[p] for p in right.schema.project_positions(common)],
+    )
+    lgroups, rgroups = _key_groups(lkey, left._mult), _key_groups(rkey, right._mult)
+    _, li, ri = np.intersect1d(
+        lgroups.keys, rgroups.keys, assume_unique=True, return_indices=True
+    )
+    if li.size == 0:
+        return 0, 0, 0, [], []
+    rows = int(np.dot(lgroups.rows[li], rgroups.rows[ri]))
+    # One term per shared value, in Python ints: exact past int64.
+    total = sum(
+        a * b for a, b in zip(lgroups.sums[li].tolist(), rgroups.sums[ri].tolist())
+    )
+    products = _pair_products(lgroups.peak[li], rgroups.peak[ri])
+    best = int(products.max())
+    tied = products == best
+    return (
+        rows,
+        total,
+        best,
+        _peak_rows(left, lgroups, li[tied]),
+        _peak_rows(right, rgroups, ri[tied]),
+    )
 
 
 def max_rows_per_value(relation: ColumnarRelation, attributes: Sequence[str]) -> int:

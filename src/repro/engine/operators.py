@@ -13,6 +13,8 @@ These are the building blocks the paper's algorithms are written in:
 * :func:`patch` — bag union or monus with a delta, the one way maintained
   state absorbs an update; on columnar relations its cost follows the
   delta, not the relation.
+* :func:`join_summary` — the row count, total and largest multiplicity of
+  a join, and the rows that reach the largest, without materialising it.
 * :func:`select`, :func:`project`, :func:`cross_product`, :func:`union_all`,
   :func:`difference` — standard bag operators used by tests, baselines and
   the naive algorithm.
@@ -32,7 +34,7 @@ paper's ``r̃join`` of attribute-disjoint topjoins/botjoins requires.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from repro.engine import columnar as _columnar
 from repro.engine.columnar import ColumnarRelation
@@ -159,6 +161,92 @@ def next_join(result: Relation, candidates: Sequence[Relation]) -> int:
     return min(pool, key=lambda i: join_bound(result, candidates[i]))
 
 
+class JoinSummary(NamedTuple):
+    """What :func:`join_summary` reports about ``join(left, right)``."""
+
+    #: distinct rows and total multiplicity of the join.
+    rows: int
+    total: int
+    #: its largest multiplicity, 0 when it is empty.
+    best: int
+    #: the rows of each operand that meet in a join row of multiplicity
+    #: ``best``, in no particular order.
+    left_best: List[Row]
+    right_best: List[Row]
+
+
+def join_summary(left: Relation, right: Relation) -> JoinSummary:
+    """Size, total and peak of ``join(left, right)`` without materialising it.
+
+    Both operands are grouped on their common attributes: a value met by
+    ``l`` left and ``r`` right rows, whose counts sum to ``L`` and ``R``
+    and peak at ``ml`` and ``mr``, contributes ``l·r`` join rows, ``L·R``
+    to the total, and rows of count at most ``ml·mr`` — exactly ``ml·mr``
+    for the pairs of peak rows, since counts are positive.  O(|left| +
+    |right|); a columnar product past ``int64`` raises the join's
+    :class:`~repro.exceptions.MultiplicityOverflowError`.
+    """
+    common = left.schema.common(right.schema)
+    if not common:
+        raise SchemaError("join_summary needs operands that share an attribute")
+    if _any_columnar(left, right):
+        return JoinSummary(*_columnar.join_summary(_promote(left), _promote(right)))
+    groups = [_value_groups(side, common) for side in (left, right)]
+    rows = total = best = 0
+    tied: Set[Row] = set()
+    for key, (left_rows, left_total, left_peak) in groups[0].items():
+        match = groups[1].get(key)
+        if match is None:
+            continue
+        right_rows, right_total, right_peak = match
+        rows += left_rows * right_rows
+        total += left_total * right_total
+        product = left_peak * right_peak
+        if product > best:
+            best, tied = product, {key}
+        elif product == best:
+            tied.add(key)
+    return JoinSummary(
+        rows,
+        total,
+        best,
+        _peak_rows(left, common, groups[0], tied),
+        _peak_rows(right, common, groups[1], tied),
+    )
+
+
+def _value_groups(relation: Relation, attributes: Sequence[str]) -> Dict[Row, List[int]]:
+    """Per value of ``attributes``: its row count, count sum and largest count."""
+    positions = relation.schema.project_positions(attributes)
+    groups: Dict[Row, List[int]] = {}
+    for row, cnt in relation.items():
+        key = tuple(row[p] for p in positions)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [1, cnt, cnt]
+        else:
+            group[0] += 1
+            group[1] += cnt
+            group[2] = max(group[2], cnt)
+    return groups
+
+
+def _peak_rows(
+    relation: Relation,
+    attributes: Sequence[str],
+    groups: Mapping[Row, List[int]],
+    tied: Set[Row],
+) -> List[Row]:
+    """Rows of ``relation`` holding the largest count of a tied group."""
+    positions = relation.schema.project_positions(attributes)
+    out = []
+    for row, cnt in relation.items():
+        key = tuple(row[p] for p in positions)
+        if key in tied and cnt == groups[key][2]:
+            out.append(row)
+    return out
+
+
 def cross_product(left: Relation, right: Relation) -> Relation:
     """Bag cross product (multiplicities multiply)."""
     if _any_columnar(left, right):
@@ -249,12 +337,15 @@ def patch(relation: Relation, delta: Relation, insert: bool) -> Relation:
     from ``relation`` are ignored.  The columnar kernel locates the
     delta's rows in ``relation``'s code-order key and copies only the
     arrays it changes; the python backend copies the dict and updates the
-    delta's counts.
+    delta's counts, or returns ``relation`` itself when a monus matches
+    no row.
     """
     if _any_columnar(relation, delta):
         return _columnar.patch(_promote(relation), _promote(delta), insert)
     if relation.schema != delta.schema:
         raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
+    if not insert and not any(row in relation.counts for row in delta.counts):
+        return relation
     counts = dict(relation.counts)
     for row, cnt in delta.items():
         if insert:

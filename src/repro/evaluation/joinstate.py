@@ -38,6 +38,14 @@ consistent under committed updates:
   factors are reused as-is.  Both the cold build and the patch compute
   ``γ(⋈ parts)`` with :func:`join_aggregate`, which joins in UES-bound
   order and sums out attributes as soon as nothing later needs them.
+* **Keyed factors** are never materialised.  When a component's two parts
+  share exactly the attributes it sums out and one part has at most one
+  row per value of its kept attributes, the group sums nothing, and the
+  factor is a :class:`~repro.core.result.KeyedFactor` over the parts
+  (:func:`table_factor`).  An update re-forms it over the new part
+  instead of patching it, checks the key again only when the keyed part
+  changed, and materialises it when the key breaks, so a maintained
+  factor always has the form a cold build over the same parts picks.
 
 Every level below the botjoins is **lazy**: a count-only consumer never
 materialises topjoins or tables, and an update folds deltas only into
@@ -72,7 +80,14 @@ from typing import (
 )
 
 from repro.engine.database import Database
-from repro.engine.operators import group_by, join, join_all, next_join, patch
+from repro.engine.operators import (
+    group_by,
+    join,
+    join_all,
+    max_rows_per_value,
+    next_join,
+    patch,
+)
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
 from repro.evaluation.yannakakis import (
@@ -84,7 +99,7 @@ from repro.evaluation.yannakakis import (
 )
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
-from repro.core.result import MultiplicityTable
+from repro.core.result import Factor, KeyedFactor, MultiplicityTable
 from repro.exceptions import (
     InternalError,
     MultiplicityOverflowError,
@@ -238,22 +253,62 @@ def _table_label(relation: str, index: int) -> str:
     return f"multiplicity table for {relation!r}, factor {index}"
 
 
+def _key_part(
+    parts: Sequence[Relation], keep: Sequence[str], known: Mapping[int, bool]
+) -> Optional[int]:
+    """The part a :class:`KeyedFactor` over ``parts`` keys on, or ``None``.
+
+    ``γ_keep(⋈ parts)`` sums nothing when there are exactly two parts,
+    they share exactly the attributes it sums out, and one of them has at
+    most one row per value of its non-empty kept attributes — the ``mcf``
+    of PostBOUND's UES bound, :func:`max_rows_per_value`, is 1.  ``known``
+    holds the key checks of parts that have not changed since they were
+    made; a known key is taken without checking the other part.
+    """
+    if len(parts) != 2:
+        return None
+    shared = set(parts[0].attributes) & set(parts[1].attributes)
+    covered = set(parts[0].attributes) | set(parts[1].attributes)
+    if not shared or shared & set(keep) or shared | set(keep) != covered:
+        return None
+    for index, keyed in known.items():
+        if keyed:
+            return index
+    for index, part in enumerate(parts):
+        if index in known:
+            continue
+        kept = [a for a in part.attributes if a not in shared]
+        if kept and max_rows_per_value(part, kept) == 1:
+            return index
+    return None
+
+
+def table_factor(parts: Sequence[Relation], keep: Sequence[str]) -> Factor:
+    """``γ_keep(⋈ parts)``: a :class:`KeyedFactor` when the group sums
+    nothing (:func:`_key_part`), else materialised by
+    :func:`join_aggregate`."""
+    key = _key_part(parts, keep, {})
+    if key is None:
+        return join_aggregate(parts, keep)
+    return KeyedFactor((parts[0], parts[1]), keep, key)
+
+
 def build_table(
     layout: TableLayout,
     part_value: Callable[[_TablePart], Relation],
 ) -> MultiplicityTable:
-    """Materialise a table from its layout and a part-resolving callback."""
+    """Build a table from its layout and a part-resolving callback."""
     if not layout.components:
         # Single-relation query: Q(D) = R, every tuple has sensitivity 1.
         table = Relation(
             Schema(layout.effective), {(): 1} if not layout.effective else {}
         )
         return MultiplicityTable(layout.relation, (table,))
-    factors: List[Relation] = []
+    factors: List[Factor] = []
     for index, component in enumerate(layout.components):
         parts = [part_value(part) for part in component.parts]
         with _overflow_named(_table_label(layout.relation, index)):
-            factors.append(join_aggregate(parts, component.effective))
+            factors.append(table_factor(parts, component.effective))
     return MultiplicityTable(layout.relation, tuple(factors))
 
 
@@ -584,19 +639,18 @@ class JoinState:
         # ----- stage: the one changed factor of each materialised table
         staged_tables: Dict[str, MultiplicityTable] = {}
         if self._tables:
-            ancestors: Dict[str, str] = {}  # ancestor node -> its path child
-            walk = node_id
-            parent = tree.parent(walk)
-            while parent is not None:
-                ancestors[parent] = walk
-                walk, parent = parent, tree.parent(parent)
+            # Every table part this fold moves: its delta and new value.
+            changes: Dict[_TablePart, Tuple[Relation, Relation]] = {
+                _TablePart("atom", relation): (atom_delta, new_atom)
+            }
+            for node, delta in path_deltas.items():
+                changes[_TablePart("bot", node)] = (delta, staged_botjoins[node])
+            for node, delta in topjoin_deltas.items():
+                changes[_TablePart("top", node)] = (delta, staged_topjoins[node])
             for rel in self._tables:
                 if rel == relation:
                     continue  # T^i excludes R_i itself: unchanged by design
-                patched = self._stage_table_patch(
-                    rel, relation, node_id, ancestors,
-                    atom_delta, path_deltas, topjoin_deltas, insert,
-                )
+                patched = self._stage_table_patch(rel, changes, insert)
                 if patched is not None:
                     staged_tables[rel] = patched
 
@@ -718,52 +772,53 @@ class JoinState:
     def _stage_table_patch(
         self,
         rel: str,
-        updated_relation: str,
-        updated_node: str,
-        ancestors: Dict[str, str],
-        atom_delta: Relation,
-        path_deltas: Dict[str, Relation],
-        topjoin_deltas: Dict[str, Relation],
+        changes: Mapping[_TablePart, Tuple[Relation, Relation]],
         insert: bool,
     ) -> Optional[MultiplicityTable]:
         """The patched table for ``rel``, or ``None`` when it is unchanged.
 
-        Exactly one symbolic part of the table moved in this fold; the
-        patch replaces the one factor containing it with ``factor ±
-        γ(Δpart ⋈ other parts)``, reusing every other factor object
-        untouched.  It reads the fork's factors and parts, which the
-        previous folds of the batch produced.
+        At most one symbolic part of the table moved in this fold; only
+        the factor containing it changes, and every other factor object is
+        reused untouched.  A materialised factor is patched with ``factor
+        ± γ(Δpart ⋈ other parts)``.  A factor that :func:`_key_part`
+        keeps as a :class:`KeyedFactor` is re-formed over the new part
+        instead: the key of a part that did not change stands, so only a
+        changed part is checked again, and a keyed factor whose key broke
+        is materialised over the new parts.  It reads the fork's factors
+        and parts, which the previous folds of the batch produced.
         """
         layout = self.layout(rel)
-        w = layout.node_id
-        if w == updated_node:
-            changed = _TablePart("atom", updated_relation)
-            part_delta: Optional[Relation] = atom_delta
-        elif w in ancestors:
-            path_child = ancestors[w]
-            changed = _TablePart("bot", path_child)
-            part_delta = path_deltas.get(path_child)
-        else:
-            changed = _TablePart("top", w)
-            part_delta = topjoin_deltas.get(w)
-        if part_delta is None or part_delta.is_empty():
-            return None
         table = self._tables[rel]
         for index, component in enumerate(layout.components):
-            if changed not in component.parts:
+            moved = [i for i, part in enumerate(component.parts) if part in changes]
+            if not moved:
                 continue
-            parts = [part_delta] + [
-                self._part_value(part)
-                for part in component.parts
-                if part != changed
+            (changed,) = moved
+            part_delta, part_new = changes[component.parts[changed]]
+            parts = [
+                part_new if i == changed else self._part_value(part)
+                for i, part in enumerate(component.parts)
             ]
+            old = table.factors[index]
+            # What the last form decision learnt about the unchanged part:
+            # a keyed factor's key, or, for a materialised one, no key.
+            if isinstance(old, KeyedFactor):
+                known = {old.key: True} if old.key != changed else {}
+            else:
+                known = {i: False for i in range(len(parts)) if i != changed}
+            keep = component.effective
             with _overflow_named(_table_label(rel, index)):
-                factor_delta = join_aggregate(parts, component.effective)
-                if factor_delta.is_empty():
-                    return None
-                new_factor = patch(table.factors[index], factor_delta, insert)
-            factors = (
-                table.factors[:index] + (new_factor,) + table.factors[index + 1:]
-            )
+                key = _key_part(parts, keep, known)
+                if key is not None:
+                    new_factor: Factor = KeyedFactor((parts[0], parts[1]), keep, key)
+                elif isinstance(old, KeyedFactor):
+                    new_factor = join_aggregate(parts, keep)
+                else:
+                    others = [part for i, part in enumerate(parts) if i != changed]
+                    factor_delta = join_aggregate([part_delta] + others, keep)
+                    if factor_delta.is_empty():
+                        return None
+                    new_factor = patch(old, factor_delta, insert)
+            factors = table.factors[:index] + (new_factor,) + table.factors[index + 1:]
             return MultiplicityTable(rel, factors, table.multiplier)
         return None

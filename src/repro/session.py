@@ -695,6 +695,12 @@ class PreparedQuery:
         from repro.dp.truncation import TruncationOracle
 
         skip = tuple(skip_relations)
+        if primary in skip:
+            # Checked before the sensitivity pass the oracle would need.
+            raise MechanismConfigError(
+                f"primary {primary!r} is in skip_relations, but truncation "
+                "reads its multiplicity table"
+            )
         key = (primary, tuple(sorted(skip)))
         with self._lock:
             if key not in self._oracles:

@@ -8,12 +8,14 @@ from repro.engine.operators import (
     group_by,
     join,
     join_all,
+    patch,
     project,
     select,
     semijoin,
     symmetric_difference_size,
     union_all,
 )
+from repro.engine.columnar import ColumnarRelation
 from repro.engine.relation import Relation
 from repro.exceptions import SchemaError
 
@@ -144,6 +146,17 @@ class TestBagSetOps:
         right = Relation(["A"], {(1,): 1, (2,): 5})
         out = difference(left, right)
         assert dict(out.items()) == {(1,): 2}
+
+    def test_monus_matching_no_row_returns_the_input(self):
+        """python hands back the relation itself, with no dict copy;
+        columnar returns the same bag (in code order, as every patch)."""
+        rows = {(1, 2): 3, (2, 2): 1}
+        absent = {(9, 9): 1, (1, 3): 2}
+        python = Relation(["A", "B"], rows)
+        assert patch(python, Relation(["A", "B"], absent), False) is python
+        columnar = ColumnarRelation(["A", "B"], rows)
+        out = patch(columnar, ColumnarRelation(["A", "B"], absent), False)
+        assert dict(out.counts) == rows
 
     def test_symmetric_difference_size(self):
         left = Relation(["A"], {(1,): 3, (2,): 1})

@@ -643,3 +643,67 @@ class TestFoldOverflowNamesTheStructure:
             assert state.topjoins()["S"].multiplicity(("x",)) == 2**64 - 2
             return
         self._raises(state, _one("R", ("x",), True), "topjoin J('S')")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestKeyedTableOnQ3:
+    """q3's O table ``γ_{CK,OK}(J(gOC)[NK,OK] ⋈ C[NK,CK])`` is kept as its
+    parts while C is unique on CK (TPC-H 0.001)."""
+
+    @staticmethod
+    def _session(backend):
+        from repro.datasets.tpch import generate_tpch
+        from repro.session import prepare
+        from repro.workloads.tpch_queries import q3_workload
+
+        workload = q3_workload()
+        db = workload.prepare(generate_tpch(0.001, seed=0, backend=backend))
+        return workload, prepare(workload.query, db, tree=workload.tree)
+
+    def test_breaking_the_key_materialises_and_restoring_it_does_not(self, backend):
+        from repro.core.result import KeyedFactor
+        from repro.session import prepare
+
+        workload, session = self._session(backend)
+        skip = workload.skip_relations
+        nk, ck = min(session.db.relation("C").counts)
+        other_nk = next(n for n, _ in sorted(session.db.relation("C").counts) if n != nk)
+        forms = []
+        for step in (None, ("insert", "C", (other_nk, ck)), ("delete", "C", (other_nk, ck))):
+            if step is not None:
+                session.apply([step])
+            result = session.sensitivity(skip_relations=skip)
+            fresh = prepare(workload.query, session.db, tree=workload.tree)
+            expected = fresh.sensitivity(skip_relations=skip)
+            assert session.count() == fresh.count()
+            assert result.local_sensitivity == expected.local_sensitivity
+            assert result.witness == expected.witness
+            assert result.per_relation == expected.per_relation
+            (state,) = session._states()
+            (fresh_state,) = fresh._states()
+            (factor,) = state.multiplicity_table("O").factors
+            (fresh_factor,) = fresh_state.multiplicity_table("O").factors
+            assert type(factor) is type(fresh_factor)
+            forms.append(isinstance(factor, KeyedFactor))
+        assert forms == [True, False, True]
+
+    def test_cold_sensitivity_and_explain_never_materialise_o(self, backend, monkeypatch):
+        from repro.evaluation import joinstate
+
+        workload, session = self._session(backend)
+        outputs = []
+        real = joinstate.join_aggregate
+
+        def spy(parts, keep):
+            out = real(parts, keep)
+            outputs.append(out.distinct_count())
+            return out
+
+        monkeypatch.setattr(joinstate, "join_aggregate", spy)
+        session.sensitivity(skip_relations=workload.skip_relations)
+        session.explain(skip_relations=workload.skip_relations)
+        (state,) = session._states()
+        (factor,) = state.multiplicity_table("O").factors
+        support = factor.distinct_count()
+        assert outputs and max(outputs) < support
+        assert factor._materialised is None

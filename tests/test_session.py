@@ -384,6 +384,13 @@ class TestRelease:
         )
         assert session.truncation_oracle(workload.primary) is oracle
 
+    def test_oracle_rejects_skipped_primary_before_any_work(self, star_session):
+        workload, session = star_session
+        primary = workload.primary
+        with pytest.raises(MechanismConfigError, match="skip_relations"):
+            session.truncation_oracle(primary, (primary,))
+        assert all(not state.tables_materialised for state in session._states())
+
     def test_accountant_tracks_and_refuses_overdraft(self, star_session):
         workload, session = star_session
         accountant = BudgetAccountant(1.5)
