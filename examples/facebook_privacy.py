@@ -35,8 +35,10 @@ def main() -> None:
 
     for workload in facebook_workloads():
         assert workload.primary is not None
-        # One prepare per query; both mechanisms reuse its cached
-        # sensitivity pass and truncation oracle.
+        # One prepare per query; the TSensDP release reuses its truncation
+        # oracle (one probe of the primary plus one count).  Only the
+        # local-sensitivity line printed below builds tables, on the
+        # oracle's fork.
         session = prepare(workload.query, db, tree=workload.tree)
         oracle = session.truncation_oracle(workload.primary)
         ell = loose_bound(oracle.max_primary_sensitivity, floor=workload.ell)

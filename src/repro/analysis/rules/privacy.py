@@ -1,8 +1,8 @@
 """R001 — privacy-taint: raw counts must not escape ``dp/`` unnoised.
 
 The DP layer's contract is that anything derived from the private
-database — counts, sensitivities, multiplicity tables — leaves a public
-``dp/`` function only after passing through a noise mechanism from
+database — counts, sensitivities, probes, multiplicity tables — leaves a
+public ``dp/`` function only after passing through a noise mechanism from
 :mod:`repro.dp.primitives`, or with an explicit
 :func:`repro.dp.marking.declassified` marker recording that the release
 is intentional (e.g. the non-private debugging fields of an outcome).
@@ -41,6 +41,8 @@ SOURCE_CALLS = frozenset(
         "sensitivity",
         "local_sensitivity",
         "tuple_sensitivities",
+        "probe",
+        "delta_batch",
         "tsens",
         "multiplicity_table",
         "truncated_count",

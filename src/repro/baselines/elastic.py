@@ -31,11 +31,13 @@ looseness the TSens paper highlights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.engine.database import Database
 from repro.engine.relation import Relation
+from repro.evaluation.yannakakis import _component_trees
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
 from repro.exceptions import MechanismConfigError, UnknownRelationError
@@ -60,13 +62,28 @@ def plan_from_tree(tree: DecompositionTree) -> JoinPlan:
     This is the "post-traversal of the join plan" order the TSens paper
     fixes for its Elastic runs, so both analyses join in the same order.
     """
-    relations: list = []
-    for node_id in tree.post_order():
-        relations.extend(tree.node(node_id).relations)
-    plan: JoinPlan = relations[0]
-    for name in relations[1:]:
-        plan = (plan, name)
-    return plan
+    return _left_deep(
+        name for node_id in tree.post_order() for name in tree.node(node_id).relations
+    )
+
+
+def default_plan(
+    query: ConjunctiveQuery, tree: Optional[DecompositionTree] = None
+) -> JoinPlan:
+    """The plan the analysis walks when the caller gives none.
+
+    :func:`plan_from_tree` over ``tree``; without one, over each connected
+    component's default decomposition, the component plans chained
+    left-deep.  The joins between components are cross products, which
+    the cross-product rule (``mf(∅, E) = size(E)``) bounds.
+    """
+    return _left_deep(
+        plan_from_tree(sub_tree) for _sub, sub_tree in _component_trees(query, tree)
+    )
+
+
+def _left_deep(plans: Iterable[JoinPlan]) -> JoinPlan:
+    return reduce(lambda left, right: (left, right), plans)
 
 
 def _base_expression(
@@ -131,18 +148,21 @@ def _key_frequency(expression: _Expression, key: Sequence[str]) -> int:
     return min(expression.max_freq[a] for a in key)
 
 
-def _analyse(
-    query: ConjunctiveQuery, db: Database, plan: JoinPlan
-) -> _Expression:
+def _walk(plan: JoinPlan, bases: Mapping[str, _Expression]) -> _Expression:
+    """The analysis of ``plan`` over each relation's base expression."""
     if isinstance(plan, str):
-        if plan not in query.relation_names:
+        if plan not in bases:
             raise UnknownRelationError(plan)
-        return _base_expression(query, db, plan)
+        return bases[plan]
     if not (isinstance(plan, tuple) and len(plan) == 2):
         raise MechanismConfigError(f"malformed join plan node: {plan!r}")
-    left = _analyse(query, db, plan[0])
-    right = _analyse(query, db, plan[1])
-    return _join_expressions(left, right)
+    return _join_expressions(_walk(plan[0], bases), _walk(plan[1], bases))
+
+
+def _base_expressions(
+    query: ConjunctiveQuery, db: Database
+) -> Dict[str, _Expression]:
+    return {name: _base_expression(query, db, name) for name in query.relation_names}
 
 
 def _plan_relations(plan: JoinPlan) -> Tuple[str, ...]:
@@ -165,8 +185,9 @@ def elastic_sensitivity(
     query, db:
         The counting query and instance.
     plan:
-        Binary join plan.  Defaults to a left-deep plan over ``tree``'s
-        post-order (``tree`` defaults to the automatic decomposition).
+        Binary join plan.  Defaults to :func:`default_plan`: a left-deep
+        plan over ``tree``'s post-order (``tree`` defaults to each
+        component's automatic decomposition).
     tree:
         Used only to derive the default plan.
     protected:
@@ -176,11 +197,7 @@ def elastic_sensitivity(
         and deletions.
     """
     if plan is None:
-        if tree is None:
-            from repro.query.ghd import auto_decompose
-
-            tree = auto_decompose(query)
-        plan = plan_from_tree(tree)
+        plan = default_plan(query, tree)
     covered = sorted(_plan_relations(plan))
     unknown = set(covered) - set(query.relation_names)
     if unknown:
@@ -189,7 +206,7 @@ def elastic_sensitivity(
         raise MechanismConfigError(
             f"join plan covers {covered}, query has {sorted(query.relation_names)}"
         )
-    expression = _analyse(query, db, plan)
+    expression = _walk(plan, _base_expressions(query, db))
     if protected is not None:
         if protected not in expression.sensitivity:
             raise UnknownRelationError(protected)
@@ -216,36 +233,42 @@ def elastic_sensitivity_at_distance(
     """
     if distance < 0:
         raise MechanismConfigError(f"distance must be >= 0, got {distance}")
+    return elastic_sensitivity_by_distance(query, db, protected, plan, tree)(distance)
+
+
+def elastic_sensitivity_by_distance(
+    query: ConjunctiveQuery,
+    db: Database,
+    protected: str,
+    plan: Optional[JoinPlan] = None,
+    tree: Optional[DecompositionTree] = None,
+) -> Callable[[int], int]:
+    """``k ↦ Ŝ^(k)`` (see :func:`elastic_sensitivity_at_distance`) for a
+    scan over distances.
+
+    Each relation's statistics are read here, once; each call walks the
+    plan once, shifting only the protected relation's size and max
+    frequencies by ``k``.
+    """
     if protected not in query.relation_names:
         raise UnknownRelationError(protected)
     if plan is None:
-        if tree is None:
-            from repro.query.ghd import auto_decompose
+        plan = default_plan(query, tree)
+    bases = _base_expressions(query, db)
+    for name, expression in bases.items():
+        # Only the protected relation is sensitive in this analysis.
+        expression.sensitivity = {protected: int(name == protected)}
 
-            tree = auto_decompose(query)
-        plan = plan_from_tree(tree)
+    def at(distance: int) -> int:
+        own = bases[protected]
+        shifted = replace(
+            own,
+            size=own.size + distance,
+            max_freq={attr: mf + distance for attr, mf in own.max_freq.items()},
+        )
+        return _walk(plan, {**bases, protected: shifted}).sensitivity[protected]
 
-    def analyse(node: JoinPlan) -> _Expression:
-        if isinstance(node, str):
-            expression = _base_expression(query, db, node)
-            if node == protected and distance:
-                expression.size += distance
-                expression.max_freq = {
-                    attr: mf + distance for attr, mf in expression.max_freq.items()
-                }
-            # Only the protected relation is sensitive in this analysis.
-            expression.sensitivity = {
-                name: (1 if name == protected and name == node else 0)
-                for name in query.relation_names
-            }
-            if node == protected:
-                expression.sensitivity[protected] = 1
-            return expression
-        left = analyse(node[0])
-        right = analyse(node[1])
-        return _join_expressions(left, right)
-
-    return analyse(plan).sensitivity[protected]
+    return at
 
 
 def elastic_per_relation(
@@ -256,10 +279,5 @@ def elastic_per_relation(
 ) -> Dict[str, int]:
     """Elastic sensitivity per protected relation (one analysis pass)."""
     if plan is None:
-        if tree is None:
-            from repro.query.ghd import auto_decompose
-
-            tree = auto_decompose(query)
-        plan = plan_from_tree(tree)
-    expression = _analyse(query, db, plan)
-    return dict(expression.sensitivity)
+        plan = default_plan(query, tree)
+    return dict(_walk(plan, _base_expressions(query, db)).sensitivity)

@@ -5,7 +5,9 @@ ablations we also reproduce Flex's full mechanism so all three approaches
 (TSensDP, PrivSQL, FlexDP) answer the same queries:
 
 1. compute elastic sensitivity at every distance ``k``
-   (:func:`repro.baselines.elastic.elastic_sensitivity_at_distance`);
+   (:func:`repro.baselines.elastic.elastic_sensitivity_by_distance`: each
+   relation's statistics are read once, then the join plan is walked once
+   per distance);
 2. form the β-smooth upper bound ``S = max_k e^{-βk} · Ŝ^(k)(Q, D)`` with
    ``β = ε / (2·ln(2/δ))``;
 3. release ``Q(D) + Lap(2·S/ε)``, which is (ε, δ)-differentially private
@@ -32,11 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.elastic import (
-    JoinPlan,
-    elastic_sensitivity_at_distance,
-    plan_from_tree,
-)
+from repro.baselines.elastic import JoinPlan, elastic_sensitivity_by_distance
 from repro.engine.database import Database
 from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
@@ -89,14 +87,14 @@ def smooth_elastic_sensitivity(
         raise MechanismConfigError(f"beta must be positive, got {beta}")
     degree = max(1, len(query.relation_names))
     patience = max(10, int(math.ceil(degree / beta)))
+    at_distance = elastic_sensitivity_by_distance(
+        query, db, protected, plan=plan, tree=tree
+    )
     best_value, best_distance = 0.0, 0
     decreasing_streak = 0
     previous = None
     for k in range(max_distance + 1):
-        raw = elastic_sensitivity_at_distance(
-            query, db, protected=protected, distance=k, plan=plan, tree=tree
-        )
-        value = math.exp(-beta * k) * raw
+        value = math.exp(-beta * k) * at_distance(k)
         if value > best_value:
             best_value, best_distance = value, k
         if previous is not None and value <= previous:
@@ -137,9 +135,8 @@ def run_flex_dp(
     if rng is None:
         rng = np.random.default_rng()
     beta = epsilon / (2.0 * math.log(2.0 / delta))
-    plan = plan_from_tree(tree) if tree is not None else None
     smooth, peak = smooth_elastic_sensitivity(
-        query, db, protected=primary, beta=beta, plan=plan, tree=tree
+        query, db, protected=primary, beta=beta, tree=tree
     )
     true_count = count_query(query, db, tree=tree)
     # Smooth-sensitivity Laplace: noise scale 2·S/ε.

@@ -36,7 +36,7 @@ from repro.engine.relation import Relation
 from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
-from repro.baselines.elastic import elastic_sensitivity, plan_from_tree
+from repro.baselines.elastic import elastic_sensitivity
 from repro.dp.accountant import BudgetAccountant
 from repro.dp.marking import declassified
 from repro.dp.primitives import above_threshold, laplace_mechanism
@@ -193,12 +193,8 @@ def run_privsql(
     # Static (Flex-style) global sensitivity bound w.r.t. the primary on
     # the truncated instance; learned caps stand in for truncated
     # relations' key frequencies via the truncated data itself.
-    if tree is None:
-        from repro.query.ghd import auto_decompose
-
-        tree = auto_decompose(query)
     global_sensitivity = elastic_sensitivity(
-        query, truncated_db, plan=plan_from_tree(tree), protected=primary
+        query, truncated_db, tree=tree, protected=primary
     )
     global_sensitivity = max(1, global_sensitivity)
 

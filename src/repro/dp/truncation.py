@@ -4,8 +4,10 @@
 tuple sensitivity is at most ``i`` (other relations pass through).  Two key
 facts the mechanism relies on:
 
-* the tuple sensitivities come straight from TSens's multiplicity tables —
-  no re-evaluation per tuple;
+* the tuple sensitivities come from one probe of the primary's distinct
+  tuples (:meth:`~repro.session.PreparedQuery.probe`, Berkholz, Keppeler
+  and Schweikardt's delta propagation over the botjoins and topjoins) —
+  no multiplicity table and no re-evaluation per tuple;
 * ``Q(T_TSens(Q, ·, τ))`` has global sensitivity ``τ``: a tuple with
   sensitivity above ``τ`` is truncated before it can affect the count, and
   any surviving tuple changes the count by at most its sensitivity ≤ τ.
@@ -27,8 +29,7 @@ from repro.engine.relation import Row
 from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
-from repro.core.api import local_sensitivity
-from repro.core.result import SensitivityResult
+from repro.session import PreparedQuery, prepare
 from repro.dp.marking import declassified
 from repro.exceptions import MechanismConfigError
 
@@ -38,32 +39,20 @@ def tuple_sensitivities(
     query: ConjunctiveQuery,
     db: Database,
     relation: str,
-    result: Optional[SensitivityResult] = None,
     tree: Optional[DecompositionTree] = None,
 ) -> Dict[Row, int]:
     """``δ(t, Q, D)`` for every distinct tuple of ``relation``.
 
-    Looks the tuples up in the TSens multiplicity table (computing TSens
-    first when no ``result`` is supplied), all at once: one bulk lookup per
-    table factor.  Tuples failing the query's selection predicate, or not
-    joining with the rest of the database, get sensitivity 0.
+    One probe of all the tuples on a fresh session.  Tuples failing the
+    query's selection predicate, or not joining with the rest of the
+    database, get sensitivity 0.
     """
-    if result is None:
-        result = local_sensitivity(query, db, tree=tree)
-    table = result.table(relation)
-    atom = query.atom(relation)
-    predicate = query.selections.get(relation)
-    sensitivities: Dict[Row, int] = {}
-    passing: List[Row] = []
-    assignments = []
-    for row in db.relation(relation):
-        assignment = dict(zip(atom.variables, row))
-        sensitivities[row] = 0
-        if predicate is None or predicate(assignment):
-            passing.append(row)
-            assignments.append(assignment)
-    sensitivities.update(zip(passing, table.sensitivities_of(assignments)))
-    return sensitivities
+    return _probed(prepare(query, db, tree=tree), relation)
+
+
+def _probed(session: PreparedQuery, relation: str) -> Dict[Row, int]:
+    rows = list(session.db.relation(relation))
+    return dict(zip(rows, session.probe(relation, rows)))
 
 
 @declassified(reason="pre-DP utility: input to a mechanism, not a release")
@@ -72,7 +61,6 @@ def tsens_truncate(
     db: Database,
     primary: str,
     threshold: int,
-    result: Optional[SensitivityResult] = None,
     tree: Optional[DecompositionTree] = None,
 ) -> Database:
     """``T_TSens(Q, D, threshold)`` — Definition 6.4.
@@ -82,7 +70,7 @@ def tsens_truncate(
     """
     if threshold < 0:
         raise MechanismConfigError(f"threshold must be >= 0, got {threshold}")
-    sensitivities = tuple_sensitivities(query, db, primary, result=result, tree=tree)
+    sensitivities = tuple_sensitivities(query, db, primary, tree=tree)
     return _truncated(db, primary, sensitivities, threshold)
 
 
@@ -101,6 +89,9 @@ def _truncated(
 class TruncationOracle:
     """Caches ``|Q(T_TSens(Q, D, i))|`` across thresholds.
 
+    Built from one probe of the primary's distinct tuples and one count on
+    a session; no multiplicity table is read.
+
     Parameters
     ----------
     query, db:
@@ -108,16 +99,16 @@ class TruncationOracle:
     primary:
         The primary private relation being truncated.
     tree:
-        Decomposition for both TSens and the count evaluations.
-    result:
-        A precomputed TSens result (must include the primary's table).
+        Decomposition for the default session.
     skip_relations:
-        Passed through to TSens when it must be computed here.  The
-        primary may not be among them: truncation reads its table.
-    base_count:
-        ``|Q(D)|`` when the caller already holds it — the session layer
-        passes its maintained count so building an oracle after updates
-        skips the full re-evaluation; defaults to counting here.
+        Relations the :attr:`local_sensitivity` diagnostic skips.
+    session:
+        A :class:`~repro.session.PreparedQuery` over ``db`` to probe and
+        count on, so the topjoins the probe builds stay in it — the
+        session layer passes itself; defaults to
+        ``prepare(query, db, tree=tree)``.  The oracle reads the query,
+        instance and tree off this session, and rejects one over another
+        database.
     """
 
     def __init__(
@@ -126,40 +117,37 @@ class TruncationOracle:
         db: Database,
         primary: str,
         tree: Optional[DecompositionTree] = None,
-        result: Optional[SensitivityResult] = None,
         skip_relations: Tuple[str, ...] = (),
-        base_count: Optional[int] = None,
+        session: Optional[PreparedQuery] = None,
     ):
-        if primary in skip_relations:
-            raise MechanismConfigError(
-                f"primary {primary!r} is in skip_relations, but truncation "
-                "reads its multiplicity table"
-            )
-        self._query = query
-        self._db = db
         self._primary = primary
-        self._tree = tree
-        if result is None:
-            result = local_sensitivity(
-                query, db, tree=tree, skip_relations=skip_relations
-            )
-        self.sensitivity_result = result
-        self._sensitivities = tuple_sensitivities(
-            query, db, primary, result=result, tree=tree
-        )
+        self._skip_relations = tuple(skip_relations)
+        owned = session is None
+        if owned:
+            session = prepare(query, db, tree=tree)
+        with session.lock:
+            if session.db is not db:
+                raise MechanismConfigError(
+                    "the oracle's session is prepared over another database"
+                )
+            self._query, self._db, self._tree = session.query, db, session.tree
+            self._sensitivities = _probed(session, primary)
+            self._base_count = session.count()
+            # The diagnostic LS is read later, at this snapshot.  Nobody
+            # else can update a session the oracle prepared; a caller's is
+            # forked, which shares its state and which no later update of
+            # it reaches.
+            self._snapshot = session if owned else session.fork()
         # Distinct sensitivity levels, ascending; thresholds between two
         # levels produce identical truncations.
         self._levels: List[int] = sorted(set(self._sensitivities.values()))
-        if base_count is None:
-            base_count = count_query(query, db, tree=tree)
-        self._base_count = base_count
         # Because the primary relation appears exactly once in the query
         # (no self-joins), every output tuple matches exactly one distinct
         # primary row, and removing a row with multiplicity c and tuple
         # sensitivity δ removes exactly c·δ outputs.  Truncated counts are
         # therefore base − Σ_{δ(r) > i} mult(r)·δ(r): precompute the
         # removed-output mass per level and its suffix sums.
-        base_relation = db.relation(primary)
+        base_relation = self._db.relation(primary)
         mass_per_level: Dict[int, int] = {}
         for row, cnt in base_relation.items():
             level = self._sensitivities[row]
@@ -173,8 +161,11 @@ class TruncationOracle:
     @property
     @declassified(reason="diagnostic accessor; mechanisms only use it pre-DP")
     def local_sensitivity(self) -> int:
-        """``LS(Q, D)`` as computed by TSens."""
-        return self.sensitivity_result.local_sensitivity
+        """``LS(Q, D)`` as computed by TSens at the oracle's snapshot, with
+        its ``skip_relations`` (built on first read, then cached)."""
+        return self._snapshot.sensitivity(
+            skip_relations=self._skip_relations
+        ).local_sensitivity
 
     @property
     def base_count(self) -> int:

@@ -16,6 +16,11 @@ a total budget ``ε`` and a public upper bound ``ℓ`` on tuple sensitivity:
 2. spend the remaining ``ε − ε_tsens`` answering:
    ``Q(T(D, τ)) + Lap(τ / (ε − ε_tsens))``.
 
+Every ``Q(T(D, i))`` is read off one
+:class:`~repro.dp.truncation.TruncationOracle`, whose tuple sensitivities
+come from one probe of the primary's tuples and whose base count is one
+count: no multiplicity table is built.
+
 The combination is ε-DP by sequential composition (Theorem 6.1).  The
 returned :class:`TSensDPOutcome` carries non-private diagnostics (bias,
 error) for experiment reporting only — they are never released by the
@@ -25,14 +30,13 @@ mechanism itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.engine.database import Database
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
-from repro.core.result import SensitivityResult
 from repro.dp.accountant import BudgetAccountant
 from repro.dp.marking import declassified
 from repro.dp.primitives import above_threshold, laplace_mechanism
@@ -92,8 +96,6 @@ def run_tsens_dp(
     epsilon: float,
     ell: int,
     tree: Optional[DecompositionTree] = None,
-    skip_relations: Tuple[str, ...] = (),
-    sensitivity_result: Optional[SensitivityResult] = None,
     oracle: Optional[TruncationOracle] = None,
     rng: Optional[np.random.Generator] = None,
     clamp_nonnegative: bool = True,
@@ -110,9 +112,11 @@ def run_tsens_dp(
         Public upper bound on tuple sensitivity.  DP holds for any value;
         accuracy degrades when it is far from the true local sensitivity
         (the paper's parameter analysis, reproduced in experiment E6).
-    tree, skip_relations, sensitivity_result, oracle:
-        Reuse hooks: pass a precomputed TSens result or a whole
-        :class:`~repro.dp.truncation.TruncationOracle` when running the
+    tree:
+        Decomposition for the default oracle's session.
+    oracle:
+        Reuse hook: pass a :class:`~repro.dp.truncation.TruncationOracle`
+        (one probe of the primary plus one count) when running the
         mechanism repeatedly on the same instance.
     rng:
         Source of randomness (defaults to a fresh nondeterministic one).
@@ -131,14 +135,7 @@ def run_tsens_dp(
     epsilon_answer = epsilon - epsilon_threshold
 
     if oracle is None:
-        oracle = TruncationOracle(
-            query,
-            db,
-            primary,
-            tree=tree,
-            result=sensitivity_result,
-            skip_relations=skip_relations,
-        )
+        oracle = TruncationOracle(query, db, primary, tree=tree)
 
     # Step 1a: rough estimate at the loosest truncation.
     accountant.spend(epsilon_estimate, "estimate")

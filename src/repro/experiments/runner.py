@@ -16,8 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.engine.database import Database
 from repro.evaluation.yannakakis import count_query
-from repro.query.ghd import auto_decompose
-from repro.baselines.elastic import elastic_sensitivity, plan_from_tree
+from repro.baselines.elastic import elastic_sensitivity
 from repro.core.result import SensitivityResult
 from repro.session import prepare
 from repro.datasets.facebook import generate_ego_network
@@ -75,14 +74,12 @@ def measure_workload(
     session, prepare_seconds = timed(
         lambda: prepare(workload.query, db, tree=workload.tree)
     )
-    tree = session.tree if session.tree is not None else auto_decompose(workload.query)
-
     result, sensitivity_seconds = timed(
         lambda: session.sensitivity(skip_relations=workload.skip_relations)
     )
     tsens_seconds = prepare_seconds + sensitivity_seconds
     elastic_ls, elastic_seconds = timed(
-        lambda: elastic_sensitivity(workload.query, db, plan=plan_from_tree(tree))
+        lambda: elastic_sensitivity(workload.query, db, tree=session.tree)
     )
     count, evaluation_seconds = timed(
         lambda: count_query(workload.query, db, tree=workload.tree)

@@ -5,8 +5,8 @@ report the medians of relative error, relative bias and global sensitivity
 plus the mean wall-clock time — the paper's Table 2 columns.  Budget
 handling follows Sec. 7.3: both mechanisms split ε in two halves
 (threshold learning / answering), PrivSQL's synopsis stage is disabled,
-negative releases clamp to 0, and the TSens multiplicity tables are
-computed once per workload and shared across repetitions (the paper's
+negative releases clamp to 0, and the primary's tuple sensitivities
+come from one probe per workload, shared across repetitions (the paper's
 timing likewise amortises the sensitivity pass).
 
 Shape claims asserted by the integration tests: TSensDP achieves small
@@ -65,13 +65,12 @@ def _run_workload(
         )
     rng = np.random.default_rng(seed)
 
-    # One prepared session per workload: the sensitivity pass and the
-    # truncation oracle are built once, then n_runs releases reuse them.
+    # One prepared session per workload: the truncation oracle (one probe
+    # of the primary and one count) is built once, then n_runs releases
+    # reuse it.
     start = time.perf_counter()
     session = prepare(workload.query, db, tree=workload.tree)
-    oracle = session.truncation_oracle(
-        workload.primary, skip_relations=workload.skip_relations
-    )
+    oracle = session.truncation_oracle(workload.primary)
     oracle_seconds = time.perf_counter() - start
     ell = loose_bound(oracle.max_primary_sensitivity, floor=workload.ell)
     tsens_outcomes = []
@@ -84,7 +83,6 @@ def _run_workload(
                 mechanism="tsensdp",
                 primary=workload.primary,
                 ell=ell,
-                skip_relations=workload.skip_relations,
                 rng=rng,
             )
         )

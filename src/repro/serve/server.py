@@ -364,8 +364,6 @@ class SessionServer:
         ):
             if name in params:
                 kwargs[name] = params[name]
-        if "skip_relations" in params:
-            kwargs["skip_relations"] = self._skip(params)
         lease = self.manager.acquire()
         try:
             # Releases draw fresh noise and spend budget per request, so

@@ -217,7 +217,7 @@ class PreparedQuery:
         self._evaluator: Optional[IncrementalEvaluator] = None
         # (kind, config) -> result caches, cleared on every mutation.
         self._results: Dict[Tuple, object] = {}
-        self._oracles: Dict[Tuple, object] = {}
+        self._oracles: Dict[str, object] = {}
         self._updates_applied = 0
 
     # ------------------------------------------------------------- accessors
@@ -563,7 +563,6 @@ class PreparedQuery:
         rng=None,
         ell: Optional[int] = None,
         delta: float = 1e-6,
-        skip_relations: Iterable[str] = (),
         clamp_nonnegative: bool = True,
         max_threshold: int = 4096,
     ):
@@ -571,9 +570,10 @@ class PreparedQuery:
 
         A facade over :func:`repro.dp.tsensdp.run_tsens_dp`,
         :func:`repro.dp.flexdp.run_flex_dp` and
-        :func:`repro.dp.privsql.run_privsql` that reuses the session's
-        cached sensitivity result and truncation oracle, so repeated
-        releases on an unchanged database skip all sensitivity work.
+        :func:`repro.dp.privsql.run_privsql`.  TSensDP reads the session's
+        cached truncation oracle (one probe of the primary on the
+        maintained state), so repeated releases on an unchanged database
+        skip all sensitivity work.
 
         Parameters
         ----------
@@ -595,9 +595,6 @@ class PreparedQuery:
             Public tuple-sensitivity bound (tsensdp only; required there).
         delta:
             The δ of (ε, δ)-DP (flexdp only).
-        skip_relations:
-            Relations certified δ ≤ 1, skipped by the sensitivity pass
-            (tsensdp only).
         clamp_nonnegative:
             Clamp the released count at 0 (free post-processing).
         max_threshold:
@@ -630,12 +627,6 @@ class PreparedQuery:
             )
         if mechanism == "tsensdp" and ell < 1:
             raise MechanismConfigError(f"ell must be >= 1, got {ell}")
-        skip = tuple(skip_relations)
-        if mechanism == "tsensdp" and primary in skip:
-            raise MechanismConfigError(
-                f"primary {primary!r} is in skip_relations, but TSensDP "
-                "truncates by its multiplicity table"
-            )
         if mechanism == "flexdp" and not 0 < delta < 1:
             raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
         with self._lock:
@@ -654,8 +645,7 @@ class PreparedQuery:
                     epsilon,
                     ell,
                     tree=self.tree,
-                    skip_relations=skip,
-                    oracle=self.truncation_oracle(primary, skip),
+                    oracle=self.truncation_oracle(primary),
                     rng=rng,
                     clamp_nonnegative=clamp_nonnegative,
                 )
@@ -685,40 +675,23 @@ class PreparedQuery:
                 clamp_nonnegative=clamp_nonnegative,
             )
 
-    def truncation_oracle(
-        self, primary: str, skip_relations: Iterable[str] = ()
-    ):
+    def truncation_oracle(self, primary: str):
         """The session's cached :class:`~repro.dp.truncation.TruncationOracle`
         for ``primary`` — per-tuple sensitivities, truncated counts across
         thresholds, and ``max_primary_sensitivity``.  Shared with
-        ``release(mechanism="tsensdp")`` and invalidated on mutation."""
+        ``release(mechanism="tsensdp")`` and invalidated on mutation.
+
+        The oracle probes the primary's tuples and reads the count on this
+        session's maintained state, so it builds no multiplicity table.
+        """
         from repro.dp.truncation import TruncationOracle
 
-        skip = tuple(skip_relations)
-        if primary in skip:
-            # Checked before the sensitivity pass the oracle would need.
-            raise MechanismConfigError(
-                f"primary {primary!r} is in skip_relations, but truncation "
-                "reads its multiplicity table"
-            )
-        key = (primary, tuple(sorted(skip)))
         with self._lock:
-            if key not in self._oracles:
-                # Both expensive oracle inputs come off the maintained
-                # state: the sensitivity result (tables folded under
-                # updates) and the base count (root botjoins) — the oracle
-                # itself only rescans the primary relation's tuple
-                # sensitivities.
-                self._oracles[key] = TruncationOracle(
-                    self._query,
-                    self._db,
-                    primary,
-                    tree=self.tree,
-                    result=self.sensitivity(skip_relations=skip),
-                    skip_relations=skip,
-                    base_count=self.count(),
+            if primary not in self._oracles:
+                self._oracles[primary] = TruncationOracle(
+                    self._query, self._db, primary, tree=self.tree, session=self
                 )
-            return self._oracles[key]
+            return self._oracles[primary]
 
     # --------------------------------------------------------------- updates
     def insert(self, relation: str, row: Sequence[object]) -> int:

@@ -16,3 +16,7 @@ def log_sensitivity(oracle):
 def release_derived(query, db):
     doubled = 2 * count_query(query, db)
     return doubled  # leak survives arithmetic: taint propagates
+
+
+def release_probe(session, rows):
+    return session.probe("R", rows)  # leak: probes are tuple sensitivities

@@ -72,8 +72,8 @@ class TestRuleSpecifics:
         runner = LintRunner([_rule("R001")])
         for kind, path in _copied_fixtures("R001", tmp_path):
             if kind == "bad":
-                # return leak + print leak + derived-value leak
-                assert len(runner.check_file(path)) == 3
+                # return leak + print leak + derived-value leak + probe leak
+                assert len(runner.check_file(path)) == 4
 
     def test_r003_reports_partial_invalidation(self, tmp_path):
         runner = LintRunner([_rule("R003")])

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import local_sensitivity
 from repro.datasets.tpch import generate_tpch
 from repro.dp import TruncationOracle, tsens_truncate, tuple_sensitivities
-from repro.engine import ColumnarRelation, Database, Relation
-from repro.evaluation import count_query
+from repro.engine import Database, Relation
+from repro.evaluation import IncrementalEvaluator, count_query
+from repro.evaluation import joinstate
 from repro.query import parse_query
+from repro.session import PreparedQuery, prepare
 from repro.exceptions import MechanismConfigError
 from repro.workloads.tpch_queries import q1_workload, q2_workload
 
@@ -46,38 +47,44 @@ class TestTupleSensitivities:
 
 @pytest.mark.parametrize("workload", [q1_workload(), q2_workload()], ids=["q1", "q2"])
 class TestTupleSensitivitiesBulkLookup:
-    """The primary's sensitivities come from one bulk ``multiplicities``
-    lookup per table factor, never a per-tuple ``multiplicity`` scan."""
+    """The primary's sensitivities come from one probe of all its tuples,
+    never from a multiplicity table."""
 
-    def _prepared(self, workload, backend):
-        db = workload.prepare(generate_tpch(0.002, seed=3, backend=backend))
-        return db, local_sensitivity(workload.query, db, tree=workload.tree)
+    def _db(self, workload, backend):
+        return workload.prepare(generate_tpch(0.002, seed=3, backend=backend))
 
-    def _sensitivities(self, workload, db, result):
+    def _sensitivities(self, workload, db):
         return tuple_sensitivities(
-            workload.query, db, workload.primary, result=result, tree=workload.tree
+            workload.query, db, workload.primary, tree=workload.tree
         )
 
     def test_backends_identical(self, workload):
-        python = self._sensitivities(workload, *self._prepared(workload, "python"))
-        columnar = self._sensitivities(workload, *self._prepared(workload, "columnar"))
+        python = self._sensitivities(workload, self._db(workload, "python"))
+        columnar = self._sensitivities(workload, self._db(workload, "columnar"))
         assert columnar == python
         assert any(python.values())
 
-    def test_one_bulk_lookup_per_factor(self, workload, monkeypatch):
-        db, result = self._prepared(workload, "columnar")
-        calls = {"multiplicities": 0, "multiplicity": 0}
-        for name in calls:
-            original = getattr(ColumnarRelation, name)
+    def test_one_probe_pass(self, workload, monkeypatch):
+        db = self._db(workload, "columnar")
+        probes, tables = [], []
+        original_probe = IncrementalEvaluator.delta_batch
+        original_build = joinstate.build_table
 
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
+        def probe(self, relation, rows):
+            probes.append((relation, len(rows)))
+            return original_probe(self, relation, rows)
 
-            monkeypatch.setattr(ColumnarRelation, name, counted)
-        self._sensitivities(workload, db, result)
-        factors = result.table(workload.primary).factors
-        assert calls == {"multiplicities": len(factors), "multiplicity": 0}
+        def build(*args, **kwargs):
+            tables.append(args)
+            return original_build(*args, **kwargs)
+
+        monkeypatch.setattr(IncrementalEvaluator, "delta_batch", probe)
+        monkeypatch.setattr(joinstate, "build_table", build)
+        sensitivities = self._sensitivities(workload, db)
+        primary = db.relation(workload.primary)
+        assert probes == [(workload.primary, len(sensitivities))]
+        assert set(sensitivities) == set(primary)
+        assert tables == []
 
 
 class TestTruncate:
@@ -137,6 +144,29 @@ class TestOracle:
         assert oracle.base_count == 7
         assert oracle.truncated_count(1) == 1
         assert oracle.truncated_count(1) == oracle.truncated_count_reevaluated(1)
+
+    def test_session_over_another_database_rejected(self, star_query, star_db):
+        session = prepare(star_query, star_db.add_tuple("R", ("u9", "hot")))
+        with pytest.raises(MechanismConfigError, match="another database"):
+            TruncationOracle(star_query, star_db, "R", session=session)
+
+    def test_forks_only_a_callers_session(self, star_query, star_db, monkeypatch):
+        """A session the oracle prepares itself is its snapshot; a caller's
+        session is forked, so a later update of it leaves the oracle's
+        diagnostic where it was."""
+        forks = []
+        original = PreparedQuery.fork
+        monkeypatch.setattr(
+            PreparedQuery, "fork", lambda self: forks.append(self) or original(self)
+        )
+        owned = TruncationOracle(star_query, star_db, "R")
+        assert forks == [] and owned.local_sensitivity == 4
+        session = prepare(star_query, star_db)
+        oracle = TruncationOracle(star_query, star_db, "R", session=session)
+        assert forks == [session]
+        session.insert("S", ("hot", "w5"))
+        assert oracle.local_sensitivity == 4
+        assert session.sensitivity().local_sensitivity == 5
 
 
 class TestGlobalSensitivityProperty:

@@ -8,7 +8,9 @@ from repro.core import explain
 from repro.dp import BudgetAccountant, run_flex_dp, run_privsql, run_tsens_dp
 from repro.engine import Database, Relation
 from repro.evaluation import count_query
+from repro.datasets.tpch import generate_tpch
 from repro.query import gyo_join_tree, parse_query
+from repro.workloads.tpch_queries import q1_workload, q3_workload
 from repro.exceptions import (
     DecompositionError,
     MechanismConfigError,
@@ -384,12 +386,76 @@ class TestRelease:
         )
         assert session.truncation_oracle(workload.primary) is oracle
 
-    def test_oracle_rejects_skipped_primary_before_any_work(self, star_session):
+    def test_oracle_builds_no_table(self, star_session):
         workload, session = star_session
-        primary = workload.primary
-        with pytest.raises(MechanismConfigError, match="skip_relations"):
-            session.truncation_oracle(primary, (primary,))
+        oracle = session.truncation_oracle(workload.primary)
+        assert oracle.max_primary_sensitivity > 0
         assert all(not state.tables_materialised for state in session._states())
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    @pytest.mark.parametrize("make", [q1_workload, q3_workload], ids=["q1", "q3"])
+    def test_cold_release_builds_no_table(self, make, backend):
+        workload = make()
+        db = workload.prepare(generate_tpch(0.001, seed=1, backend=backend))
+        session = prepare(workload.query, db, tree=workload.tree)
+        session.release(
+            1.0,
+            mechanism="tsensdp",
+            primary=workload.primary,
+            ell=10,
+            rng=np.random.default_rng(0),
+        )
+        assert all(not state.tables_materialised for state in session._states())
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_oracle_answers_at_its_snapshot(self, backend):
+        query = parse_query("Q(A,B,C) :- R(A,B), S(B,C)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+                "S": Relation(["B", "C"], [(2, 4)]),
+            },
+            backend=backend,
+        )
+        session = prepare(query, db)
+        oracle = session.truncation_oracle("R")
+        session.insert("R", (5, 2))  # LS 2 -> 3, |Q| 2 -> 3
+        assert session.sensitivity().local_sensitivity == 3
+        # Read for the first time after the insert, still at the snapshot.
+        assert oracle.local_sensitivity == 2
+        assert oracle.base_count == 2
+        assert [oracle.truncated_count(i) for i in range(3)] == [0, 2, 2]
+        current = session.truncation_oracle("R")
+        assert (current.local_sensitivity, current.base_count) == (3, 3)
+        assert [current.truncated_count(i) for i in range(3)] == [0, 3, 3]
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_baselines_release_on_disconnected_query(self, backend):
+        """FlexDP's default plan chains the components' plans, whose cross
+        products the cross-product rule bounds; PrivSQL counts per
+        component."""
+        query = parse_query("R(A,B), S(B,C), T(D)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+                "S": Relation(["B", "C"], [(2, 4)]),
+                "T": Relation(["D"], [(7,), (8,)]),
+            },
+            backend=backend,
+        )
+        session = prepare(query, db)
+        exact = session.sensitivity().per_relation
+        for primary in ("R", "S", "T"):
+            flex = session.release(
+                1.0, mechanism="flexdp", primary=primary,
+                rng=np.random.default_rng(0),
+            )
+            assert flex.smooth_sensitivity >= exact[primary].sensitivity
+            privsql = session.release(
+                1.0, mechanism="privsql", primary=primary,
+                rng=np.random.default_rng(0),
+            )
+            assert privsql.true_count == session.count() == 4
 
     def test_accountant_tracks_and_refuses_overdraft(self, star_session):
         workload, session = star_session
@@ -453,34 +519,6 @@ class TestRelease:
             rng=np.random.default_rng(0),
         )
         assert accountant.remaining == pytest.approx(0.0)
-
-    @pytest.mark.parametrize("backend", ["python", "columnar"])
-    def test_skipped_primary_rejected_before_spend(self, star_session, backend):
-        """TSensDP truncates by the primary's multiplicity table, which a
-        skipped relation lacks: the release fails on configuration with
-        the ledger untouched, and so does the one-shot runner."""
-        workload, session = star_session
-        db = session.db.with_backend(backend)
-        session = prepare(workload.query, db, tree=workload.tree)
-        accountant = BudgetAccountant(1.0)
-        accountant.spend(0.25, "earlier")
-        ledger = accountant.ledger()
-        skip = (workload.primary,)
-        with pytest.raises(MechanismConfigError, match="skip_relations"):
-            session.release(
-                0.5,
-                mechanism="tsensdp",
-                primary=workload.primary,
-                ell=workload.ell,
-                skip_relations=skip,
-                accountant=accountant,
-            )
-        assert accountant.ledger() == ledger
-        with pytest.raises(MechanismConfigError, match="skip_relations"):
-            run_tsens_dp(
-                workload.query, db, workload.primary, 0.5, workload.ell,
-                tree=workload.tree, skip_relations=skip,
-            )
 
     def test_release_sees_committed_updates(self, fig1_query, fig1_db):
         session = prepare(fig1_query, fig1_db)
