@@ -30,7 +30,6 @@ BANNED_ATTRIBUTES = frozenset(
         "_evaluator",
         "_ensure_evaluator",
         "_states",
-        "_path_state",
         "component_states",
         "apply_batch",
         "delta_batch",

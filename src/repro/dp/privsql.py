@@ -204,7 +204,8 @@ def run_privsql(
     if clamp_nonnegative and answer < 0:
         answer = 0.0
 
-    true_count = count_query(query, db, tree=tree)
+    # With no foreign key leaving the primary nothing was truncated.
+    true_count = truncated if truncated_db is db else count_query(query, db, tree=tree)
     return PrivSQLOutcome(
         answer=answer,
         global_sensitivity=global_sensitivity,

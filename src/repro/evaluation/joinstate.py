@@ -10,25 +10,27 @@ session layer already maintained the botjoins under single-tuple updates.
 A :class:`JoinState` owns the *entire* chain and keeps every level
 consistent under committed updates:
 
-* **Botjoins** are folded along the leaf-to-root path of the updated
-  relation's node.  Every maintained relation — atom, botjoin, topjoin,
-  table factor — absorbs its delta through one engine operator,
+* **Botjoins and topjoins** move by node steps.  ``K(v)`` and each
+  child's ``J(c)`` join ``v``'s atoms with its neighbouring levels, and
+  an update moves at most one input of each.  A step at ``v`` turns its
+  one changed input — an atom, a child's botjoin or ``J(v)`` — into
+  ``ΔK(v)`` and the other children's ``ΔJ``, and each moved level is the
+  changed input of its reader: ``K(v)``'s parent, ``J(c)``'s own node.
+  So botjoins move along the updated node's leaf-to-root path; ``J``
+  stays put on that path (it is the complement of a subtree holding the
+  update) and moves everywhere else; an empty delta ends its branch.
+  Every maintained relation — atom, botjoin, topjoin, table factor —
+  absorbs its delta through one engine operator,
   :func:`~repro.engine.operators.patch`: bag union for inserts, monus
   for deletes (monus is exact because a delete's delta never exceeds the
   removed tuples' own contribution).  On the columnar backend a patch
   locates the delta's rows in the relation's code-order key and copies
   only the arrays it changes, so it never re-sorts the relation.
-* **Topjoins** are the mirror image.  ``J(v)`` is the complement of
-  ``v``'s subtree, so an update at node ``u`` leaves ``J`` unchanged on
-  the whole ``u``-to-root path and changes it *everywhere else* — but
-  each changed node has exactly one changed input (the updated atom for
-  ``u``'s children, ``ΔK(path child)`` for siblings of path nodes,
-  ``ΔJ(parent)`` below), so the delta propagates root-to-leaf through
-  small joins against cached relations, never re-joining full inputs.
-* **GHD nodes** are never materialised as bags.  Wherever a delta
-  crosses a node it joins that node's atoms through
+* **GHD nodes** are never materialised as bags.  A step joins its
+  changed input with the node's other atoms once, through
   :func:`join_aggregate`, keeping only the attributes the node shares
-  with its parent and children, so a fold's cost follows the delta.
+  with its parent and children.  ``ΔK(v)`` and every ``ΔJ(c)`` of the
+  step start from that one core, so a fold's cost follows the delta.
 * **Multiplicity tables** are stored factored by attribute-connected
   components (the same layout the one-shot algorithm uses).  An update
   changes exactly one input part of each table — the updated atom for
@@ -118,7 +120,8 @@ def effective_attributes(
 
 @dataclass(frozen=True)
 class _TablePart:
-    """One symbolic input of a multiplicity table.
+    """One symbolic input of a multiplicity table, and the name a fold
+    gives each level it moves.
 
     ``kind`` is ``"top"`` (the node's topjoin), ``"bot"`` (a child's
     botjoin) or ``"atom"`` (another atom assigned to the same node);
@@ -127,6 +130,15 @@ class _TablePart:
 
     kind: str
     key: str
+
+    @property
+    def label(self) -> str:
+        """How a fold's overflow names this level: ``atom 'R'``,
+        ``botjoin K('v')`` or ``topjoin J('v')``."""
+        return _LEVEL_LABELS[self.kind].format(self.key)
+
+
+_LEVEL_LABELS = {"atom": "atom {!r}", "bot": "botjoin K({!r})", "top": "topjoin J({!r})"}
 
 
 @dataclass(frozen=True)
@@ -548,21 +560,23 @@ class JoinState:
 
     def _commit_fold(
         self,
-        relation: str,
-        atom: Relation,
-        botjoins: Mapping[str, Relation],
-        topjoins: Mapping[str, Relation],
+        changes: Mapping[_TablePart, Tuple[Relation, Relation]],
         tables: Mapping[str, MultiplicityTable],
     ) -> None:
         """Write one fully staged fold into this state, a batch's fork.
 
-        Runs after every read of the fold, so each fold reads the state
-        the previous folds of the batch left.  Dict writes only.
+        ``changes`` maps every atom, botjoin and topjoin the fold moved to
+        its delta and new value.  Runs after every read of the fold, so
+        each fold reads the state the previous folds of the batch left.
+        Dict writes only.
         """
-        self.bound.atom_relations[relation] = atom
-        self.botjoins.update(botjoins)
-        if self._topjoins is not None:
-            self._topjoins.update(topjoins)
+        for part, (_, new) in changes.items():
+            if part.kind == "atom":
+                self.bound.atom_relations[part.key] = new
+            elif part.kind == "bot":
+                self.botjoins[part.key] = new
+            else:
+                self.topjoins()[part.key] = new
         self._tables.update(tables)
         for rel in tables:
             self.witnesses.pop(rel, None)
@@ -577,197 +591,115 @@ class JoinState:
 
         ``|Q(D)|``, every botjoin, every topjoin and every table factor
         are multilinear in each relation's multiplicity vector, and the
-        fold changes exactly one input of each derived structure — so the
-        whole delta *relation* propagates through the same small join
-        chains the one-tuple fold used.  Called on a batch's fork only:
-        every read sees the state after the batch's previous folds, and
-        :meth:`_commit_fold` writes this fold's levels last.
+        fold changes at most one input of each derived structure — so the
+        whole delta *relation* propagates as a worklist of node steps
+        (:meth:`_node_deltas`).  Each level a step moves is patched,
+        recorded in ``changes``, and queued as the changed input of its
+        reader: a botjoin's parent, a topjoin's own node.  Called on a
+        batch's fork only: every read sees the state after the batch's
+        previous folds, and :meth:`_commit_fold` writes this fold's levels
+        last.
         """
         tree = self.tree
-        node_id = tree.node_of_relation(relation)
         # Whatever the selection filter keeps, the rows land in the
         # database, whose active domains feed witness extrapolation.
         self.drop_domain_dependent_witnesses(self._base_columns[relation])
-        current_atom = self.bound.atom_relation(relation)
-        atom_delta = bound_delta(self.query, relation, rows, type(current_atom))
-        if atom_delta.is_empty():
+        atom = _TablePart("atom", relation)
+        current = self.bound.atom_relation(relation)
+        delta = bound_delta(self.query, relation, rows, type(current))
+        if delta.is_empty():
             return
-        with _overflow_named(f"atom {relation!r}"):
-            new_atom = patch(current_atom, atom_delta, insert)
-        # The node-level delta joins the delta relation with the other
-        # atoms of the same node.  For deletes this uses the pre-fold
-        # state, which is exactly the removed contribution.
-        node_delta = atom_delta
-        with _overflow_named(f"botjoin K({node_id!r})"):
-            for other in tree.node(node_id).relations:
-                if other != relation:
-                    node_delta = join(node_delta, self.bound.atom_relation(other))
+        # Every level this fold moves: its delta and its new value.
+        changes: Dict[_TablePart, Tuple[Relation, Relation]] = {}
+        with _overflow_named(atom.label):
+            changes[atom] = (delta, patch(current, delta, insert))
+        steps = [(tree.node_of_relation(relation), atom, delta)]
+        while steps:
+            node, changed, delta = steps.pop()
+            for level, level_delta in self._node_deltas(node, changed, delta):
+                with _overflow_named(level.label):
+                    new = patch(self._part_value(level), level_delta, insert)
+                changes[level] = (level_delta, new)
+                reader = tree.parent(level.key) if level.kind == "bot" else level.key
+                if reader is not None:
+                    steps.append((reader, level, level_delta))
 
-        # ----- stage: botjoins along the leaf-to-root path
-        staged_botjoins: Dict[str, Relation] = {}
-        path_deltas: Dict[str, Relation] = {}
-        #: ancestor -> ΔK(path child) ⋈ atoms(ancestor), cached because
-        #: the topjoin staging needs exactly this join as its sideways core.
-        path_expanded: Dict[str, Relation] = {}
-        delta = node_delta
-        previous: Optional[str] = None
-        current: Optional[str] = node_id
-        while current is not None:
-            with _overflow_named(f"botjoin K({current!r})"):
-                if previous is not None:
-                    delta = self._node_delta(current, delta)
-                    path_expanded[current] = delta
-                for child in tree.children(current):
-                    if child != previous:
-                        delta = join(delta, self.botjoins[child])
-                delta = group_by(delta, sorted(tree.shared_with_parent(current)))
-                if delta.is_empty():
-                    break  # joins nothing from here up: no botjoin changes
-                path_deltas[current] = delta
-                staged_botjoins[current] = patch(self.botjoins[current], delta, insert)
-            previous, current = current, tree.parent(current)
+        tables: Dict[str, MultiplicityTable] = {}
+        for rel in self._tables:
+            if rel == relation:
+                continue  # T^i excludes R_i itself: unchanged by design
+            patched = self._stage_table_patch(rel, changes, insert)
+            if patched is not None:
+                tables[rel] = patched
+        self._commit_fold(changes, tables)
 
-        # ----- stage: topjoins everywhere off the path (if materialised)
-        staged_topjoins: Dict[str, Relation] = {}
-        topjoin_deltas: Dict[str, Relation] = {}
-        if self._topjoins is not None:
-            self._stage_topjoin_deltas(
-                node_id, node_delta, path_deltas, path_expanded,
-                insert, staged_topjoins, topjoin_deltas,
-            )
+    def _node_deltas(
+        self, node: str, changed: _TablePart, delta: Relation
+    ) -> List[Tuple[_TablePart, Relation]]:
+        """The non-empty level deltas one changed input of ``node`` makes.
 
-        # ----- stage: the one changed factor of each materialised table
-        staged_tables: Dict[str, MultiplicityTable] = {}
-        if self._tables:
-            # Every table part this fold moves: its delta and new value.
-            changes: Dict[_TablePart, Tuple[Relation, Relation]] = {
-                _TablePart("atom", relation): (atom_delta, new_atom)
-            }
-            for node, delta in path_deltas.items():
-                changes[_TablePart("bot", node)] = (delta, staged_botjoins[node])
-            for node, delta in topjoin_deltas.items():
-                changes[_TablePart("top", node)] = (delta, staged_topjoins[node])
-            for rel in self._tables:
-                if rel == relation:
-                    continue  # T^i excludes R_i itself: unchanged by design
-                patched = self._stage_table_patch(rel, changes, insert)
-                if patched is not None:
-                    staged_tables[rel] = patched
-
-        self._commit_fold(
-            relation, new_atom, staged_botjoins, staged_topjoins, staged_tables
-        )
-
-    def _node_delta(self, node_id: str, delta: Relation) -> Relation:
-        """``delta`` joined with the node's atoms, early-aggregating.
-
-        Keeps only what the passes read next: the attributes the node
-        shares with its parent and with its children.
+        ``changed`` is one of the node's atoms, one child's botjoin or the
+        node's own topjoin, and ``delta`` is its delta.  ``K(node)`` joins
+        the node's atoms with its children's botjoins, and a child's ``J``
+        joins them with ``J(node)`` and that child's siblings' botjoins,
+        so every level ``changed`` feeds shares one core: ``delta`` joined
+        once with the node's other atoms, keeping what the node shares
+        with its parent and children.  The core joined with the other
+        children's botjoins is ``ΔK(node)``, which a change of ``J(node)``
+        does not move.  When topjoins exist, the core joined once with
+        ``J(node)``, then with a child's siblings' botjoins, is that
+        child's ``ΔJ``.  Every other input is read as the fold found it:
+        a fold moves at most one input of each level, and for a delete
+        the pre-fold state is exactly the removed contribution.  An
+        overflow in the core names the first level it feeds.
         """
         tree = self.tree
-        keep = set(tree.shared_with_parent(node_id)).union(
-            *(tree.shared_with_parent(child) for child in tree.children(node_id))
+        children = [c for c in tree.children(node) if _TablePart("bot", c) != changed]
+        if changed.kind == "top":
+            if self._topjoins is None or not children:
+                return []
+            first = _TablePart("top", children[0])
+        else:
+            first = _TablePart("bot", node)
+        others = [
+            self.bound.atom_relation(rel)
+            for rel in tree.node(node).relations
+            if _TablePart("atom", rel) != changed
+        ]
+        keep = set(tree.shared_with_parent(node)).union(
+            *(tree.shared_with_parent(child) for child in tree.children(node))
         )
-        return join_aggregate([delta] + self.bound.atoms(node_id), sorted(keep))
+        with _overflow_named(first.label):
+            core = join_aggregate([delta] + others, sorted(keep))
+        if core.is_empty():
+            return []
+        found: List[Tuple[_TablePart, Relation]] = []
+        if changed.kind != "top":
+            found.append(self._level_delta(first, core, children))
+        if self._topjoins is not None and children:
+            top = None if changed.kind == "top" else self._topjoins[node]
+            if top is not None:
+                with _overflow_named(_TablePart("top", children[0]).label):
+                    core = join(core, top)
+            for child in children:
+                siblings = [s for s in children if s != child]
+                found.append(self._level_delta(_TablePart("top", child), core, siblings))
+        return [(level, d) for level, d in found if not d.is_empty()]
 
-    def _stage_topjoin_deltas(
-        self,
-        node_id: str,
-        node_delta: Relation,
-        path_deltas: Dict[str, Relation],
-        path_expanded: Dict[str, Relation],
-        insert: bool,
-        staged: Dict[str, Relation],
-        deltas: Dict[str, Relation],
-    ) -> None:
-        """Root-to-leaf mirror of the botjoin fold.
+    def _level_delta(
+        self, level: _TablePart, core: Relation, botjoins: Sequence[str]
+    ) -> Tuple[_TablePart, Relation]:
+        """``level`` and its delta: ``core`` joined with the botjoins of
+        the nodes ``botjoins``, grouped on ``level``'s attributes.
 
-        ``J(v)`` is untouched for every ``v`` on the update path (the
-        update happened inside ``v``'s subtree, and ``J(v)`` is the
-        complement).  Every other node has exactly one changed input:
-
-        * children of the updated node see the updated atom's delta,
-        * siblings of a path node ``p_{i-1}`` (children of ``p_i``) see
-          ``ΔK(p_{i-1})``,
-        * every node below a changed topjoin sees ``ΔJ(parent)``,
-
-        so each delta is one small join chain against cached (pre-update)
-        relations, grouped to the node's parent-shared attributes.  Empty
-        deltas prune whole subtrees.
-        """
-        tree = self.tree
-        topjoins = self._topjoins
-        if topjoins is None:
-            raise InternalError("topjoin staging requires materialised topjoins")
-        pending: List[str] = []
-
-        def stage(target: str, dj: Relation) -> None:
-            if dj.is_empty():
-                return
-            deltas[target] = dj
-            old = topjoins[target]
-            if old is None:  # only non-root nodes are ever staged
-                raise InternalError(f"staged topjoin of root node {target}")
-            staged[target] = patch(old, dj, insert)
-            pending.append(target)
-
-        def fan_out(
-            parent: str, exclude: Optional[str], core_of: Callable[[], Relation]
-        ) -> None:
-            """ΔJ for every child of ``parent`` except ``exclude``.
-
-            The shared core delta ``core_of()`` is already joined with
-            everything common to all children (the parent's atoms and
-            topjoin — the only large inputs, probed once per update level,
-            not per child); each target then picks up its *other*
-            siblings' botjoins left-deep from the core.  Sibling botjoins
-            may be mutually attribute-disjoint (they connect only through
-            the parent relation), so products must stay seeded by the core
-            — bare suffix products would cross-multiply.  An overflow in
-            the core names the first target, whose delta needs it first.
-            """
-            targets = [c for c in tree.children(parent) if c != exclude]
-            if not targets:
-                return
-            with _overflow_named(f"topjoin J({targets[0]!r})"):
-                core = core_of()
-            if core.is_empty():
-                return
-            for child in targets:
-                with _overflow_named(f"topjoin J({child!r})"):
-                    acc = core
-                    for sibling in targets:
-                        if sibling != child:
-                            acc = join(acc, self.botjoins[sibling])
-                    stage(child, group_by(acc, sorted(tree.shared_with_parent(child))))
-
-        def with_topjoin(core: Relation, node: str) -> Relation:
-            top = topjoins[node]
-            return core if top is None else join(core, top)
-
-        # Children of the updated node: the changed input is its atom.
-        fan_out(node_id, None, lambda: with_topjoin(node_delta, node_id))
-
-        # Siblings of each path node: the changed input is ΔK(path child).
-        previous, current = node_id, tree.parent(node_id)
-        while current is not None:
-            if previous not in path_deltas:
-                break  # the botjoin delta died below: nothing changes here up
-            # ΔK(prev) ⋈ atoms(current) was already computed by the
-            # botjoin fold; only the topjoin factor is new here.
-            fan_out(
-                current, previous,
-                lambda: with_topjoin(path_expanded[current], current),
-            )
-            previous, current = current, tree.parent(current)
-
-        # Below every changed topjoin: the changed input is ΔJ(parent).
-        while pending:
-            parent = pending.pop()
-            fan_out(
-                parent, None,
-                lambda: self._node_delta(parent, deltas[parent]),
-            )
+        The joins run left-deep from the core: sibling botjoins may share
+        no attribute (they meet only through the node's atoms), so joined
+        with each other first they would cross-multiply."""
+        keep = sorted(self.tree.shared_with_parent(level.key))
+        with _overflow_named(level.label):
+            joined = join_all([core] + [self.botjoins[n] for n in botjoins])
+            # Rows are distinct: grouping on all of them, in order, sums nothing.
+            return level, joined if list(joined.attributes) == keep else group_by(joined, keep)
 
     def _stage_table_patch(
         self,

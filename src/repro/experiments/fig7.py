@@ -13,9 +13,8 @@ from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments.fig6a import DEFAULT_SCALES, Q3_MAX_SCALE
 from repro.experiments.reporting import format_table, ratio
-from repro.experiments.runner import measure_workload, tpch_database
+from repro.experiments.runner import best_measurement, tpch_database
 from repro.workloads.tpch_queries import tpch_workloads
-from repro.exceptions import InternalError
 
 
 def run(
@@ -25,7 +24,7 @@ def run(
     repetitions: int = 3,
 ) -> List[Mapping[str, object]]:
     """Run the timing sweep; times are the min over ``repetitions`` runs
-    (min is the standard low-noise estimator for wall-clock micro-timings)."""
+    (:func:`~repro.experiments.runner.best_measurement`)."""
     rows: List[Mapping[str, object]] = []
     for scale in scales:
         base = tpch_database(scale, seed)
@@ -34,19 +33,7 @@ def run(
                 continue
             if workload.name == "q3" and scale > Q3_MAX_SCALE:
                 continue
-            best = None
-            for _ in range(max(1, repetitions)):
-                m = measure_workload(workload, base)
-                if best is None:
-                    best = m
-                else:
-                    best.tsens_seconds = min(best.tsens_seconds, m.tsens_seconds)
-                    best.elastic_seconds = min(best.elastic_seconds, m.elastic_seconds)
-                    best.evaluation_seconds = min(
-                        best.evaluation_seconds, m.evaluation_seconds
-                    )
-            if best is None:
-                raise InternalError("no method produced a measurement")
+            best = best_measurement(workload, base, repetitions)
             rows.append(
                 {
                     "scale": scale,

@@ -113,3 +113,50 @@ class TestMechanism:
         # stops at the first threshold where no group overflows.
         assert out.thresholds["O"] == 10
         assert out.bias == 0
+
+
+@pytest.mark.parametrize("backend", ["python", "columnar"])
+class TestCountsPerRelease:
+    """A release counts the truncated instance, and counts the true one
+    again only when a foreign key leaving the primary truncated it."""
+
+    @staticmethod
+    def _release(workload, base, monkeypatch):
+        from repro.dp import privsql
+        from repro.session import prepare
+
+        calls = []
+        real = privsql.count_query
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        db = workload.prepared(base)
+        session = prepare(workload.query, db, tree=workload.tree)
+        monkeypatch.setattr(privsql, "count_query", spy)
+        outcome = session.release(
+            1.0, mechanism="privsql", primary=workload.primary,
+            rng=np.random.default_rng(0),
+        )
+        return outcome, len(calls), session.count()
+
+    def test_untruncated_instance_counts_once(self, backend, tiny_facebook, monkeypatch):
+        from repro.workloads.facebook_queries import triangle_workload
+
+        outcome, calls, count = self._release(
+            triangle_workload(), tiny_facebook.with_backend(backend), monkeypatch
+        )
+        assert calls == 1
+        assert outcome.thresholds == {}
+        assert outcome.true_count == outcome.truncated_count == count
+
+    def test_truncated_instance_counts_twice(self, backend, tiny_tpch, monkeypatch):
+        from repro.workloads.tpch_queries import q1_workload
+
+        outcome, calls, count = self._release(
+            q1_workload(), tiny_tpch.with_backend(backend), monkeypatch
+        )
+        assert calls == 2
+        assert outcome.thresholds
+        assert outcome.true_count == count

@@ -549,6 +549,52 @@ class TestNoMaterialisedBags:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+class TestFoldSharesNodeCores:
+    def test_q3_o_fold_joins_the_root_atom_once(self, backend, monkeypatch):
+        """An O fold moves K(gOC); the root's step turns that into ΔK(gRNL)
+        and the topjoin deltas of gSP and gPS.  All three start from one
+        core, ΔK(gOC) joined with the root's atoms, so each fold joins the
+        root's atom L once, not once per level it feeds."""
+        from repro.datasets.tpch import generate_tpch
+        from repro.engine import operators
+        from repro.evaluation import joinstate
+        from repro.workloads.tpch_queries import q3_workload
+
+        workload = q3_workload()
+        db = workload.prepare(generate_tpch(0.001, seed=0, backend=backend))
+        state = JoinState(workload.query, workload.tree, db)
+        # Orders whose (NK, OK) meets J(gOC) reach the output.
+        reach = state.topjoins()["gOC"]
+        nation = {ck: nk for nk, ck in db.relation("C")}
+        reaching = [
+            (ck, ok) for ck, ok in sorted(db.relation("O"))
+            if reach.multiplicity((nation[ck], ok))
+        ]
+        orders = dict.fromkeys(reaching[:3], 1)
+        lineitem = state.bound.atom_relation("L")
+        join = operators.join
+        with_lineitem = []
+
+        def spy(left, right):
+            with_lineitem.append(left is lineitem or right is lineitem)
+            return join(left, right)
+
+        monkeypatch.setattr(operators, "join", spy)
+        monkeypatch.setattr(joinstate, "join", spy)
+        for delta in (RelationDelta("O", {}, orders), RelationDelta("O", orders, {})):
+            before = dict(state.topjoins())
+            count = state.count
+            with_lineitem.clear()
+            state.apply_update_batch([delta])
+            assert sum(with_lineitem) == 1
+            assert state.count != count
+            assert state.topjoins()["gSP"] is not before["gSP"]
+            assert state.topjoins()["gPS"] is not before["gPS"]
+        assert not state.tables_materialised
+        _assert_levels_match_fresh(state, workload.query, db)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestFoldOverflowNamesTheStructure:
     """A fold's columnar overflow names the atom, botjoin or topjoin it
     hit, chained from the engine's error, and commits nothing; python
