@@ -1,5 +1,5 @@
 """Ablation — refresh folds: ``patch`` vs whole-relation union/monus, and
-lookup joins vs the sort path.
+lookup and range joins vs the sort path.
 
 A warm q3 session, with its multiplicity tables built as the maintained
 sensitivity reads keep them, absorbs three TPC-H-style refresh batches:
@@ -31,8 +31,16 @@ cached row key.  The bench records every such join the three batches
 make, runs the sort path on the same operands (``_pack_keys`` +
 ``_match_pairs``, same output assembly), asserts exact agreement, and
 on columnar asserts that the joins whose keyed side has ≥10k rows run
-≥5× faster in total.  The lookup is a columnar kernel, so the python run
-skips this part.
+≥5× faster in total.
+
+A larger operand with attributes outside the join key is range-searched
+instead when it carries a row key led by exactly the join attributes,
+as every patched relation does: a delta joined into Lineitem
+``L(OK,SK,PK)`` on ``OK`` reads one run of rows per delta row.  The
+third gate records those joins at TPC-H 0.02, where Lineitem has ~120k
+rows, checks each against the sort path and asserts that the ones into
+sides of ≥10k rows run ≥5× faster in total.  Lookups and range searches
+are columnar kernels, so the python run skips both join gates.
 """
 
 import time
@@ -137,6 +145,17 @@ def _keyed_side(left, right):
     larger = right if right.distinct_count() >= left.distinct_count() else left
     common = left.schema.common(right.schema)
     return larger if common and larger.schema.arity == len(common) else None
+
+
+def _range_side(left, right):
+    """The operand a columnar join range-searches in its cached row key
+    although it has attributes outside the join key — the larger one (the
+    right one on a tie) — or ``None``."""
+    larger = right if right.distinct_count() >= left.distinct_count() else left
+    common = left.schema.common(right.schema)
+    if common and larger.schema.arity > len(common):
+        return larger if columnar._range_searchable(larger, common) else None
+    return None
 
 
 def _sort_path_join(left, right):
@@ -268,5 +287,59 @@ def test_refresh_fold_keyed_joins_lookup_vs_sort(benchmark, backend):
 
     # The acceptance bar: fold joins probing keyed sides of ≥10k rows run
     # at least 5x faster as lookups than on the sort path.
+    assert gated[-1]
+    assert speedup >= 5.0
+
+
+def test_refresh_fold_range_joins_vs_sort(benchmark, backend):
+    """Times the fold joins the range search serves, as the keyed-join
+    bench times lookups, each followed by the sort path on the same
+    operands."""
+    if backend != "columnar":
+        pytest.skip("the range search is a columnar kernel")
+    rounds = []  # per round: (searched rows, join seconds, sort-path seconds)
+    folding = []
+    real_join = columnar.join
+
+    def checked_join(left, right):
+        searched = _range_side(left, right) if folding else None
+        if searched is None:
+            return real_join(left, right)
+        out, seconds = _seconds(real_join, left, right)
+        expected, reference = _seconds(_sort_path_join, left, right)
+        assert _same_bag(out, expected), (left.attributes, right.attributes)
+        rounds[-1].append((searched.distinct_count(), seconds, reference))
+        return out
+
+    def setup():
+        rounds.append([])
+        return _warm_session(backend, PATCH_SCALES[backend]), {}
+
+    def fold(session, batches):
+        folding.append(True)
+        try:
+            for batch in batches:
+                session.apply(batch)
+        finally:
+            folding.clear()
+
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(columnar, "join", checked_join)
+        benchmark.pedantic(fold, setup=setup, rounds=ROUNDS, iterations=1)
+
+    gated = [[call for call in calls if call[0] >= LARGE_KEYED_ROWS] for calls in rounds]
+    join_seconds = min(sum(call[1] for call in calls) for calls in gated)
+    reference_seconds = min(sum(call[2] for call in calls) for calls in gated)
+    speedup = reference_seconds / max(join_seconds, 1e-9)
+    benchmark.extra_info["scale"] = PATCH_SCALES[backend]
+    benchmark.extra_info["range_joins_per_round"] = len(rounds[-1])
+    benchmark.extra_info["gated_searched_rows_at_least"] = LARGE_KEYED_ROWS
+    benchmark.extra_info["gated_joins_per_round"] = len(gated[-1])
+    benchmark.extra_info["range_seconds"] = join_seconds
+    benchmark.extra_info["sort_path_seconds"] = reference_seconds
+    benchmark.extra_info["sort_path_vs_range_speedup"] = speedup
+
+    # The acceptance bar: fold joins range-searching sides of ≥10k rows
+    # run at least 5x faster than on the sort path.
     assert gated[-1]
     assert speedup >= 5.0

@@ -116,6 +116,7 @@ def run_flex_dp(
     tree: Optional[DecompositionTree] = None,
     rng: Optional[np.random.Generator] = None,
     clamp_nonnegative: bool = True,
+    true_count: Optional[int] = None,
 ) -> FlexDPOutcome:
     """Answer a counting query with Flex's smooth elastic sensitivity.
 
@@ -127,6 +128,9 @@ def run_flex_dp(
         The (ε, δ)-DP parameters; ``β = ε / (2 ln(2/δ))``.
     tree:
         Decomposition used for counting and the default join plan.
+    true_count:
+        ``|Q(D)|`` when the caller already holds it (a session's
+        maintained count); counted on ``db`` otherwise.
     """
     if not 0 < delta < 1:
         raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
@@ -138,7 +142,8 @@ def run_flex_dp(
     smooth, peak = smooth_elastic_sensitivity(
         query, db, protected=primary, beta=beta, tree=tree
     )
-    true_count = count_query(query, db, tree=tree)
+    if true_count is None:
+        true_count = count_query(query, db, tree=tree)
     # Smooth-sensitivity Laplace: noise scale 2·S/ε.
     answer = laplace_mechanism(true_count, 2.0 * smooth, epsilon, rng)
     if clamp_nonnegative and answer < 0:

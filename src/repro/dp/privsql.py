@@ -132,6 +132,7 @@ def run_privsql(
     max_threshold: int = 4096,
     rng: Optional[np.random.Generator] = None,
     clamp_nonnegative: bool = True,
+    true_count: Optional[int] = None,
 ) -> PrivSQLOutcome:
     """Run the PrivSQL-style mechanism once.
 
@@ -147,6 +148,10 @@ def run_privsql(
         Decomposition used for counting and for the Flex join plan.
     max_threshold:
         Upper end of the SVT threshold scan per relation.
+    true_count:
+        ``|Q(D)|`` when the caller already holds it (a session's
+        maintained count); counted on ``db`` otherwise.  Only an instance
+        the truncation changed is counted again.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -198,14 +203,17 @@ def run_privsql(
     )
     global_sensitivity = max(1, global_sensitivity)
 
-    truncated = count_query(query, truncated_db, tree=tree)
+    if true_count is None:
+        true_count = count_query(query, db, tree=tree)
+    # With no foreign key leaving the primary nothing was truncated.
+    truncated = (
+        true_count if truncated_db is db else count_query(query, truncated_db, tree=tree)
+    )
     accountant.spend(epsilon_answer, "answer")
     answer = laplace_mechanism(truncated, global_sensitivity, epsilon_answer, rng)
     if clamp_nonnegative and answer < 0:
         answer = 0.0
 
-    # With no foreign key leaving the primary nothing was truncated.
-    true_count = truncated if truncated_db is db else count_query(query, db, tree=tree)
     return PrivSQLOutcome(
         answer=answer,
         global_sensitivity=global_sensitivity,

@@ -18,14 +18,18 @@ columnar implementations below (`join`, `group_by`, `semijoin`,
 per-tuple versions, only via vectorized kernels:
 
 * joins take one of two paths (see `join`).  When every attribute of
-  the larger operand is a join attribute, that operand is unique on the
-  key, so the join is a *lookup*: one ``searchsorted`` of the smaller
-  operand's key columns in the larger one's code-order row key (below),
-  O(d log n) for ``d`` probe rows against ``n`` keyed rows.  Every other
-  join takes the *sort path*: pack both keys, argsort the smaller one,
-  locate each larger-side row's match range with ``searchsorted`` and
-  expand the ranges without a Python-level loop.  No sort is memoised
-  across joins; the row key cached on the relation is all a join reuses;
+  the larger operand is a join attribute, or it carries a code-order row
+  key (below) whose leading attributes are exactly the join attributes,
+  the join is a *range search*: the larger side's rows matching one
+  smaller-side row are one run of its row key, found by ``searchsorted``
+  in O(d log n) for ``d`` smaller-side rows against ``n`` larger-side
+  rows (a *lookup* when every attribute is a join attribute, since the
+  side is then unique on the key).  Every other join takes the *sort
+  path*: pack both keys, argsort the smaller one, drop the larger-side
+  keys outside its range, locate each remaining key's match range with
+  ``searchsorted`` and expand the ranges without a Python-level loop.
+  No sort is memoised across joins; the row key cached on the relation
+  is all a join reuses;
 * group-by deduplicates with ``np.unique`` on the stacked key columns and
   sums multiplicities with ``np.add.at``;
 * semijoin is an ``np.isin`` mask; union is concatenate + regroup;
@@ -38,10 +42,11 @@ constructor, `group_by`, `union_all` — stores its rows sorted
 lexicographically by their codes, and a patched relation keeps that order
 and carries its packed row key (:class:`_RowKey`), so the next patch
 never re-sorts it and re-packs it only once new values outgrow the key's
-radices.  Only join outputs, and filters or renames of them, are out of
-code order (besides operands re-encoded after :func:`reset_vocabulary`);
-the first patch or lookup join into such a relation sorts it once, and
-its key is cached for the next one.
+radices.  A rename shares the code arrays and hands the key on.  Only
+join outputs, and filters or renames of them, are out of code order
+(besides operands re-encoded after :func:`reset_vocabulary`); the first
+patch or lookup join into such a relation sorts it once, and its key is
+cached for the next one.
 
 Multiplicities use ``int64``: this engine targets counting workloads whose
 counts fit machine integers (the Python backend's arbitrary-precision ints
@@ -392,27 +397,49 @@ def _pack_keys(
     return inverse[:split], inverse[split:]
 
 
+def _runs(start: np.ndarray, stop: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)`` with ``start[i] <= j < stop[i]``, ordered by
+    ``i`` and then ``j``, expanded without a Python-level loop."""
+    counts = stop - start
+    rows = np.repeat(np.arange(counts.size), counts)
+    offsets = np.cumsum(counts) - counts
+    at = np.repeat(start - offsets, counts) + np.arange(rows.size)
+    return rows, at
+
+
 def _match_pairs(lkey: np.ndarray, rkey: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index pairs ``(lidx, ridx)`` with ``lkey[lidx] == rkey[ridx]``.
 
     The sort-path join core: sort the *smaller* key array, locate each
-    probe key's match range with two ``searchsorted`` calls, then expand
-    the ranges into explicit pairs with ``repeat``/``cumsum`` arithmetic.
+    larger-side key's match range with two ``searchsorted`` calls, then
+    expand the ranges into explicit pairs (:func:`_runs`).  Larger-side
+    keys outside the smaller side's ``[min, max]`` match nothing: when at
+    most half the keys lie inside, only those are copied out and
+    searched, so the pruned arrays never outgrow the search arrays they
+    save.  Otherwise, and with no array made when every key lies inside,
+    all keys are searched.  Pruned or not, the pairs and their order are
+    the same.
     """
     if lkey.size < rkey.size:
         ridx, lidx = _match_pairs(rkey, lkey)
         return lidx, ridx
+    if rkey.size == 0:
+        return _EMPTY_INT64, _EMPTY_INT64
     order = np.argsort(rkey, kind="stable")
     sorted_r = rkey[order]
+    low, high = sorted_r[0], sorted_r[-1]
+    inside = None
+    if lkey.min() < low or lkey.max() > high:
+        mask = (lkey >= low) & (lkey <= high)
+        if 2 * int(np.count_nonzero(mask)) <= lkey.size:
+            inside = np.flatnonzero(mask)
+            lkey = lkey[inside]
     start = np.searchsorted(sorted_r, lkey, side="left")
     stop = np.searchsorted(sorted_r, lkey, side="right")
-    counts = stop - start
-    total = int(counts.sum())
-    lidx = np.repeat(np.arange(lkey.size), counts)
-    offsets = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    ridx = order[np.repeat(start, counts) + within]
-    return lidx, ridx
+    lidx, at = _runs(start, stop)
+    if inside is not None:
+        lidx = inside[lidx]
+    return lidx, order[at]
 
 
 class _RowKey(NamedTuple):
@@ -544,7 +571,7 @@ class ColumnarRelation:
 
     __slots__ = (
         "_schema", "_codes", "_mult", "_counts_cache", "_vocab",
-        "_column_values_cache", "_row_key",
+        "_column_values_cache", "_row_key", "_peaks",
     )
 
     def __init__(
@@ -590,6 +617,7 @@ class ColumnarRelation:
         self._vocab = _VOCAB
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
         self._row_key: Optional[_RowKey] = None
+        self._peaks: Optional[Dict[int, int]] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -621,6 +649,7 @@ class ColumnarRelation:
         rel._vocab = vocab if vocab is not None else _VOCAB
         rel._column_values_cache = None
         rel._row_key = None
+        rel._peaks = None
         return rel
 
     # ------------------------------------------------------------------ basics
@@ -836,11 +865,20 @@ class ColumnarRelation:
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnarRelation":
-        """Return the same bag under renamed attributes — O(arity)."""
+        """Return the same bag under renamed attributes — O(arity).
+
+        The code arrays are shared and keep their positions, so the row
+        key and the column peaks (:func:`max_rows_per_value`) are handed
+        on."""
         new_attrs = [mapping.get(a, a) for a in self._schema.attributes]
-        return ColumnarRelation._from_parts(
+        renamed = ColumnarRelation._from_parts(
             Schema(new_attrs), self._codes, self._mult, vocab=self._vocab
         )
+        renamed._row_key = self._row_key
+        if self._peaks is None:
+            self._peaks = {}
+        renamed._peaks = self._peaks
+        return renamed
 
     def scale_counts(self, factor: int) -> "ColumnarRelation":
         """Multiply every multiplicity by a positive integer ``factor``."""
@@ -904,22 +942,50 @@ def _aligned(
     return left, right
 
 
-def _lookup_pairs(
-    keyed: ColumnarRelation, probe: ColumnarRelation
+def _range_pairs(
+    keyed: ColumnarRelation, probe: ColumnarRelation, width: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(kidx, pidx)`` of matching rows when every attribute
-    of ``keyed`` is a join attribute.
+    """Index pairs ``(kidx, pidx)`` of matching rows when the first
+    ``width`` attributes of ``keyed`` are exactly the join attributes.
 
-    ``keyed`` is then unique on the join key, so each ``probe`` row meets
-    at most one of its rows: one ``searchsorted`` of the probe's key
-    columns, packed in ``keyed``'s attribute order, in ``keyed``'s cached
-    code-order row key (:func:`_keyed`) finds every pair."""
-    columns = [probe._codes[probe.schema.index_of(a)] for a in keyed.attributes]
-    row_key, probe_key = _keyed(keyed, columns, cover=False)
-    pos, found = _search(row_key.key, probe_key)
-    at = pos[found]
+    In ``keyed``'s code-order row key (:func:`_keyed`) the rows that share
+    those attributes' codes are one run: the keys from ``p·s`` up to
+    ``(p + 1)·s``, where ``p`` packs a probe row's join codes under the
+    key's leading radices and ``s`` is the product of its trailing ones.
+    Two ``searchsorted`` calls find every probe row's run, O(d log n) for
+    ``d`` probe rows against ``n`` keyed rows.  When every attribute of
+    ``keyed`` is a join attribute, ``s`` is 1, ``keyed`` is unique on the
+    key and its key is computed here if it has none; otherwise the caller
+    checked that ``keyed`` already carries one."""
+    columns = [
+        probe._codes[probe.schema.index_of(a)] for a in keyed.attributes[:width]
+    ]
+    if width == keyed.schema.arity:
+        # Runs of at most one row: one search per probe row suffices.
+        row_key, probe_key = _keyed(keyed, columns, cover=False)
+        pos, found = _search(row_key.key, probe_key)
+        pidx, at = np.nonzero(found)[0], pos[found]
+    else:
+        row_key = keyed._row_key
+        probe_key = _probe_key(columns, row_key.radices[:width])
+        span = math.prod(row_key.radices[width:])
+        # A probe key of -1 (codes outside the radices) gets an empty run.
+        start = np.searchsorted(row_key.key, probe_key * span)
+        stop = np.searchsorted(row_key.key, (probe_key + 1) * span)
+        pidx, at = _runs(start, stop)
     kidx = at if row_key.order is None else row_key.order[at]
-    return kidx, np.nonzero(found)[0]
+    return kidx, pidx
+
+
+def _range_searchable(relation: ColumnarRelation, common: Sequence[str]) -> bool:
+    """Whether ``relation`` can be range-searched on ``common``: every
+    attribute is a join attribute, or it carries a row key whose leading
+    attributes are exactly the join attributes."""
+    width = len(common)
+    if relation.schema.arity == width:
+        return True
+    leading = set(relation.attributes[:width])
+    return relation._row_key is not None and leading == set(common)
 
 
 def _joined(
@@ -945,22 +1011,24 @@ def _joined(
 def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
     """Vectorized natural join multiplying multiplicities (``r̃join``).
 
-    When the larger operand's attributes (the right one's, on a tie) are
-    all join attributes, the join is a lookup of the smaller operand in
-    the larger one's cached row key (:func:`_lookup_pairs`): O(d log n)
-    for ``d`` probe rows against ``n`` keyed rows.  Every other join
-    sorts the smaller side's key and scans the larger side
-    (:func:`_match_pairs`)."""
+    The larger operand (the right one on a tie) is range-searched when
+    every attribute of it is a join attribute or its cached row key leads
+    with exactly the join attributes (:func:`_range_pairs`): O(d log n)
+    for ``d`` smaller-side rows against ``n`` larger-side rows.  A
+    maintained relation carries such a key once it has been patched, so a
+    fold's delta joined into it costs its delta.  Every other join sorts
+    the smaller side's key and searches it for the larger side's keys that
+    fall inside its range (:func:`_match_pairs`)."""
     common = left.schema.common(right.schema)
     if not common:
         return cross_product(left, right)
     left, right = _aligned(left, right)
     larger = right if right._mult.size >= left._mult.size else left
-    if larger.schema.arity == len(common):
+    if _range_searchable(larger, common):
         if larger is right:
-            ridx, lidx = _lookup_pairs(right, left)
+            ridx, lidx = _range_pairs(right, left, len(common))
         else:
-            lidx, ridx = _lookup_pairs(left, right)
+            lidx, ridx = _range_pairs(left, right, len(common))
     else:
         left_key = left.schema.project_positions(common)
         right_key = right.schema.project_positions(common)
@@ -1196,14 +1264,20 @@ def join_summary(
 
 
 def max_rows_per_value(relation: ColumnarRelation, attributes: Sequence[str]) -> int:
-    """Vectorized ``mcf`` for :func:`repro.engine.operators.join_bound`: one
-    ``bincount`` per code column, the minimum over the columns."""
+    """Vectorized ``mcf`` for :func:`repro.engine.operators.join_bound`: each
+    code column's peak, ``bincount(column).max()``, the minimum over the
+    columns.  A relation never changes, so each column's peak is computed
+    once and memoised on it (shared with its renames)."""
     if relation._mult.size == 0:
         return 0
-    return min(
-        int(np.bincount(relation._codes[p]).max())
-        for p in relation.schema.project_positions(attributes)
-    )
+    if relation._peaks is None:
+        relation._peaks = {}
+    peaks = relation._peaks
+    positions = relation.schema.project_positions(attributes)
+    for p in positions:
+        if p not in peaks:
+            peaks[p] = int(np.bincount(relation._codes[p]).max())
+    return min(peaks[p] for p in positions)
 
 
 def clamp_counts_to_top_k(relation: ColumnarRelation, k: int) -> ColumnarRelation:

@@ -26,9 +26,14 @@ first — promotion of the tiny unit relations used by the path algorithm is
 O(1)); otherwise the per-tuple dict implementation below runs.  The layers
 above the engine call these functions and never see the physical layout.
 
-All joins are hash joins on the common attributes; when there are no common
-attributes :func:`join` degenerates into a cross product, which is what the
-paper's ``r̃join`` of attribute-disjoint topjoins/botjoins requires.
+Joins match rows on the common attributes: the python backend hashes the
+smaller side, and the columnar kernel range-searches the larger side's
+cached code-order row key when that key leads with the join attributes
+(every patched relation carries one, so a delta joined into maintained
+state costs its delta) and sorts the smaller side otherwise.  When there
+are no common attributes :func:`join` degenerates into a cross product,
+which is what the paper's ``r̃join`` of attribute-disjoint
+topjoins/botjoins requires.
 """
 
 from __future__ import annotations

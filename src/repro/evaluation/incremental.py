@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.engine.operators import group_by, join, patch
@@ -132,39 +132,31 @@ def compact_updates(
     return deltas
 
 
-def _patched_relation(base, delta: RelationDelta):
-    """``base`` with ``delta`` folded in (minus first, then plus).
+def _patched_relation(base, relation: str, rows: Mapping[Row, int], insert: bool):
+    """``base`` with one side of ``relation``'s delta folded in.
 
-    Each side is one :func:`~repro.engine.operators.patch`, whatever its
-    size — on the columnar backend the database relation's rows stay in
-    code order and the patch costs a lookup of the delta rows plus a copy
-    of the arrays it changes.  After compaction the two sides are
-    tuple-disjoint, so the fold order is mathematically free —
-    minus-first matches the staged join folds.
+    One :func:`~repro.engine.operators.patch`, whatever its size — on the
+    columnar backend the database relation's rows stay in code order and
+    the patch costs a lookup of the delta rows plus a copy of the arrays
+    it changes.
 
-    The monus drops exactly the minus side's total count if and only if
-    no row loses more copies than ``base`` holds, so that comparison is
-    the over-delete guard; the rows are looked up only to name the
-    offending one.
+    The monus drops exactly the side's total count if and only if no row
+    loses more copies than ``base`` holds, so that comparison is the
+    over-delete guard; the rows are looked up only to name the offending
+    one.
     """
-    for rows, insert in ((delta.minus, False), (delta.plus, True)):
-        if not rows:
-            continue
-        patched = patch(base, type(base)(base.schema, dict(rows)), insert)
-        if not insert and (
-            base.total_count() - patched.total_count() != sum(rows.values())
-        ):
-            deleted = list(rows)
-            for row, available in zip(deleted, base.multiplicities(deleted)):
-                if rows[row] > available:
-                    raise SessionError(
-                        f"delta deletes {rows[row]} of {row!r} from "
-                        f"{delta.relation!r} but only {available} exist; "
-                        "compact the update stream against the current "
-                        "database first"
-                    )
-        base = patched
-    return base
+    patched = patch(base, type(base)(base.schema, dict(rows)), insert)
+    if not insert and base.total_count() - patched.total_count() != sum(rows.values()):
+        deleted = list(rows)
+        for row, available in zip(deleted, base.multiplicities(deleted)):
+            if rows[row] > available:
+                raise SessionError(
+                    f"delta deletes {rows[row]} of {row!r} from "
+                    f"{relation!r} but only {available} exist; "
+                    "compact the update stream against the current "
+                    "database first"
+                )
+    return patched
 
 
 class IncrementalEvaluator:
@@ -336,11 +328,12 @@ class IncrementalEvaluator:
 
         The batch folds into every maintained structure in one vectorized
         pass per touched relation side: each database relation takes one
-        :func:`~repro.engine.operators.patch` per side, then each touched
-        component's :class:`JoinState` folds its deltas into a fork
-        (:meth:`JoinState.stage_update_batch`), patching every maintained
-        relation the same way.  An ``int64`` overflow names the structure
-        it hit (``relation 'R'`` for the database relation itself).
+        :func:`~repro.engine.operators.patch` per side, and that side
+        folds into a fork of the touched component's :class:`JoinState`
+        (:meth:`JoinState.stage_fold`), which binds the atom from the
+        patched relation and patches every derived level the same way.
+        An ``int64`` overflow names the structure it hit (``relation
+        'R'`` for the database relation itself).
         Validation and every fallible step (including columnar ``int64``
         overflow anywhere on a delta path) run before any component
         adopts its fork, so a raising batch leaves the evaluator — counts
@@ -358,22 +351,22 @@ class IncrementalEvaluator:
             self._check_probe_arity(
                 state, delta.relation, list(delta.plus) + list(delta.minus)
             )
-        # ---- stage (all fallible, over-deletes too): patched database +
-        # join-state forks
+        # ---- stage (all fallible, over-deletes too): each side of a
+        # delta patches its database relation once, then folds into a
+        # fork of its component's join state, which binds the atom from
+        # that patch
         new_db = self._db
+        works: Dict[int, JoinState] = {}
         for delta in deltas:
-            with _overflow_named(f"relation {delta.relation!r}"):
-                patched = _patched_relation(new_db.relation(delta.relation), delta)
-            new_db = new_db.with_relation(delta.relation, patched)
-        by_component: Dict[int, List[RelationDelta]] = {}
-        for delta in deltas:
-            by_component.setdefault(
-                self._component_of[delta.relation], []
-            ).append(delta)
-        works = {
-            index: self._states[index].stage_update_batch(group)
-            for index, group in by_component.items()
-        }
+            index = self._component_of[delta.relation]
+            if index not in works:
+                works[index] = self._states[index].fork()
+            base = new_db.relation(delta.relation)
+            for rows, insert in delta.sides():
+                with _overflow_named(f"relation {delta.relation!r}"):
+                    base = _patched_relation(base, delta.relation, rows, insert)
+                works[index].stage_fold(delta.relation, rows, insert, base)
+            new_db = new_db.with_relation(delta.relation, base)
         # ---- commit (nothing below raises)
         for index, work in works.items():
             self._states[index].commit_update_batch(work)

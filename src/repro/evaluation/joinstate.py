@@ -25,7 +25,11 @@ consistent under committed updates:
   for deletes (monus is exact because a delete's delta never exceeds the
   removed tuples' own contribution).  On the columnar backend a patch
   locates the delta's rows in the relation's code-order key and copies
-  only the arrays it changes, so it never re-sorts the relation.
+  only the arrays it changes, so it never re-sorts the relation, and the
+  patched relation carries that key, so a later delta joined into it is
+  a range search.  An atom without a selection is not patched when the
+  database relation already was (:meth:`JoinState.stage_fold`): it is
+  bound from the patched relation, which shares its arrays and key.
 * **GHD nodes** are never materialised as bags.  A step joins its
   changed input with the node's other atoms once, through
   :func:`join_aggregate`, keeping only the attributes the node shares
@@ -371,6 +375,16 @@ class RelationDelta:
         """Distinct tuples carried by this delta (both signs)."""
         return len(self.plus) + len(self.minus)
 
+    def sides(self) -> List[Tuple[Mapping[Row, int], bool]]:
+        """The non-empty sides as ``(rows, insert)``, minus first.  After
+        compaction they are tuple-disjoint, so the order is free; every
+        fold takes them in this one."""
+        return [
+            (rows, insert)
+            for rows, insert in ((self.minus, False), (self.plus, True))
+            if rows
+        ]
+
 
 class JoinState:
     """The maintained TSens join-state of one *connected* query component.
@@ -519,13 +533,12 @@ class JoinState:
     def apply_update_batch(self, deltas: Sequence[RelationDelta]) -> None:
         """Fold whole signed delta relations into every materialised level.
 
-        Each delta's minus side folds before its plus side (disjoint
-        tuples after compaction, so the order is mathematically free).
-        The entire batch folds into a :meth:`fork`, which this state
-        adopts only once every fold succeeded — a failure anywhere
-        (unknown structure, columnar ``int64`` overflow) leaves the state
-        bit-identical to its pre-batch value.  A single committed update
-        is a one-tuple batch.
+        Each delta's minus side folds before its plus side
+        (:meth:`RelationDelta.sides`).  The entire batch folds into a
+        :meth:`fork`, which this state adopts only once every fold
+        succeeded — a failure anywhere (unknown structure, columnar
+        ``int64`` overflow) leaves the state bit-identical to its
+        pre-batch value.  A single committed update is a one-tuple batch.
         """
         self.commit_update_batch(self.stage_update_batch(deltas))
 
@@ -533,14 +546,15 @@ class JoinState:
         """A :meth:`fork` of this state with the whole batch folded in.
 
         All fallible work runs here, on the fork; this state is left
-        untouched whether the batch folds or raises.
+        untouched whether the batch folds or raises.  Every atom is
+        patched here; ``IncrementalEvaluator.apply_batch``, which patches
+        the database relations as well, calls :meth:`stage_fold` with each
+        patched relation instead, so no atom is patched a second time.
         """
         work = self.fork()
         for delta in deltas:
-            if delta.minus:
-                work._stage_delta_fold(delta.relation, delta.minus, False)
-            if delta.plus:
-                work._stage_delta_fold(delta.relation, delta.plus, True)
+            for rows, insert in delta.sides():
+                work.stage_fold(delta.relation, rows, insert)
         return work
 
     def commit_update_batch(self, work: "JoinState") -> None:
@@ -581,11 +595,12 @@ class JoinState:
         for rel in tables:
             self.witnesses.pop(rel, None)
 
-    def _stage_delta_fold(
+    def stage_fold(
         self,
         relation: str,
         rows: Mapping[Row, int],
         insert: bool,
+        base: Optional[Relation] = None,
     ) -> None:
         """Stage one single-signed delta relation of ``relation``.
 
@@ -599,6 +614,12 @@ class JoinState:
         batch's fork only: every read sees the state after the batch's
         previous folds, and :meth:`_commit_fold` writes this fold's levels
         last.
+
+        ``base``, when given, is the database relation with this delta
+        already patched in.  An atom without a selection is then bound
+        from it, a rename that shares its arrays and row key, instead of
+        patched a second time; an atom with a selection patches its
+        filtered delta.
         """
         tree = self.tree
         # Whatever the selection filter keeps, the rows land in the
@@ -611,8 +632,13 @@ class JoinState:
             return
         # Every level this fold moves: its delta and its new value.
         changes: Dict[_TablePart, Tuple[Relation, Relation]] = {}
-        with _overflow_named(atom.label):
-            changes[atom] = (delta, patch(current, delta, insert))
+        if base is not None and relation not in self.query.selections:
+            # What ConjunctiveQuery.bound_relation does without a selection.
+            new_atom = base.rename(dict(zip(base.attributes, current.attributes)))
+        else:
+            with _overflow_named(atom.label):
+                new_atom = patch(current, delta, insert)
+        changes[atom] = (delta, new_atom)
         steps = [(tree.node_of_relation(relation), atom, delta)]
         while steps:
             node, changed, delta = steps.pop()

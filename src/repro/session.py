@@ -573,7 +573,9 @@ class PreparedQuery:
         :func:`repro.dp.privsql.run_privsql`.  TSensDP reads the session's
         cached truncation oracle (one probe of the primary on the
         maintained state), so repeated releases on an unchanged database
-        skip all sensitivity work.
+        skip all sensitivity work.  FlexDP and PrivSQL take the session's
+        maintained count, so a release counts only an instance the
+        session does not hold: PrivSQL's truncated one.
 
         Parameters
         ----------
@@ -661,6 +663,7 @@ class PreparedQuery:
                     tree=self.tree,
                     rng=rng,
                     clamp_nonnegative=clamp_nonnegative,
+                    true_count=self.count(),
                 )
             from repro.dp.privsql import run_privsql
 
@@ -673,6 +676,7 @@ class PreparedQuery:
                 max_threshold=max_threshold,
                 rng=rng,
                 clamp_nonnegative=clamp_nonnegative,
+                true_count=self.count(),
             )
 
     def truncation_oracle(self, primary: str):

@@ -111,3 +111,37 @@ class TestMechanism:
             run_flex_dp(query, db, primary="R", epsilon=0.0)
         with pytest.raises(MechanismConfigError):
             run_flex_dp(query, db, primary="R", epsilon=1.0, delta=2.0)
+
+
+@pytest.mark.parametrize("backend", ["python", "columnar"])
+class TestSessionRelease:
+    def test_reuses_the_maintained_count(self, backend, tiny_tpch, monkeypatch):
+        """A session release hands FlexDP the session's count, so the
+        mechanism counts nothing itself; a fixed rng gives the outcome the
+        one-shot call gives."""
+        from repro.dp import flexdp
+        from repro.session import prepare
+        from repro.workloads.tpch_queries import q1_workload
+
+        workload = q1_workload()
+        db = workload.prepared(tiny_tpch.with_backend(backend))
+        session = prepare(workload.query, db, tree=workload.tree)
+        expected = run_flex_dp(
+            workload.query, db, workload.primary, 1.0,
+            tree=workload.tree, rng=np.random.default_rng(3),
+        )
+        calls = []
+        real = flexdp.count_query
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flexdp, "count_query", spy)
+        outcome = session.release(
+            1.0, mechanism="flexdp", primary=workload.primary,
+            rng=np.random.default_rng(3),
+        )
+        assert calls == []
+        assert outcome == expected
+        assert outcome.true_count == session.count()

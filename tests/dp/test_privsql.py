@@ -117,8 +117,8 @@ class TestMechanism:
 
 @pytest.mark.parametrize("backend", ["python", "columnar"])
 class TestCountsPerRelease:
-    """A release counts the truncated instance, and counts the true one
-    again only when a foreign key leaving the primary truncated it."""
+    """A session release reuses the session's maintained count, and counts
+    only the instance a foreign key leaving the primary truncated."""
 
     @staticmethod
     def _release(workload, base, monkeypatch):
@@ -141,22 +141,22 @@ class TestCountsPerRelease:
         )
         return outcome, len(calls), session.count()
 
-    def test_untruncated_instance_counts_once(self, backend, tiny_facebook, monkeypatch):
+    def test_untruncated_instance_counts_nothing(self, backend, tiny_facebook, monkeypatch):
         from repro.workloads.facebook_queries import triangle_workload
 
         outcome, calls, count = self._release(
             triangle_workload(), tiny_facebook.with_backend(backend), monkeypatch
         )
-        assert calls == 1
+        assert calls == 0
         assert outcome.thresholds == {}
         assert outcome.true_count == outcome.truncated_count == count
 
-    def test_truncated_instance_counts_twice(self, backend, tiny_tpch, monkeypatch):
+    def test_truncated_instance_counts_once(self, backend, tiny_tpch, monkeypatch):
         from repro.workloads.tpch_queries import q1_workload
 
         outcome, calls, count = self._release(
             q1_workload(), tiny_tpch.with_backend(backend), monkeypatch
         )
-        assert calls == 2
+        assert calls == 1
         assert outcome.thresholds
         assert outcome.true_count == count

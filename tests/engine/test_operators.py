@@ -8,6 +8,8 @@ from repro.engine.operators import (
     group_by,
     join,
     join_all,
+    join_bound,
+    max_rows_per_value,
     patch,
     project,
     select,
@@ -172,3 +174,42 @@ class TestBagSetOps:
     def test_symmetric_difference_different_attrs_raises(self, r_ab, r_bc):
         with pytest.raises(SchemaError):
             symmetric_difference_size(r_ab, r_bc)
+
+
+class TestJoinBound:
+    def test_matches_python_backend(self):
+        left = Relation(["A", "B"], {(1, 2): 1, (1, 3): 4, (2, 3): 1})
+        right = Relation(["B", "C"], {(3, 7): 1, (3, 8): 2, (2, 9): 1, (4, 9): 1})
+        for a, b in ((left, right), (right, left)):
+            expected = join_bound(a, b)
+            assert expected == min(3 * 2, 4 * 2)
+            columnar = ColumnarRelation(a.schema, a.counts)
+            assert join_bound(columnar, ColumnarRelation(b.schema, b.counts)) == expected
+
+    def test_columnar_peaks_computed_once(self, monkeypatch):
+        """A relation never changes, so each code column's peak is
+        computed on the first bound that reads it and memoised; a rename
+        shares the arrays and hands the memo on."""
+        from repro.engine import columnar
+
+        left = ColumnarRelation(["A", "B", "C"], {(i % 3, i % 5, i): 1 for i in range(30)})
+        right = ColumnarRelation(["B", "C", "D"], {(i % 5, i, 0): 1 for i in range(12)})
+        counted = []
+        real = columnar.np.bincount
+
+        def spy(column, *args, **kwargs):
+            counted.append(column)
+            return real(column, *args, **kwargs)
+
+        monkeypatch.setattr(columnar.np, "bincount", spy)
+        first = join_bound(left, right)
+        assert len(counted) == 4  # B and C of each side
+        for _ in range(3):
+            assert join_bound(left, right) == first
+            assert join_bound(right, left) == first
+        renamed = left.rename({"A": "Z"})
+        assert join_bound(renamed, right) == first
+        assert max_rows_per_value(left, ["A"]) == 10
+        assert len(counted) == 5
+        assert max_rows_per_value(renamed, ["Z"]) == 10
+        assert len(counted) == 5

@@ -1,17 +1,24 @@
 """Property suite for the columnar join's two paths.
 
-When every attribute of the larger operand is a join attribute, the
-columnar `join` looks the smaller operand's key columns up in the larger
-operand's cached code-order row key; every other join sorts the smaller
-side's key and scans the larger side.  Either way the output must equal
-the python backend's join (schema and counts), and ``join(l, r)`` must
-equal ``join(r, l)`` up to attribute order.  Inputs cover a keyed larger
-side with 1–3 key columns in a different column order on each side, a
-keyed smaller side, no keyed side, both sides keyed at equal sizes, empty
-operands, operands from different vocabularies, a keyed side out of code
-order (a join output, rows stored in reverse), a keyed side patched
-after its key was cached and probed by codes past the key's radices, and
-a key past 62 bits, which takes the joint-rank fallback.
+When every attribute of the larger operand is a join attribute, or the
+larger operand carries a cached row key whose leading attributes are
+exactly the join attributes, the columnar `join` range-searches the
+smaller operand's key columns in the larger operand's code-order row
+key; every other join sorts the smaller side's key and searches it for
+the larger side's keys inside its range.  Either way the output must
+equal the python backend's join (schema and counts), and ``join(l, r)``
+must equal ``join(r, l)`` up to attribute order.  Inputs cover a keyed
+larger side with 1–3 key columns in a different column order on each
+side, a keyed smaller side, no keyed side, both sides keyed at equal
+sizes, empty operands, operands from different vocabularies, a keyed
+side out of code order (a join output, rows stored in reverse), a keyed
+side patched after its key was cached and probed by codes past the key's
+radices, and a key past 62 bits, which takes the joint-rank fallback.
+Patched relations of arity ≤4 whose row key leads with 1–2 join
+attributes are range-searched by smaller sides whose keys lie inside,
+overlap or miss their range, including codes past the key's radices,
+repeated join keys and no rows at all; and the sort path's range pruning
+returns the pairs an unpruned search returns, in the same order.
 """
 
 import numpy as np
@@ -220,3 +227,161 @@ class TestLookupPath:
                 Relation(probe.attributes, probe.counts),
             )
             assert out.same_bag(expected)
+
+
+@st.composite
+def range_cases(draw):
+    """A patched relation whose row key leads with 1–2 join attributes
+    and carries 0–2 more, and a smaller side over the join attributes (in
+    any order) plus 0–2 of its own.  The smaller side's values are offset
+    from the larger side's 0–4 so its keys lie inside, overlap or miss
+    their range; filler values encoded in between can push its fresh
+    codes past the key's radices."""
+    join_attrs = ["K1", "K2"][: draw(st.integers(min_value=1, max_value=2))]
+    extras = ["X1", "X2"][: draw(st.integers(min_value=0, max_value=2))]
+    attrs = join_attrs + extras
+    value = st.integers(min_value=0, max_value=4)
+    rows = st.tuples(*[value] * len(attrs))
+    base = draw(st.dictionaries(rows, st.integers(1, 3), min_size=1, max_size=14))
+    delta = draw(st.dictionaries(rows, st.integers(1, 3), min_size=1, max_size=4))
+    insert = draw(st.booleans())
+    probe_attrs = draw(
+        st.permutations(join_attrs + ["Y1", "Y2"][: draw(st.integers(0, 2))])
+    )
+    offset = draw(st.sampled_from([0, 2, 5]))  # inside, overlap, miss
+    probe_value = st.integers(min_value=offset, max_value=offset + 4)
+    probe = draw(
+        st.dictionaries(
+            st.tuples(*[probe_value] * len(probe_attrs)), st.integers(1, 3), max_size=12
+        )
+    )
+    filler = draw(st.sampled_from([0, 5, 64]))
+    return (tuple(attrs), base, delta, insert), (tuple(probe_attrs), probe), filler
+
+
+def _range_searched(monkeypatch):
+    """The relations :func:`columnar._range_pairs` searches, recorded."""
+    searched = []
+    real = columnar._range_pairs
+
+    def spy(keyed, probe, width):
+        searched.append(keyed)
+        return real(keyed, probe, width)
+
+    monkeypatch.setattr(columnar, "_range_pairs", spy)
+    return searched
+
+
+PATCHED_TWO_LEADING = (
+    (("K1", "K2", "X1"), {(0, 1, 2): 1, (0, 1, 3): 2, (1, 0, 0): 1, (4, 4, 4): 3},
+     {(0, 1, 4): 1}, True),
+    (("K2", "Y1", "K1"), {(1, 7, 0): 1, (1, 8, 0): 2, (0, 2, 4): 1}),
+    0,
+)
+PATCHED_PROBE_PAST_RADICES = (
+    (("K1", "X1", "X2"), {(i, j, i): 1 for i in range(5) for j in range(3)},
+     {(2, 2, 2): 1}, False),
+    (("Y1", "K1"), {(5, 9): 1, (6, 3): 2, (7, 0): 1}),
+    64,
+)
+# Codes equal values, so K2's radix is 10; the probe's fresh code 10
+# packed without the radix check would carry into K1 and hit (1, 0).
+PATCHED_CARRY_PAST_RADIX = (
+    (("K1", "K2", "X1"), {(i, i, i): 1 for i in range(5)}, {(1, 0, 0): 1}, True),
+    (("K1", "K2"), {(0, "p0"): 1, (2, 2): 1}),
+    5,
+)
+PATCHED_EMPTY_PROBE = (
+    (("K1", "X1"), {(0, 0): 1}, {(1, 1): 1}, True),
+    (("K1",), {}),
+    0,
+)
+
+
+class TestRangeSearch:
+    @given(range_cases())
+    @settings(max_examples=200, deadline=None)
+    @example(PATCHED_TWO_LEADING)
+    @example(PATCHED_PROBE_PAST_RADICES)
+    @example(PATCHED_CARRY_PAST_RADIX)
+    @example(PATCHED_EMPTY_PROBE)
+    def test_same_bag_as_python(self, case):
+        (attrs, base, delta, insert), (probe_attrs, probe_rows), filler = case
+        reset_vocabulary()
+        keyed = patch(
+            ColumnarRelation(list(attrs), base), ColumnarRelation(list(attrs), delta), insert
+        )
+        if keyed.is_empty():
+            return
+        assert keyed._row_key is not None
+        ColumnarRelation(["F"], [(f"f{i}",) for i in range(filler)])
+        # Strictly smaller, so the patched side is the one searched.
+        probe_rows = dict(list(probe_rows.items())[: keyed.distinct_count() - 1])
+        probe = ColumnarRelation(list(probe_attrs), probe_rows)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            searched = _range_searched(monkeypatch)
+            _assert_join_agrees(probe, keyed)
+            _assert_join_agrees(keyed, probe)
+        assert len(searched) == 4 and all(rel is keyed for rel in searched)
+
+    def test_unkeyed_larger_side_takes_the_sort_path(self, monkeypatch):
+        """A fresh relation with attributes outside the join key carries
+        no row key, so it is not range-searched; once patched it is."""
+        reset_vocabulary()
+        fresh = ColumnarRelation(["K1", "X1"], {(i % 7, i): 1 for i in range(40)})
+        probe = ColumnarRelation(["K1"], {(3,): 2, (9,): 1})
+        searched = _range_searched(monkeypatch)
+        _assert_join_agrees(probe, fresh)
+        assert searched == []
+        patched = patch(fresh, ColumnarRelation(["K1", "X1"], {(3, 99): 1}), True)
+        _assert_join_agrees(probe, patched)
+        assert searched and all(rel is patched for rel in searched)
+
+    def test_join_attributes_not_leading_take_the_sort_path(self, monkeypatch):
+        reset_vocabulary()
+        keyed = patch(
+            ColumnarRelation(["X1", "K1"], {(i, i % 5): 1 for i in range(30)}),
+            ColumnarRelation(["X1", "K1"], {(0, 4): 1}),
+            True,
+        )
+        searched = _range_searched(monkeypatch)
+        _assert_join_agrees(ColumnarRelation(["K1", "Y1"], {(4, 0): 1, (2, 1): 3}), keyed)
+        assert searched == []
+
+
+def _unpruned_pairs(lkey, rkey):
+    """The sort path's pairs without range pruning: every larger-side
+    key is searched."""
+    if lkey.size < rkey.size:
+        ridx, lidx = _unpruned_pairs(rkey, lkey)
+        return lidx, ridx
+    order = np.argsort(rkey, kind="stable")
+    sorted_r = rkey[order]
+    start = np.searchsorted(sorted_r, lkey, side="left")
+    stop = np.searchsorted(sorted_r, lkey, side="right")
+    lidx = np.repeat(np.arange(lkey.size), stop - start)
+    ridx = np.concatenate(
+        [order[a:b] for a, b in zip(start.tolist(), stop.tolist())] + [order[:0]]
+    )
+    return lidx, ridx
+
+
+KEYS = st.lists(st.integers(min_value=0, max_value=40), max_size=30)
+
+
+class TestSortPathPruning:
+    @given(KEYS, KEYS, st.sampled_from([0, 10, 25, 45]))
+    @settings(max_examples=200, deadline=None)
+    @example([0, 5, 9], [30, 31], 0)
+    @example([3, 3, 8, 40], [3, 8], 0)
+    @example([], [1, 2], 0)
+    def test_same_pairs_in_the_same_order(self, left, right, offset):
+        """Keys of the smaller side shifted by ``offset`` lie inside,
+        overlap or miss the larger side's range."""
+        lkey = np.asarray(left, dtype=np.int64)
+        rkey = np.asarray(right, dtype=np.int64) + offset
+        for a, b in ((lkey, rkey), (rkey, lkey)):
+            got = columnar._match_pairs(a, b)
+            want = _unpruned_pairs(a, b)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(g.dtype == np.int64 for g in got)
