@@ -3,11 +3,11 @@
 PR 4's session bench pinned that maintained *counts* beat
 rebuild-per-update; this one pins the same claim for the full TSens
 pipeline.  Once a session's join-state (botjoins, topjoins, multiplicity
-tables, witnesses) is materialised, each committed update folds a small
-delta into every level and a `sensitivity()` read refreshes from the
-maintained structures — while the historical pattern re-plans, re-binds
-and recomputes botjoins, topjoins, every table and every witness from
-scratch after each change.
+tables) is materialised, each committed update folds a small delta into
+every level and a `sensitivity()` read takes the witnesses off the
+maintained tables — while the historical pattern re-plans, re-binds and
+recomputes botjoins, topjoins and every table from scratch after each
+change before it takes the same witnesses.
 
 Same broom-shaped workload as ``bench_session_updates`` (a star around a
 hub plus a two-hop handle — deliberately *not* a path query, so
@@ -15,9 +15,12 @@ hub plus a two-hop handle — deliberately *not* a path query, so
 join tree, so the measured gap excludes the rebuild's decomposition
 cost; the assertion is conservative.
 
-The bench asserts exact agreement after every update (local sensitivity
-and all per-relation witness sensitivities) and a ≥5× speedup for the
-maintained session, on both backends.
+Each side is timed as the best of ``ROUNDS`` runs of the whole stream,
+the two sides' runs alternating; every maintained run starts from a
+freshly prepared session, warmed by one untimed ``sensitivity()``.  The
+bench asserts exact agreement after every update in every run (local
+sensitivity and all per-relation witness sensitivities) and a ≥5×
+speedup for the maintained session, on both backends.
 """
 
 import time
@@ -31,6 +34,9 @@ from repro.query.jointree import join_tree_from_parents
 from repro.session import prepare
 
 UPDATES = 20
+#: Runs per side; the best one is timed, so one slow run on a busy host
+#: does not decide the gate.
+ROUNDS = 3
 #: Per-backend relation sizes: large enough that one full TSens rebuild
 #: clearly dominates one maintained fold+read, small enough for CI.  The
 #: columnar engine needs bigger tables: its maintained cost is mostly
@@ -102,13 +108,24 @@ def test_maintained_sensitivity_vs_recompute(benchmark, backend):
     db = _broom_database(backend, rng)
     stream = random_update_stream(QUERY, db, rng, UPDATES)
 
-    # The maintained session exists up front (the session API's whole
-    # point); the timed region is the update stream itself — fold the
-    # delta, then read sensitivity off the maintained state.
-    session = prepare(QUERY, db, tree=TREE)
-    session.sensitivity()  # materialise topjoins/tables/witnesses
+    rebuilt, rebuild_times = [], []
 
-    def maintained_stream():
+    def rebuild_then_warm_session():
+        # A rebuild run before each maintained run, timed here (outside
+        # pedantic's timer), so both sides see the same host load.
+        start = time.perf_counter()
+        rebuilt.append(rebuild_per_update_sensitivity(QUERY, db, stream, TREE))
+        rebuild_times.append(time.perf_counter() - start)
+        # The maintained session exists up front (the session API's whole
+        # point); the timed region is the update stream itself — fold the
+        # delta, then read sensitivity off the maintained state.
+        session = prepare(QUERY, db, tree=TREE)
+        session.sensitivity()  # materialise topjoins and tables
+        return (session,), {}
+
+    maintained = []
+
+    def maintained_stream(session):
         snapshots = []
         for op, relation, row in stream:
             if op == "insert":
@@ -116,17 +133,17 @@ def test_maintained_sensitivity_vs_recompute(benchmark, backend):
             else:
                 session.delete(relation, row)
             snapshots.append(_snapshot(session.sensitivity()))
-        return snapshots
+        maintained.append(snapshots)
 
-    maintained = benchmark.pedantic(maintained_stream, rounds=1, iterations=1)
+    benchmark.pedantic(
+        maintained_stream, setup=rebuild_then_warm_session, rounds=ROUNDS, iterations=1
+    )
     maintained_seconds = benchmark.stats.stats.min
+    rebuild_seconds = min(rebuild_times)
 
-    start = time.perf_counter()
-    rebuilt = rebuild_per_update_sensitivity(QUERY, db, stream, TREE)
-    rebuild_seconds = time.perf_counter() - start
-
-    # Exact agreement after every single update, not just at the end.
-    assert maintained == rebuilt
+    # Exact agreement after every single update, in every run.
+    assert len(maintained) == len(rebuilt) == ROUNDS
+    assert all(snapshots == rebuilt[0] for snapshots in maintained + rebuilt)
 
     speedup = rebuild_seconds / max(maintained_seconds, 1e-9)
     benchmark.extra_info["updates"] = UPDATES

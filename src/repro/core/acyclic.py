@@ -26,8 +26,8 @@ All of this state — bound tree, botjoins, topjoins, tables — lives in a
 :class:`~repro.evaluation.joinstate.JoinState`.  One-shot callers build a
 throwaway instance per call (this module's public signatures are
 unchanged); sessions pass their *maintained* instance, whose structures
-were folded under committed updates instead of rebuilt, and additionally
-reuse cached per-relation witnesses for tables no update has touched.
+were folded under committed updates instead of rebuilt.  Each read takes
+the witnesses off the tables with :func:`best_witness`.
 """
 
 from __future__ import annotations
@@ -188,20 +188,17 @@ def sensitivity_from_tables(
     table_of: Callable[[str], MultiplicityTable],
     method: str,
     skip_relations: Iterable[str] = (),
-    witnesses: Optional[Dict[str, object]] = None,
 ) -> SensitivityResult:
     """The witness of each relation in ``order``, and the overall one.
 
     A skipped relation is certified to have tuple sensitivity ≤ 1 (its
     attributes form a superkey of the join output, as LINEITEM's do in
     the paper's q3): it gets bound 1 and no table.  Every other relation
-    reads its table from ``table_of`` and takes its witness from the
-    ``witnesses`` cache, or from :func:`best_witness`, storing it there.
-    Overall ties go to a concrete witness, then to the earlier relation in
-    ``order``.
+    reads its table from ``table_of`` and its witness off that table with
+    :func:`best_witness`.  Overall ties go to a concrete witness, then to
+    the earlier relation in ``order``.
     """
     skip = set(skip_relations)
-    cache = {} if witnesses is None else witnesses
     tables: Dict[str, MultiplicityTable] = {}
     per_relation: Dict[str, SensitiveTuple] = {}
     for relation in order:
@@ -209,10 +206,7 @@ def sensitivity_from_tables(
             per_relation[relation] = SensitiveTuple(relation, {}, 1)
             continue
         table = tables[relation] = table_of(relation)
-        witness = cache.get(relation)
-        if witness is None:
-            witness = cache[relation] = best_witness(table, query, db, relation)
-        per_relation[relation] = witness  # type: ignore[assignment]
+        per_relation[relation] = best_witness(table, query, db, relation)
     local, witness = select_overall_witness(per_relation)
     return SensitivityResult(
         query_name=query.name,
@@ -270,5 +264,5 @@ def tsens_connected(
         state = JoinState(query, tree, db)
     return sensitivity_from_tables(
         query, db, query.relation_names, state.multiplicity_table, "tsens",
-        skip_relations, state.witnesses,
+        skip_relations,
     )

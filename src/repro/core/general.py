@@ -17,8 +17,8 @@ Both paths run over per-component
 :func:`tsens` builds throwaway states (the historical one-shot
 behaviour); :func:`tsens_from_states` accepts *maintained* states — the
 session layer's, folded under committed updates — so a sensitivity read
-after an update reuses every untouched botjoin, topjoin, table factor
-and witness instead of recomputing the pipeline.
+after an update reuses every botjoin, topjoin and table factor instead
+of recomputing the pipeline, and recomputes only the witnesses.
 """
 
 from __future__ import annotations

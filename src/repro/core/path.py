@@ -19,8 +19,8 @@ multiplicity table of ``Ri`` (Eqn. 6) is exactly ``J(Ri) × K(Ri+1)``.
 This module therefore runs no sweep of its own.  It reads the tables off a
 :class:`~repro.evaluation.joinstate.JoinState` — the session's maintained
 one, or a fresh one over the GYO join tree — and keeps only Algorithm 1's
-step III: the per-relation witness scan in path order, which shares the
-state's witness cache with TSens reads.
+step III: the per-relation witness scan in path order, over the same
+tables a TSens read takes its witnesses from.
 
 The implementation generalises the paper's two-attribute form slightly:
 
@@ -81,8 +81,8 @@ def ls_path_join(
     """Run Algorithm 1 on a path join query.
 
     ``state`` — a :class:`PathState` over the session's maintained join
-    state — reuses its sweeps, tables and cached witnesses; without one
-    they are built from scratch against ``db``.  Either way the result is
+    state — reuses its sweeps and tables; without one they are built
+    from scratch against ``db``.  Either way the result is
     computed against ``db``, which must be the database the state
     reflects.
 
@@ -97,10 +97,9 @@ def ls_path_join(
     if state is None:
         state = PathState(query, db)
     # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]),
-    # the same witness TSens caches for the same table.  Overall ties go
+    # the same witness TSens reads off the same table.  Overall ties go
     # to the earliest relation in path order, not in body order as TSens.
-    join_state = state.join_state
     return sensitivity_from_tables(
-        query, db, state.order, join_state.multiplicity_table, "path",
-        skip_relations, join_state.witnesses,
+        query, db, state.order, state.join_state.multiplicity_table, "path",
+        skip_relations,
     )

@@ -7,17 +7,13 @@ them — per-relation :class:`MultiplicityTable` objects giving the tuple
 sensitivity of *every* tuple in the representative domain.  The multiplicity
 tables are what the truncation mechanism (Sec. 6.2) consumes.
 
-Two table representations exist because the two algorithms naturally
-produce different shapes:
-
-* ``TSens`` (Algorithm 2) materialises a dense table ``T^i`` over the
-  relation's effective attributes (Eqn. 6);
-* ``LSPathJoin`` (Algorithm 1) keeps the topjoin/botjoin *factors*, whose
-  cross product would be the dense table — sensitivities are looked up as
-  a product of two factor lookups, never materialising the quadratic table.
-
-A factor is a bag relation, or a :class:`KeyedFactor`: the join of two
-parts whose group-by sums nothing, kept unmaterialised (q3's ``T^O``).
+Every table ``T^i`` (Eqn. 6) is stored *factored*: one factor per
+attribute-connected component of the parts it joins, so a tuple's
+sensitivity is a product of factor lookups and the components' cross
+product is never materialised; a path query's ``T^i`` is ``J(Ri)`` ×
+``K(Ri+1)`` (Algorithm 1).  A factor is a bag relation, or a
+:class:`KeyedFactor`: the join of two parts whose group-by sums nothing,
+kept unmaterialised (q3's ``T^O``).
 """
 
 from __future__ import annotations
@@ -159,11 +155,11 @@ Factor = Union[Relation, KeyedFactor]
 class MultiplicityTable:
     """Tuple sensitivities over a relation's effective attributes.
 
-    A *dense* table wraps one bag relation whose multiplicity of a value
-    combination is the tuple sensitivity of any tuple projecting onto it.
-    A *factored* table wraps two attribute-disjoint bag relations whose
-    product plays the same role (path queries).  Any factor may be a
-    :class:`KeyedFactor` instead of a bag relation.  A scalar
+    ``factors`` are attribute-disjoint, one per attribute-connected
+    component of the table's parts; the product of their multiplicities
+    at a value combination is the tuple sensitivity of any tuple
+    projecting onto it.  A single factor is the dense table.  Any factor
+    may be a :class:`KeyedFactor` instead of a bag relation.  A scalar
     ``multiplier`` accounts for disconnected query components (their
     counts multiply every sensitivity in this component, Sec. 5.4).
     """

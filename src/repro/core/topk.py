@@ -94,7 +94,6 @@ def tsens_topk(
 
     botjoins = compute_botjoins(bound, clamp)
     topjoins = compute_topjoins(bound, botjoins, clamp)
-    # No witness cache: the clamped tables are not the state's.
     return sensitivity_from_tables(
         query, db, query.relation_names,
         lambda relation: multiplicity_table(bound, botjoins, topjoins, relation),

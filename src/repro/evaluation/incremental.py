@@ -370,15 +370,6 @@ class IncrementalEvaluator:
         # ---- commit (nothing below raises)
         for index, work in works.items():
             self._states[index].commit_update_batch(work)
-        # Witness extrapolation reads representative domains across the
-        # whole database, so *every* component's cached witnesses can go
-        # stale when they share a base column name with a touched relation
-        # (each touched component already dropped its own in its fork).
-        touched_columns = set()
-        for delta in deltas:
-            touched_columns.update(self._db.relation(delta.relation).schema.attributes)
-        for state in self._states:
-            state.drop_domain_dependent_witnesses(touched_columns)
         self._commit(new_db)
         return self._base_count
 

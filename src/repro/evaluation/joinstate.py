@@ -405,15 +405,8 @@ class JoinState:
 
     Botjoins are materialised eagerly (they are the count structure);
     topjoins and multiplicity tables appear on first use and are folded
-    under updates from then on.  :attr:`witnesses` is a caller-managed
-    per-relation witness cache which the state *invalidates* whenever an
-    update touches the corresponding table, or may move the witness's
-    extrapolated exclusive values — those come from
-    :meth:`~repro.engine.database.Database.representative_domain`, which
-    intersects active domains across *all database relations sharing the
-    base column name*, so the dependency crosses relations (and, for
-    disconnected queries, components): see
-    :meth:`drop_domain_dependent_witnesses`.
+    under updates from then on.  Witnesses are not kept here: a read
+    takes each one off its table.
     """
 
     def __init__(
@@ -428,22 +421,6 @@ class JoinState:
         self._topjoins: Optional[Dict[str, Optional[Relation]]] = None
         self._layouts: Dict[str, TableLayout] = {}
         self._tables: Dict[str, MultiplicityTable] = {}
-        #: relation -> cached witness (managed by the algorithm layer).
-        self.witnesses: Dict[str, object] = {}
-        # Schema-only dependency data for witness invalidation (schemas
-        # never change, so this stays valid across updates): each
-        # relation's base columns, and the base columns its exclusive
-        # query variables map to (the ones witness extrapolation reads
-        # representative domains for).
-        self._base_columns: Dict[str, frozenset] = {}
-        self._exclusive_columns: Dict[str, frozenset] = {}
-        for rel in query.relation_names:
-            base_attrs = db.relation(rel).schema.attributes
-            var_to_column = dict(zip(query.atom(rel).variables, base_attrs))
-            self._base_columns[rel] = frozenset(base_attrs)
-            self._exclusive_columns[rel] = frozenset(
-                var_to_column[var] for var in query.exclusive_variables(rel)
-            )
 
     # ------------------------------------------------------------- accessors
     @property
@@ -495,7 +472,7 @@ class JoinState:
         """A copy that shares every relation and table with this state.
 
         Only the dicts that a fold or a lazy build writes are copied: the
-        bound atoms, botjoins, topjoins, tables, layouts and witnesses.
+        bound atoms, botjoins, topjoins, tables and layouts.
         Relations are never mutated in place, so a batch committed to
         either copy, or a level built lazily on it, leaves the other
         unchanged.  Costs O(nodes + tables).
@@ -507,27 +484,7 @@ class JoinState:
             clone._topjoins = dict(self._topjoins)
         clone._tables = dict(self._tables)
         clone._layouts = dict(self._layouts)
-        clone.witnesses = dict(self.witnesses)
         return clone
-
-    def drop_domain_dependent_witnesses(self, columns) -> None:
-        """Invalidate witnesses whose extrapolated values may have moved.
-
-        A witness's exclusive attributes take values from
-        ``Database.representative_domain``, which intersects the active
-        domains of every *database* relation whose base schema carries the
-        column name — so updating any relation that shares a column name
-        with one of ``R``'s exclusive columns can change ``R``'s witness
-        even though ``R``'s multiplicity table did not move (and even when
-        ``R`` lives in a different query component).  The evaluator calls
-        this on *every* component state with the updated relation's base
-        columns, on every committed update — including selection-filtered
-        rows, which still land in the database and its domains.
-        """
-        columns = frozenset(columns)
-        for relation, exclusive in self._exclusive_columns.items():
-            if exclusive & columns:
-                self.witnesses.pop(relation, None)
 
     # --------------------------------------------------------------- updates
     def apply_update_batch(self, deltas: Sequence[RelationDelta]) -> None:
@@ -570,7 +527,6 @@ class JoinState:
         self._topjoins = work._topjoins
         self._tables = work._tables
         self._layouts = work._layouts
-        self.witnesses = work.witnesses
 
     def _commit_fold(
         self,
@@ -592,8 +548,6 @@ class JoinState:
             else:
                 self.topjoins()[part.key] = new
         self._tables.update(tables)
-        for rel in tables:
-            self.witnesses.pop(rel, None)
 
     def stage_fold(
         self,
@@ -622,9 +576,6 @@ class JoinState:
         filtered delta.
         """
         tree = self.tree
-        # Whatever the selection filter keeps, the rows land in the
-        # database, whose active domains feed witness extrapolation.
-        self.drop_domain_dependent_witnesses(self._base_columns[relation])
         atom = _TablePart("atom", relation)
         current = self.bound.atom_relation(relation)
         delta = bound_delta(self.query, relation, rows, type(current))

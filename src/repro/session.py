@@ -63,6 +63,7 @@ into a fork of the head session, never into a session readers use.
 from __future__ import annotations
 
 import copy
+import numbers
 import threading
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -95,6 +96,11 @@ _DELETE_OPS = frozenset({"delete", "-"})
 
 #: An update-stream element: ``(op, relation, row)``.
 Update = Tuple[str, str, Sequence[object]]
+
+
+def _is_count(value: object) -> bool:
+    """An integer ``>= 1``: a ``bool`` is an ``int`` but never a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 def prepare(
@@ -537,8 +543,8 @@ class PreparedQuery:
         The fork shares the plan, the database snapshot and every
         maintained relation and table, and copies only the dicts a fold or
         a lazy build writes (:meth:`IncrementalEvaluator.fork`), so it
-        costs O(nodes + tables) and keeps every botjoin, topjoin, table
-        and witness built so far.  It has its own lock and empty result
+        costs O(nodes + tables) and keeps every botjoin, topjoin and
+        table built so far.  It has its own lock and empty result
         caches.  An update, or a level built lazily, on either session
         leaves the other unchanged.  The serving layer folds each update
         batch into a fork of its head session and publishes the fork as
@@ -594,13 +600,13 @@ class PreparedQuery:
             :class:`~repro.exceptions.PrivacyBudgetError` on overdraft)
             before the mechanism runs.
         ell:
-            Public tuple-sensitivity bound (tsensdp only; required there).
+            Required public tuple-sensitivity bound, an integer >= 1 (tsensdp).
         delta:
             The δ of (ε, δ)-DP (flexdp only).
         clamp_nonnegative:
             Clamp the released count at 0 (free post-processing).
         max_threshold:
-            Upper end of PrivSQL's frequency-cap scan (privsql only).
+            Upper end of PrivSQL's frequency-cap scan, an integer >= 1 (privsql).
 
         Returns
         -------
@@ -627,8 +633,12 @@ class PreparedQuery:
             raise MechanismConfigError(
                 "mechanism='tsensdp' needs ell=<public sensitivity bound>"
             )
-        if mechanism == "tsensdp" and ell < 1:
-            raise MechanismConfigError(f"ell must be >= 1, got {ell}")
+        if mechanism == "tsensdp" and not _is_count(ell):
+            raise MechanismConfigError(f"ell must be an integer >= 1, got {ell!r}")
+        if mechanism == "privsql" and not _is_count(max_threshold):
+            raise MechanismConfigError(
+                f"max_threshold must be an integer >= 1, got {max_threshold!r}"
+            )
         if mechanism == "flexdp" and not 0 < delta < 1:
             raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
         with self._lock:
@@ -701,8 +711,8 @@ class PreparedQuery:
     def insert(self, relation: str, row: Sequence[object]) -> int:
         """Commit ``D ← D ∪ {t}``; returns the maintained ``|Q(D)|``.
 
-        Only the touched leaf-to-root path of the cached join-tree counts
-        is recomputed; sensitivity/witness/oracle caches are invalidated.
+        The row folds into every maintained level (:meth:`apply`); cached
+        results and oracles are invalidated.
         """
         return self._apply_parsed([(True, relation, tuple(row))])
 

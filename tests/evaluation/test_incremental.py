@@ -275,15 +275,14 @@ class TestBatchAcrossComponents:
 
     @staticmethod
     def _levels(state):
-        """Every maintained dict of a state: atoms, botjoins, topjoins,
-        tables and witnesses."""
+        """Every maintained dict of a state: atoms, botjoins, topjoins
+        and tables."""
         tables = {rel: state.multiplicity_table(rel) for rel in state.tables_materialised}
         return (
             dict(state.bound.atom_relations),
             dict(state.botjoins),
             dict(state.topjoins()),
             tables,
-            dict(state.witnesses),
         )
 
     @classmethod
@@ -294,7 +293,7 @@ class TestBatchAcrossComponents:
 
     def _session(self, backend):
         session = prepare(self.QUERY, Database(self.RELATIONS, backend=backend))
-        session.sensitivity()  # builds topjoins, tables and witnesses
+        session.sensitivity()  # builds topjoins and tables
         return session
 
     def test_python_folds_both_components(self):

@@ -4,7 +4,7 @@ The property suite (``tests/property/test_sensitivity_maintenance.py``)
 pins end-to-end equivalence of maintained sensitivity reads; these tests
 check the :class:`~repro.evaluation.joinstate.JoinState` mechanics
 directly — laziness, per-level delta folding against full recomputation,
-witness-cache invalidation, selection filtering and staged atomicity.
+selection filtering and staged atomicity.
 """
 
 import pytest
@@ -179,34 +179,6 @@ class TestLazinessAndInvalidation:
         state.multiplicity_table("R3")
         state.apply_update_batch([_one("R4", ("b1", "f9"), True)])
         assert state.tables_materialised == ("R3",)
-
-    def test_witness_cache_invalidation(self, fig1_query, fig1_db, backend):
-        state, _ = _state(fig1_query, fig1_db, backend)
-        before = {}
-        for relation in fig1_query.relation_names:
-            before[relation] = state.multiplicity_table(relation)
-            state.witnesses[relation] = f"cached-{relation}"
-        # The updated relation's witness is always dropped (its domain
-        # feeds extrapolation); every other relation's witness must be
-        # dropped exactly when its table object was patched.
-        state.apply_update_batch([_one("R3", ("a1", "e9"), True)])
-        assert "R3" not in state.witnesses
-        for relation in ("R1", "R2", "R4"):
-            patched = state.multiplicity_table(relation) is not before[relation]
-            assert (relation not in state.witnesses) == patched, relation
-
-    def test_unchanged_tables_keep_witnesses(self, fig1_query, fig1_db, backend):
-        state, _ = _state(fig1_query, fig1_db, backend)
-        for relation in fig1_query.relation_names:
-            state.multiplicity_table(relation)
-            state.witnesses[relation] = f"cached-{relation}"
-        # A leaf insert whose join value exists nowhere else: the botjoin
-        # delta dies at the leaf's parent, so no other table moves and
-        # every witness except the updated relation's survives.
-        state.apply_update_batch([_one("R3", ("zz", "e9"), True)])
-        assert "R3" not in state.witnesses
-        for relation in ("R1", "R2", "R4"):
-            assert state.witnesses[relation] == f"cached-{relation}"
 
     def test_selection_filtered_row_is_a_no_op(self, backend):
         query = parse_query("R(A,B), S(B,C)").with_selection(

@@ -199,10 +199,10 @@ class TestMaintainedEqualsFresh:
 class TestWitnessDomainDependencies:
     """Witness extrapolation reads ``representative_domain``, which
     intersects active domains across *all* database relations sharing a
-    base column name — so cached witnesses must be dropped even when the
-    witness's own table never moved (regression tests; the random
-    generators above name columns after query variables and cannot
-    produce the cross-relation aliasing)."""
+    base column name — so an update can move a witness whose own table
+    never moved, and a read after it must match a fresh session
+    (regression tests; the random generators above name columns after
+    query variables and cannot produce the cross-relation aliasing)."""
 
     def test_cross_component_domain_shift(self, backend):
         # R and S live in different query components but share base
@@ -217,7 +217,7 @@ class TestWitnessDomainDependencies:
             backend=backend,
         )
         session = prepare(query, db)
-        session.most_sensitive()  # populate the witness caches
+        session.most_sensitive()  # read before the update
         session.delete("S", (5, 10))
         fresh = prepare(query, session.db)
         maintained = session.most_sensitive()
@@ -308,6 +308,36 @@ class TestSharedStateAcrossConfigs:
         for relation in query.relation_names:
             if relation not in skip:
                 assert full.tables[relation] is partial.tables[relation]
+
+    @given(seeds, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=10, deadline=None)
+    def test_reads_in_any_order_equal_fresh_reads(self, backend, seed, n_updates):
+        """Between updates, every read configuration, in a drawn order,
+        equals a fresh session's read of the same configuration: no read
+        answers from what an earlier read of another one left behind."""
+        rng = np.random.default_rng(seed)
+        query = random_path_query(rng, length=1 + int(rng.integers(0, 3)))
+        db = random_database(query, rng, backend=backend)
+        first = query.relation_names[0]
+        reads = [
+            lambda s: s.sensitivity(method="tsens"),
+            lambda s: s.sensitivity(method="path"),
+            lambda s: s.sensitivity(skip_relations=(first,)),
+            lambda s: s.most_sensitive(),
+        ]
+        session = prepare(query, db)
+        stream = random_update_stream(query, db, rng, n_updates)
+        for update in stream + [None]:
+            for index in rng.permutation(len(reads)):
+                read = reads[index]
+                maintained = read(session)
+                recomputed = read(prepare(query, session.db))
+                if isinstance(maintained, dict):
+                    assert dict(maintained) == dict(recomputed)
+                else:
+                    _assert_same_result(maintained, recomputed, query)
+            if update is not None:
+                session.apply([update])
 
     @given(seeds, st.integers(min_value=1, max_value=8))
     @settings(max_examples=10, deadline=None)

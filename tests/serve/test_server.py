@@ -6,6 +6,7 @@ import pytest
 
 from repro.engine import Database, Relation
 from repro.exceptions import (
+    MechanismConfigError,
     PrivacyBudgetError,
     ProtocolError,
     ServeError,
@@ -160,6 +161,25 @@ class TestTenants:
                 # Strict registry: unknown tenants are rejected.
                 with pytest.raises(TenantError):
                     client.release(0.1, tenant="mallory", **kwargs)
+        finally:
+            server.stop()
+            session.close()
+
+    @pytest.mark.parametrize(
+        "config",
+        [dict(mechanism="tsensdp", ell=10.0), dict(mechanism="privsql", max_threshold=64.0)],
+        ids=["ell", "max_threshold"],
+    )
+    def test_bad_release_config_spends_nothing(self, config):
+        session = _session()
+        server = serve(session, tenant_budgets={"t": 2.0}).start_background()
+        try:
+            with ServeClient(server.host, server.port, tenant="t") as client:
+                with pytest.raises(MechanismConfigError):
+                    client.release(0.5, primary="R", **config)
+                (tenant,) = client.stats()["tenants"]
+                assert tenant["spent_epsilon"] == 0
+                assert tenant["ledger"] == {}
         finally:
             server.stop()
             session.close()

@@ -502,8 +502,12 @@ class TestRelease:
             dict(mechanism="magic", primary=workload.primary),
             dict(mechanism="tsensdp", primary=workload.primary),  # no ell
             dict(mechanism="tsensdp", primary=workload.primary, ell=0),
+            dict(mechanism="tsensdp", primary=workload.primary, ell=10.0),
+            dict(mechanism="tsensdp", primary=workload.primary, ell=True),
             dict(mechanism="tsensdp", primary="nope", ell=5),
             dict(mechanism="flexdp", primary=workload.primary, delta=1.5),
+            dict(mechanism="privsql", primary=workload.primary, max_threshold=0),
+            dict(mechanism="privsql", primary=workload.primary, max_threshold=64.0),
         ]
         for config in bad_configs:
             with pytest.raises(MechanismConfigError):
@@ -519,6 +523,24 @@ class TestRelease:
             rng=np.random.default_rng(0),
         )
         assert accountant.remaining == pytest.approx(0.0)
+
+    def test_numpy_integer_counts_are_accepted(self, star_session):
+        workload, session = star_session
+        for mechanism, name, value in (
+            ("tsensdp", "ell", workload.ell),
+            ("privsql", "max_threshold", 64),
+        ):
+            answers = [
+                session.release(
+                    1.0,
+                    mechanism=mechanism,
+                    primary=workload.primary,
+                    rng=np.random.default_rng(5),
+                    **{name: count},
+                ).answer
+                for count in (value, np.int64(value))
+            ]
+            assert answers[0] == answers[1], mechanism
 
     def test_release_sees_committed_updates(self, fig1_query, fig1_db):
         session = prepare(fig1_query, fig1_db)
@@ -543,7 +565,7 @@ class TestRelease:
 
 def _maintained(session):
     """Every maintained object of a one-component session, keyed by kind:
-    bound atoms, botjoins, topjoins, table factors and witnesses."""
+    bound atoms, botjoins, topjoins and table factors."""
     (state,) = session._states()
     objects = {}
     objects.update((("atom", rel), atom) for rel, atom in state.bound.atom_relations.items())
@@ -553,7 +575,6 @@ def _maintained(session):
     for rel in state.tables_materialised:
         factors = state.multiplicity_table(rel).factors
         objects.update((("factor", rel, i), factor) for i, factor in enumerate(factors))
-    objects.update((("witness", rel), witness) for rel, witness in state.witnesses.items())
     return objects
 
 
@@ -616,14 +637,14 @@ class TestServingSurface:
         )
         session = prepare(fig1_query, fig1_db, backend=backend)
         if warm:
-            # Builds the topjoins, every table and every witness.
+            # Builds the topjoins and every table.
             session.sensitivity()
             session.probe("R1", probes)
         fork = session.fork()
         if warm:
             # The fork shares every maintained object with its parent.
             shared = _maintained(session)
-            assert {"atom", "bot", "top", "factor", "witness"} == {key[0] for key in shared}
+            assert {"atom", "bot", "top", "factor"} == {key[0] for key in shared}
             assert _maintained(fork).keys() == shared.keys()
             assert all(obj is shared[key] for key, obj in _maintained(fork).items())
         updated_side, other = (session, fork) if updated == "parent" else (fork, session)
