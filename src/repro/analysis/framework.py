@@ -163,13 +163,6 @@ def walk_skipping_nested_functions(node: ast.AST) -> Iterator[ast.AST]:
         yield from walk_skipping_nested_functions(child)
 
 
-def function_statements(func: ast.AST) -> Iterator[ast.stmt]:
-    """All statements of a function body, skipping nested functions."""
-    for node in walk_skipping_nested_functions(func):
-        if isinstance(node, ast.stmt) and node is not func:
-            yield node
-
-
 def decorator_names(node: ast.AST) -> List[str]:
     """Terminal names of a def/class decorator list (empty when absent)."""
     names: List[str] = []

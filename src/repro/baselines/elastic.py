@@ -37,8 +37,8 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple,
 
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.evaluation.yannakakis import _component_trees
 from repro.query.conjunctive import ConjunctiveQuery
+from repro.query.ghd import component_trees
 from repro.query.jointree import DecompositionTree
 from repro.exceptions import MechanismConfigError, UnknownRelationError
 
@@ -78,7 +78,7 @@ def default_plan(
     the cross-product rule (``mf(∅, E) = size(E)``) bounds.
     """
     return _left_deep(
-        plan_from_tree(sub_tree) for _sub, sub_tree in _component_trees(query, tree)
+        plan_from_tree(sub_tree) for _sub, sub_tree in component_trees(query, tree)
     )
 
 

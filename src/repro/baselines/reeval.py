@@ -34,8 +34,9 @@ import numpy as np
 
 from repro.engine.database import Database
 from repro.evaluation.incremental import IncrementalEvaluator
-from repro.evaluation.yannakakis import _component_trees, bind, count_bound
+from repro.evaluation.yannakakis import bind, count_bound
 from repro.query.conjunctive import ConjunctiveQuery
+from repro.query.ghd import component_trees
 from repro.query.jointree import DecompositionTree
 from repro.core.result import SensitiveTuple, SensitivityResult
 from repro.exceptions import MechanismConfigError
@@ -75,7 +76,6 @@ def reevaluation_sensitivity(
     include_insertions: bool = True,
     seed: int = 0,
     mode: str = "incremental",
-    max_width: int = 3,
     evaluator: Optional[IncrementalEvaluator] = None,
 ) -> SensitivityResult:
     """Local sensitivity via one count probe per candidate tuple.
@@ -85,7 +85,8 @@ def reevaluation_sensitivity(
     query, db:
         The query and instance.
     tree:
-        Decomposition used by every evaluation (defaults to automatic).
+        Decomposition covering the whole query, used by every evaluation
+        (default: the plan of :func:`~repro.query.ghd.component_trees`).
     max_probes_per_relation:
         When set, probe at most this many deletion and insertion candidates
         per relation, sampled uniformly without replacement.  The result is
@@ -97,9 +98,6 @@ def reevaluation_sensitivity(
         ``"incremental"`` (cached join-tree counts, delta propagation per
         probe) or ``"full"`` (one complete re-evaluation per probe).  Both
         return identical results; ``"full"`` exists as the cross-check.
-    max_width:
-        GHD node-size cap for the automatic decomposition of cyclic
-        queries (ignored when ``tree`` is given).
     evaluator:
         For ``mode="incremental"``: a live
         :class:`~repro.evaluation.incremental.IncrementalEvaluator` whose
@@ -117,14 +115,14 @@ def reevaluation_sensitivity(
     if mode == "incremental":
         if evaluator is None:
             evaluator = IncrementalEvaluator(
-                query, db, tree=tree, max_width=max_width
+                query, db, component_pairs=component_trees(query, tree)
             )
         probe_evaluator = evaluator
 
         def deltas_of(relation: str, rows) -> List[int]:
             return probe_evaluator.delta_batch(relation, rows)
     else:
-        pairs = _component_trees(query, tree, max_width)
+        pairs = component_trees(query, tree)
 
         def full_count(instance: Database) -> int:
             total = 1

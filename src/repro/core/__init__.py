@@ -6,10 +6,9 @@ from repro.core.acyclic import (
     multiplicity_table,
     tsens_connected,
 )
-from repro.core.api import local_sensitivity, most_sensitive_tuples
+from repro.core.api import local_sensitivity, most_sensitive_tuples, tsens
 from repro.core.explain import Explanation, explain
 from repro.core.verify import VerificationReport, verify_result
-from repro.core.general import tsens
 from repro.core.naive import (
     DomainTooLargeError,
     naive_local_sensitivity,

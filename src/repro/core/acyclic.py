@@ -39,7 +39,7 @@ from repro.engine.relation import Relation
 from repro.evaluation.joinstate import JoinState, build_table, part_relation, table_layout
 from repro.evaluation.yannakakis import BoundTree, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.gyo import gyo_join_tree
+from repro.query.ghd import auto_decompose
 from repro.query.jointree import DecompositionTree
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
 from repro.exceptions import QueryStructureError
@@ -234,8 +234,9 @@ def tsens_connected(
     db:
         Database instance.
     tree:
-        Join tree / GHD covering the query.  Defaults to the GYO join tree
-        (the query must then be acyclic).  Ignored when ``state`` is given.
+        Join tree / GHD covering the query.  Defaults to
+        :func:`~repro.query.ghd.auto_decompose`'s: the GYO join tree, or a
+        GHD for a cyclic query.  Ignored when ``state`` is given.
     skip_relations:
         Relations whose multiplicity table is not computed; the paper skips
         relations whose attributes form a superkey of the join output
@@ -253,7 +254,7 @@ def tsens_connected(
         )
     if state is None:
         if tree is None:
-            tree = gyo_join_tree(query)
+            tree = auto_decompose(query)
     else:
         tree = state.tree
     if not tree.covers_query(query):

@@ -8,8 +8,9 @@ query shape              algorithm
 path join                Algorithm 1 (:func:`repro.core.path.ls_path_join`),
                          whose sweeps and tables are Algorithm 2's over
                          the path's join tree
-acyclic / cyclic /       Algorithm 2 with join tree or GHD
-disconnected             (:func:`repro.core.general.tsens`)
+acyclic / cyclic /       Algorithm 2 over the session's plan: a join tree
+disconnected             or GHD per component (:func:`tsens`, over
+                         :func:`repro.core.general.tsens_from_states`)
 any, ``method="naive"``  brute force (:func:`repro.core.naive`)
 any, ``method="reeval"`` per-candidate count probes
                          (:func:`repro.baselines.reeval`), incremental
@@ -46,7 +47,6 @@ def local_sensitivity(
     tree: Optional[DecompositionTree] = None,
     skip_relations: Iterable[str] = (),
     top_k: Optional[int] = None,
-    max_width: int = 3,
     reeval_mode: str = "incremental",
 ) -> SensitivityResult:
     """Compute ``LS(Q, D)`` and a most sensitive tuple (Definition 2.3).
@@ -63,15 +63,15 @@ def local_sensitivity(
         ``"path"``, ``"tsens"``, ``"naive"``, or ``"reeval"`` (the
         re-evaluation baseline, exact but slower than TSens).
     tree:
-        Decomposition override for TSens on connected queries.
+        A decomposition covering the whole query (default: the plan of
+        :func:`~repro.query.ghd.component_trees`), as in
+        :func:`~repro.session.prepare`.
     skip_relations:
         Relations certified to have tuple sensitivity ≤ 1 (e.g. their
         attributes form a superkey of the output); their tables are skipped.
     top_k:
         When set, uses the clamping approximation of Sec. 5.4 — the result
         is an upper bound on the true local sensitivity.
-    max_width:
-        GHD node-size cap for automatic decomposition of cyclic queries.
     reeval_mode:
         For ``method="reeval"``: ``"incremental"`` answers every probe
         from cached join-tree counts via delta propagation (near-linear
@@ -99,7 +99,7 @@ def local_sensitivity(
         # Dispatched before planning: brute force needs no decomposition,
         # so it must keep working on queries no GHD search can cover.
         return naive_local_sensitivity(query, db)
-    session = prepare(query, db, tree=tree, max_width=max_width)
+    session = prepare(query, db, tree=tree)
     return session.sensitivity(
         method=method,
         skip_relations=skip_relations,
@@ -113,14 +113,29 @@ def most_sensitive_tuples(
     db: Database,
     tree: Optional[DecompositionTree] = None,
     skip_relations: Iterable[str] = (),
-    max_width: int = 3,
 ) -> Mapping[str, object]:
     """Per-relation most sensitive tuples (the paper's Fig. 6b report).
 
     Returns a mapping ``relation -> SensitiveTuple``, skipping relations in
     ``skip_relations`` (reported with bound 1, as the paper does for
-    LINEITEM in q3).  ``max_width`` caps the automatic GHD node size for
-    cyclic queries, like everywhere else in the stack.
+    LINEITEM in q3).
     """
-    session = prepare(query, db, tree=tree, max_width=max_width)
+    session = prepare(query, db, tree=tree)
     return session.most_sensitive(skip_relations=skip_relations)
+
+
+def tsens(
+    query: ConjunctiveQuery,
+    db: Database,
+    tree: Optional[DecompositionTree] = None,
+    skip_relations: Iterable[str] = (),
+) -> SensitivityResult:
+    """TSens (Algorithm 2 with the Sec. 5.4 extensions) for any full CQ
+    without self-joins: ``local_sensitivity(..., method="tsens")``.
+
+    Runs over a join tree or GHD per connected component, scaling each
+    component's sensitivities by the other components' counts.  ``tree``
+    covers the whole query, as in :func:`~repro.session.prepare`.
+    """
+    session = prepare(query, db, tree=tree)
+    return session.sensitivity(method="tsens", skip_relations=skip_relations)

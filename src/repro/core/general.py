@@ -9,76 +9,27 @@ Two Sec. 5.4 extensions on top of :func:`repro.core.acyclic.tsens_connected`:
   other components' counts.
 * **General (cyclic) joins** — when no join tree exists, a generalized
   hypertree decomposition groups atoms into nodes (Fig. 5's hypertrees for
-  q3, q△, q◦); :func:`repro.query.ghd.auto_decompose` finds one
-  automatically when none is supplied.
+  q3, q△, q◦); :func:`repro.query.ghd.component_trees` plans one per
+  cyclic component when the caller supplies no tree.
 
-Both paths run over per-component
-:class:`~repro.evaluation.joinstate.JoinState` objects.
-:func:`tsens` builds throwaway states (the historical one-shot
-behaviour); :func:`tsens_from_states` accepts *maintained* states — the
-session layer's, folded under committed updates — so a sensitivity read
-after an update reuses every botjoin, topjoin and table factor instead
-of recomputing the pipeline, and recomputes only the witnesses.
+:func:`tsens_from_states` runs over the per-component
+:class:`~repro.evaluation.joinstate.JoinState` objects of that plan —
+the session layer's, folded under committed updates — so a sensitivity
+read after an update reuses every botjoin, topjoin and table factor
+instead of recomputing the pipeline, and recomputes only the witnesses.
+The one-shot :func:`repro.core.api.tsens` is a read of a throwaway
+session.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 from repro.engine.database import Database
 from repro.evaluation.joinstate import JoinState
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose
-from repro.query.jointree import DecompositionTree
 from repro.core.acyclic import select_overall_witness, tsens_connected
 from repro.core.result import SensitiveTuple, SensitivityResult
-
-
-def tsens(
-    query: ConjunctiveQuery,
-    db: Database,
-    tree: Optional[DecompositionTree] = None,
-    skip_relations: Iterable[str] = (),
-    component_trees: Optional[Mapping[str, DecompositionTree]] = None,
-    max_width: int = 3,
-) -> SensitivityResult:
-    """TSens for any full CQ without self-joins.
-
-    Parameters
-    ----------
-    query, db:
-        The query and instance.
-    tree:
-        Decomposition for a *connected* query.  Ignored when the query is
-        disconnected (use ``component_trees`` instead).
-    skip_relations:
-        Relations certified to have tuple sensitivity ≤ 1 (superkey
-        argument); their tables are not computed.
-    component_trees:
-        For disconnected queries: optional mapping from a component's first
-        relation name to the decomposition to use for that component.
-    max_width:
-        Node-size cap handed to the automatic GHD search for cyclic
-        components without an explicit decomposition.
-    """
-    query.validate_against(db)
-    components = query.connected_components()
-    if len(components) == 1:
-        if tree is None:
-            tree = auto_decompose(query, max_width=max_width)
-        return tsens_connected(query, db, tree=tree, skip_relations=skip_relations)
-
-    states: List[JoinState] = []
-    for index, component in enumerate(components):
-        sub = query.subquery(component, name=f"{query.name}#c{index}")
-        key = component[0].relation
-        sub_tree = None
-        if component_trees and key in component_trees:
-            sub_tree = component_trees[key]
-        if sub_tree is None:
-            sub_tree = auto_decompose(sub, max_width=max_width)
-        states.append(JoinState(sub, sub_tree, db))
-    return tsens_from_states(query, db, states, skip_relations=skip_relations)
 
 
 def tsens_from_states(

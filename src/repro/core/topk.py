@@ -27,7 +27,7 @@ from repro.engine.relation import Relation
 from repro.evaluation.joinstate import JoinState
 from repro.evaluation.yannakakis import bind, compute_botjoins, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.gyo import gyo_join_tree
+from repro.query.ghd import auto_decompose
 from repro.query.jointree import DecompositionTree
 from repro.core.acyclic import multiplicity_table, sensitivity_from_tables
 from repro.core.result import SensitivityResult
@@ -73,8 +73,10 @@ def tsens_topk(
     ``LS(Q, D) <= result.local_sensitivity`` (tested property), with
     equality for ``k`` at least the number of distinct boundary values.
 
-    ``state`` (a maintained :class:`JoinState` on ``tree`` over ``db``)
-    supplies the bound tree so sessions skip re-binding after updates.
+    ``tree`` defaults to :func:`~repro.query.ghd.auto_decompose`'s: the
+    GYO join tree, or a GHD for a cyclic query.  ``state`` (a maintained
+    :class:`JoinState` over ``db``) supplies the bound tree instead, so
+    sessions run on their own plan and skip re-binding after updates.
     Clamping is *not* linear, so the clamped botjoin/topjoin passes cannot
     be folded incrementally — they rerun per call over the maintained
     atoms, with clamping applied at every level exactly as the one-shot
@@ -86,7 +88,7 @@ def tsens_topk(
         bound = state.bound
     else:
         if tree is None:
-            tree = gyo_join_tree(query)
+            tree = auto_decompose(query)
         bound = bind(query, tree, db)
 
     def clamp(level: Relation) -> Relation:

@@ -140,10 +140,6 @@ def reset_vocabulary() -> None:
     _VOCAB = _Vocabulary()
 
 
-def _max_mult(relation: "ColumnarRelation") -> int:
-    return int(relation._mult.max()) if relation._mult.size else 0
-
-
 def _pair_products(left_mult: np.ndarray, right_mult: np.ndarray) -> np.ndarray:
     """Element-wise multiplicity products, overflow-checked.
 

@@ -9,7 +9,6 @@ from repro.evaluation.yannakakis import (
     compute_topjoins,
     count_bound,
     count_query,
-    default_tree,
     evaluate_bound,
     evaluate_query,
     naive_join,
@@ -26,7 +25,6 @@ __all__ = [
     "compute_topjoins",
     "count_bound",
     "count_query",
-    "default_tree",
     "evaluate_bound",
     "evaluate_query",
     "naive_join",

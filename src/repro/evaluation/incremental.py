@@ -72,8 +72,8 @@ from repro.engine.database import Database
 from repro.engine.operators import group_by, join, patch
 from repro.engine.relation import Row
 from repro.evaluation.joinstate import JoinState, RelationDelta, _overflow_named
-from repro.evaluation.yannakakis import _component_trees
 from repro.query.conjunctive import ConjunctiveQuery
+from repro.query.ghd import component_trees
 from repro.query.jointree import DecompositionTree
 from repro.exceptions import SchemaError, SessionError, UnknownRelationError
 
@@ -173,16 +173,10 @@ class IncrementalEvaluator:
         are hypothetical and leave the evaluator untouched;
         :meth:`apply_batch` commits updates, after which :attr:`db`
         reflects the mutated instance.
-    tree:
-        Decomposition override for connected queries (defaults to GYO /
-        automatic GHD, like the rest of the evaluation stack).
-    max_width:
-        GHD node-size cap for the automatic decomposition of cyclic
-        queries (ignored when ``tree`` is given).
     component_pairs:
-        Advanced: pre-decomposed ``(subquery, tree)`` pairs, one per
-        connected component, as produced by the session layer's prepare
-        step.  Skips re-deriving the decomposition; overrides ``tree``.
+        The plan: one ``(subquery, tree)`` pair per connected component
+        (default: :func:`~repro.query.ghd.component_trees` of ``query``).
+        Pass ``component_trees(query, tree)`` to run on your own tree.
 
     Examples
     --------
@@ -208,8 +202,6 @@ class IncrementalEvaluator:
         self,
         query: ConjunctiveQuery,
         db: Database,
-        tree: Optional[DecompositionTree] = None,
-        max_width: int = 3,
         component_pairs: Optional[
             Sequence[Tuple[ConjunctiveQuery, DecompositionTree]]
         ] = None,
@@ -226,7 +218,7 @@ class IncrementalEvaluator:
         self._states: List[JoinState] = []
         self._component_of: Dict[str, int] = {}
         if component_pairs is None:
-            component_pairs = _component_trees(query, tree, max_width)
+            component_pairs = component_trees(query)
         for sub, sub_tree in component_pairs:
             for relation in sub.relation_names:
                 self._component_of[relation] = len(self._states)

@@ -28,7 +28,7 @@ from repro.engine.operators import join, join_all, semijoin
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose
+from repro.query.ghd import component_trees
 from repro.query.jointree import DecompositionTree
 from repro.exceptions import InternalError, MultiplicityOverflowError
 
@@ -229,31 +229,6 @@ def evaluate_bound(bound: BoundTree) -> Relation:
     return result
 
 
-def default_tree(query: ConjunctiveQuery, max_width: int = 3) -> DecompositionTree:
-    """The tree the engine picks when the caller supplies none: GYO join
-    tree for acyclic queries, automatic GHD (node size ≤ ``max_width``)
-    otherwise.  The query must be connected (components are handled by the
-    top-level functions)."""
-    return auto_decompose(query, max_width=max_width)
-
-
-def _component_trees(
-    query: ConjunctiveQuery,
-    tree: Optional[DecompositionTree],
-    max_width: int = 3,
-) -> List[Tuple[ConjunctiveQuery, DecompositionTree]]:
-    if tree is not None:
-        return [(query, tree)]
-    components = query.connected_components()
-    if len(components) == 1:
-        return [(query, default_tree(query, max_width))]
-    pairs: List[Tuple[ConjunctiveQuery, DecompositionTree]] = []
-    for i, component in enumerate(components):
-        sub = query.subquery(component, name=f"{query.name}#c{i}")
-        pairs.append((sub, default_tree(sub, max_width)))
-    return pairs
-
-
 def count_query(
     query: ConjunctiveQuery, db: Database, tree: Optional[DecompositionTree] = None
 ) -> int:
@@ -263,7 +238,7 @@ def count_query(
     attribute-disjoint components is a cross product).
     """
     total = 1
-    for sub, sub_tree in _component_trees(query, tree):
+    for sub, sub_tree in component_trees(query, tree):
         total *= count_bound(bind(sub, sub_tree, db))
         if total == 0:
             return 0
@@ -275,7 +250,7 @@ def evaluate_query(
 ) -> Relation:
     """The full join output ``Q(D)`` as a bag relation."""
     result: Optional[Relation] = None
-    for sub, sub_tree in _component_trees(query, tree):
+    for sub, sub_tree in component_trees(query, tree):
         part = evaluate_bound(bind(sub, sub_tree, db))
         result = part if result is None else join(result, part)
     if result is None:

@@ -9,7 +9,7 @@ from repro.query.classify import (
     path_order,
 )
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose, ghd_from_groups
+from repro.query.ghd import auto_decompose, component_trees, ghd_from_groups
 from repro.query.gyo import gyo_join_forest, gyo_join_tree, gyo_reduce, is_acyclic
 from repro.query.hypergraph import Hypergraph
 from repro.query.jointree import DecompositionTree, TreeNode, join_tree_from_parents
@@ -24,6 +24,7 @@ __all__ = [
     "TreeNode",
     "auto_decompose",
     "classify",
+    "component_trees",
     "ghd_from_groups",
     "gyo_join_forest",
     "gyo_join_tree",

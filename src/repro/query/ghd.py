@@ -14,6 +14,9 @@ Two entry points:
 * :func:`auto_decompose` — GYO tree when the query is already acyclic,
   otherwise a bounded search that merges small groups of atoms until the
   contracted hypergraph becomes acyclic.
+
+:func:`component_trees` is the one place a query's plan is chosen: the
+caller's tree, or :func:`auto_decompose`'s per connected component.
 """
 
 from __future__ import annotations
@@ -151,3 +154,26 @@ def auto_decompose(
         f"no decomposition of width ≤ {max_width} found for {query.name}; "
         "supply one explicitly with ghd_from_groups()"
     )
+
+
+def component_trees(
+    query: ConjunctiveQuery, tree: Optional[DecompositionTree] = None
+) -> List[Tuple[ConjunctiveQuery, DecompositionTree]]:
+    """The plan every entry point runs: one ``(subquery, decomposition)``
+    pair per connected component, in component order.
+
+    A given ``tree`` covers the whole query and is its only pair.
+    Otherwise each component gets :func:`auto_decompose`'s tree: its GYO
+    join tree when acyclic, a GHD when cyclic.  A wider GHD than the
+    default search finds is passed as ``tree``.
+    """
+    if tree is not None:
+        return [(query, tree)]
+    components = query.connected_components()
+    if len(components) == 1:
+        return [(query, auto_decompose(query))]
+    pairs: List[Tuple[ConjunctiveQuery, DecompositionTree]] = []
+    for i, component in enumerate(components):
+        sub = query.subquery(component, name=f"{query.name}#c{i}")
+        pairs.append((sub, auto_decompose(sub)))
+    return pairs

@@ -7,7 +7,7 @@ re-parsed, re-classified, re-decomposed, re-bound and re-counted.  A
 
 * classify the query shape (path / acyclic / cyclic / disconnected),
 * build the decomposition (GYO join tree or automatic GHD) per connected
-  component,
+  component, through :func:`~repro.query.ghd.component_trees`,
 * on first use, bind the tree and materialise the cached join-tree counts
   of :class:`~repro.evaluation.incremental.IncrementalEvaluator` —
 
@@ -63,6 +63,7 @@ into a fork of the head session, never into a session readers use.
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 import threading
 
@@ -70,9 +71,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.evaluation.incremental import IncrementalEvaluator, compact_updates
-from repro.evaluation.yannakakis import _component_trees
 from repro.query.classify import is_path_query
 from repro.query.conjunctive import ConjunctiveQuery
+from repro.query.ghd import component_trees
 from repro.query.jointree import DecompositionTree
 from repro.core.explain import Explanation, explain as _explain
 from repro.core.general import tsens_from_states
@@ -103,12 +104,16 @@ def _is_count(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
+def _is_real(value: object) -> bool:
+    """A real number: a ``bool`` is an ``int`` but never a privacy parameter."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def prepare(
     query: ConjunctiveQuery,
     db: Database,
     backend: Optional[str] = None,
     tree: Optional[DecompositionTree] = None,
-    max_width: int = 3,
 ) -> "PreparedQuery":
     """Plan ``query`` over ``db`` once and return the reusable session.
 
@@ -126,11 +131,14 @@ def prepare(
         when given, the database is converted up front so every cached
         structure lives on that backend.
     tree:
-        Decomposition override for connected queries.  Supplying one
-        disables the path-algorithm shortcut, exactly as in
-        :func:`repro.core.api.local_sensitivity`.
-    max_width:
-        GHD node-size cap for automatic decomposition of cyclic queries.
+        A decomposition covering the whole query, which every read and
+        update runs on.  Without one the session plans with
+        :func:`~repro.query.ghd.component_trees`: a GYO join tree, or an
+        automatic GHD for a cyclic query, per connected component.  Pass
+        a wider GHD here, built by :func:`~repro.query.ghd.auto_decompose`
+        with a larger node-size cap or by
+        :func:`~repro.query.ghd.ghd_from_groups`.  Supplying one disables
+        the path-algorithm shortcut.
 
     Examples
     --------
@@ -153,7 +161,7 @@ def prepare(
     """
     if backend is not None:
         db = db.with_backend(backend)
-    return PreparedQuery(query, db, tree=tree, max_width=max_width)
+    return PreparedQuery(query, db, tree=tree)
 
 
 def rebuild_per_update_counts(
@@ -161,7 +169,6 @@ def rebuild_per_update_counts(
     db: Database,
     stream: Iterable[Update],
     tree: Optional[DecompositionTree] = None,
-    max_width: int = 3,
 ) -> List[int]:
     """The rebuild-per-update strawman: ``|Q(D)|`` after each stream element,
     re-planning from scratch every time.
@@ -183,9 +190,7 @@ def rebuild_per_update_counts(
             raise SessionError(
                 f"unknown update op {op!r} (use 'insert' or 'delete')"
             )
-        counts.append(
-            prepare(query, current, tree=tree, max_width=max_width).count()
-        )
+        counts.append(prepare(query, current, tree=tree).count())
     return counts
 
 
@@ -204,21 +209,16 @@ class PreparedQuery:
         query: ConjunctiveQuery,
         db: Database,
         tree: Optional[DecompositionTree] = None,
-        max_width: int = 3,
     ):
         query.validate_against(db)
         self._query = query
         self._db = db
-        self._user_tree = tree
-        self._max_width = max_width
         # One re-entrant lock serialises every public read and mutation;
         # see the module docstring's thread-safety contract.
         self._lock = threading.RLock()
         # Planned once: classification + per-component decomposition.
         self._is_path = tree is None and is_path_query(query)
-        self._pairs: List[Tuple[ConjunctiveQuery, DecompositionTree]] = list(
-            _component_trees(query, tree, max_width)
-        )
+        self._pairs = component_trees(query, tree)
         # Built on first count/update/reeval use.
         self._evaluator: Optional[IncrementalEvaluator] = None
         # (kind, config) -> result caches, cleared on every mutation.
@@ -304,10 +304,7 @@ class PreparedQuery:
     def _ensure_evaluator(self) -> IncrementalEvaluator:
         if self._evaluator is None:
             self._evaluator = IncrementalEvaluator(
-                self._query,
-                self._db,
-                max_width=self._max_width,
-                component_pairs=self._pairs,
+                self._query, self._db, component_pairs=self._pairs
             )
         return self._evaluator
 
@@ -408,25 +405,20 @@ class PreparedQuery:
             return reevaluation_sensitivity(
                 self._query,
                 self._db,
-                tree=self._user_tree,
+                tree=self.tree,
                 mode=reeval_mode,
-                max_width=self._max_width,
                 evaluator=evaluator,
             )
         if top_k is not None:
-            # The clamped passes rerun per call (clamping is not linear),
-            # but the maintained state supplies the bound tree whenever
-            # the prepared tree is the one the one-shot call would use —
-            # cyclic auto-GHDs keep their historical error surface.
-            tree = self._join_tree_or_user_tree()
-            state = None
-            if len(self._pairs) == 1 and tree is self._pairs[0][1]:
-                state = self._states()[0]
+            # The clamped passes rerun per call (clamping is not linear)
+            # over the maintained state's bound tree, whatever the plan.
+            # A disconnected query has no single state; tsens_topk
+            # rejects it.
+            state = self._states()[0] if len(self._pairs) == 1 else None
             return tsens_topk(
                 self._query,
                 self._db,
                 k=top_k,
-                tree=tree,
                 skip_relations=skip,
                 state=state,
             )
@@ -444,23 +436,12 @@ class PreparedQuery:
             self._query, self._db, self._states(), skip_relations=skip
         )
 
-    def _join_tree_or_user_tree(self) -> Optional[DecompositionTree]:
-        """The prepared tree when it is a plain join tree, else the user's.
-
-        ``tsens_topk`` only accepts width-1 join trees; handing it the
-        prepared GYO tree skips a re-derivation while keeping the error
-        behaviour for cyclic queries identical to the one-shot API.
-        """
-        if self._user_tree is not None:
-            return self._user_tree
-        if len(self._pairs) == 1 and self._pairs[0][1].width() == 1:
-            return self._pairs[0][1]
-        return None
-
     def top_k(
         self, k: int, skip_relations: Iterable[str] = ()
     ) -> SensitivityResult:
-        """The Sec. 5.4 top-k clamping upper bound (``tsens-top<k>``)."""
+        """The Sec. 5.4 top-k clamping upper bound (``tsens-top<k>``),
+        over the session's prepared decomposition (a GHD included) for a
+        connected query."""
         return self.sensitivity(top_k=k, skip_relations=skip_relations)
 
     def most_sensitive(
@@ -586,7 +567,7 @@ class PreparedQuery:
         Parameters
         ----------
         epsilon:
-            Privacy budget for *this* release.
+            Privacy budget for *this* release, a finite real > 0.
         mechanism:
             ``"tsensdp"`` (truncation at a learned threshold),
             ``"flexdp"`` (smooth elastic sensitivity, (ε, δ)-DP) or
@@ -602,7 +583,7 @@ class PreparedQuery:
         ell:
             Required public tuple-sensitivity bound, an integer >= 1 (tsensdp).
         delta:
-            The δ of (ε, δ)-DP (flexdp only).
+            The δ of (ε, δ)-DP, a real in (0, 1) (flexdp only).
         clamp_nonnegative:
             Clamp the released count at 0 (free post-processing).
         max_threshold:
@@ -629,6 +610,10 @@ class PreparedQuery:
             )
         # Every pure-configuration check must precede the accountant spend:
         # a release that dies on bad config must not burn privacy budget.
+        if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+            raise MechanismConfigError(
+                f"epsilon must be a finite real > 0, got {epsilon!r}"
+            )
         if mechanism == "tsensdp" and ell is None:
             raise MechanismConfigError(
                 "mechanism='tsensdp' needs ell=<public sensitivity bound>"
@@ -639,8 +624,10 @@ class PreparedQuery:
             raise MechanismConfigError(
                 f"max_threshold must be an integer >= 1, got {max_threshold!r}"
             )
-        if mechanism == "flexdp" and not 0 < delta < 1:
-            raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
+        if mechanism == "flexdp" and not (_is_real(delta) and 0 < delta < 1):
+            raise MechanismConfigError(
+                f"delta must be a real in (0, 1), got {delta!r}"
+            )
         with self._lock:
             if accountant is not None:
                 accountant.spend(epsilon, f"{mechanism}:{primary}")

@@ -80,26 +80,6 @@ class TestApiDispatch:
         )
         assert via_api.method == "reeval"
 
-    @pytest.mark.parametrize("mode", ["incremental", "full"])
-    def test_max_width_reaches_auto_decompose(
-        self, triangle_query, triangle_db, mode
-    ):
-        from repro.exceptions import DecompositionError
-
-        # width 2 suffices for the triangle; width 1 forbids merging.
-        ok = local_sensitivity(
-            triangle_query, triangle_db, method="reeval",
-            reeval_mode=mode, max_width=2,
-        )
-        assert ok.local_sensitivity == naive_local_sensitivity(
-            triangle_query, triangle_db
-        ).local_sensitivity
-        with pytest.raises(DecompositionError):
-            local_sensitivity(
-                triangle_query, triangle_db, method="reeval",
-                reeval_mode=mode, max_width=1,
-            )
-
     def test_reeval_rejects_unsupported_knobs(self, fig1_query, fig1_db):
         with pytest.raises(MechanismConfigError):
             local_sensitivity(fig1_query, fig1_db, method="reeval", top_k=2)

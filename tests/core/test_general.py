@@ -6,7 +6,7 @@ import pytest
 from repro.core import naive_local_sensitivity, tsens
 from repro.datasets import random_acyclic_query, random_database
 from repro.engine import Database, Relation
-from repro.query import Atom, ConjunctiveQuery, ghd_from_groups, parse_query
+from repro.query import Atom, ConjunctiveQuery, parse_query
 
 
 def union_query(*texts):
@@ -51,8 +51,8 @@ class TestDisconnected:
         assert result.tuple_sensitivity("R", {"A": 1}) == 5
         assert result.tuple_sensitivity("S", {"B": 7}) == 2
 
-    def test_component_trees_override(self, triangle_db):
-        # Triangle component + isolated unary component.
+    def test_cyclic_component(self, triangle_db):
+        # Triangle component (planned as a GHD) + isolated unary component.
         atoms = list(parse_query("R1(A,B), R2(B,C), R3(C,A)").atoms)
         atoms.append(Atom("Z", ("W",)))
         q = ConjunctiveQuery(atoms, name="Qmix")
@@ -64,14 +64,7 @@ class TestDisconnected:
                 "Z": Relation(["W"], [(0,), (1,)]),
             }
         )
-        triangle = q.subquery(tuple(atoms[:3]), name="tri")
-        tree = ghd_from_groups(
-            triangle,
-            groups={"g12": ["R1", "R2"], "g3": ["R3"]},
-            root="g12",
-            parent={"g3": "g12"},
-        )
-        fast = tsens(q, db, component_trees={"R1": tree})
+        fast = tsens(q, db)
         slow = naive_local_sensitivity(q, db)
         assert fast.local_sensitivity == slow.local_sensitivity
 

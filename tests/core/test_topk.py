@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro import prepare
 from repro.core import clamp_to_top_k, naive_local_sensitivity, tsens, tsens_topk
 from repro.engine import Database, Relation
 from repro.query import auto_decompose, parse_query
@@ -137,3 +138,16 @@ class TestTopKOnGHDs:
             self._run(ghd_case, backend, k=k).local_sensitivity for k in KS
         ]
         assert bounds == sorted(bounds, reverse=True)
+
+    def test_session_runs_on_its_own_plan(self, ghd_case, backend):
+        """A session planned without a tree runs top-k on its own GHD."""
+        query, _tree, db, skip = ghd_case
+        exact = self._run(ghd_case, backend).local_sensitivity
+        session = prepare(query, db.with_backend(backend))
+        for k in KS:
+            approx = session.top_k(k, skip)
+            assert approx.local_sensitivity >= exact
+            oneshot = tsens_topk(
+                query, session.db, k, tree=session.tree, skip_relations=skip
+            )
+            assert approx.per_relation == oneshot.per_relation

@@ -42,7 +42,7 @@ from repro.evaluation import (
     count_query,
 )
 from repro.evaluation.joinstate import RelationDelta, effective_attributes
-from repro.query import auto_decompose, parse_predicate, parse_query
+from repro.query import auto_decompose, component_trees, parse_predicate, parse_query
 
 BACKENDS = ("python", "columnar")
 
@@ -331,7 +331,10 @@ class TestChainMatchesDefinitions:
 
     def test_probes_are_leave_one_out_entries(self, case, backend):
         query, tree, db = case
-        evaluator = IncrementalEvaluator(query, db.with_backend(backend), tree=tree)
+        evaluator = IncrementalEvaluator(
+            query, db.with_backend(backend),
+            component_pairs=component_trees(query, tree),
+        )
         _assert_probes_match_oracle(evaluator, query, db)
         deltas = _batch(query, db, seed=len(query.relation_names))
         evaluator.apply_batch(deltas)

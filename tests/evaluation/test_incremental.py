@@ -8,7 +8,7 @@ from repro.evaluation import IncrementalEvaluator, PROBE_ATTRIBUTE, count_query
 from repro.evaluation.incremental import compact_updates
 from repro.evaluation.joinstate import JoinState, RelationDelta
 from repro.core import naive_tuple_sensitivity
-from repro.query import parse_predicate, parse_query
+from repro.query import component_trees, parse_predicate, parse_query
 from repro.query.jointree import join_tree_from_parents
 from repro.session import prepare
 from repro.exceptions import (
@@ -213,7 +213,9 @@ class TestOverflowPropagation:
             }
         )
         tree = join_tree_from_parents(query, "R", {"S1": "R", "S2": "R"})
-        evaluator = IncrementalEvaluator(query, db, tree=tree)
+        evaluator = IncrementalEvaluator(
+            query, db, component_pairs=component_trees(query, tree)
+        )
         assert evaluator.base_count == 0
         with pytest.raises(MultiplicityOverflowError):
             evaluator.delta("R", ("x",))
@@ -251,7 +253,9 @@ class TestOverflowPropagation:
             }
         )
         tree = join_tree_from_parents(query, "R", {"S1": "R", "S2": "R"})
-        evaluator = IncrementalEvaluator(query, db, tree=tree)
+        evaluator = IncrementalEvaluator(
+            query, db, component_pairs=component_trees(query, tree)
+        )
         assert evaluator.delta("R", ("x",)) == huge * huge
 
 

@@ -167,8 +167,12 @@ class TestTenants:
 
     @pytest.mark.parametrize(
         "config",
-        [dict(mechanism="tsensdp", ell=10.0), dict(mechanism="privsql", max_threshold=64.0)],
-        ids=["ell", "max_threshold"],
+        [
+            dict(mechanism="tsensdp", ell=10.0),
+            dict(mechanism="privsql", max_threshold=64.0),
+            dict(mechanism="flexdp", delta="0.1"),
+        ],
+        ids=["ell", "max_threshold", "delta"],
     )
     def test_bad_release_config_spends_nothing(self, config):
         session = _session()

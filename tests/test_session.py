@@ -1,5 +1,7 @@
 """Unit tests for the prepared-query session API (:mod:`repro.session`)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from repro.datasets.tpch import generate_tpch
 from repro.query import gyo_join_tree, parse_query
 from repro.workloads.tpch_queries import q1_workload, q3_workload
 from repro.exceptions import (
-    DecompositionError,
     MechanismConfigError,
     PrivacyBudgetError,
     SessionError,
@@ -109,24 +110,6 @@ class TestReads:
         assert session.explain() is profile  # cached
         session.delete("R4", ("b1", "f1"))
         assert session.explain() is not profile
-
-
-class TestMostSensitiveTuplesMaxWidth:
-    """The satellite fix: ``most_sensitive_tuples`` plumbs ``max_width``."""
-
-    def test_max_width_reaches_decomposition(self, triangle_query, triangle_db):
-        # A triangle needs a width-2 GHD node; forbidding merges must now
-        # surface from the decomposition search instead of being silently
-        # replaced by the default cap.
-        with pytest.raises(DecompositionError):
-            most_sensitive_tuples(triangle_query, triangle_db, max_width=1)
-
-    def test_wider_cap_matches_default(self, triangle_query, triangle_db):
-        default = most_sensitive_tuples(triangle_query, triangle_db)
-        wide = most_sensitive_tuples(triangle_query, triangle_db, max_width=3)
-        assert {r: w.sensitivity for r, w in default.items()} == {
-            r: w.sensitivity for r, w in wide.items()
-        }
 
 
 class TestUpdates:
@@ -495,7 +478,8 @@ class TestRelease:
 
     def test_config_errors_do_not_burn_budget(self, star_session):
         """Validation must precede the accountant spend: a release that
-        dies on bad configuration must leave the budget untouched."""
+        dies on bad configuration must leave the budget untouched, and
+        must raise the same typed error without an accountant."""
         workload, session = star_session
         accountant = BudgetAccountant(1.0)
         bad_configs = [
@@ -506,13 +490,26 @@ class TestRelease:
             dict(mechanism="tsensdp", primary=workload.primary, ell=True),
             dict(mechanism="tsensdp", primary="nope", ell=5),
             dict(mechanism="flexdp", primary=workload.primary, delta=1.5),
+            dict(mechanism="flexdp", primary=workload.primary, delta="0.1"),
+            dict(mechanism="flexdp", primary=workload.primary, delta=None),
             dict(mechanism="privsql", primary=workload.primary, max_threshold=0),
             dict(mechanism="privsql", primary=workload.primary, max_threshold=64.0),
         ]
+        for epsilon in ("1", True, math.nan, math.inf, 0):
+            bad_configs += [
+                dict(epsilon=epsilon, mechanism="tsensdp",
+                     primary=workload.primary, ell=workload.ell),
+                dict(epsilon=epsilon, mechanism="flexdp", primary=workload.primary),
+                dict(epsilon=epsilon, mechanism="privsql", primary=workload.primary),
+            ]
         for config in bad_configs:
+            config = {"epsilon": 0.6, **config}
             with pytest.raises(MechanismConfigError):
-                session.release(0.6, accountant=accountant, **config)
+                session.release(accountant=accountant, **config)
             assert accountant.spent == 0.0
+            assert accountant.ledger() == {}
+            with pytest.raises(MechanismConfigError):
+                session.release(**config)
         # The budget is still fully available for a corrected release.
         session.release(
             1.0,
