@@ -7,7 +7,7 @@ comparable; the local sensitivity must be identical for every rooting.
 
 import pytest
 
-from repro.core import tsens_connected
+from repro.core import tsens
 from repro.query import gyo_join_tree
 from repro.workloads import path_workload
 
@@ -21,11 +21,11 @@ def test_rerooted_tree_same_result(benchmark, facebook_base, root_index):
     rerooted = tree.rerooted(new_root)
 
     result = benchmark.pedantic(
-        lambda: tsens_connected(workload.query, db, tree=rerooted),
+        lambda: tsens(workload.query, db, tree=rerooted),
         rounds=2,
         iterations=1,
     )
     benchmark.extra_info["root"] = new_root
     benchmark.extra_info["ls"] = result.local_sensitivity
-    baseline = tsens_connected(workload.query, db, tree=tree)
+    baseline = tsens(workload.query, db, tree=tree)
     assert result.local_sensitivity == baseline.local_sensitivity

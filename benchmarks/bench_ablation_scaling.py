@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core import ls_path_join
+from repro.core import local_sensitivity
 from repro.datasets import generate_tpch
 from repro.workloads import q1_workload
 
@@ -23,7 +23,9 @@ def test_scaling_path_algorithm(benchmark, scale):
     n = db.total_tuples()
     benchmark.extra_info["n"] = n
     benchmark.pedantic(
-        lambda: ls_path_join(workload.query, db), rounds=3, iterations=1
+        lambda: local_sensitivity(workload.query, db, method="path"),
+        rounds=3,
+        iterations=1,
     )
 
 
@@ -37,7 +39,7 @@ def test_scaling_is_subquadratic():
         best = float("inf")
         for _ in range(3):
             start = time.perf_counter()
-            ls_path_join(workload.query, db)
+            local_sensitivity(workload.query, db, method="path")
             best = min(best, time.perf_counter() - start)
         timings.append((db.total_tuples(), best))
     for (n1, t1), (n2, t2) in zip(timings, timings[1:]):

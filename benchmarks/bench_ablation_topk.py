@@ -7,7 +7,8 @@ and exactness for large k.
 
 import pytest
 
-from repro.core import local_sensitivity, tsens_topk
+from repro import prepare
+from repro.core import local_sensitivity
 from repro.workloads import path_workload
 
 KS = (1, 8, 64, 4096)
@@ -29,7 +30,7 @@ def test_topk_ablation(benchmark, facebook_base, k):
     exact = _exact(db, workload)
 
     result = benchmark.pedantic(
-        lambda: tsens_topk(workload.query, db, k=k),
+        lambda: prepare(workload.query, db).top_k(k),
         rounds=2,
         iterations=1,
     )

@@ -4,7 +4,6 @@ from repro.core.acyclic import (
     compute_topjoins,
     extrapolate_assignment,
     multiplicity_table,
-    tsens_connected,
 )
 from repro.core.api import local_sensitivity, most_sensitive_tuples, tsens
 from repro.core.explain import Explanation, explain
@@ -37,6 +36,5 @@ __all__ = [
     "naive_local_sensitivity",
     "naive_tuple_sensitivity",
     "tsens",
-    "tsens_connected",
     "tsens_topk",
 ]

@@ -23,11 +23,12 @@ The local sensitivity is the max entry over all multiplicity tables
 exclusive attributes, is the most sensitive tuple.
 
 All of this state — bound tree, botjoins, topjoins, tables — lives in a
-:class:`~repro.evaluation.joinstate.JoinState`.  One-shot callers build a
-throwaway instance per call (this module's public signatures are
-unchanged); sessions pass their *maintained* instance, whose structures
-were folded under committed updates instead of rebuilt.  Each read takes
-the witnesses off the tables with :func:`best_witness`.
+:class:`~repro.evaluation.joinstate.JoinState`, and the only one a read
+uses is the session's *maintained* instance, whose structures were folded
+under committed updates instead of rebuilt
+(:func:`repro.core.general.tsens_from_states` reads it; the one-shot
+:func:`repro.core.api.tsens` is a read of a throwaway session).  Each read
+takes the witnesses off the tables with :func:`best_witness`.
 """
 
 from __future__ import annotations
@@ -36,13 +37,10 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.evaluation.joinstate import JoinState, build_table, part_relation, table_layout
+from repro.evaluation.joinstate import build_table, part_relation, table_layout
 from repro.evaluation.yannakakis import BoundTree, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose
-from repro.query.jointree import DecompositionTree
 from repro.core.result import MultiplicityTable, SensitiveTuple, SensitivityResult
-from repro.exceptions import QueryStructureError
 
 __all__ = [
     "best_witness",
@@ -51,7 +49,6 @@ __all__ = [
     "multiplicity_table",
     "select_overall_witness",
     "sensitivity_from_tables",
-    "tsens_connected",
 ]
 
 
@@ -217,53 +214,3 @@ def sensitivity_from_tables(
         tables=tables,
     )
 
-
-def tsens_connected(
-    query: ConjunctiveQuery,
-    db: Database,
-    tree: Optional[DecompositionTree] = None,
-    skip_relations: Iterable[str] = (),
-    state: Optional[JoinState] = None,
-) -> SensitivityResult:
-    """TSens over a connected query.
-
-    Parameters
-    ----------
-    query:
-        Connected full CQ without self-joins.
-    db:
-        Database instance.
-    tree:
-        Join tree / GHD covering the query.  Defaults to
-        :func:`~repro.query.ghd.auto_decompose`'s: the GYO join tree, or a
-        GHD for a cyclic query.  Ignored when ``state`` is given.
-    skip_relations:
-        Relations whose multiplicity table is not computed; the paper skips
-        relations whose attributes form a superkey of the join output
-        (tuple sensitivity ≤ 1, e.g. LINEITEM in q3) to avoid a huge table.
-        Skipped relations get sensitivity bound 1 with no witness table.
-    state:
-        A maintained :class:`JoinState` bound to ``db`` (the session
-        layer's, kept consistent under committed updates).  When absent a
-        throwaway state is built, which is exactly the historical one-shot
-        computation.
-    """
-    if not query.is_connected():
-        raise QueryStructureError(
-            "tsens_connected needs a connected query; use local_sensitivity()"
-        )
-    if state is None:
-        if tree is None:
-            tree = auto_decompose(query)
-    else:
-        tree = state.tree
-    if not tree.covers_query(query):
-        raise QueryStructureError(
-            f"decomposition does not cover query {query.name}"
-        )
-    if state is None:
-        state = JoinState(query, tree, db)
-    return sensitivity_from_tables(
-        query, db, query.relation_names, state.multiplicity_table, "tsens",
-        skip_relations,
-    )

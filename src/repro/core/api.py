@@ -20,11 +20,13 @@ any, ``method="reeval"`` per-candidate count probes
 
 All algorithms return the same :class:`~repro.core.result.SensitivityResult`.
 
-Since the session API landed these functions are thin one-shot wrappers
-over :func:`repro.session.prepare`: each call plans a throwaway
-:class:`~repro.session.PreparedQuery` and asks it once.  Callers issuing
-repeated queries, DP releases or updates against the same instance should
-hold the session instead — same results, none of the re-planning.
+These functions are thin one-shot wrappers over
+:func:`repro.session.prepare`: each call plans a throwaway
+:class:`~repro.session.PreparedQuery` and asks it once (brute force
+alone skips the planning), so every algorithm reads the one maintained
+join state a session holds.  Callers issuing repeated queries, DP
+releases or updates against the same instance should hold the session
+instead — same results, none of the re-planning.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
 from repro.core.naive import naive_local_sensitivity
 from repro.core.result import SensitivityResult
-from repro.session import prepare
-from repro.exceptions import MechanismConfigError
+from repro.session import prepare, validate_method
 
 
 def local_sensitivity(
@@ -71,7 +72,9 @@ def local_sensitivity(
         attributes form a superkey of the output); their tables are skipped.
     top_k:
         When set, uses the clamping approximation of Sec. 5.4 — the result
-        is an upper bound on the true local sensitivity.
+        is an upper bound on the true local sensitivity.  Only with
+        ``method`` ``"auto"`` or ``"tsens"``; any other method raises
+        :class:`~repro.exceptions.MechanismConfigError`.
     reeval_mode:
         For ``method="reeval"``: ``"incremental"`` answers every probe
         from cached join-tree counts via delta propagation (near-linear
@@ -93,8 +96,7 @@ def local_sensitivity(
     >>> result.witness.relation
     'S'
     """
-    if method not in ("auto", "path", "tsens", "naive", "reeval"):
-        raise MechanismConfigError(f"unknown method {method!r}")
+    validate_method(method, top_k)
     if method == "naive":
         # Dispatched before planning: brute force needs no decomposition,
         # so it must keep working on queries no GHD search can cover.

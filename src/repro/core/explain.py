@@ -1,16 +1,20 @@
-"""Explain a TSens run: per-node intermediate sizes and cost structure.
+"""Explain a TSens read: per-node intermediate sizes and cost structure.
 
 Theorem 5.1's running time is governed by concrete intermediates — the
 botjoin/topjoin group tables and each relation's multiplicity table.  This
-module re-runs the two passes while recording, per node, the rows of its
-bound atoms, botjoin/topjoin sizes and grouping attributes, and per
-relation the multiplicity-table factor shapes.  Useful for:
+module profiles the session's maintained
+:class:`~repro.evaluation.joinstate.JoinState` next to the TSens read taken
+from it, recording per node the rows of its bound atoms, botjoin/topjoin
+sizes and grouping attributes, and per relation the multiplicity-table
+factor shapes and the read's sensitivity (selections included).  Useful
+for:
 
 * spotting *why* a query is slow (e.g. which botjoin or topjoin of q3's
   wide GHD nodes dominates);
 * checking double-acyclicity in practice (all multiplicity tables stay
   factored);
-* teaching — ``print(explain(...))`` walks the whole algorithm.
+* teaching — ``print(prepare(q, db).explain())`` walks the whole
+  algorithm.
 """
 
 from __future__ import annotations
@@ -19,13 +23,10 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.engine.database import Database
 from repro.evaluation.joinstate import JoinState
 from repro.query.classify import classify
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose
-from repro.query.jointree import DecompositionTree
-from repro.exceptions import QueryStructureError
+from repro.core.result import SensitivityResult
 
 
 @dataclass
@@ -48,7 +49,9 @@ class NodeProfile:
 
 @dataclass
 class TableProfile:
-    """Shape of one relation's multiplicity table."""
+    """Shape of one relation's multiplicity table, and the sensitivity of
+    the relation's most sensitive tuple in the read (its selection
+    honoured)."""
 
     relation: str
     factor_sizes: Tuple[int, ...]
@@ -59,7 +62,7 @@ class TableProfile:
 
 @dataclass
 class Explanation:
-    """Full cost breakdown of one TSens run."""
+    """Full cost breakdown of one TSens read."""
 
     query_name: str
     query_class: str
@@ -112,29 +115,22 @@ class Explanation:
 
 def explain(
     query: ConjunctiveQuery,
-    db: Database,
-    tree: Optional[DecompositionTree] = None,
-    skip_relations: Tuple[str, ...] = (),
-    state: Optional[JoinState] = None,
+    state: JoinState,
+    result: SensitivityResult,
 ) -> Explanation:
-    """Run TSens once, recording the cost profile (connected queries).
+    """The cost profile of ``state`` and of the TSens read ``result`` taken
+    from it.
 
-    ``state`` lets session callers profile their *maintained*
-    :class:`JoinState` — sizes reflect the folded structures without
-    recomputing botjoins/topjoins/tables the session already holds; the
-    recorded ``seconds`` then measure only the (cheap) profiling walk.
-    One-shot calls build a throwaway state, which is the historical
-    full computation.
+    ``state`` is the session's maintained :class:`JoinState` of a
+    one-component plan (:meth:`repro.session.PreparedQuery.explain`
+    rejects a plan with more than one component); sizes reflect the folded
+    structures without recomputing anything the session already holds.
+    The profile's local sensitivity and each table's maximum are
+    ``result``'s, so selections and skipped relations count exactly as in
+    the read.  ``seconds`` measures the profiling walk.
     """
-    if not query.is_connected():
-        raise QueryStructureError("explain() covers connected queries")
     start = time.perf_counter()
-    if state is None:
-        if tree is None:
-            tree = auto_decompose(query)
-        state = JoinState(query, tree, db)
-    else:
-        tree = state.tree
+    tree = state.tree
     bound = state.bound
     botjoins = state.botjoins
     topjoins = state.topjoins()
@@ -157,23 +153,17 @@ def explain(
         )
 
     tables = []
-    local = 1 if skip_relations else 0
-    for relation in query.relation_names:
-        if relation in skip_relations:
-            continue
-        table = state.multiplicity_table(relation)
+    for relation, table in result.tables.items():
         sizes = tuple(f.distinct_count() for f in table.factors)
         dense = 1
         for size in sizes:
             dense *= max(1, size)
-        max_sens = table.max_sensitivity()
-        local = max(local, max_sens)
         tables.append(
             TableProfile(
                 relation=relation,
                 factor_sizes=sizes,
                 attributes=table.attributes,
-                max_sensitivity=max_sens,
+                max_sensitivity=result.per_relation[relation].sensitivity,
                 dense_size_if_materialised=dense,
             )
         )
@@ -184,7 +174,7 @@ def explain(
         query_class=classify(query),
         tree_width=tree.width(),
         tree_max_degree=tree.max_degree(),
-        local_sensitivity=local,
+        local_sensitivity=result.local_sensitivity,
         nodes=nodes,
         tables=tables,
         seconds=elapsed,

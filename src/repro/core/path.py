@@ -16,11 +16,13 @@ On a path query every join tree is the path itself, so Algorithm 2's
 passes over that tree *are* the two sweeps: the botjoin and topjoin of
 each node group the partial joins on either side of it, and the factored
 multiplicity table of ``Ri`` (Eqn. 6) is exactly ``J(Ri) × K(Ri+1)``.
-This module therefore runs no sweep of its own.  It reads the tables off a
-:class:`~repro.evaluation.joinstate.JoinState` — the session's maintained
-one, or a fresh one over the GYO join tree — and keeps only Algorithm 1's
-step III: the per-relation witness scan in path order, over the same
-tables a TSens read takes its witnesses from.
+This module therefore runs no sweep of its own.  It reads the tables off
+the session's maintained :class:`~repro.evaluation.joinstate.JoinState`,
+whatever decomposition the session planned (Algorithm 2's tables are the
+same on any of them), and keeps only Algorithm 1's step III: the
+per-relation witness scan in path order, over the same tables a TSens
+read takes its witnesses from.  The one-shot form is
+``local_sensitivity(q, db, method="path")``.
 
 The implementation generalises the paper's two-attribute form slightly:
 
@@ -32,13 +34,12 @@ The implementation generalises the paper's two-attribute form slightly:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.engine.database import Database
 from repro.evaluation.joinstate import JoinState
 from repro.query.classify import path_order
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.gyo import gyo_join_tree
 from repro.core.acyclic import sensitivity_from_tables
 from repro.core.result import SensitivityResult
 from repro.exceptions import QueryStructureError
@@ -48,54 +49,39 @@ class PathState:
     """Algorithm 1's view of a :class:`JoinState`: the path order plus the
     state whose botjoins and topjoins are the two sweeps.
 
-    ``state`` is the session's maintained component state, which
-    committed updates already fold in place; without one a fresh state is
-    built over ``gyo_join_tree(query)`` against ``db``.
+    ``state`` is the session's maintained join state of ``query``, which
+    committed updates already fold in place.  Raises
+    :class:`~repro.exceptions.QueryStructureError` when ``query`` is not a
+    path join query.
     """
 
     __slots__ = ("order", "join_state")
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        db: Database,
-        state: Optional[JoinState] = None,
-    ):
+    def __init__(self, query: ConjunctiveQuery, state: JoinState):
         order = path_order(query)
         if order is None:
             raise QueryStructureError(
                 f"query {query.name} is not a path join query"
             )
         self.order = order
-        if state is None:
-            state = JoinState(query, gyo_join_tree(query), db)
         self.join_state = state
 
 
 def ls_path_join(
     query: ConjunctiveQuery,
     db: Database,
-    state: Optional[PathState] = None,
+    state: PathState,
     skip_relations: Iterable[str] = (),
 ) -> SensitivityResult:
     """Run Algorithm 1 on a path join query.
 
     ``state`` — a :class:`PathState` over the session's maintained join
-    state — reuses its sweeps and tables; without one they are built
-    from scratch against ``db``.  Either way the result is
-    computed against ``db``, which must be the database the state
-    reflects.
+    state — supplies the sweeps and tables; the result is computed
+    against ``db``, which must be the database the state reflects.
 
     ``skip_relations`` are certified to have tuple sensitivity ≤ 1, as in
-    :func:`~repro.core.acyclic.tsens_connected`: each gets bound 1 and no
-    table is built for it.
-
-    Raises :class:`~repro.exceptions.QueryStructureError` when the query is
-    not a path query (use :func:`repro.core.api.local_sensitivity`, which
-    dispatches automatically).
+    a TSens read: each gets bound 1 and no table is built for it.
     """
-    if state is None:
-        state = PathState(query, db)
     # III) per-relation most sensitive tuple: argmax(J[i]) × argmax(K[i+1]),
     # the same witness TSens reads off the same table.  Overall ties go
     # to the earliest relation in path order, not in body order as TSens.

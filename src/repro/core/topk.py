@@ -13,25 +13,25 @@ frequency skew in the intermediates.
 ``tsens_topk`` runs the same botjoin/topjoin passes as the exact algorithm
 (:func:`~repro.evaluation.yannakakis.compute_botjoins`,
 :func:`~repro.evaluation.yannakakis.compute_topjoins`) with a per-level
-clamp, and reuses the exact multiplicity-table construction from
-:mod:`repro.core.acyclic`.
+clamp, over the bound atoms of the session's maintained
+:class:`~repro.evaluation.joinstate.JoinState`, and reuses the exact
+multiplicity-table construction from :mod:`repro.core.acyclic`.  The
+one-shot form is ``prepare(q, db, tree=t).top_k(k)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.engine.columnar import ColumnarRelation, clamp_counts_to_top_k
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.evaluation.joinstate import JoinState
-from repro.evaluation.yannakakis import bind, compute_botjoins, compute_topjoins
+from repro.evaluation.yannakakis import compute_botjoins, compute_topjoins
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.query.ghd import auto_decompose
-from repro.query.jointree import DecompositionTree
 from repro.core.acyclic import multiplicity_table, sensitivity_from_tables
 from repro.core.result import SensitivityResult
-from repro.exceptions import MechanismConfigError, QueryStructureError
+from repro.exceptions import MechanismConfigError
 
 
 def clamp_to_top_k(relation: Relation, k: int) -> Relation:
@@ -60,36 +60,26 @@ def clamp_to_top_k(relation: Relation, k: int) -> Relation:
 def tsens_topk(
     query: ConjunctiveQuery,
     db: Database,
+    state: JoinState,
     k: int,
-    tree: Optional[DecompositionTree] = None,
     skip_relations: Iterable[str] = (),
-    state: Optional[JoinState] = None,
 ) -> SensitivityResult:
-    """Upper-bound TSens with per-pass top-k clamping (connected queries).
+    """Upper-bound TSens with per-pass top-k clamping over one plan.
 
-    Identical to :func:`repro.core.acyclic.tsens_connected` except that each
-    botjoin and topjoin is clamped with :func:`clamp_to_top_k` before use.
-    The returned local sensitivity satisfies
-    ``LS(Q, D) <= result.local_sensitivity`` (tested property), with
-    equality for ``k`` at least the number of distinct boundary values.
+    ``state`` is the maintained :class:`JoinState` of a one-component plan
+    over ``db`` (the session's; :meth:`repro.session.PreparedQuery.top_k`
+    rejects a plan with more than one component).  Identical to an exact
+    TSens read of that state except that each botjoin and topjoin is
+    clamped with :func:`clamp_to_top_k` before use.  The returned local
+    sensitivity satisfies ``LS(Q, D) <= result.local_sensitivity``
+    (tested property), with equality for ``k`` at least the number of
+    distinct boundary values.
 
-    ``tree`` defaults to :func:`~repro.query.ghd.auto_decompose`'s: the
-    GYO join tree, or a GHD for a cyclic query.  ``state`` (a maintained
-    :class:`JoinState` over ``db``) supplies the bound tree instead, so
-    sessions run on their own plan and skip re-binding after updates.
     Clamping is *not* linear, so the clamped botjoin/topjoin passes cannot
     be folded incrementally — they rerun per call over the maintained
-    atoms, with clamping applied at every level exactly as the one-shot
-    computation does.
+    bound atoms, with clamping applied at every level.
     """
-    if not query.is_connected():
-        raise QueryStructureError("tsens_topk needs a connected query")
-    if state is not None:
-        bound = state.bound
-    else:
-        if tree is None:
-            tree = auto_decompose(query)
-        bound = bind(query, tree, db)
+    bound = state.bound
 
     def clamp(level: Relation) -> Relation:
         return clamp_to_top_k(level, k)

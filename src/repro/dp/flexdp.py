@@ -40,7 +40,7 @@ from repro.evaluation.yannakakis import count_query
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
 from repro.dp.marking import declassified
-from repro.dp.primitives import laplace_mechanism
+from repro.dp.primitives import laplace_mechanism, validate_release
 from repro.exceptions import MechanismConfigError
 
 
@@ -132,10 +132,7 @@ def run_flex_dp(
         ``|Q(D)|`` when the caller already holds it (a session's
         maintained count); counted on ``db`` otherwise.
     """
-    if not 0 < delta < 1:
-        raise MechanismConfigError(f"delta must be in (0,1), got {delta}")
-    if epsilon <= 0:
-        raise MechanismConfigError(f"epsilon must be positive, got {epsilon}")
+    validate_release("flexdp", epsilon, delta=delta)
     if rng is None:
         rng = np.random.default_rng()
     beta = epsilon / (2.0 * math.log(2.0 / delta))

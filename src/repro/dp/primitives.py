@@ -14,11 +14,47 @@ holds with respect to fresh randomness.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import MechanismConfigError
+
+
+def _is_count(value: object) -> bool:
+    """An integer ``>= 1``: a ``bool`` is an ``int`` but never a count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+
+
+def _is_real(value: object) -> bool:
+    """A real number: a ``bool`` is an ``int`` but never a privacy parameter."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def validate_release(
+    mechanism: str,
+    epsilon: object,
+    ell: object = None,
+    delta: object = None,
+    max_threshold: object = None,
+) -> None:
+    """Reject a bad parameter of a ``mechanism`` release with
+    :class:`MechanismConfigError`.  ``PreparedQuery.release`` calls this
+    before it spends any budget, and each one-shot runner first."""
+    if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
+        raise MechanismConfigError(f"epsilon must be a finite real > 0, got {epsilon!r}")
+    if mechanism == "tsensdp" and ell is None:
+        raise MechanismConfigError("mechanism='tsensdp' needs ell=<public sensitivity bound>")
+    if mechanism == "tsensdp" and not _is_count(ell):
+        raise MechanismConfigError(f"ell must be an integer >= 1, got {ell!r}")
+    if mechanism == "privsql" and not _is_count(max_threshold):
+        raise MechanismConfigError(
+            f"max_threshold must be an integer >= 1, got {max_threshold!r}"
+        )
+    if mechanism == "flexdp" and not (_is_real(delta) and 0 < delta < 1):
+        raise MechanismConfigError(f"delta must be a real in (0, 1), got {delta!r}")
 
 
 def _require_positive(name: str, value: float) -> None:

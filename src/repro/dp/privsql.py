@@ -39,8 +39,7 @@ from repro.query.jointree import DecompositionTree
 from repro.baselines.elastic import elastic_sensitivity
 from repro.dp.accountant import BudgetAccountant
 from repro.dp.marking import declassified
-from repro.dp.primitives import above_threshold, laplace_mechanism
-from repro.exceptions import MechanismConfigError
+from repro.dp.primitives import above_threshold, laplace_mechanism, validate_release
 
 
 @dataclass
@@ -153,6 +152,7 @@ def run_privsql(
         maintained count); counted on ``db`` otherwise.  Only an instance
         the truncation changed is counted again.
     """
+    validate_release("privsql", epsilon, max_threshold=max_threshold)
     if rng is None:
         rng = np.random.default_rng()
     accountant = BudgetAccountant(epsilon)

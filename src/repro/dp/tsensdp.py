@@ -39,9 +39,8 @@ from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.jointree import DecompositionTree
 from repro.dp.accountant import BudgetAccountant
 from repro.dp.marking import declassified
-from repro.dp.primitives import above_threshold, laplace_mechanism
+from repro.dp.primitives import above_threshold, laplace_mechanism, validate_release
 from repro.dp.truncation import TruncationOracle
-from repro.exceptions import MechanismConfigError
 
 
 @dataclass
@@ -124,8 +123,7 @@ def run_tsens_dp(
         Clamp the released count at 0 (postprocessing, free of charge), as
         the paper does in Table 2.
     """
-    if ell < 1:
-        raise MechanismConfigError(f"ell must be >= 1, got {ell}")
+    validate_release("tsensdp", epsilon, ell=ell)
     if rng is None:
         rng = np.random.default_rng()
     accountant = BudgetAccountant(epsilon)

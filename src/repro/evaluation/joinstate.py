@@ -387,17 +387,17 @@ class RelationDelta:
 
 
 class JoinState:
-    """The maintained TSens join-state of one *connected* query component.
+    """The maintained TSens join-state of one component of a plan.
 
     Parameters
     ----------
     query:
-        Connected full CQ without self-joins (a component subquery for
-        disconnected queries).
+        Full CQ without self-joins: a connected component's subquery, or
+        the whole query when a caller's tree covers it.
     tree:
-        Decomposition covering ``query`` (join tree or GHD).  Structural
-        validation is the caller's job — the algorithm layer raises the
-        same errors it always did before building a state.
+        Decomposition covering ``query`` (join tree or GHD), as planned by
+        :func:`~repro.query.ghd.component_trees`, which checks a caller's
+        tree once.
     db:
         Database to bind against.  The state never mutates the caller's
         object; :meth:`apply_update_batch` advances the *bound* atoms only

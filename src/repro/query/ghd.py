@@ -162,12 +162,20 @@ def component_trees(
     """The plan every entry point runs: one ``(subquery, decomposition)``
     pair per connected component, in component order.
 
-    A given ``tree`` covers the whole query and is its only pair.
-    Otherwise each component gets :func:`auto_decompose`'s tree: its GYO
-    join tree when acyclic, a GHD when cyclic.  A wider GHD than the
-    default search finds is passed as ``tree``.
+    A given ``tree`` must cover the whole query (else
+    :class:`~repro.exceptions.DecompositionError`, a
+    :class:`~repro.exceptions.QueryStructureError`) and is its only pair,
+    also for a disconnected query.  Otherwise each component gets
+    :func:`auto_decompose`'s tree: its GYO join tree when acyclic, a GHD
+    when cyclic.  A wider GHD than the default search finds is passed as
+    ``tree``.  Every entry point plans here, so this is the one place a
+    caller's tree is checked.
     """
     if tree is not None:
+        if not tree.covers_query(query):
+            raise DecompositionError(
+                f"decomposition does not cover query {query.name}"
+            )
         return [(query, tree)]
     components = query.connected_components()
     if len(components) == 1:

@@ -26,13 +26,12 @@ component's :class:`~repro.evaluation.joinstate.JoinState` folds every
 committed update into its botjoins (leaf-to-root), topjoins
 (root-to-leaf) and factored multiplicity tables (one patched factor),
 so sensitivity reads after updates refresh from maintained structures.
-It is the only maintained state: on a path query the prepared join tree
-is the path, so ``method="path"`` reads take Algorithm 1's sweeps and
-tables from it too.  Result objects are cached per configuration and
-invalidated exactly when a mutation lands, so a session is always
-observationally equivalent to a fresh session over its current database
-(pinned by ``tests/property/test_session_equivalence.py`` and
-``tests/property/test_sensitivity_maintenance.py``).
+It is the only state a read uses: path, top-k and explain reads run on
+it too, whatever tree was prepared.  Result objects are cached per
+configuration and invalidated exactly when a mutation lands, so a
+session is always observationally equivalent to a fresh session over its
+current database (pinned by ``tests/property/test_session_equivalence.py``
+and ``tests/property/test_sensitivity_maintenance.py``).
 
 Quickstart::
 
@@ -63,8 +62,6 @@ into a fork of the head session, never into a session readers use.
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 import threading
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -84,6 +81,7 @@ from repro.core.topk import tsens_topk
 from repro.exceptions import (
     InternalError,
     MechanismConfigError,
+    QueryStructureError,
     SessionError,
     UnknownRelationError,
 )
@@ -99,14 +97,13 @@ _DELETE_OPS = frozenset({"delete", "-"})
 Update = Tuple[str, str, Sequence[object]]
 
 
-def _is_count(value: object) -> bool:
-    """An integer ``>= 1``: a ``bool`` is an ``int`` but never a count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-
-
-def _is_real(value: object) -> bool:
-    """A real number: a ``bool`` is an ``int`` but never a privacy parameter."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def validate_method(method: str, top_k: Optional[int]) -> None:
+    """Reject an unknown ``method``, and ``top_k`` with a method other than
+    ``"auto"`` or ``"tsens"``: the clamped bound is a TSens read."""
+    if method not in ("auto", "path", "tsens", "naive", "reeval"):
+        raise MechanismConfigError(f"unknown method {method!r}")
+    if top_k is not None and method not in ("auto", "tsens"):
+        raise MechanismConfigError(f"top_k needs method 'auto' or 'tsens', got {method!r}")
 
 
 def prepare(
@@ -316,6 +313,15 @@ class PreparedQuery:
         the bind/botjoin/topjoin/table pipeline from scratch."""
         return self._ensure_evaluator().component_states
 
+    def _only_state(self, read: str):
+        """The maintained state of a one-component plan, for ``read``."""
+        if len(self._pairs) != 1:
+            raise QueryStructureError(
+                f"{read} needs a one-component plan; pass prepare() a tree "
+                f"covering all of {self._query.name}"
+            )
+        return self._states()[0]
+
     def count(self) -> int:
         """``|Q(D)|`` on the current database, from maintained state."""
         with self._lock:
@@ -355,12 +361,12 @@ class PreparedQuery:
 
         Parameters and semantics match the one-shot function; the
         decomposition prepared at session creation is reused instead of
-        being re-derived, ``"path"`` and ``"tsens"`` reads both take their
-        tables from the maintained join state, and results are cached per
-        configuration until the next committed update.
+        being re-derived, ``"path"``, ``"tsens"`` and ``top_k`` reads all
+        run on its maintained join state, also when it was prepared with
+        ``tree=``, and results are cached per configuration until the
+        next committed update.
         """
-        if method not in ("auto", "path", "tsens", "naive", "reeval"):
-            raise MechanismConfigError(f"unknown method {method!r}")
+        validate_method(method, top_k)
         if method == "auto":
             # Resolve before caching so e.g. an "auto" read and an explicit
             # "tsens" read of the same non-path query share one result.
@@ -390,10 +396,10 @@ class PreparedQuery:
         if method == "naive":
             return naive_local_sensitivity(self._query, self._db)
         if method == "reeval":
-            if top_k is not None or skip:
+            if skip:
                 raise MechanismConfigError(
-                    "method='reeval' supports neither top_k nor skip_relations; "
-                    "use method='tsens' for those knobs"
+                    "method='reeval' does not support skip_relations; "
+                    "use method='tsens' for that knob"
                 )
             # Imported lazily: repro.baselines imports repro.core.result, so
             # a top-level import would cycle during package initialisation.
@@ -410,26 +416,15 @@ class PreparedQuery:
                 evaluator=evaluator,
             )
         if top_k is not None:
-            # The clamped passes rerun per call (clamping is not linear)
-            # over the maintained state's bound tree, whatever the plan.
-            # A disconnected query has no single state; tsens_topk
-            # rejects it.
-            state = self._states()[0] if len(self._pairs) == 1 else None
+            # The clamped passes rerun per call: clamping is not linear.
             return tsens_topk(
-                self._query,
-                self._db,
-                k=top_k,
-                skip_relations=skip,
-                state=state,
+                self._query, self._db, self._only_state("top_k"), top_k, skip
             )
         if method == "path":
-            # A path query's prepared tree is the path, so its maintained
-            # state holds Algorithm 1's sweeps; otherwise build afresh.
-            state = self._states()[0] if self._is_path else None
             return ls_path_join(
                 self._query,
                 self._db,
-                PathState(self._query, self._db, state),
+                PathState(self._query, self._states()[0]),
                 skip_relations=skip,
             )
         return tsens_from_states(
@@ -440,8 +435,9 @@ class PreparedQuery:
         self, k: int, skip_relations: Iterable[str] = ()
     ) -> SensitivityResult:
         """The Sec. 5.4 top-k clamping upper bound (``tsens-top<k>``),
-        over the session's prepared decomposition (a GHD included) for a
-        connected query."""
+        over the session's prepared decomposition (a GHD included).  A
+        plan of several components raises
+        :class:`~repro.exceptions.QueryStructureError`."""
         return self.sensitivity(top_k=k, skip_relations=skip_relations)
 
     def most_sensitive(
@@ -457,21 +453,18 @@ class PreparedQuery:
 
         Profiles the *maintained* join state: the botjoins/topjoins/tables
         the session already holds (folded under updates) are measured in
-        place rather than recomputed.  Disconnected queries keep the
-        one-shot error surface (``explain`` covers connected queries).
+        place rather than recomputed.  The local sensitivity and per-table
+        maxima are ``sensitivity(method="tsens")``'s, selections included.
+        A plan of several components raises
+        :class:`~repro.exceptions.QueryStructureError`.
         """
         skip = tuple(skip_relations)
         key = ("explain", tuple(sorted(skip)))
         with self._lock:
             if key not in self._results:
-                state = self._states()[0] if len(self._pairs) == 1 else None
-                self._results[key] = _explain(
-                    self._query,
-                    self._db,
-                    tree=self.tree,
-                    skip_relations=skip,
-                    state=state,
-                )
+                state = self._only_state("explain")
+                result = self.sensitivity(method="tsens", skip_relations=skip)
+                self._results[key] = _explain(self._query, state, result)
             return self._results[key]  # type: ignore[return-value]
 
     def stats(self) -> Dict[str, object]:
@@ -610,31 +603,15 @@ class PreparedQuery:
             )
         # Every pure-configuration check must precede the accountant spend:
         # a release that dies on bad config must not burn privacy budget.
-        if not (_is_real(epsilon) and math.isfinite(epsilon) and epsilon > 0):
-            raise MechanismConfigError(
-                f"epsilon must be a finite real > 0, got {epsilon!r}"
-            )
-        if mechanism == "tsensdp" and ell is None:
-            raise MechanismConfigError(
-                "mechanism='tsensdp' needs ell=<public sensitivity bound>"
-            )
-        if mechanism == "tsensdp" and not _is_count(ell):
-            raise MechanismConfigError(f"ell must be an integer >= 1, got {ell!r}")
-        if mechanism == "privsql" and not _is_count(max_threshold):
-            raise MechanismConfigError(
-                f"max_threshold must be an integer >= 1, got {max_threshold!r}"
-            )
-        if mechanism == "flexdp" and not (_is_real(delta) and 0 < delta < 1):
-            raise MechanismConfigError(
-                f"delta must be a real in (0, 1), got {delta!r}"
-            )
+        # repro.dp imports the one-shot API whose wrapper lives above this
+        # module; import lazily to avoid an initialisation cycle.
+        from repro.dp.primitives import validate_release
+
+        validate_release(mechanism, epsilon, ell=ell, delta=delta, max_threshold=max_threshold)
         with self._lock:
             if accountant is not None:
                 accountant.spend(epsilon, f"{mechanism}:{primary}")
             if mechanism == "tsensdp":
-                # DP runners import the one-shot API whose wrapper lives
-                # above this module; import lazily to avoid an
-                # initialisation cycle.
                 from repro.dp.tsensdp import run_tsens_dp
 
                 return run_tsens_dp(

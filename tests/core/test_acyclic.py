@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import naive_local_sensitivity, tsens, tsens_connected
+from repro import prepare
+from repro.core import naive_local_sensitivity, tsens
 from repro.core.acyclic import compute_topjoins
 from repro.engine import Database, Relation
 from repro.evaluation import bind, compute_botjoins
@@ -111,18 +112,10 @@ class TestEdgeCases:
         assert result.local_sensitivity == 5
         assert result.witness.relation == "S"
 
-    def test_disconnected_query_requires_wrapper(self, fig1_query, fig1_db):
-        q = parse_query("R(A), S(B)")
-        db = Database(
-            {"R": Relation(["A"], [(1,)]), "S": Relation(["B"], [(2,)])}
-        )
-        with pytest.raises(QueryStructureError):
-            tsens_connected(q, db)
-
     def test_mismatched_tree_rejected(self, fig1_query, fig1_db, fig3_query):
         tree = gyo_join_tree(fig3_query)
         with pytest.raises(QueryStructureError):
-            tsens_connected(fig1_query, fig1_db, tree=tree)
+            prepare(fig1_query, fig1_db, tree=tree)
 
 
 class TestSkipRelations:
@@ -190,8 +183,6 @@ class TestSelectionOnExclusiveVariable:
         assert dict(witness.assignment) == {"A": 1, "B": 1}
 
     def test_top_k_stays_an_upper_bound(self, backend):
-        from repro import prepare
-
         query, db = self._instance(backend)
         result = prepare(query, db).top_k(5)
         assert result.local_sensitivity >= 2

@@ -9,7 +9,7 @@ from repro.core import ls_path_join, naive_local_sensitivity, tsens
 from repro.core.result import SensitiveTuple
 from repro.datasets import random_database, random_path_query
 from repro.engine import Database, Relation
-from repro.query import parse_predicate, parse_query
+from repro.query import gyo_join_tree, parse_predicate, parse_query
 from repro.exceptions import QueryStructureError
 
 
@@ -22,12 +22,12 @@ class TestPaperExample:
         # Figure 3's multiplicity table for R2: J(R2) = {b1: 1, b2: 3} and
         # K(R3) = {c1: 6, c2: 4}, giving δ(b1,c1)=6 and δ(b2,c1)=18 — the
         # exact values printed in the paper's figure.
-        result = ls_path_join(fig3_query, fig3_db)
+        result = local_sensitivity(fig3_query, fig3_db, method="path")
         assert result.tuple_sensitivity("R2", {"B": "b1", "C": "c1"}) == 6
         assert result.tuple_sensitivity("R2", {"B": "b2", "C": "c1"}) == 18
 
     def test_matches_naive_and_tsens(self, fig3_query, fig3_db):
-        path = ls_path_join(fig3_query, fig3_db)
+        path = local_sensitivity(fig3_query, fig3_db, method="path")
         acyclic = tsens(fig3_query, fig3_db)
         naive = naive_local_sensitivity(fig3_query, fig3_db)
         assert (
@@ -42,7 +42,7 @@ class TestPaperExample:
             )
 
     def test_method_label(self, fig3_query, fig3_db):
-        assert ls_path_join(fig3_query, fig3_db).method == "path"
+        assert local_sensitivity(fig3_query, fig3_db, method="path").method == "path"
 
 
 class TestEndpoints:
@@ -54,7 +54,7 @@ class TestEndpoints:
                 "R2": Relation(["B", "C"], [(10, 0), (10, 1), (10, 1)]),
             }
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         # Adding R1(x, 10) creates 3 outputs; A is free (exclusive).
         assert result.per_relation["R1"].sensitivity == 3
 
@@ -66,7 +66,7 @@ class TestEndpoints:
                 "R2": Relation(["B", "C"], [(10, 0)]),
             }
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         assert result.per_relation["R2"].sensitivity == 3
 
     def test_unary_endpoints(self):
@@ -79,14 +79,14 @@ class TestEndpoints:
                 "C": Relation(["NK", "CK"], [(5, 100), (5, 101), (6, 102)]),
             }
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         naive = naive_local_sensitivity(q, db)
         assert result.local_sensitivity == naive.local_sensitivity
 
     def test_single_relation(self):
         q = parse_query("R(A,B)")
         db = Database({"R": Relation(["A", "B"], [(1, 2)])})
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         assert result.local_sensitivity == 1
         assert result.witness is not None
 
@@ -98,7 +98,7 @@ class TestEndpoints:
                 "S": Relation(["B", "C"], [(2, 4)]),
             }
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         assert result.local_sensitivity == 2
         assert result.witness.relation == "S"
 
@@ -110,7 +110,7 @@ class TestSingleRelation:
     def test_selection_rejecting_every_tuple(self, backend):
         query = parse_query("R(A)").with_selection("R", parse_predicate("A != 0"))
         db = Database({"R": Relation(["A"], [(0,)])}).with_backend(backend)
-        result = ls_path_join(query, db)
+        result = local_sensitivity(query, db, method="path")
         assert naive_local_sensitivity(query, db).local_sensitivity == 0
         assert result.local_sensitivity == 0
         assert result.witness is None
@@ -120,7 +120,7 @@ class TestSingleRelation:
         db = Database({"R": Relation(["A"], [(0,), (1,)])}).with_backend(backend)
         naive = naive_local_sensitivity(query, db)
         assert naive.local_sensitivity == 1
-        for result in (ls_path_join(query, db), tsens(query, db)):
+        for result in (local_sensitivity(query, db, method="path"), tsens(query, db)):
             assert result.local_sensitivity == 1
             assert dict(result.witness.assignment) == {"A": 1}
 
@@ -136,7 +136,7 @@ class TestWitnessesMatchTsens:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             db = random_database(query, rng, backend=backend)
-            path = ls_path_join(query, db)
+            path = local_sensitivity(query, db, method="path")
             tree_based = tsens(query, db)
             assert path.per_relation == tree_based.per_relation, seed
             assert path.witness == tree_based.witness, seed
@@ -165,7 +165,7 @@ class TestMultiAttributeBoundaries:
                 "S": Relation(["B", "C", "D"], [(2, 3, 7)]),
             }
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         naive = naive_local_sensitivity(q, db)
         assert result.local_sensitivity == naive.local_sensitivity == 2
 
@@ -173,7 +173,7 @@ class TestMultiAttributeBoundaries:
 class TestEmptyCases:
     def test_middle_relation_empty(self, fig3_query, fig3_db):
         db = fig3_db.with_relation("R2", Relation(["B", "C"], ()))
-        result = ls_path_join(fig3_query, db)
+        result = local_sensitivity(fig3_query, db, method="path")
         naive = naive_local_sensitivity(fig3_query, db)
         assert result.local_sensitivity == naive.local_sensitivity
         # Insertions into R2 can still connect R1 to R3⋈R4.
@@ -184,7 +184,7 @@ class TestEmptyCases:
         db = Database(
             {"R": Relation(["A", "B"], ()), "S": Relation(["B", "C"], ())}
         )
-        result = ls_path_join(q, db)
+        result = local_sensitivity(q, db, method="path")
         assert result.local_sensitivity == 0
         assert result.witness is None
 
@@ -192,13 +192,13 @@ class TestEmptyCases:
 class TestErrors:
     def test_non_path_query_rejected(self, fig1_query, fig1_db):
         with pytest.raises(QueryStructureError):
-            ls_path_join(fig1_query, fig1_db)
+            local_sensitivity(fig1_query, fig1_db, method="path")
 
 
 class TestSelections:
     def test_selection_respected(self, fig3_query, fig3_db):
         filtered = fig3_query.with_selection("R3", lambda row: row["D"] == "d1")
-        path = ls_path_join(filtered, fig3_db)
+        path = local_sensitivity(filtered, fig3_db, method="path")
         naive = naive_local_sensitivity(filtered, fig3_db)
         assert path.local_sensitivity == naive.local_sensitivity
 
@@ -212,7 +212,7 @@ class TestPathState:
     @staticmethod
     def _assert_matches_fresh(session, query):
         maintained = session.sensitivity(method="path")
-        fresh = ls_path_join(query, session.db)
+        fresh = local_sensitivity(query, session.db, method="path")
         assert maintained.local_sensitivity == fresh.local_sensitivity
         for name in query.relation_names:
             assert (
@@ -265,11 +265,45 @@ class TestPathState:
             session.apply([update])
             self._assert_matches_fresh(session, query)
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_session_prepared_with_a_tree_keeps_one_state(
+        self, backend, fig3_query, fig3_db, monkeypatch
+    ):
+        """Path reads on a ``tree=`` session read its maintained state
+        too: three insert-then-read rounds build one join state."""
+        from repro.evaluation.joinstate import JoinState
+
+        built = []
+        init = JoinState.__init__
+
+        def counting_init(state, *args, **kwargs):
+            built.append(state)
+            init(state, *args, **kwargs)
+
+        monkeypatch.setattr(JoinState, "__init__", counting_init)
+        tree = gyo_join_tree(fig3_query).rerooted("R4")
+        session = prepare(fig3_query, fig3_db, backend=backend, tree=tree)
+        reads = []
+        for row in [("a3", "b1"), ("a4", "b2"), ("a5", "b1")]:
+            session.insert("R1", row)
+            reads.append((session.db, session.sensitivity(method="path")))
+        assert len(built) == 1
+        monkeypatch.undo()
+        for db, read in reads:
+            fresh = local_sensitivity(fig3_query, db, method="path")
+            assert read.local_sensitivity == fresh.local_sensitivity
+            for name in fig3_query.relation_names:
+                assert (
+                    read.per_relation[name].sensitivity
+                    == fresh.per_relation[name].sensitivity
+                )
+
     def test_non_path_query_rejected(self, fig1_query, fig1_db):
         from repro.core.path import PathState
 
+        (state,) = prepare(fig1_query, fig1_db)._states()
         with pytest.raises(QueryStructureError):
-            PathState(fig1_query, fig1_db)
+            PathState(fig1_query, state)
 
     def test_selection_filters_fold(self, fig3_query, fig3_db):
         query = fig3_query.with_selection("R2", parse_predicate("B != 'b2'"))
@@ -299,8 +333,8 @@ class TestPathState:
         for name, table in result.tables.items():
             assert table is state.multiplicity_table(name)
         # A PathState over a given join state reads that state's tables.
-        view = PathState(fig3_query, session.db, state)
-        again = ls_path_join(fig3_query, session.db, state=view)
+        view = PathState(fig3_query, state)
+        again = ls_path_join(fig3_query, session.db, view)
         for name, table in again.tables.items():
             assert table is state.multiplicity_table(name)
         assert again.local_sensitivity == result.local_sensitivity

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import prepare
-from repro.core import clamp_to_top_k, naive_local_sensitivity, tsens, tsens_topk
+from repro.core import clamp_to_top_k, naive_local_sensitivity, tsens
 from repro.engine import Database, Relation
 from repro.query import auto_decompose, parse_query
 from repro.exceptions import MechanismConfigError, QueryStructureError
@@ -41,27 +41,27 @@ class TestTopKSensitivity:
     def test_upper_bounds_exact(self, fig3_query, fig3_db):
         exact = tsens(fig3_query, fig3_db).local_sensitivity
         for k in (1, 2, 3):
-            bound = tsens_topk(fig3_query, fig3_db, k=k).local_sensitivity
+            bound = prepare(fig3_query, fig3_db).top_k(k).local_sensitivity
             assert bound >= exact
 
     def test_large_k_is_exact(self, fig3_query, fig3_db):
         exact = tsens(fig3_query, fig3_db).local_sensitivity
-        assert tsens_topk(fig3_query, fig3_db, k=100).local_sensitivity == exact
+        assert prepare(fig3_query, fig3_db).top_k(100).local_sensitivity == exact
 
     def test_monotone_in_k(self, fig3_query, fig3_db):
         bounds = [
-            tsens_topk(fig3_query, fig3_db, k=k).local_sensitivity
+            prepare(fig3_query, fig3_db).top_k(k).local_sensitivity
             for k in (1, 2, 4, 100)
         ]
         assert bounds == sorted(bounds, reverse=True)
 
     def test_fig1_query(self, fig1_query, fig1_db):
         exact = naive_local_sensitivity(fig1_query, fig1_db).local_sensitivity
-        assert tsens_topk(fig1_query, fig1_db, k=1).local_sensitivity >= exact
-        assert tsens_topk(fig1_query, fig1_db, k=50).local_sensitivity == exact
+        assert prepare(fig1_query, fig1_db).top_k(1).local_sensitivity >= exact
+        assert prepare(fig1_query, fig1_db).top_k(50).local_sensitivity == exact
 
     def test_method_label(self, fig3_query, fig3_db):
-        assert tsens_topk(fig3_query, fig3_db, k=2).method == "tsens-top2"
+        assert prepare(fig3_query, fig3_db).top_k(2).method == "tsens-top2"
 
     def test_disconnected_rejected(self):
         q = parse_query("R(A), S(B)")
@@ -69,7 +69,7 @@ class TestTopKSensitivity:
             {"R": Relation(["A"], [(1,)]), "S": Relation(["B"], [(2,)])}
         )
         with pytest.raises(QueryStructureError):
-            tsens_topk(q, db, k=1)
+            prepare(q, db).top_k(1)
 
 
 def _small_database(query, seed: int) -> Database:
@@ -116,7 +116,7 @@ class TestTopKOnGHDs:
         db = db.with_backend(backend)
         if k is None:
             return tsens(query, db, tree=tree, skip_relations=skip)
-        return tsens_topk(query, db, k=k, tree=tree, skip_relations=skip)
+        return prepare(query, db, tree=tree).top_k(k, skip)
 
     def test_large_k_is_exact(self, ghd_case, backend):
         exact = self._run(ghd_case, backend)
@@ -147,7 +147,5 @@ class TestTopKOnGHDs:
         for k in KS:
             approx = session.top_k(k, skip)
             assert approx.local_sensitivity >= exact
-            oneshot = tsens_topk(
-                query, session.db, k, tree=session.tree, skip_relations=skip
-            )
+            oneshot = prepare(query, session.db, tree=session.tree).top_k(k, skip)
             assert approx.per_relation == oneshot.per_relation

@@ -1,4 +1,6 @@
-"""Unit tests for DP primitives (Laplace, SVT)."""
+"""Unit tests for DP primitives (Laplace, SVT, parameter validation)."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,12 @@ from repro.dp import (
     laplace_confidence_radius,
     laplace_mechanism,
     laplace_noise,
+    run_flex_dp,
+    run_privsql,
+    run_tsens_dp,
 )
+from repro.engine import Database, Relation
+from repro.query import parse_query
 from repro.exceptions import MechanismConfigError
 
 
@@ -137,3 +144,32 @@ class TestParameterValidationAsValueError:
     def test_zero_scale_confidence_radius(self):
         with pytest.raises(ValueError):
             laplace_confidence_radius(0.0, 0.9)
+
+
+_RUNNERS = {
+    # mechanism: (runner, its good parameters, its own bad parameter)
+    "tsensdp": (run_tsens_dp, {"ell": 10}, {"ell": 10.0}),
+    "flexdp": (run_flex_dp, {}, {"delta": "0.1"}),
+    "privsql": (run_privsql, {}, {"max_threshold": 0}),
+}
+_BAD_EPSILONS = {"inf": math.inf, "nan": math.nan, "str": "1", "bool": True, "zero": 0}
+
+
+@pytest.mark.parametrize("bad", [*_BAD_EPSILONS, "own"])
+@pytest.mark.parametrize("mechanism", sorted(_RUNNERS))
+def test_runner_validates_like_release(mechanism, bad):
+    """Each one-shot runner rejects what ``PreparedQuery.release``
+    rejects: an epsilon that is not a finite real > 0, and its own bad
+    parameter."""
+    run, good, own = _RUNNERS[mechanism]
+    query = parse_query("R(A,B), S(B,C)")
+    db = Database(
+        {
+            "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+            "S": Relation(["B", "C"], [(2, 4)]),
+        }
+    )
+    epsilon = _BAD_EPSILONS.get(bad, 1.0)
+    params = {**good, **(own if bad == "own" else {})}
+    with pytest.raises(MechanismConfigError):
+        run(query, db, "R", epsilon, rng=np.random.default_rng(0), **params)

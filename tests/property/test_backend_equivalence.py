@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import local_sensitivity, ls_path_join, tsens, tsens_topk
+from repro import prepare
+from repro.core import local_sensitivity, tsens
 from repro.datasets import random_acyclic_query, random_database, random_path_query
 from repro.engine import ColumnarRelation, Relation
 from repro.engine.columnar import reset_vocabulary
@@ -78,7 +79,9 @@ class TestSensitivityEquivalence:
         query = random_path_query(rng, length=length)
         db_py, db_col = _pair(query, rng)
         _assert_same_result(
-            ls_path_join(query, db_col), ls_path_join(query, db_py), query
+            local_sensitivity(query, db_col, method="path"),
+            local_sensitivity(query, db_py, method="path"),
+            query,
         )
 
     @given(seeds)
@@ -97,8 +100,8 @@ class TestSensitivityEquivalence:
         rng = np.random.default_rng(seed)
         query = random_acyclic_query(rng, num_atoms=3)
         db_py, db_col = _pair(query, rng)
-        fast = tsens_topk(query, db_col, k=k)
-        slow = tsens_topk(query, db_py, k=k)
+        fast = prepare(query, db_col).top_k(k)
+        slow = prepare(query, db_py).top_k(k)
         assert fast.local_sensitivity == slow.local_sensitivity
         for relation in query.relation_names:
             assert (

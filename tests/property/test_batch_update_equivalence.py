@@ -17,7 +17,7 @@ vectorized pass per relation.  Three observable contracts pin that down:
 * **Maintained path reads** — ``method="path"`` reads, which take
   Algorithm 1's sweeps and tables from the session's maintained
   :class:`~repro.evaluation.joinstate.JoinState`, equal fresh
-  ``ls_path_join`` runs after every batch.
+  ``local_sensitivity(..., method="path")`` runs after every batch.
 """
 
 import numpy as np

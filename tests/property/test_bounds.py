@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import elastic_sensitivity
-from repro.core import naive_local_sensitivity, tsens, tsens_topk
+from repro import prepare
+from repro.core import naive_local_sensitivity, tsens
 from repro.datasets import random_acyclic_query, random_database
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -29,7 +30,7 @@ class TestTopKBound:
         query = random_acyclic_query(rng, num_atoms=3)
         db = random_database(query, rng)
         exact = tsens(query, db).local_sensitivity
-        assert tsens_topk(query, db, k=k).local_sensitivity >= exact
+        assert prepare(query, db).top_k(k).local_sensitivity >= exact
 
     @given(seeds)
     @settings(max_examples=30, deadline=None)
@@ -38,4 +39,4 @@ class TestTopKBound:
         query = random_acyclic_query(rng, num_atoms=3)
         db = random_database(query, rng)
         exact = tsens(query, db).local_sensitivity
-        assert tsens_topk(query, db, k=10_000).local_sensitivity == exact
+        assert prepare(query, db).top_k(10_000).local_sensitivity == exact

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import tsens_connected
+from repro.core import local_sensitivity, tsens
 from repro.datasets import random_acyclic_query, random_database, random_path_query
 from repro.evaluation import count_query, evaluate_query, naive_join
 from repro.query import gyo_join_tree
@@ -41,10 +41,10 @@ class TestStructuralInvariance:
         query = random_acyclic_query(rng, num_atoms=num_atoms)
         db = random_database(query, rng)
         tree = gyo_join_tree(query)
-        baseline = tsens_connected(query, db, tree=tree)
+        baseline = tsens(query, db, tree=tree)
         for new_root in tree.node_ids:
             rerooted = tree.rerooted(new_root)
-            result = tsens_connected(query, db, tree=rerooted)
+            result = tsens(query, db, tree=rerooted)
             assert result.local_sensitivity == baseline.local_sensitivity
             for relation in query.relation_names:
                 assert (
@@ -57,16 +57,14 @@ class TestStructuralInvariance:
     def test_path_invariant_under_reversal(self, seed, length):
         """A path query read right-to-left is the same query; Algorithm 1
         must return the same sensitivities."""
-        from repro.core import ls_path_join
-
         rng = np.random.default_rng(seed)
         query = random_path_query(rng, length=length)
         db = random_database(query, rng)
         reversed_query = ConjunctiveQuery(
             tuple(reversed(query.atoms)), name="Qrev"
         )
-        forward = ls_path_join(query, db)
-        backward = ls_path_join(reversed_query, db)
+        forward = local_sensitivity(query, db, method="path")
+        backward = local_sensitivity(reversed_query, db, method="path")
         assert forward.local_sensitivity == backward.local_sensitivity
         for relation in query.relation_names:
             assert (

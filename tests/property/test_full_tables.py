@@ -10,7 +10,7 @@ truncation-based DP.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ls_path_join, tsens
+from repro.core import local_sensitivity, tsens
 from repro.core.naive import naive_tuple_sensitivity
 from repro.datasets import random_acyclic_query, random_database, random_path_query
 
@@ -56,7 +56,7 @@ class TestFullTableEquivalence:
         rng = np.random.default_rng(seed)
         query = random_path_query(rng, length=length)
         db = random_database(query, rng, max_rows=4)
-        result = ls_path_join(query, db)
+        result = local_sensitivity(query, db, method="path")
         _check_tables(result, query, db)
 
     @given(seeds)

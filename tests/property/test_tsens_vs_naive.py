@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     local_sensitivity,
-    ls_path_join,
     naive_local_sensitivity,
     tsens,
 )
@@ -67,7 +66,7 @@ class TestPathEquivalence:
         rng = np.random.default_rng(seed)
         query = random_path_query(rng, length=length)
         db = random_database(query, rng)
-        path = ls_path_join(query, db)
+        path = local_sensitivity(query, db, method="path")
         slow = naive_local_sensitivity(query, db)
         tree_based = tsens(query, db)
         assert (
@@ -183,4 +182,4 @@ class TestExclusiveSelectionEquivalence:
         filtered = _exclusive_selection(query, db, rng, reject_representative)
         if filtered is None:
             return
-        _assert_matches_naive(ls_path_join(filtered, db), filtered, db)
+        _assert_matches_naive(local_sensitivity(filtered, db, method="path"), filtered, db)

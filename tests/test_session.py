@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from repro import PreparedQuery, local_sensitivity, most_sensitive_tuples, prepare
-from repro.core import explain
+from repro.core import naive_local_sensitivity
 from repro.dp import BudgetAccountant, run_flex_dp, run_privsql, run_tsens_dp
 from repro.engine import Database, Relation
 from repro.evaluation import count_query
 from repro.datasets.tpch import generate_tpch
-from repro.query import gyo_join_tree, parse_query
+from repro.query import ghd_from_groups, gyo_join_tree, parse_query
 from repro.workloads.tpch_queries import q1_workload, q3_workload
 from repro.exceptions import (
     MechanismConfigError,
     PrivacyBudgetError,
+    QueryStructureError,
     SessionError,
     UnknownRelationError,
 )
@@ -47,6 +48,46 @@ class TestPrepare:
         assert session.tree is None
         assert len(session.component_trees) == 2
         assert session.count() == 2
+
+    @pytest.mark.parametrize("entry", [prepare, count_query], ids=lambda f: f.__name__)
+    def test_partial_tree_rejected(self, entry):
+        """A tree must cover the whole query, whichever entry plans it."""
+        query = parse_query("R(A,B), S(B,C), T(C,D)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+                "S": Relation(["B", "C"], [(2, 4), (2, 5)]),
+                "T": Relation(["C", "D"], [(4, 1), (5, 1), (5, 2)]),
+            }
+        )
+        tree = gyo_join_tree(parse_query("R(A,B), S(B,C)"))
+        with pytest.raises(QueryStructureError):
+            entry(query, db, tree=tree)
+
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_caller_tree_over_disconnected_query(self, backend):
+        """One tree over all three atoms is a one-component plan: T's
+        node shares nothing with its parent, and its botjoin is T's count."""
+        query = parse_query("R(A,B), S(B,C), T(D)")
+        db = Database(
+            {
+                "R": Relation(["A", "B"], [(1, 2), (3, 2)]),
+                "S": Relation(["B", "C"], [(2, 4)]),
+                "T": Relation(["D"], [(7,), (8,), (9,)]),
+            }
+        )
+        tree = ghd_from_groups(
+            query, {"R": ["R"], "S": ["S"], "T": ["T"]}, root="S",
+            parent={"R": "S", "T": "S"},
+        )
+        session = prepare(query, db, backend=backend, tree=tree)
+        naive = naive_local_sensitivity(query, db)
+        auto = prepare(query, db, backend=backend).sensitivity()
+        for result in (session.sensitivity(), local_sensitivity(query, db, tree=tree)):
+            assert result.local_sensitivity == naive.local_sensitivity == 6
+            assert {
+                name: witness.sensitivity for name, witness in result.per_relation.items()
+            } == {name: witness.sensitivity for name, witness in auto.per_relation.items()}
 
 
 class TestReads:
@@ -87,6 +128,17 @@ class TestReads:
         with pytest.raises(MechanismConfigError):
             session.sensitivity(method="reeval", skip_relations=("R1",))
 
+    @pytest.mark.parametrize("method", ["naive", "path", "reeval"])
+    @pytest.mark.parametrize("entry", ["session", "oneshot"])
+    def test_top_k_needs_a_tsens_method(self, entry, method, fig3_query, fig3_db):
+        """The clamped bound is a TSens read: no other method answers it."""
+        read = {
+            "session": prepare(fig3_query, fig3_db).sensitivity,
+            "oneshot": lambda **kw: local_sensitivity(fig3_query, fig3_db, **kw),
+        }[entry]
+        with pytest.raises(MechanismConfigError):
+            read(method=method, top_k=1)
+
     def test_top_k_route(self, fig3_query, fig3_db):
         result = prepare(fig3_query, fig3_db).top_k(2)
         assert result.method == "tsens-top2"
@@ -105,8 +157,9 @@ class TestReads:
     def test_explain_matches_oneshot_profile(self, fig1_query, fig1_db):
         session = prepare(fig1_query, fig1_db)
         profile = session.explain()
-        oneshot = explain(fig1_query, fig1_db)
-        assert profile.local_sensitivity == oneshot.local_sensitivity == 4
+        fresh = prepare(fig1_query, fig1_db).explain()
+        assert profile.local_sensitivity == fresh.local_sensitivity == 4
+        assert profile.tables == fresh.tables
         assert session.explain() is profile  # cached
         session.delete("R4", ("b1", "f1"))
         assert session.explain() is not profile
