@@ -87,7 +87,7 @@ def _probe_requests(rng: np.random.Generator):
 
 def _serial_pass(manager, lease, requests):
     """Request-at-a-time baseline: one manager read per probe request."""
-    return [manager.probe(lease, "Hub", rows) for rows in requests]
+    return [manager.read(lease, lambda s: s.probe("Hub", rows)) for rows in requests]
 
 
 def _coalesced_pass(admission, lease, requests):

@@ -2,11 +2,12 @@
 
 :class:`~repro.evaluation.joinstate.JoinState` and
 :class:`~repro.evaluation.incremental.IncrementalEvaluator` follow a
-staged-then-commit protocol: an update batch folds into a fork of the
-join state (``JoinState.stage_update_batch``), which shares every
-relation and copies only the dicts, and the state adopts the fork in a
-commit method once every fold succeeded — so a failure mid-update can
-never leave the maintained botjoins, topjoins, or multiplicity tables
+staged-then-commit protocol: ``IncrementalEvaluator.apply_batch`` folds
+an update batch into a ``fork()`` of each touched join state (one
+``JoinState.stage_fold`` per delta side), which shares every relation
+and copies only the dicts, and each state adopts its fork in a commit
+method once every fold succeeded — so a failure mid-update can never
+leave the maintained botjoins, topjoins, or multiplicity tables
 half-new.  This rule pins that protocol: assignments to committed
 attributes are legal only inside ``__init__`` and methods whose name
 contains ``commit`` as a word segment (``_commit``, ``_commit_fold``,

@@ -41,6 +41,7 @@ load, parse, attach selections, plan — then ask the session.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -50,7 +51,7 @@ from repro.engine.backend import BACKEND_NAMES, DEFAULT_BACKEND
 from repro.engine.io import load_database, load_database_csv_dir, save_database
 from repro.query import parse_query
 from repro.session import PreparedQuery, prepare, rebuild_per_update_counts
-from repro.exceptions import ReproError
+from repro.exceptions import MechanismConfigError, ReproError
 
 
 def _load_data(path_text: str, int_columns: bool, backend: str = DEFAULT_BACKEND):
@@ -96,12 +97,15 @@ def _session_from_args(args: argparse.Namespace) -> PreparedQuery:
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
     session = _session_from_args(args)
-    result = session.sensitivity(
-        method=args.method,
-        top_k=args.top_k,
-        skip_relations=tuple(args.skip or ()),
-        reeval_mode=args.reeval_mode,
-    )
+    skip = tuple(args.skip or ())
+    if args.top_k is None:
+        result = session.sensitivity(method=args.method, skip_relations=skip)
+    elif args.method in ("auto", "tsens"):
+        result = session.top_k(args.top_k, skip)
+    else:
+        raise MechanismConfigError(
+            f"--top-k needs --method auto or tsens, got {args.method!r}"
+        )
     print(f"query            : {session.query}")
     print(f"method           : {result.method}")
     print(f"local sensitivity: {result.local_sensitivity}")
@@ -343,14 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "path", "tsens", "naive", "reeval"],
     )
-    sens.add_argument(
-        "--reeval-mode",
-        default="incremental",
-        choices=["incremental", "full"],
-        dest="reeval_mode",
-        help="probe engine for --method reeval: cached-delta propagation "
-             "(incremental) or one full re-evaluation per candidate (full)",
-    )
     sens.add_argument("--top-k", type=int, default=None, dest="top_k")
     sens.add_argument(
         "--skip", nargs="*", help="relations with certified δ ≤ 1 to skip"
@@ -495,7 +491,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head -1``): a clean exit.
+        # Point stdout at devnull so the interpreter's final flush of the
+        # unwritten rest stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0

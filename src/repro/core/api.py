@@ -12,10 +12,9 @@ acyclic / cyclic /       Algorithm 2 over the session's plan: a join tree
 disconnected             or GHD per component (:func:`tsens`, over
                          :func:`repro.core.general.tsens_from_states`)
 any, ``method="naive"``  brute force (:func:`repro.core.naive`)
-any, ``method="reeval"`` per-candidate count probes
-                         (:func:`repro.baselines.reeval`), incremental
-                         delta propagation or full re-runs per
-                         ``reeval_mode``
+any, ``method="reeval"`` per-candidate count probes by delta
+                         propagation over the session's evaluator
+                         (:func:`repro.baselines.reeval`)
 =======================  ==================================================
 
 All algorithms return the same :class:`~repro.core.result.SensitivityResult`.
@@ -47,10 +46,12 @@ def local_sensitivity(
     method: str = "auto",
     tree: Optional[DecompositionTree] = None,
     skip_relations: Iterable[str] = (),
-    top_k: Optional[int] = None,
-    reeval_mode: str = "incremental",
 ) -> SensitivityResult:
     """Compute ``LS(Q, D)`` and a most sensitive tuple (Definition 2.3).
+
+    The Sec. 5.4 top-k clamping upper bound is
+    ``prepare(query, db).top_k(k)``, and the paper's full re-evaluation
+    strawman is ``reevaluation_sensitivity(query, db, mode="full")``.
 
     Parameters
     ----------
@@ -70,16 +71,6 @@ def local_sensitivity(
     skip_relations:
         Relations certified to have tuple sensitivity ≤ 1 (e.g. their
         attributes form a superkey of the output); their tables are skipped.
-    top_k:
-        When set, uses the clamping approximation of Sec. 5.4 — the result
-        is an upper bound on the true local sensitivity.  Only with
-        ``method`` ``"auto"`` or ``"tsens"``; any other method raises
-        :class:`~repro.exceptions.MechanismConfigError`.
-    reeval_mode:
-        For ``method="reeval"``: ``"incremental"`` answers every probe
-        from cached join-tree counts via delta propagation (near-linear
-        total), ``"full"`` re-runs the count per probe (the paper's
-        strawman, kept as a cross-check).
 
     Examples
     --------
@@ -96,18 +87,13 @@ def local_sensitivity(
     >>> result.witness.relation
     'S'
     """
-    validate_method(method, top_k)
+    validate_method(method)
     if method == "naive":
         # Dispatched before planning: brute force needs no decomposition,
         # so it must keep working on queries no GHD search can cover.
         return naive_local_sensitivity(query, db)
     session = prepare(query, db, tree=tree)
-    return session.sensitivity(
-        method=method,
-        skip_relations=skip_relations,
-        top_k=top_k,
-        reeval_mode=reeval_mode,
-    )
+    return session.sensitivity(method=method, skip_relations=skip_relations)
 
 
 def most_sensitive_tuples(

@@ -27,9 +27,9 @@ consistent under committed updates:
   locates the delta's rows in the relation's code-order key and copies
   only the arrays it changes, so it never re-sorts the relation, and the
   patched relation carries that key, so a later delta joined into it is
-  a range search.  An atom without a selection is not patched when the
-  database relation already was (:meth:`JoinState.stage_fold`): it is
-  bound from the patched relation, which shares its arrays and key.
+  a range search.  An atom without a selection is never patched itself:
+  a fold binds it from the patched database relation
+  (:meth:`JoinState.stage_fold`), which shares its arrays and key.
 * **GHD nodes** are never materialised as bags.  A step joins its
   changed input with the node's other atoms once, through
   :func:`join_aggregate`, keeping only the attributes the node shares
@@ -64,9 +64,10 @@ structure it hit (``atom 'S'``, ``botjoin K('S')``, ``topjoin J('S')`` or
 a table factor).
 
 Layering: this module sits in ``evaluation`` and only imports the result
-types from :mod:`repro.core.result`; the algorithm layer
-(:mod:`repro.core.acyclic` and friends) consumes a :class:`JoinState` —
-one-shot callers build a throwaway instance, sessions keep one alive.
+types from :mod:`repro.core.result`.  A session keeps one state per plan
+component in its :class:`~repro.evaluation.incremental.IncrementalEvaluator`,
+whose ``apply_batch`` is the one driver of a fold, and the algorithm
+layer (:mod:`repro.core.acyclic` and friends) reads those states.
 """
 
 from __future__ import annotations
@@ -400,8 +401,9 @@ class JoinState:
         tree once.
     db:
         Database to bind against.  The state never mutates the caller's
-        object; :meth:`apply_update_batch` advances the *bound* atoms only
-        (the session layer owns the database snapshots).
+        object: a fold advances the *bound* atoms only, and
+        :class:`~repro.evaluation.incremental.IncrementalEvaluator`, the
+        one fold driver, owns the database snapshots.
 
     Botjoins are materialised eagerly (they are the count structure);
     topjoins and multiplicity tables appear on first use and are folded
@@ -487,35 +489,9 @@ class JoinState:
         return clone
 
     # --------------------------------------------------------------- updates
-    def apply_update_batch(self, deltas: Sequence[RelationDelta]) -> None:
-        """Fold whole signed delta relations into every materialised level.
-
-        Each delta's minus side folds before its plus side
-        (:meth:`RelationDelta.sides`).  The entire batch folds into a
-        :meth:`fork`, which this state adopts only once every fold
-        succeeded — a failure anywhere (unknown structure, columnar
-        ``int64`` overflow) leaves the state bit-identical to its
-        pre-batch value.  A single committed update is a one-tuple batch.
-        """
-        self.commit_update_batch(self.stage_update_batch(deltas))
-
-    def stage_update_batch(self, deltas: Sequence[RelationDelta]) -> "JoinState":
-        """A :meth:`fork` of this state with the whole batch folded in.
-
-        All fallible work runs here, on the fork; this state is left
-        untouched whether the batch folds or raises.  Every atom is
-        patched here; ``IncrementalEvaluator.apply_batch``, which patches
-        the database relations as well, calls :meth:`stage_fold` with each
-        patched relation instead, so no atom is patched a second time.
-        """
-        work = self.fork()
-        for delta in deltas:
-            for rows, insert in delta.sides():
-                work.stage_fold(delta.relation, rows, insert)
-        return work
-
     def commit_update_batch(self, work: "JoinState") -> None:
-        """Adopt a fork that :meth:`stage_update_batch` returned.
+        """Adopt a :meth:`fork` that a batch was staged into
+        (:meth:`stage_fold`, once per delta side).
 
         Rebinds this state's dicts to the fork's, so nothing here raises;
         the fork must not be used afterwards.  Committed attributes are
@@ -554,7 +530,7 @@ class JoinState:
         relation: str,
         rows: Mapping[Row, int],
         insert: bool,
-        base: Optional[Relation] = None,
+        base: Relation,
     ) -> None:
         """Stage one single-signed delta relation of ``relation``.
 
@@ -569,11 +545,10 @@ class JoinState:
         previous folds, and :meth:`_commit_fold` writes this fold's levels
         last.
 
-        ``base``, when given, is the database relation with this delta
-        already patched in.  An atom without a selection is then bound
-        from it, a rename that shares its arrays and row key, instead of
-        patched a second time; an atom with a selection patches its
-        filtered delta.
+        ``base`` is the database relation with this delta already patched
+        in.  An atom without a selection is bound from it, a rename that
+        shares its arrays and row key, instead of patched a second time;
+        an atom with a selection patches its filtered delta.
         """
         tree = self.tree
         atom = _TablePart("atom", relation)
@@ -583,7 +558,7 @@ class JoinState:
             return
         # Every level this fold moves: its delta and its new value.
         changes: Dict[_TablePart, Tuple[Relation, Relation]] = {}
-        if base is not None and relation not in self.query.selections:
+        if relation not in self.query.selections:
             # What ConjunctiveQuery.bound_relation does without a selection.
             new_atom = base.rename(dict(zip(base.attributes, current.attributes)))
         else:

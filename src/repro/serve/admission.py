@@ -14,14 +14,20 @@ The :class:`AdmissionQueue` gets it back:
   round, probe requests pinned to the **same epoch and relation** are
   concatenated into one row batch and answered by a single vectorized
   pass; per-request slices are fanned back out to the waiting futures.
-  Cacheable reads (``count``, ``sensitivity``, ``top_k``, ``explain``,
-  ``stats``) that share an epoch and configuration execute **once** and
-  resolve every duplicate future with the same result object.
+  Cacheable reads (:data:`READ_KINDS`: ``count``, ``sensitivity``,
+  ``top_k``, ``explain``, ``stats``) that share an epoch and
+  configuration execute **once** and resolve every duplicate future with
+  the same result object.
+* Every pass runs through the one read funnel,
+  :meth:`~repro.serve.epochs.EpochManager.read`: a probe group as
+  ``session.probe(relation, rows)``, a read group as the session method
+  its kind names, called with its parameters.  The method is looked up
+  on the session when the group runs, never bound ahead of time.
 * DP releases are deliberately *not* admissible here: each release draws
   fresh randomness and spends a specific tenant's budget, so two
-  identical release requests are two distinct answers.  The server calls
-  :meth:`~repro.serve.epochs.EpochManager.release` directly, per
-  request.
+  identical release requests are two distinct answers.  The server runs
+  each through :meth:`~repro.serve.epochs.EpochManager.read` directly,
+  per request.
 
 Coalescing never crosses epochs — requests pinned to different epochs
 land in different groups, preserving the epoch-consistency guarantee of
@@ -39,7 +45,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.exceptions import ServeError
 from repro.serve.epochs import EpochLease, EpochManager
 
-#: Read kinds the queue knows how to coalesce (dedup by configuration).
+#: Read kinds the queue coalesces (dedup by configuration): each names the
+#: :class:`~repro.session.PreparedQuery` read method a group calls.
 READ_KINDS = ("count", "sensitivity", "top_k", "explain", "stats")
 
 
@@ -214,7 +221,9 @@ class AdmissionQueue:
                 rows.extend(request.rows)
                 cursor += 1
             try:
-                weights = self._manager.probe(chunk[0].lease, relation, rows)
+                weights = self._manager.read(
+                    chunk[0].lease, lambda s: s.probe(relation, rows)
+                )
             except Exception as exc:
                 for request in chunk:
                     request.future.set_exception(exc)
@@ -234,7 +243,11 @@ class AdmissionQueue:
             return
         first = live[0]
         try:
-            result = self._execute_read(first.lease, first.kind, first.params)
+            # Looked up per call, so a method wrapped after this module was
+            # imported (as a tracer does) is the one that runs.
+            result = self._manager.read(
+                first.lease, lambda s: getattr(s, first.kind)(**dict(first.params))
+            )
         except Exception as exc:
             for request in live:
                 request.future.set_exception(exc)
@@ -243,36 +256,6 @@ class AdmissionQueue:
             self._counters["read_executions"] += 1
         for request in live:
             request.future.set_result(result)
-
-    def _execute_read(
-        self,
-        lease: EpochLease,
-        kind: str,
-        params: Tuple[Tuple[str, object], ...],
-    ):
-        kwargs = dict(params)
-        if kind == "count":
-            return self._manager.count(lease)
-        if kind == "sensitivity":
-            return self._manager.sensitivity(
-                lease,
-                method=kwargs.get("method", "auto"),
-                skip_relations=kwargs.get("skip_relations", ()),
-                top_k=kwargs.get("top_k"),
-            )
-        if kind == "top_k":
-            return self._manager.top_k(
-                lease,
-                kwargs["k"],
-                skip_relations=kwargs.get("skip_relations", ()),
-            )
-        if kind == "explain":
-            return self._manager.explain(
-                lease, skip_relations=kwargs.get("skip_relations", ())
-            )
-        if kind == "stats":
-            return self._manager.session_stats(lease)
-        raise ServeError(f"unknown read kind {kind!r}")  # pragma: no cover
 
     # ------------------------------------------------------------ lifecycle
     def stats(self) -> Dict[str, int]:

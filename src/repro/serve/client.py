@@ -105,22 +105,17 @@ class ServeClient:
         ]["weights"]
 
     def sensitivity(
-        self,
-        method: str = "auto",
-        skip_relations: Iterable[str] = (),
-        top_k: Optional[int] = None,
+        self, method: str = "auto", skip_relations: Iterable[str] = ()
     ) -> Dict[str, object]:
         """The wire view of ``LS(Q, D)`` (dict; tables never serialised)."""
         return self.call(
-            "sensitivity",
-            method=method,
-            skip_relations=list(skip_relations),
-            top_k=top_k,
+            "sensitivity", method=method, skip_relations=list(skip_relations)
         )["result"]
 
     def top_k(
         self, k: int, skip_relations: Iterable[str] = ()
     ) -> Dict[str, object]:
+        """The wire view of the top-k clamping upper bound."""
         return self.call("top_k", k=k, skip_relations=list(skip_relations))[
             "result"
         ]

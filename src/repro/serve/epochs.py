@@ -13,10 +13,10 @@ of MVCC engines and of maintained query answering under updates
   session that answers at it.  Epochs form a chain; exactly one is the
   *head*.
 * Readers pin an epoch with a refcounted :class:`EpochLease`
-  (:meth:`EpochManager.acquire`).  Every read through a lease
-  (:meth:`~EpochManager.count`, :meth:`~EpochManager.sensitivity`,
-  :meth:`~EpochManager.probe`, ...) runs on the pinned epoch's session,
-  so it answers exactly at that epoch — never newer, never torn.
+  (:meth:`EpochManager.acquire`).  Every read runs through one funnel,
+  :meth:`EpochManager.read`, on the pinned epoch's session —
+  ``manager.read(lease, lambda s: s.count())`` — so it answers exactly
+  at that epoch, never newer, never torn.
 * A **single writer thread** drains queued update batches
   (:meth:`EpochManager.submit`).  For each one it forks the head session
   (:meth:`~repro.session.PreparedQuery.fork`: the fork shares every
@@ -42,7 +42,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.engine.database import Database
 from repro.exceptions import OverloadedError, ServeError
@@ -104,9 +104,9 @@ class EpochLease:
     """A refcounted pin on one epoch.
 
     Acquired from :meth:`EpochManager.acquire`; usable as a context
-    manager.  Every manager read takes a lease and answers exactly at
-    its epoch.  Release is idempotent; reading through a released lease
-    raises :class:`~repro.exceptions.ServeError`.
+    manager.  :meth:`EpochManager.read` takes a lease and answers exactly
+    at its epoch.  Release is idempotent; reading through a released
+    lease raises :class:`~repro.exceptions.ServeError`.
     """
 
     def __init__(self, manager: "EpochManager", epoch: Epoch):
@@ -172,7 +172,7 @@ class EpochManager:
         Epoch 0's session.  The manager never mutates it: each batch
         folds into a fork of the head session, so callers must not
         mutate it either while the manager serves.  Writes go through
-        :meth:`submit` / :meth:`apply`, and reads through leases.
+        :meth:`submit` / :meth:`apply`, and reads through :meth:`read`.
     max_queue:
         Bound on queued-but-unapplied writer batches.  A submission
         beyond it raises :class:`~repro.exceptions.OverloadedError` at
@@ -247,70 +247,17 @@ class EpochManager:
 
     # ----------------------------------------------------------------- reads
     def read(self, lease: EpochLease, fn: Callable[[PreparedQuery], object]):
-        """Run ``fn`` on the session of ``lease``'s epoch.
+        """Run ``fn`` on the session of ``lease``'s epoch: the one route
+        every served read takes.
 
         Head or superseded, no batch folds into an epoch's session once
         it is published, so the answer is exactly the one a fresh session
         over that epoch's database would give — pinned by the
-        serving-equivalence property suite.
+        serving-equivalence property suite.  A released lease raises
+        :class:`~repro.exceptions.ServeError`.
         """
         lease._require_active()
         return fn(lease.epoch.session)
-
-    def count(self, lease: EpochLease) -> int:
-        """``|Q(D)|`` at the lease's epoch."""
-        return self.read(lease, lambda s: s.count())
-
-    def probe(
-        self, lease: EpochLease, relation: str, rows: Sequence[Sequence[object]]
-    ) -> List[int]:
-        """Hypothetical count-change magnitudes ``w(t)`` at the epoch.
-
-        All rows ride one probe-id-tagged vectorized pass; the admission
-        queue coalesces concurrent requests onto this call.
-        """
-        return self.read(lease, lambda s: s.probe(relation, rows))
-
-    def sensitivity(
-        self,
-        lease: EpochLease,
-        method: str = "auto",
-        skip_relations: Iterable[str] = (),
-        top_k: Optional[int] = None,
-    ):
-        """``LS(Q, D)`` (a ``SensitivityResult``) at the lease's epoch."""
-        skip = tuple(skip_relations)
-        return self.read(
-            lease,
-            lambda s: s.sensitivity(
-                method=method, skip_relations=skip, top_k=top_k
-            ),
-        )
-
-    def top_k(
-        self, lease: EpochLease, k: int, skip_relations: Iterable[str] = ()
-    ):
-        """The top-k clamping upper bound at the lease's epoch."""
-        skip = tuple(skip_relations)
-        return self.read(lease, lambda s: s.top_k(k, skip_relations=skip))
-
-    def explain(self, lease: EpochLease, skip_relations: Iterable[str] = ()):
-        """The TSens cost profile at the lease's epoch."""
-        skip = tuple(skip_relations)
-        return self.read(lease, lambda s: s.explain(skip_relations=skip))
-
-    def release(self, lease: EpochLease, epsilon: float, **kwargs):
-        """A DP release computed at the lease's epoch.
-
-        Unlike the other reads this draws fresh noise per call, so the
-        admission queue never coalesces or dedups it; the tenant's
-        accountant (``kwargs["accountant"]``) is spent exactly once.
-        """
-        return self.read(lease, lambda s: s.release(epsilon, **kwargs))
-
-    def session_stats(self, lease: EpochLease) -> Dict[str, object]:
-        """:meth:`PreparedQuery.stats` of the lease's epoch view."""
-        return self.read(lease, lambda s: s.stats())
 
     # ---------------------------------------------------------------- writes
     def submit(self, batch: Iterable[Update]):

@@ -31,7 +31,6 @@ then closes the listener and drains the worker threads.
 from __future__ import annotations
 
 import asyncio
-import functools
 import threading
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -296,8 +295,10 @@ class SessionServer:
     @staticmethod
     def _skip(params: Dict[str, object]) -> Tuple[str, ...]:
         skip = params.get("skip_relations", ())
-        if not isinstance(skip, (list, tuple)):
-            raise ProtocolError("'skip_relations' must be a list")
+        if not isinstance(skip, (list, tuple)) or not all(
+            isinstance(name, str) for name in skip
+        ):
+            raise ProtocolError("'skip_relations' must be a list of relation names")
         return tuple(skip)
 
     # ------------------------------------------------------------- handlers
@@ -322,17 +323,20 @@ class SessionServer:
             lease.release()
 
     async def _op_sensitivity(self, params):
+        if "top_k" in params:
+            raise ProtocolError(
+                "sensitivity takes no 'top_k'; ask the top_k op with 'k'"
+            )
         result, epoch = await self._admit_read(
             "sensitivity",
             method=params.get("method", "auto"),
             skip_relations=self._skip(params),
-            top_k=params.get("top_k"),
         )
         return sensitivity_result_to_dict(result), epoch
 
     async def _op_top_k(self, params):
         k = params.get("k")
-        if not isinstance(k, int) or k < 1:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ProtocolError("top_k needs a positive integer 'k'")
         result, epoch = await self._admit_read(
             "top_k", k=k, skip_relations=self._skip(params)
@@ -364,16 +368,17 @@ class SessionServer:
         ):
             if name in params:
                 kwargs[name] = params[name]
+
+        def release(session: PreparedQuery):
+            return session.release(float(epsilon), **kwargs)
+
         lease = self.manager.acquire()
         try:
             # Releases draw fresh noise and spend budget per request, so
             # they bypass the coalescing queue; the executor keeps the
             # sensitivity work off the event loop.
             outcome = await asyncio.get_running_loop().run_in_executor(
-                None,
-                functools.partial(
-                    self.manager.release, lease, float(epsilon), **kwargs
-                ),
+                None, self.manager.read, lease, release
             )
             return outcome_to_dict(outcome), lease.epoch_id
         finally:

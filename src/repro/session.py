@@ -97,13 +97,10 @@ _DELETE_OPS = frozenset({"delete", "-"})
 Update = Tuple[str, str, Sequence[object]]
 
 
-def validate_method(method: str, top_k: Optional[int]) -> None:
-    """Reject an unknown ``method``, and ``top_k`` with a method other than
-    ``"auto"`` or ``"tsens"``: the clamped bound is a TSens read."""
+def validate_method(method: str) -> None:
+    """Reject an unknown ``method``."""
     if method not in ("auto", "path", "tsens", "naive", "reeval"):
         raise MechanismConfigError(f"unknown method {method!r}")
-    if top_k is not None and method not in ("auto", "tsens"):
-        raise MechanismConfigError(f"top_k needs method 'auto' or 'tsens', got {method!r}")
 
 
 def prepare(
@@ -349,49 +346,45 @@ class PreparedQuery:
                 relation, [tuple(row) for row in rows]
             )
 
+    def _skip(self, skip_relations: Iterable[str]) -> Tuple[str, ...]:
+        """``skip_relations`` as a sorted tuple of distinct names, each a
+        relation of the query; an unknown one raises
+        :class:`~repro.exceptions.UnknownRelationError`."""
+        skip = set(skip_relations)
+        for relation in skip:
+            if relation not in self._query.relation_names:
+                raise UnknownRelationError(relation)
+        return tuple(sorted(skip))
+
     def sensitivity(
         self,
         method: str = "auto",
         skip_relations: Iterable[str] = (),
-        top_k: Optional[int] = None,
-        reeval_mode: str = "incremental",
     ) -> SensitivityResult:
         """``LS(Q, D)`` and witnesses — the session form of
         :func:`repro.core.api.local_sensitivity`.
 
         Parameters and semantics match the one-shot function; the
         decomposition prepared at session creation is reused instead of
-        being re-derived, ``"path"``, ``"tsens"`` and ``top_k`` reads all
-        run on its maintained join state, also when it was prepared with
+        being re-derived, ``"path"``, ``"tsens"`` and ``"reeval"`` reads
+        all run on its maintained state, also when it was prepared with
         ``tree=``, and results are cached per configuration until the
-        next committed update.
+        next committed update.  The top-k bound is :meth:`top_k`.
         """
-        validate_method(method, top_k)
+        validate_method(method)
         if method == "auto":
             # Resolve before caching so e.g. an "auto" read and an explicit
             # "tsens" read of the same non-path query share one result.
             method = "path" if self._is_path else "tsens"
-        skip = tuple(skip_relations)
-        key = (
-            "sensitivity",
-            method,
-            tuple(sorted(skip)),
-            top_k,
-            reeval_mode if method == "reeval" else None,
-        )
+        skip = self._skip(skip_relations)
+        key = ("sensitivity", method, skip)
         with self._lock:
             if key not in self._results:
-                self._results[key] = self._compute_sensitivity(
-                    method, skip, top_k, reeval_mode
-                )
+                self._results[key] = self._compute_sensitivity(method, skip)
             return self._results[key]  # type: ignore[return-value]
 
     def _compute_sensitivity(
-        self,
-        method: str,
-        skip: Tuple[str, ...],
-        top_k: Optional[int],
-        reeval_mode: str,
+        self, method: str, skip: Tuple[str, ...]
     ) -> SensitivityResult:
         if method == "naive":
             return naive_local_sensitivity(self._query, self._db)
@@ -405,20 +398,8 @@ class PreparedQuery:
             # a top-level import would cycle during package initialisation.
             from repro.baselines.reeval import reevaluation_sensitivity
 
-            evaluator = (
-                self._ensure_evaluator() if reeval_mode == "incremental" else None
-            )
             return reevaluation_sensitivity(
-                self._query,
-                self._db,
-                tree=self.tree,
-                mode=reeval_mode,
-                evaluator=evaluator,
-            )
-        if top_k is not None:
-            # The clamped passes rerun per call: clamping is not linear.
-            return tsens_topk(
-                self._query, self._db, self._only_state("top_k"), top_k, skip
+                self._query, self._db, evaluator=self._ensure_evaluator()
             )
         if method == "path":
             return ls_path_join(
@@ -435,10 +416,28 @@ class PreparedQuery:
         self, k: int, skip_relations: Iterable[str] = ()
     ) -> SensitivityResult:
         """The Sec. 5.4 top-k clamping upper bound (``tsens-top<k>``),
-        over the session's prepared decomposition (a GHD included).  A
-        plan of several components raises
-        :class:`~repro.exceptions.QueryStructureError`."""
-        return self.sensitivity(top_k=k, skip_relations=skip_relations)
+        over the session's prepared decomposition (a GHD included).
+
+        ``k`` is an integer ``>= 1`` (a ``bool`` is not), else
+        :class:`~repro.exceptions.MechanismConfigError`; a plan of several
+        components raises :class:`~repro.exceptions.QueryStructureError`.
+        Cached per ``(k, skip_relations)`` until the next committed update.
+        """
+        # Imported lazily, as in release(): repro.dp imports the one-shot API.
+        from repro.dp.primitives import _is_count
+
+        if not _is_count(k):
+            raise MechanismConfigError(f"top_k needs an integer k >= 1, got {k!r}")
+        k, skip = int(k), self._skip(skip_relations)
+        key = ("top_k", k, skip)
+        with self._lock:
+            if key not in self._results:
+                # Clamping is not linear, so the clamped passes are not
+                # maintained: each key reruns them on the current state.
+                self._results[key] = tsens_topk(
+                    self._query, self._db, self._only_state("top_k"), k, skip
+                )
+            return self._results[key]  # type: ignore[return-value]
 
     def most_sensitive(
         self, skip_relations: Iterable[str] = ()
@@ -458,8 +457,8 @@ class PreparedQuery:
         A plan of several components raises
         :class:`~repro.exceptions.QueryStructureError`.
         """
-        skip = tuple(skip_relations)
-        key = ("explain", tuple(sorted(skip)))
+        skip = self._skip(skip_relations)
+        key = ("explain", skip)
         with self._lock:
             if key not in self._results:
                 state = self._only_state("explain")

@@ -74,15 +74,7 @@ class TestApiDispatch:
         assert via_api.method == "reeval-incremental"
         assert via_api.local_sensitivity == direct.local_sensitivity
 
-    def test_local_sensitivity_reeval_full_mode(self, fig1_query, fig1_db):
-        via_api = local_sensitivity(
-            fig1_query, fig1_db, method="reeval", reeval_mode="full"
-        )
-        assert via_api.method == "reeval"
-
     def test_reeval_rejects_unsupported_knobs(self, fig1_query, fig1_db):
-        with pytest.raises(MechanismConfigError):
-            local_sensitivity(fig1_query, fig1_db, method="reeval", top_k=2)
         with pytest.raises(MechanismConfigError):
             local_sensitivity(
                 fig1_query, fig1_db, method="reeval", skip_relations=("R1",)

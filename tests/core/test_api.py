@@ -5,6 +5,7 @@ import pytest
 from repro.core import local_sensitivity, most_sensitive_tuples
 from repro.engine import Database, Relation
 from repro.query import parse_query
+from repro.session import prepare
 from repro.exceptions import MechanismConfigError
 
 
@@ -33,7 +34,7 @@ class TestDispatch:
             local_sensitivity(fig1_query, fig1_db, method="path")
 
     def test_top_k_route(self, fig3_query, fig3_db):
-        result = local_sensitivity(fig3_query, fig3_db, top_k=2)
+        result = prepare(fig3_query, fig3_db).top_k(2)
         assert result.method == "tsens-top2"
 
     def test_unknown_method(self, fig1_query, fig1_db):

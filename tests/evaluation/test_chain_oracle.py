@@ -321,12 +321,16 @@ class TestChainMatchesDefinitions:
 
     def test_batch_fold_matches_definitions(self, case, backend):
         query, tree, db = case
-        state = JoinState(query, tree, db.with_backend(backend))
+        evaluator = IncrementalEvaluator(
+            query, db.with_backend(backend),
+            component_pairs=component_trees(query, tree),
+        )
+        (state,) = evaluator.component_states
         state.topjoins()
         for rel in query.relation_names:
             state.multiplicity_table(rel)
         deltas = _batch(query, db, seed=len(query.relation_names))
-        state.apply_update_batch(deltas)
+        evaluator.apply_batch(deltas)
         _assert_chain_matches_oracle(state, query, _applied(db, deltas))
 
     def test_probes_are_leave_one_out_entries(self, case, backend):

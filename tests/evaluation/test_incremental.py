@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Database, Relation
+from repro.engine import Database, Relation, patch
 from repro.engine.columnar import ColumnarRelation
 from repro.evaluation import IncrementalEvaluator, PROBE_ATTRIBUTE, count_query
 from repro.evaluation.incremental import compact_updates
@@ -326,7 +326,10 @@ class TestBatchAcrossComponents:
         ]
         levels = self._levels(state)
         botjoins = state.botjoins
-        work = state.stage_update_batch([RelationDelta("R", {(1,): 1}, {})])
+        rows = {(1,): 1}
+        base = session.db.relation("R")
+        work = state.fork()
+        work.stage_fold("R", rows, True, patch(base, type(base)(base.schema, rows), True))
         assert isinstance(work, JoinState)
         assert (work.count, state.count) == (2, 1)
         assert state.botjoins is botjoins

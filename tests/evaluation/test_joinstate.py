@@ -4,15 +4,17 @@ The property suite (``tests/property/test_sensitivity_maintenance.py``)
 pins end-to-end equivalence of maintained sensitivity reads; these tests
 check the :class:`~repro.evaluation.joinstate.JoinState` mechanics
 directly — laziness, per-level delta folding against full recomputation,
-selection filtering and staged atomicity.
+selection filtering and staged atomicity.  Folds run through the one fold
+driver, :meth:`IncrementalEvaluator.apply_batch`, over a one-component
+plan: the evaluator's state commits in place.
 """
 
 import pytest
 
 from repro.engine import Database, Relation, patch
-from repro.evaluation import JoinState, compute_topjoins
+from repro.evaluation import IncrementalEvaluator, JoinState, compute_topjoins
 from repro.evaluation.joinstate import RelationDelta, table_layout
-from repro.query import parse_predicate, parse_query
+from repro.query import component_trees, parse_predicate, parse_query
 from repro.query.gyo import gyo_join_tree
 from repro.query.jointree import join_tree_from_parents
 from repro.exceptions import MultiplicityOverflowError
@@ -20,9 +22,20 @@ from repro.exceptions import MultiplicityOverflowError
 BACKENDS = ("python", "columnar")
 
 
+def _evaluator(query, tree, db):
+    """An evaluator over the one-component plan ``tree`` and its state,
+    which ``evaluator.apply_batch`` folds into in place."""
+    evaluator = IncrementalEvaluator(
+        query, db, component_pairs=component_trees(query, tree)
+    )
+    (state,) = evaluator.component_states
+    return evaluator, state
+
+
 def _state(query, db, backend):
     db = db.with_backend(backend)
-    return JoinState(query, gyo_join_tree(query), db), db
+    evaluator, state = _evaluator(query, gyo_join_tree(query), db)
+    return evaluator, state, db
 
 
 def _patched(db, relation, counts, insert):
@@ -70,7 +83,7 @@ def _assert_levels_match_fresh(state, query, db):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestMaintainedLevels:
     def test_fold_matches_fresh_rebuild(self, fig1_query, fig1_db, backend):
-        state, db = _state(fig1_query, fig1_db, backend)
+        evaluator, state, db = _state(fig1_query, fig1_db, backend)
         state.topjoins()
         for relation in fig1_query.relation_names:
             state.multiplicity_table(relation)
@@ -82,12 +95,12 @@ class TestMaintainedLevels:
             ("R1", ("a9", "b9", "c9"), True),  # joins nothing below the node
         ]
         for relation, row, insert in updates:
-            state.apply_update_batch([_one(relation, row, insert)])
+            evaluator.apply_batch([_one(relation, row, insert)])
             db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, fig1_query, db)
 
     def test_deep_path_fold(self, fig3_query, fig3_db, backend):
-        state, db = _state(fig3_query, fig3_db, backend)
+        evaluator, state, db = _state(fig3_query, fig3_db, backend)
         state.topjoins()
         for relation in fig3_query.relation_names:
             state.multiplicity_table(relation)
@@ -96,7 +109,7 @@ class TestMaintainedLevels:
             ("R1", ("a1", "b1"), False),
             ("R2", ("b2", "c1"), False),
         ]:
-            state.apply_update_batch([_one(relation, row, insert)])
+            evaluator.apply_batch([_one(relation, row, insert)])
             db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, fig3_query, db)
 
@@ -121,7 +134,7 @@ class TestMaintainedLevels:
             },
             backend=backend,
         )
-        state = JoinState(query, tree, db)
+        evaluator, state = _evaluator(query, tree, db)
         state.topjoins()
         for relation in query.relation_names:
             state.multiplicity_table(relation)
@@ -131,7 +144,7 @@ class TestMaintainedLevels:
             ("T1", (1, 4), False),  # mid-handle delete
             ("Hub", (1, 1), False), # root: pure downward everywhere
         ]:
-            state.apply_update_batch([_one(relation, row, insert)])
+            evaluator.apply_batch([_one(relation, row, insert)])
             db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, query, db)
 
@@ -148,7 +161,7 @@ class TestMaintainedLevels:
         from repro.query.ghd import auto_decompose
 
         tree = auto_decompose(query)
-        state = JoinState(query, tree, db)
+        evaluator, state = _evaluator(query, tree, db)
         state.topjoins()
         for relation in query.relation_names:
             state.multiplicity_table(relation)
@@ -157,7 +170,7 @@ class TestMaintainedLevels:
             ("R2", (1, 1), False),
             ("R3", (0, 0), False),
         ]:
-            state.apply_update_batch([_one(relation, row, insert)])
+            evaluator.apply_batch([_one(relation, row, insert)])
             db = _patched(db, relation, {row: 1}, insert)
             _assert_levels_match_fresh(state, query, db)
 
@@ -167,17 +180,17 @@ class TestLazinessAndInvalidation:
     def test_count_only_sessions_never_materialise(
         self, fig1_query, fig1_db, backend
     ):
-        state, _ = _state(fig1_query, fig1_db, backend)
+        evaluator, state, _ = _state(fig1_query, fig1_db, backend)
         assert not state.topjoins_materialised
         assert state.tables_materialised == ()
-        state.apply_update_batch([_one("R3", ("a1", "e9"), True)])
+        evaluator.apply_batch([_one("R3", ("a1", "e9"), True)])
         assert not state.topjoins_materialised
         assert state.tables_materialised == ()
 
     def test_partial_tables_stay_partial(self, fig1_query, fig1_db, backend):
-        state, _ = _state(fig1_query, fig1_db, backend)
+        evaluator, state, _ = _state(fig1_query, fig1_db, backend)
         state.multiplicity_table("R3")
-        state.apply_update_batch([_one("R4", ("b1", "f9"), True)])
+        evaluator.apply_batch([_one("R4", ("b1", "f9"), True)])
         assert state.tables_materialised == ("R3",)
 
     def test_selection_filtered_row_is_a_no_op(self, backend):
@@ -191,11 +204,11 @@ class TestLazinessAndInvalidation:
             },
             backend=backend,
         )
-        state = JoinState(query, gyo_join_tree(query), db)
+        evaluator, state = _evaluator(query, gyo_join_tree(query), db)
         state.topjoins()
         before = state.count
         before_bots = dict(state.botjoins)
-        state.apply_update_batch([_one("R", (0, 2), True)])
+        evaluator.apply_batch([_one("R", (0, 2), True)])
         for node_id, bot in state.botjoins.items():
             assert bot is before_bots[node_id]
         assert state.count == before
@@ -215,7 +228,7 @@ class TestStagedAtomicity:
             },
             backend="columnar",
         )
-        state = JoinState(query, gyo_join_tree(query), db)
+        evaluator, state = _evaluator(query, gyo_join_tree(query), db)
         state.topjoins()
         for relation in query.relation_names:
             state.multiplicity_table(relation)
@@ -226,7 +239,8 @@ class TestStagedAtomicity:
             for relation in query.relation_names
         }
         with pytest.raises(MultiplicityOverflowError):
-            state.apply_update_batch([_one("R", (1, 2), True)])
+            evaluator.apply_batch([_one("R", (1, 2), True)])
+        assert evaluator.db is db
         assert state.count == before_count
         assert state.bound.atom_relation("R") is before_atom
         for relation in query.relation_names:
@@ -254,9 +268,9 @@ class TestBatchFolds:
     def test_delta_relation_batch_matches_fresh(
         self, fig1_query, fig1_db, backend
     ):
-        """One apply_update_batch over whole delta relations lands on the
+        """One apply_batch over whole delta relations lands on the
         same levels as a fresh rebuild on the mutated database."""
-        state, db = _state(fig1_query, fig1_db, backend)
+        evaluator, state, db = _state(fig1_query, fig1_db, backend)
         state.topjoins()
         for relation in fig1_query.relation_names:
             state.multiplicity_table(relation)
@@ -269,20 +283,20 @@ class TestBatchFolds:
             RelationDelta("R3", {("a2", "e3"): 1}, {}),
             RelationDelta("R2", {}, {("a1", "b1", "d1"): 1}),
         ]
-        state.apply_update_batch(deltas)
+        evaluator.apply_batch(deltas)
         for delta in deltas:
             db = _patched(db, delta.relation, delta.minus, False)
             db = _patched(db, delta.relation, delta.plus, True)
         _assert_levels_match_fresh(state, fig1_query, db)
 
     def test_one_tuple_batch_matches_fresh(self, fig1_query, fig1_db, backend):
-        """A one-tuple batch takes the atom's single-row fast path and
-        still lands every level, and the atom, on a fresh rebuild."""
-        state, db = _state(fig1_query, fig1_db, backend)
+        """A one-tuple batch lands every level, and the atom it binds from
+        the patched database relation, on a fresh rebuild."""
+        evaluator, state, db = _state(fig1_query, fig1_db, backend)
         state.topjoins()
         for relation in fig1_query.relation_names:
             state.multiplicity_table(relation)
-        state.apply_update_batch([_one("R3", ("a2", "e3"), True)])
+        evaluator.apply_batch([_one("R3", ("a2", "e3"), True)])
         db = _patched(db, "R3", {("a2", "e3"): 1}, True)
         _assert_levels_match_fresh(state, fig1_query, db)
         fresh = JoinState(fig1_query, state.tree, db)
@@ -303,7 +317,7 @@ class TestBatchAtomicity:
             },
             backend="columnar",
         )
-        state = JoinState(query, gyo_join_tree(query), db)
+        evaluator, state = _evaluator(query, gyo_join_tree(query), db)
         state.topjoins()
         for relation in query.relation_names:
             state.multiplicity_table(relation)
@@ -322,7 +336,8 @@ class TestBatchAtomicity:
             RelationDelta("R", {(1, 2): 1}, {}),  # overflows 3 * big
         ]
         with pytest.raises(MultiplicityOverflowError):
-            state.apply_update_batch(deltas)
+            evaluator.apply_batch(deltas)
+        assert evaluator.db is db
         assert state.count == before_count
         for relation in query.relation_names:
             assert state.bound.atom_relation(relation) is before_atoms[relation]
@@ -331,7 +346,7 @@ class TestBatchAtomicity:
             assert bot is before_bots[node_id]
         # Still fully usable afterwards: (9, 9) joins nothing, so the
         # count is unchanged but the atom did commit this time.
-        state.apply_update_batch([_one("R", (9, 9), True)])
+        evaluator.apply_batch([_one("R", (9, 9), True)])
         assert state.count == before_count
         assert state.bound.atom_relation("R").multiplicity((9, 9)) == 1
 
@@ -423,11 +438,11 @@ class TestOverflowNamesTheTable:
             },
             backend="columnar",
         )
-        state = JoinState(query, tree, db)
+        evaluator, state = _evaluator(query, tree, db)
         before = state.multiplicity_table("R")
         before_atom = state.bound.atom_relation("T")
         with pytest.raises(MultiplicityOverflowError) as raised:
-            state.apply_update_batch([_one("T", (2, 6), True)])
+            evaluator.apply_batch([_one("T", (2, 6), True)])
         assert "multiplicity table for 'R', factor 0" in str(raised.value)
         assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
         assert state.multiplicity_table("R") is before
@@ -509,12 +524,12 @@ class TestNoMaterialisedBags:
             levels += [top for top in state.topjoins().values() if top is not None]
             return max(level.distinct_count() for level in levels)
 
-        state = JoinState(workload.query, workload.tree, db)
+        evaluator, state = _evaluator(workload.query, workload.tree, db)
         limit = largest_structure(state)
         lineitems = sorted(db.relation("L"))[:20]
         orders = sorted(db.relation("O"))[:20]
-        state.apply_update_batch([RelationDelta("L", dict.fromkeys(lineitems, 1), {})])
-        state.apply_update_batch([RelationDelta("O", {}, dict.fromkeys(orders, 1))])
+        evaluator.apply_batch([RelationDelta("L", dict.fromkeys(lineitems, 1), {})])
+        evaluator.apply_batch([RelationDelta("O", {}, dict.fromkeys(orders, 1))])
         limit = max(limit, largest_structure(state))
         assert sizes
         assert max(sizes) <= limit, (max(sizes), limit)
@@ -534,7 +549,7 @@ class TestFoldSharesNodeCores:
 
         workload = q3_workload()
         db = workload.prepare(generate_tpch(0.001, seed=0, backend=backend))
-        state = JoinState(workload.query, workload.tree, db)
+        evaluator, state = _evaluator(workload.query, workload.tree, db)
         # Orders whose (NK, OK) meets J(gOC) reach the output.
         reach = state.topjoins()["gOC"]
         nation = {ck: nk for nk, ck in db.relation("C")}
@@ -557,7 +572,7 @@ class TestFoldSharesNodeCores:
             before = dict(state.topjoins())
             count = state.count
             with_lineitem.clear()
-            state.apply_update_batch([delta])
+            evaluator.apply_batch([delta])
             assert sum(with_lineitem) == 1
             assert state.count != count
             assert state.topjoins()["gSP"] is not before["gSP"]
@@ -568,20 +583,23 @@ class TestFoldSharesNodeCores:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFoldOverflowNamesTheStructure:
-    """A fold's columnar overflow names the atom, botjoin or topjoin it
-    hit, chained from the engine's error, and commits nothing; python
-    answers exactly."""
+    """A fold's columnar overflow names the relation, atom, botjoin or
+    topjoin it hit, chained from the engine's error, and commits nothing;
+    python answers exactly."""
 
     @staticmethod
-    def _raises(state, delta, label):
+    def _raises(evaluator, delta, label):
+        (state,) = evaluator.component_states
+        before_db = evaluator.db
         before_count = state.count
         before_atoms = dict(state.bound.atom_relations)
         before_botjoins = dict(state.botjoins)
         before_topjoins = dict(state.topjoins()) if state.topjoins_materialised else None
         with pytest.raises(MultiplicityOverflowError) as raised:
-            state.apply_update_batch([delta])
+            evaluator.apply_batch([delta])
         assert str(raised.value).startswith(f"{label}: ")
         assert isinstance(raised.value.__cause__, MultiplicityOverflowError)
+        assert evaluator.db is before_db
         assert state.count == before_count
         assert all(state.bound.atom_relations[r] is rel for r, rel in before_atoms.items())
         assert all(state.botjoins[n] is rel for n, rel in before_botjoins.items())
@@ -612,16 +630,19 @@ class TestFoldOverflowNamesTheStructure:
             session.apply(batch)
         assert (session.count(), session.updates_applied) == (2**63 - 1, 0)
         assert session.db is db
-        state = JoinState(query, tree, db)
-        self._raises(state, RelationDelta("S", rows, {}), "botjoin K('S')")
+        evaluator, _ = _evaluator(query, tree, db)
+        self._raises(evaluator, RelationDelta("S", rows, {}), "botjoin K('S')")
 
     def test_atom(self, backend):
         """R(x) sits at 2**63 - 1 and joins nothing; one more copy
-        overflows the atom (and, through a session, the database relation
-        it is bound from)."""
+        overflows R.  A fold patches the database relation before the
+        atom, so the overflow names ``relation 'R'``, also when a
+        selection that passes x makes the atom patch its own delta; that
+        atom's patch, staged on a fork by itself, names ``atom 'R'``."""
         from repro.session import prepare
 
-        query = parse_query("R(A), S(A,B)")
+        unselected = parse_query("R(A), S(A,B)")
+        query = unselected.with_selection("R", parse_predicate("A = 'x'"))
         tree = join_tree_from_parents(query, "R", {"S": "R"})
         db = Database(
             {
@@ -630,13 +651,16 @@ class TestFoldOverflowNamesTheStructure:
             },
             backend=backend,
         )
-        state = JoinState(query, tree, db)
+        evaluator, state = _evaluator(query, tree, db)
         if backend == "python":
-            state.apply_update_batch([_one("R", ("x",), True)])
+            evaluator.apply_batch([_one("R", ("x",), True)])
             assert state.bound.atom_relation("R").multiplicity(("x",)) == 2**63
             return
-        self._raises(state, _one("R", ("x",), True), "atom 'R'")
-        session = prepare(query, db, tree=tree)
+        self._raises(evaluator, _one("R", ("x",), True), "relation 'R'")
+        # A selected atom patches its filtered delta and never reads base.
+        with pytest.raises(MultiplicityOverflowError, match=r"^atom 'R': "):
+            state.fork().stage_fold("R", {("x",): 1}, True, db.relation("R"))
+        session = prepare(unselected, db, tree=tree)
         with pytest.raises(MultiplicityOverflowError, match=r"^relation 'R': "):
             session.apply([("insert", "R", ("x",))])
         assert session.db is db
@@ -654,13 +678,13 @@ class TestFoldOverflowNamesTheStructure:
             },
             backend=backend,
         )
-        state = JoinState(query, tree, db)
+        evaluator, state = _evaluator(query, tree, db)
         state.topjoins()
         if backend == "python":
-            state.apply_update_batch([_one("R", ("x",), True)])
+            evaluator.apply_batch([_one("R", ("x",), True)])
             assert state.topjoins()["S"].multiplicity(("x",)) == 2**64 - 2
             return
-        self._raises(state, _one("R", ("x",), True), "topjoin J('S')")
+        self._raises(evaluator, _one("R", ("x",), True), "topjoin J('S')")
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -21,10 +21,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.result import KeyedFactor
 from repro.engine import Database, Relation
 from repro.engine.columnar import ColumnarRelation
-from repro.evaluation import joinstate
+from repro.evaluation import IncrementalEvaluator, joinstate
 from repro.evaluation.joinstate import JoinState, RelationDelta, join_aggregate, table_factor
 from repro.exceptions import MultiplicityOverflowError
-from repro.query import parse_query
+from repro.query import component_trees, parse_query
 from repro.query.ghd import ghd_from_groups
 
 BACKENDS = {"python": Relation, "columnar": ColumnarRelation}
@@ -145,6 +145,18 @@ def _database(relations, backend):
     )
 
 
+def _evaluator(relations, backend):
+    """An evaluator over the triangle's one-component plan, and its state,
+    which ``evaluator.apply_batch`` folds into in place."""
+    evaluator = IncrementalEvaluator(
+        TRIANGLE,
+        _database(relations, backend),
+        component_pairs=component_trees(TRIANGLE, TREE),
+    )
+    (state,) = evaluator.component_states
+    return evaluator, state
+
+
 def _same_table(maintained, fresh):
     assert [type(f) for f in maintained.factors] == [type(f) for f in fresh.factors]
     for kept, built in zip(maintained.factors, fresh.factors):
@@ -183,7 +195,7 @@ class TestMaintainedKeyedTables:
             "C": {(0, 0): 1, (1, 1): 2, (0, 2): 1},
             "O": {(0, 0): 1, (1, 2): 2},
         }
-        state = JoinState(TRIANGLE, TREE, _database(relations, backend))
+        evaluator, state = _evaluator(relations, backend)
         state.topjoins()
         for relation in TRIANGLE.relation_names:
             state.multiplicity_table(relation)
@@ -192,7 +204,7 @@ class TestMaintainedKeyedTables:
             rows = relations[relation]
             if not insert and row not in rows:
                 continue
-            state.apply_update_batch(
+            evaluator.apply_batch(
                 [RelationDelta(relation, {row: 1} if insert else {}, {} if insert else {row: 1})]
             )
             rows[row] = rows.get(row, 0) + (1 if insert else -1)
@@ -207,12 +219,12 @@ class TestMaintainedKeyedTables:
         """Neither part is keyed once C reuses CK 0 under N 1 (R has K 0
         under both N), and C is keyed again once that row goes."""
         relations = {"R": {(0, 0): 1, (1, 0): 1}, "C": {(0, 0): 1}, "O": {}}
-        state = JoinState(TRIANGLE, TREE, _database(relations, backend))
+        evaluator, state = _evaluator(relations, backend)
         state.multiplicity_table("O")
         forms = []
         for insert in (True, False):
             delta = {(1, 0): 1}
-            state.apply_update_batch(
+            evaluator.apply_batch(
                 [RelationDelta("C", delta if insert else {}, {} if insert else delta)]
             )
             forms.append(type(state.multiplicity_table("O").factors[0]))

@@ -94,8 +94,8 @@ class TestConcurrentEpochConsistency:
             while not stop.is_set():
                 lease = manager.acquire()
                 try:
-                    count = manager.count(lease)
-                    ls = manager.sensitivity(lease).local_sensitivity
+                    count = manager.read(lease, lambda s: s.count())
+                    ls = manager.read(lease, lambda s: s.sensitivity()).local_sensitivity
                     observations.append((lease.epoch_id, count, ls))
                 finally:
                     lease.release()
@@ -119,7 +119,7 @@ class TestConcurrentEpochConsistency:
         # The epoch-0 lease survived every swap: its answers still come
         # from epoch 0's session, which no batch folded into.
         assert manager.head.epoch_id == len(batches)
-        assert manager.count(pinned) == prepare(query, db).count()
+        assert manager.read(pinned, lambda s: s.count()) == prepare(query, db).count()
 
         expected = {}
         for epoch_id, count, ls in observations:
@@ -156,8 +156,8 @@ class TestWriterFailureAtomicity:
 
         lease = manager.acquire()
         before = (
-            manager.count(lease),
-            manager.sensitivity(lease).local_sensitivity,
+            manager.read(lease, lambda s: s.count()),
+            manager.read(lease, lambda s: s.sensitivity()).local_sensitivity,
             manager.head.epoch_id,
         )
         relation = query.relation_names[0]
@@ -174,8 +174,8 @@ class TestWriterFailureAtomicity:
         assert manager.head.epoch_id == before[2]
         assert not lease.epoch.superseded
         after = (
-            manager.count(lease),
-            manager.sensitivity(lease).local_sensitivity,
+            manager.read(lease, lambda s: s.count()),
+            manager.read(lease, lambda s: s.sensitivity()).local_sensitivity,
             manager.head.epoch_id,
         )
         assert after == before

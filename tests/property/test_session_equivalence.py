@@ -110,11 +110,9 @@ class TestPreparedMatchesOneShot:
         rng = np.random.default_rng(seed)
         query = random_acyclic_query(rng, num_atoms=3)
         db = random_database(query, rng, backend=backend)
-        _assert_same_result(
-            prepare(query, db).top_k(k),
-            local_sensitivity(query, db, top_k=k),
-            query,
-        )
+        warm = prepare(query, db)
+        warm.sensitivity()  # builds the maintained topjoins and tables
+        _assert_same_result(warm.top_k(k), prepare(query, db).top_k(k), query)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

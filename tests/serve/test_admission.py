@@ -158,6 +158,34 @@ class TestReads:
             with pytest.raises(ServeError):
                 queue.submit_read(lease, "release")
 
+    def test_reads_run_methods_wrapped_after_import(self, monkeypatch):
+        """A tracer wraps session methods after ``repro.serve`` was
+        imported; every admitted read must run the wrapper, so the queue
+        looks each method up when it runs, never from a table it built
+        at import time."""
+        from repro.session import PreparedQuery
+
+        calls = []
+        for name in ("sensitivity", "probe"):
+            method = getattr(PreparedQuery, name)
+
+            def traced(self, *args, _method=method, _name=name, **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(PreparedQuery, name, traced)
+        session, manager, queue = _stack()
+        try:
+            with manager.acquire() as lease:
+                sens = queue.submit_read(lease, "sensitivity", skip_relations=["R"])
+                probe = queue.submit_probe(lease, "S", [(2, 0)])
+                assert sens.result(timeout=60).per_relation["R"].sensitivity == 1
+                assert probe.result(timeout=60) == [2]
+        finally:
+            queue.close()
+            manager.close()
+        assert sorted(calls) == ["probe", "sensitivity"]
+
 
 class TestLifecycle:
     def test_close_refuses_new_submissions(self):

@@ -55,11 +55,11 @@ class TestLeases:
         lease = manager.acquire()
         lease.release()
         with pytest.raises(ServeError):
-            manager.count(lease)
+            manager.read(lease, lambda s: s.count())
 
     def test_lease_context_manager(self, manager):
         with manager.acquire() as lease:
-            assert manager.count(lease) == 2
+            assert manager.read(lease, lambda s: s.count()) == 2
         assert manager.head.refcount == 0
 
 
@@ -87,7 +87,7 @@ class TestWriter:
             future.result(timeout=60)
         assert manager.head.epoch_id == 0
         assert not lease.epoch.superseded
-        assert manager.count(lease) == 2
+        assert manager.read(lease, lambda s: s.count()) == 2
         stats = manager.stats()
         assert stats["batches_failed"] == 1
         assert stats["batches_applied"] == 0
@@ -162,13 +162,13 @@ class TestEpochPinning:
         manager.apply([("insert", "R", (5, 2))])
         new = manager.acquire()
         assert old.epoch.superseded
-        assert manager.count(old) == 2
-        assert manager.count(new) == 3
-        assert manager.probe(old, "S", [(2, 0)]) == [2]
-        assert manager.probe(new, "S", [(2, 0)]) == [3]
+        assert manager.read(old, lambda s: s.count()) == 2
+        assert manager.read(new, lambda s: s.count()) == 3
+        assert manager.read(old, lambda s: s.probe("S", [(2, 0)])) == [2]
+        assert manager.read(new, lambda s: s.probe("S", [(2, 0)])) == [3]
         assert (
-            manager.sensitivity(old).local_sensitivity
-            <= manager.sensitivity(new).local_sensitivity
+            manager.read(old, lambda s: s.sensitivity()).local_sensitivity
+            <= manager.read(new, lambda s: s.sensitivity()).local_sensitivity
         )
         old.release()
         new.release()
@@ -176,10 +176,10 @@ class TestEpochPinning:
     def test_session_stats_reflect_pinned_epoch(self, manager):
         old = manager.acquire()
         manager.apply([("insert", "R", (5, 2))])
-        stats_old = manager.session_stats(old)
+        stats_old = manager.read(old, lambda s: s.stats())
         assert stats_old["relation_cardinalities"]["R"] == 2
         new = manager.acquire()
-        stats_new = manager.session_stats(new)
+        stats_new = manager.read(new, lambda s: s.stats())
         assert stats_new["relation_cardinalities"]["R"] == 3
         old.release()
         new.release()
@@ -220,9 +220,9 @@ class TestEpochSessions:
             monkeypatch.setattr(joinstate, "bind", spy_bind)
             monkeypatch.setattr(PreparedQuery, "__init__", spy_init)
             answers = (
-                manager.count(stale),
-                manager.probe(stale, "S", [(2, 0), (7, 7)]),
-                manager.sensitivity(stale).local_sensitivity,
+                manager.read(stale, lambda s: s.count()),
+                manager.read(stale, lambda s: s.probe("S", [(2, 0), (7, 7)])),
+                manager.read(stale, lambda s: s.sensitivity()).local_sensitivity,
             )
             assert answers == expected == (3, [3, 0], 3)
             assert calls == []
@@ -250,7 +250,7 @@ class TestEpochSessions:
             assert folding.wait(timeout=60), "the writer never started its fold"
             reader = threading.Thread(
                 target=lambda: answers.append(
-                    (manager.count(lease), manager.probe(lease, "S", [(2, 0)]))
+                    manager.read(lease, lambda s: (s.count(), s.probe("S", [(2, 0)])))
                 ),
                 daemon=True,
             )
@@ -261,7 +261,7 @@ class TestEpochSessions:
             assert not blocked, "a head read waited for the writer's fold"
             assert answers == [(2, [2])]  # at its own epoch, 0
             assert future.result(timeout=60).epoch_id == 1
-            assert manager.count(lease) == 2
+            assert manager.read(lease, lambda s: s.count()) == 2
             lease.release()
         finally:
             resume.set()
@@ -294,7 +294,7 @@ class TestRetirement:
         epoch = lease.epoch
         manager.apply([("insert", "R", (5, 2))])
         assert not epoch.retired  # still pinned
-        assert manager.count(lease) == 2
+        assert manager.read(lease, lambda s: s.count()) == 2
         lease.release()
         assert epoch.retired
         assert epoch.session is None
@@ -313,7 +313,7 @@ class TestRetirement:
         other.release()  # epoch still pinned by `lease`
         lease.release()  # now retired
         with pytest.raises(ServeError):
-            manager.count(lease)
+            manager.read(lease, lambda s: s.count())
 
 
 class TestLifecycle:
@@ -363,7 +363,7 @@ class TestLifecycle:
         session = _session()
         with EpochManager(session) as manager:
             with manager.acquire() as lease:
-                assert manager.count(lease) == 2
+                assert manager.read(lease, lambda s: s.count()) == 2
         assert manager.closed
         session.close()
 

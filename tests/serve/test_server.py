@@ -116,11 +116,29 @@ class TestErrors:
         with pytest.raises(ProtocolError):
             client.call("top_k", k=0)
         with pytest.raises(ProtocolError):
+            client.call("top_k", k=True)  # a bool is an int, never a k
+        with pytest.raises(ProtocolError):
             client.call("release", tenant="alice")  # epsilon missing
 
     def test_unknown_relation_raises_client_side(self, client):
         with pytest.raises(UnknownRelationError):
             client.probe("Nope", [(1, 1)])
+
+    def test_sensitivity_frame_with_top_k_names_the_top_k_op(self, client):
+        """The bound has one route; a ``top_k`` left on a ``sensitivity``
+        frame is refused instead of answered with the exact LS."""
+        with pytest.raises(ProtocolError, match="top_k op"):
+            client.call("sensitivity", top_k=2)
+        assert client.top_k(2)["method"] == "tsens-top2"
+
+    @pytest.mark.parametrize("op", ["sensitivity", "top_k", "explain"])
+    def test_skip_relations_must_be_names(self, client, op):
+        params = {"k": 2} if op == "top_k" else {}
+        for skip in ([1], [["S"]], "S"):
+            with pytest.raises(ProtocolError, match="skip_relations"):
+                client.call(op, skip_relations=skip, **params)
+        with pytest.raises(UnknownRelationError, match="Nope"):
+            client.call(op, skip_relations=["Nope"], **params)
 
     def test_release_without_tenant(self, server):
         with ServeClient(server.host, server.port) as anonymous:

@@ -36,6 +36,28 @@ class TestSensitivityCommand:
         assert code == 0
         assert "method           : naive" in capsys.readouterr().out
 
+    def test_top_k_prints_the_bound(self, csv_data, capsys):
+        code = main(
+            [
+                "sensitivity", "--query", "R(A,B), S(B,C)",
+                "--data", str(csv_data), "--top-k", "1",
+            ]
+        )
+        assert code == 0
+        assert "method           : tsens-top1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("method", ["naive", "path", "reeval"])
+    def test_top_k_needs_a_tsens_method(self, csv_data, capsys, method):
+        """The clamped bound is a TSens read: no other method answers it."""
+        code = main(
+            [
+                "sensitivity", "--query", "R(A,B), S(B,C)",
+                "--data", str(csv_data), "--method", method, "--top-k", "1",
+            ]
+        )
+        assert code == 2
+        assert "--top-k needs --method auto or tsens" in capsys.readouterr().err
+
     def test_parse_error_is_reported(self, csv_data, capsys):
         code = main(
             ["sensitivity", "--query", "!!!", "--data", str(csv_data)]
@@ -192,6 +214,31 @@ class TestExplainCommand:
         out = capsys.readouterr().out
         assert "TSens explanation" in out
         assert "multiplicity tables:" in out
+
+
+class TestClosedStdout:
+    def test_closed_stdout_is_a_clean_exit(self, csv_data):
+        """``repro explain ... | head -1``: a reader that closes stdout
+        early ends repro with status 0 and nothing on stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "explain",
+                "--query", "R(A,B), S(B,C)", "--data", str(csv_data),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        process.stdout.close()  # gone before repro writes its first line
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert (process.wait(timeout=60), stderr.decode()) == (0, "")
 
 
 class TestServeClientCommands:

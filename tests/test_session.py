@@ -121,23 +121,10 @@ class TestReads:
         with pytest.raises(MechanismConfigError):
             prepare(fig1_query, fig1_db).sensitivity(method="magic")
 
-    def test_reeval_rejects_skip_and_topk(self, fig1_query, fig1_db):
+    def test_reeval_rejects_skip(self, fig1_query, fig1_db):
         session = prepare(fig1_query, fig1_db)
         with pytest.raises(MechanismConfigError):
-            session.sensitivity(method="reeval", top_k=2)
-        with pytest.raises(MechanismConfigError):
             session.sensitivity(method="reeval", skip_relations=("R1",))
-
-    @pytest.mark.parametrize("method", ["naive", "path", "reeval"])
-    @pytest.mark.parametrize("entry", ["session", "oneshot"])
-    def test_top_k_needs_a_tsens_method(self, entry, method, fig3_query, fig3_db):
-        """The clamped bound is a TSens read: no other method answers it."""
-        read = {
-            "session": prepare(fig3_query, fig3_db).sensitivity,
-            "oneshot": lambda **kw: local_sensitivity(fig3_query, fig3_db, **kw),
-        }[entry]
-        with pytest.raises(MechanismConfigError):
-            read(method=method, top_k=1)
 
     def test_top_k_route(self, fig3_query, fig3_db):
         result = prepare(fig3_query, fig3_db).top_k(2)
@@ -145,6 +132,55 @@ class TestReads:
         assert (
             result.local_sensitivity
             >= local_sensitivity(fig3_query, fig3_db).local_sensitivity
+        )
+
+    @pytest.mark.parametrize("k", [True, 2.5, 0, -1, "2", None], ids=repr)
+    def test_top_k_rejects_a_bad_k_before_any_work(self, k, fig3_query, fig3_db):
+        """``k`` is an integer >= 1; a bool is not one, though it is an int."""
+        session = prepare(fig3_query, fig3_db)
+        with pytest.raises(MechanismConfigError):
+            session.top_k(k)
+        assert not session.stats()["evaluator_built"]
+
+    def test_top_k_takes_numpy_integers(self, fig3_query, fig3_db):
+        session = prepare(fig3_query, fig3_db)
+        result = session.top_k(np.int64(2))
+        assert result.method == "tsens-top2"
+        assert session.top_k(2) is result
+
+    def test_top_k_is_cached_per_k_and_skip_until_apply(self, fig1_query, fig1_db):
+        session = prepare(fig1_query, fig1_db)
+        first = session.top_k(2)
+        assert session.top_k(2) is first
+        assert session.top_k(3) is not first
+        skipped = session.top_k(2, ("R1",))
+        assert skipped is not first
+        assert session.top_k(2, ["R1", "R1"]) is skipped
+        session.apply([("insert", "R3", ("a9", "e9"))])
+        assert session.top_k(2) is not first
+        assert session.top_k(2, ("R1",)) is not skipped
+
+    @pytest.mark.parametrize("read", ["sensitivity", "top_k", "explain", "most_sensitive"])
+    def test_unknown_skip_relation_raises(self, read, fig1_query, fig1_db):
+        """A typo in ``skip_relations`` is an error, not a read that
+        skips nothing under a cache entry of its own."""
+        session = prepare(fig1_query, fig1_db)
+        calls = {
+            "sensitivity": lambda: session.sensitivity(skip_relations=("R1", "Nope")),
+            "top_k": lambda: session.top_k(2, ("Nope",)),
+            "explain": lambda: session.explain(skip_relations=("Nope",)),
+            "most_sensitive": lambda: session.most_sensitive(skip_relations=("Nope",)),
+        }
+        with pytest.raises(UnknownRelationError, match="Nope"):
+            calls[read]()
+        assert session.stats()["cached_results"] == 0
+
+    def test_skip_names_share_one_cache_entry(self, fig1_query, fig1_db):
+        session = prepare(fig1_query, fig1_db)
+        result = session.sensitivity(skip_relations=("R2", "R1"))
+        assert session.sensitivity(skip_relations=["R1", "R2", "R1"]) is result
+        assert session.explain(skip_relations=("R2", "R1")) is session.explain(
+            skip_relations=["R1", "R2", "R2"]
         )
 
     def test_most_sensitive_matches_oneshot(self, fig1_query, fig1_db):
