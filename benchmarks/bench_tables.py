@@ -23,11 +23,26 @@ checks that the kept factor answers exactly as the materialised
 ``distinct_count``, ``total_count`` and lookups of sampled present and
 absent keys — on columnar at 0.01 and on python at 0.001, and that on
 columnar it builds ≥10× faster than materialising.
+
+A third test replays refresh batches into a warm q3 session (columnar at
+TPC-H 0.005, python at 0.001).  Each batch that moves J(gOC) re-forms
+the O table once with ``KeyedFactor.with_part``: it reuses C's groups
+(and their decoded peak rows) and regroups J(gOC), stored NK-first,
+without a sort.  The test times every such update against a fresh
+``KeyedFactor`` over the same new parts, each with its argmax decoded
+(best of five runs of each per update, best of three replays), checks
+that the two agree in ``distinct_count``, ``total_count`` and
+``argmax_count`` (value and tuple) on every update, and gates the
+updates at ≥1.5× the fresh builds on columnar; python records the
+ratio.  A fresh build regroups J(gOC) without a sort as well, so what
+the update saves is C's side: ~0.1 of ~0.2 ms an update (re-forming the
+factor took 1.13 ms before folds kept C's groups).
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.result import KeyedFactor
 from repro.datasets.tpch import generate_tpch
@@ -46,6 +61,11 @@ ROUNDS = 3
 O_SCALES = {"columnar": 0.01, "python": 0.001}
 #: Sampled present and absent O-table keys looked up on both sides.
 O_LOOKUPS = 64
+#: The O-table fold gate: keyed updates at least this much faster than
+#: fresh builds over the same parts, on columnar.
+FOLD_SPEEDUP = 1.5
+#: Each fold's update and fresh build run this many times; the best counts.
+FOLD_REPEATS = 5
 
 
 def _components(backend):
@@ -154,3 +174,67 @@ def test_o_table_keyed_vs_materialised(benchmark, backend):
         # The acceptance bar: q3's O table, kept as its parts, builds at
         # least 10x faster than materialising it.
         assert speedup >= 10.0
+
+
+def test_o_table_fold_vs_fresh(benchmark, backend):
+    from bench_refresh_fold import _refresh_batches
+    from repro.session import prepare
+
+    workload = q3_workload()
+    rounds = []  # per round, per fold: (update seconds, fresh seconds)
+    real = KeyedFactor.with_part
+
+    def best(build):
+        seconds = []
+        for _ in range(FOLD_REPEATS):
+            start = time.perf_counter()
+            factor = build()
+            factor.argmax_count()
+            seconds.append(time.perf_counter() - start)
+        return factor, min(seconds)
+
+    def timed_with_part(factor, index, part, key):
+        parts = list(factor.parts)
+        parts[index] = part
+        updated, update_seconds = best(lambda: real(factor, index, part, key))
+        fresh, fresh_seconds = best(
+            lambda: KeyedFactor((parts[0], parts[1]), factor.attributes, key)
+        )
+        assert updated._groups[1 - index] is factor._groups[1 - index]
+        assert updated.distinct_count() == fresh.distinct_count()
+        assert updated.total_count() == fresh.total_count()
+        assert updated.argmax_count() == fresh.argmax_count()
+        rounds[-1].append((update_seconds, fresh_seconds))
+        return updated
+
+    def setup():
+        rounds.append([])
+        db = workload.prepare(generate_tpch(SCALES[backend], seed=SEED, backend=backend))
+        session = prepare(workload.query, db, tree=workload.tree)
+        session.sensitivity(skip_relations=workload.skip_relations)
+        table = session._states()[0].multiplicity_table("O")
+        assert isinstance(table.factors[0], KeyedFactor)
+        return (session, _refresh_batches(session.db, np.random.default_rng(SEED))), {}
+
+    def replay(session, batches):
+        for batch in batches:
+            session.apply(batch)
+
+    with pytest.MonkeyPatch.context() as spy:
+        spy.setattr(KeyedFactor, "with_part", timed_with_part)
+        benchmark.pedantic(replay, setup=setup, rounds=ROUNDS, iterations=1)
+
+    assert rounds[-1] and len({len(folds) for folds in rounds}) == 1
+    update_seconds = sum(min(folds[i][0] for folds in rounds) for i in range(len(rounds[-1])))
+    fresh_seconds = sum(min(folds[i][1] for folds in rounds) for i in range(len(rounds[-1])))
+    speedup = fresh_seconds / max(update_seconds, 1e-9)
+    benchmark.extra_info["scale"] = SCALES[backend]
+    benchmark.extra_info["o_table_updates"] = len(rounds[-1])
+    benchmark.extra_info["update_seconds"] = update_seconds
+    benchmark.extra_info["fresh_seconds"] = fresh_seconds
+    benchmark.extra_info["fresh_vs_update_speedup"] = speedup
+
+    if backend == "columnar":
+        # The acceptance bar: a fold updates q3's keyed O table faster
+        # than a fresh factor over the same new parts.
+        assert speedup >= FOLD_SPEEDUP

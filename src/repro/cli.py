@@ -302,7 +302,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
         raise ReproError(f"--params must be a JSON object: {error}") from None
     if not isinstance(params, dict):
         raise ReproError("--params must be a JSON object")
-    if args.tenant is not None:
+    if args.tenant is not None and args.op == "release":
         params.setdefault("tenant", args.tenant)
     with ServeClient(args.host, args.port, timeout=args.timeout) as client:
         payload = client.call(args.op, **params)

@@ -126,8 +126,10 @@ def explain(
     rejects a plan with more than one component); sizes reflect the folded
     structures without recomputing anything the session already holds.
     The profile's local sensitivity and each table's maximum are
-    ``result``'s, so selections and skipped relations count exactly as in
-    the read.  ``seconds`` measures the profiling walk.
+    ``result``'s (a TSens or, on a path query, an Algorithm 1 read: the
+    same tables), so selections and skipped relations count exactly as in
+    the read; tables are listed in body order.  ``seconds`` measures the
+    profiling walk.
     """
     start = time.perf_counter()
     tree = state.tree
@@ -153,7 +155,10 @@ def explain(
         )
 
     tables = []
-    for relation, table in result.tables.items():
+    for relation in query.relation_names:  # body order, whatever read made them
+        table = result.tables.get(relation)
+        if table is None:
+            continue
         sizes = tuple(f.distinct_count() for f in table.factors)
         dense = 1
         for size in sizes:

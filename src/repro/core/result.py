@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.engine.operators import cross_product, group_by, join, join_summary
+from repro.engine.operators import cross_product, group_by, join, join_summary, value_groups
 from repro.engine.relation import Relation, Row
 from repro.exceptions import UnknownAttributeError
 
@@ -60,26 +60,53 @@ class KeyedFactor:
     part.  q3's ``T^O = γ_{CK,OK}(J(gOC)[NK,OK] ⋈ C[NK,CK])`` is one,
     with C unique on CK.
 
-    ``distinct_count``, ``total_count`` and ``argmax_count`` come from one
-    :func:`~repro.engine.operators.join_summary` of the parts, run at
-    construction, so it also raises the columnar overflow the
+    ``distinct_count``, ``total_count`` and ``argmax_count`` come from
+    :func:`~repro.engine.operators.join_summary` over each part's
+    :func:`~repro.engine.operators.value_groups` on the shared attributes,
+    run at construction, so it also raises the columnar overflow the
     materialised join would.  The argmax ties break on the smallest output
     tuple, as a materialised factor's do: per shared value, the smallest
-    peak row of each part.  Reads of single entries (``multiplicities``,
-    ``items``, iteration) materialise the factor once and cache it.
+    peak row of each part.  A batch that moves one part builds the next
+    factor with :meth:`with_part`, which reuses the other part's groups
+    and their decoded peak rows, and regroups the moved part without a
+    sort where it is stored shared-first, as J(gOC) is.
+
+    A lookup (``multiplicities``) joins the looked-up rows with the keyed
+    part, then with the other part, so probes, ``sensitivities_of`` and DP
+    releases never build the factor.  ``items``, iteration and
+    :meth:`materialise` (``MultiplicityTable.dense``) build it once and
+    cache it.
     """
 
-    __slots__ = ("parts", "attributes", "key", "_summary", "_argmax", "_materialised")
+    __slots__ = ("parts", "attributes", "key", "_groups", "_summary", "_argmax", "_materialised")
 
     def __init__(
-        self, parts: Tuple[Relation, Relation], attributes: Sequence[str], key: int
+        self,
+        parts: Tuple[Relation, Relation],
+        attributes: Sequence[str],
+        key: int,
+        groups: Tuple[object, object] = (None, None),
     ):
         self.parts = parts
         self.attributes = tuple(attributes)
         self.key = key
-        self._summary = join_summary(*parts)
+        shared = parts[0].schema.common(parts[1].schema)
+        self._groups = tuple(
+            value_groups(part, shared) if known is None else known
+            for part, known in zip(parts, groups)
+        )
+        self._summary = join_summary(*self._groups)
         self._argmax = self._least_peak_row()
         self._materialised: Optional[Relation] = None
+
+    def with_part(self, index: int, part: Relation, key: int) -> "KeyedFactor":
+        """This factor with ``part`` in place of part ``index``, keyed on
+        part ``key``; the other part's groups, and the peak rows decoded
+        from them, are reused as they are."""
+        parts = list(self.parts)
+        groups = list(self._groups)
+        parts[index], groups[index] = part, None
+        return KeyedFactor((parts[0], parts[1]), self.attributes, key, (groups[0], groups[1]))
 
     def _least_peak_row(self) -> Optional[Row]:
         """The smallest output tuple among the entries of the largest count.
@@ -87,27 +114,28 @@ class KeyedFactor:
         Those entries pair each peak row of one part with each peak row
         of the other at a tied shared value, so the smallest joins, per
         shared value, each part's smallest kept values; the least of
-        those wins."""
+        those wins.  The part holding the factor's first attribute is read
+        first: only the tied values whose least row there leads with the
+        smallest first value can win, so the other part is read at those
+        alone (for q3's O table, at one value)."""
         summary = self._summary
         if summary.best == 0:
             return None
-        shared = self.parts[0].schema.common(self.parts[1].schema)
-        smallest: List[Tuple[Tuple[str, ...], Dict[Row, Row]]] = []
-        for part, peak_rows in zip(self.parts, (summary.left_best, summary.right_best)):
-            on = part.schema.project_positions(shared)
-            kept = tuple(a for a in self.attributes if a in part.schema)
-            at = part.schema.project_positions(kept)
-            least: Dict[Row, Row] = {}
-            for row in peak_rows:
-                value, out = tuple(row[p] for p in on), tuple(row[p] for p in at)
-                if value not in least or out < least[value]:
-                    least[value] = out
-            smallest.append((kept, least))
-        (first_kept, first), (second_kept, second) = smallest
+        lead = 0 if self.attributes[0] in self.parts[0].schema else 1
+        kept = [tuple(a for a in self.attributes if a in part.schema) for part in self.parts]
+        leading = self._groups[lead].least_peak_rows(
+            [pair[lead] for pair in summary.tied], kept[lead]
+        )
+        first = min(row[0] for row in leading)
+        tied = [pair for pair, row in zip(summary.tied, leading) if row[0] == first]
+        rows = [
+            self._groups[side].least_peak_rows([pair[side] for pair in tied], kept[side])
+            for side in (0, 1)
+        ]
         candidates = []
-        for value, out in first.items():
-            assignment = dict(zip(first_kept, out))
-            assignment.update(zip(second_kept, second[value]))
+        for first_out, second_out in zip(*rows):
+            assignment = dict(zip(kept[0], first_out))
+            assignment.update(zip(kept[1], second_out))
             candidates.append(tuple(assignment[a] for a in self.attributes))
         return min(candidates)
 
@@ -130,10 +158,19 @@ class KeyedFactor:
         return self._materialised
 
     def multiplicities(self, rows: Sequence[Sequence[object]]) -> list:
-        return self.materialise().multiplicities(rows)
+        """One count per row over :attr:`attributes`, read through the
+        parts: the distinct looked-up rows joined with the keyed part
+        (which fixes each row's shared value) and then with the other
+        part.  A materialised factor answers from its bag."""
+        if self._materialised is not None:
+            return self._materialised.multiplicities(rows)
+        keyed, other = self.parts[self.key], self.parts[1 - self.key]
+        probe = type(keyed)(self.attributes, dict.fromkeys(map(tuple, rows), 1))
+        found = group_by(join(join(probe, keyed), other), self.attributes)
+        return found.multiplicities(rows)
 
     def multiplicity(self, row: Sequence[object]) -> int:
-        return self.materialise().multiplicity(row)
+        return self.multiplicities([row])[0]
 
     def items(self) -> Iterable[Tuple[Row, int]]:
         return self.materialise().items()

@@ -25,6 +25,7 @@ from repro.engine.operators import (
     join,
     join_all,
     patch,
+    patch_batch,
     project,
     select,
     semijoin,
@@ -53,6 +54,7 @@ __all__ = [
     "join",
     "join_all",
     "patch",
+    "patch_batch",
     "project",
     "reset_vocabulary",
     "select",

@@ -18,18 +18,19 @@ columnar implementations below (`join`, `group_by`, `semijoin`,
 per-tuple versions, only via vectorized kernels:
 
 * joins take one of two paths (see `join`).  When every attribute of
-  the larger operand is a join attribute, or it carries a code-order row
-  key (below) whose leading attributes are exactly the join attributes,
-  the join is a *range search*: the larger side's rows matching one
-  smaller-side row are one run of its row key, found by ``searchsorted``
-  in O(d log n) for ``d`` smaller-side rows against ``n`` larger-side
-  rows (a *lookup* when every attribute is a join attribute, since the
-  side is then unique on the key).  Every other join takes the *sort
-  path*: pack both keys, argsort the smaller one, drop the larger-side
-  keys outside its range, locate each remaining key's match range with
-  ``searchsorted`` and expand the ranges without a Python-level loop.
-  No sort is memoised across joins; the row key cached on the relation
-  is all a join reuses;
+  the larger operand is a join attribute, or it has a code-order row key
+  (below) whose leading attributes are exactly the join attributes, or
+  one attribute of few values followed by them, the join is a *range
+  search*: the larger side's rows matching one smaller-side row are one
+  run of its row key (one run per value of that attribute), found by
+  ``searchsorted`` in O(d log n) for ``d`` smaller-side rows against
+  ``n`` larger-side rows (a *lookup* when every attribute is a join
+  attribute, since the side is then unique on the key).  Every other
+  join takes the *sort path*: pack both keys, argsort the smaller one,
+  drop the larger-side keys outside its range, locate each remaining
+  key's match range with ``searchsorted`` and expand the ranges without
+  a Python-level loop.  No sort is memoised across joins; the row key
+  cached on the relation is all a join reuses;
 * group-by deduplicates with ``np.unique`` on the stacked key columns and
   sums multiplicities with ``np.add.at``;
 * semijoin is an ``np.isin`` mask; union is concatenate + regroup;
@@ -39,10 +40,12 @@ per-tuple versions, only via vectorized kernels:
 
 **Code order.** Every relation built through :func:`_dedupe_sum` — the
 constructor, `group_by`, `union_all` — stores its rows sorted
-lexicographically by their codes, and a patched relation keeps that order
-and carries its packed row key (:class:`_RowKey`), so the next patch
-never re-sorts it and re-packs it only once new values outgrow the key's
-radices.  A rename shares the code arrays and hands the key on.  Only
+lexicographically by their codes and says so (``_ordered``), so its row
+key is packed on first use without a sort (:func:`_row_key_of`); a
+patched relation keeps that order and carries its packed row key
+(:class:`_RowKey`), so the next patch never re-sorts it and re-packs it
+only once new values outgrow the key's radices.  A rename shares the
+code arrays and hands the key on.  Only
 join outputs, and filters or renames of them, are out of code order
 (besides operands re-encoded after :func:`reset_vocabulary`); the first
 patch or lookup join into such a relation sorts it once, and its key is
@@ -336,7 +339,10 @@ def _pack_single(cols: Sequence[np.ndarray]) -> Optional[np.ndarray]:
 def _dedupe_sum(
     codes: Sequence[np.ndarray], mult: np.ndarray
 ) -> Tuple[List[np.ndarray], np.ndarray]:
-    """Group identical code rows, summing multiplicities; drop zero groups."""
+    """Group identical code rows, summing multiplicities; drop zero groups.
+
+    One row is already distinct and in code order, so it is returned as
+    it is (a one-tuple update builds and groups several such deltas)."""
     if mult.size == 0:
         return [c[:0] for c in codes], _EMPTY_INT64
     if not codes:
@@ -344,6 +350,10 @@ def _dedupe_sum(
         if total == 0:
             return [], _EMPTY_INT64
         return [], np.array([total], dtype=np.int64)
+    if mult.size == 1:
+        if mult[0] == 0:
+            return [c[:0] for c in codes], _EMPTY_INT64
+        return list(codes), mult
     if len(codes) == 1:
         uniq, inverse = np.unique(codes[0], return_inverse=True)
         out = [uniq]
@@ -503,7 +513,7 @@ def _keyed(
         key, probe_key = _pack_rows(codes, radices), _probe_key(probes, radices)
     if order is not None:
         key = key[order]
-    elif key.size > 1 and not bool((key[1:] > key[:-1]).all()):
+    elif key.size > 1 and not relation._ordered and not bool((key[1:] > key[:-1]).all()):
         order = np.argsort(key, kind="stable")
         key = key[order]
     row_key = _RowKey(key, order, radices)
@@ -567,7 +577,8 @@ class ColumnarRelation:
 
     __slots__ = (
         "_schema", "_codes", "_mult", "_counts_cache", "_vocab",
-        "_column_values_cache", "_row_key", "_peaks",
+        "_column_values_cache", "_row_key", "_ordered", "_firsts", "_peaks",
+        "_peak_bounds",
     )
 
     def __init__(
@@ -613,7 +624,11 @@ class ColumnarRelation:
         self._vocab = _VOCAB
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
         self._row_key: Optional[_RowKey] = None
+        # _dedupe_sum leaves the rows in code order (see _row_key_of).
+        self._ordered = True
+        self._firsts: Optional[np.ndarray] = None
         self._peaks: Optional[Dict[int, int]] = None
+        self._peak_bounds: Optional[Mapping[int, Tuple[int, int]]] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -630,13 +645,16 @@ class ColumnarRelation:
         mult: np.ndarray,
         deduped: bool = True,
         vocab: Optional[_Vocabulary] = None,
+        ordered: bool = False,
     ) -> "ColumnarRelation":
         """Fast constructor for already-encoded columns (internal).
 
         ``vocab`` is the vocabulary the codes were encoded under; defaults
-        to the current process vocabulary."""
+        to the current process vocabulary.  ``ordered`` says the rows are
+        in code order, as :func:`_dedupe_sum` leaves them."""
         if not deduped:
             codes, mult = _dedupe_sum(codes, mult)
+            ordered = True
         rel = cls.__new__(cls)
         rel._schema = schema
         rel._codes = tuple(codes)
@@ -645,7 +663,10 @@ class ColumnarRelation:
         rel._vocab = vocab if vocab is not None else _VOCAB
         rel._column_values_cache = None
         rel._row_key = None
+        rel._ordered = ordered
+        rel._firsts = None
         rel._peaks = None
+        rel._peak_bounds = None
         return rel
 
     # ------------------------------------------------------------------ basics
@@ -845,6 +866,7 @@ class ColumnarRelation:
                 [c[mask] for c in self._codes],
                 self._mult[mask],
                 vocab=self._vocab,
+                ordered=self._ordered,
             )
         values = self._vocab.values
         decoded = [[values[c] for c in column.tolist()] for column in self._codes]
@@ -858,22 +880,27 @@ class ColumnarRelation:
             [c[mask] for c in self._codes],
             self._mult[mask],
             vocab=self._vocab,
+            ordered=self._ordered,
         )
 
     def rename(self, mapping: Mapping[str, str]) -> "ColumnarRelation":
         """Return the same bag under renamed attributes — O(arity).
 
         The code arrays are shared and keep their positions, so the row
-        key and the column peaks (:func:`max_rows_per_value`) are handed
-        on."""
+        key, the leading column's values, the column peaks and their
+        handed-on bounds (:func:`~repro.engine.operators.max_rows_per_value`)
+        are handed on."""
         new_attrs = [mapping.get(a, a) for a in self._schema.attributes]
         renamed = ColumnarRelation._from_parts(
-            Schema(new_attrs), self._codes, self._mult, vocab=self._vocab
+            Schema(new_attrs), self._codes, self._mult, vocab=self._vocab,
+            ordered=self._ordered,
         )
         renamed._row_key = self._row_key
+        renamed._firsts = self._firsts
         if self._peaks is None:
             self._peaks = {}
         renamed._peaks = self._peaks
+        renamed._peak_bounds = self._peak_bounds
         return renamed
 
     def scale_counts(self, factor: int) -> "ColumnarRelation":
@@ -881,7 +908,8 @@ class ColumnarRelation:
         if factor <= 0:
             raise SchemaError(f"scale factor must be positive, got {factor}")
         return ColumnarRelation._from_parts(
-            self._schema, self._codes, _checked_scale(self._mult, factor), vocab=self._vocab
+            self._schema, self._codes, _checked_scale(self._mult, factor), vocab=self._vocab,
+            ordered=self._ordered,
         )
 
     # ------------------------------------------------------------- comparison
@@ -938,6 +966,29 @@ def _aligned(
     return left, right
 
 
+def _row_key_of(relation: ColumnarRelation) -> Optional[_RowKey]:
+    """``relation``'s cached row key, computed now for a relation stored
+    in code order (an O(n) pack, no sort); ``None`` for a relation out of
+    code order that carries none, or whose rows do not pack in 62 bits."""
+    if relation._row_key is None and relation._ordered and relation._codes:
+        row_key, _ = _keyed(relation, [col[:0] for col in relation._codes], cover=False)
+        return row_key if row_key.radices is not None else None
+    return relation._row_key
+
+
+def _leading_codes(relation: ColumnarRelation) -> np.ndarray:
+    """The distinct codes of ``relation``'s first column, sorted: read off
+    the runs of a relation in code order, memoised, and handed on by
+    :func:`patch` (a superset after a monus)."""
+    if relation._firsts is None:
+        column = relation._codes[0]
+        if relation._ordered:
+            relation._firsts = column[np.flatnonzero(np.diff(column, prepend=-1))]
+        else:
+            relation._firsts = np.unique(column)
+    return relation._firsts
+
+
 def _range_pairs(
     keyed: ColumnarRelation, probe: ColumnarRelation, width: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -952,7 +1003,7 @@ def _range_pairs(
     ``d`` probe rows against ``n`` keyed rows.  When every attribute of
     ``keyed`` is a join attribute, ``s`` is 1, ``keyed`` is unique on the
     key and its key is computed here if it has none; otherwise the caller
-    checked that ``keyed`` already carries one."""
+    checked that :func:`_row_key_of` finds one."""
     columns = [
         probe._codes[probe.schema.index_of(a)] for a in keyed.attributes[:width]
     ]
@@ -961,27 +1012,75 @@ def _range_pairs(
         row_key, probe_key = _keyed(keyed, columns, cover=False)
         pos, found = _search(row_key.key, probe_key)
         pidx, at = np.nonzero(found)[0], pos[found]
-    else:
-        row_key = keyed._row_key
-        probe_key = _probe_key(columns, row_key.radices[:width])
-        span = math.prod(row_key.radices[width:])
-        # A probe key of -1 (codes outside the radices) gets an empty run.
-        start = np.searchsorted(row_key.key, probe_key * span)
-        stop = np.searchsorted(row_key.key, (probe_key + 1) * span)
-        pidx, at = _runs(start, stop)
+        kidx = at if row_key.order is None else row_key.order[at]
+        return kidx, pidx
+    row_key = _row_key_of(keyed)
+    probe_key = _probe_key(columns, row_key.radices[:width])
+    return _run_pairs(row_key, probe_key, np.arange(probe_key.size), width)
+
+
+def _skip_pairs(
+    keyed: ColumnarRelation, probe: ColumnarRelation, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_range_pairs` past a free first attribute: the ``width``
+    attributes of ``keyed`` after its first are exactly the join
+    attributes, so each probe row is searched once per value of the first
+    (:func:`_leading_codes`), which :func:`join` takes only when those
+    searches are few."""
+    row_key = _row_key_of(keyed)
+    radices = row_key.radices
+    columns = [
+        probe._codes[probe.schema.index_of(a)] for a in keyed.attributes[1:1 + width]
+    ]
+    inner = _probe_key(columns, radices[1:1 + width])
+    # Valid probe keys in order, so the searches below run over sorted keys.
+    valid = np.flatnonzero(inner >= 0)
+    valid = valid[np.argsort(inner[valid], kind="stable")]
+    firsts = _leading_codes(keyed)
+    firsts = firsts[firsts < radices[0]]
+    block = math.prod(radices[1:1 + width])
+    probe_key = (firsts[:, None] * block + inner[valid][None, :]).ravel()
+    return _run_pairs(row_key, probe_key, np.tile(valid, firsts.size), 1 + width)
+
+
+def _run_pairs(
+    row_key: _RowKey, probe_key: np.ndarray, probe_rows: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pairs of the row-key rows whose first ``width`` packed codes equal
+    a probe key, with the probe row each probe key came from."""
+    span = math.prod(row_key.radices[width:])
+    # A probe key of -1 (codes outside the radices) gets an empty run.
+    start = np.searchsorted(row_key.key, probe_key * span)
+    stop = np.searchsorted(row_key.key, (probe_key + 1) * span)
+    rows, at = _runs(start, stop)
     kidx = at if row_key.order is None else row_key.order[at]
-    return kidx, pidx
+    return kidx, probe_rows[rows]
 
 
 def _range_searchable(relation: ColumnarRelation, common: Sequence[str]) -> bool:
     """Whether ``relation`` can be range-searched on ``common``: every
-    attribute is a join attribute, or it carries a row key whose leading
-    attributes are exactly the join attributes."""
+    attribute is a join attribute, or it has a row key
+    (:func:`_row_key_of`) whose leading attributes are exactly the join
+    attributes."""
     width = len(common)
     if relation.schema.arity == width:
         return True
     leading = set(relation.attributes[:width])
-    return relation._row_key is not None and leading == set(common)
+    return leading == set(common) and _row_key_of(relation) is not None
+
+
+def _skip_searchable(relation: ColumnarRelation, common: Sequence[str], probes: int) -> bool:
+    """Whether ``relation`` can be range-searched on ``common`` past a
+    free first attribute: its next attributes are exactly the join
+    attributes, it has a row key, and one search per value of the first
+    attribute for each of ``probes`` rows costs under half a scan."""
+    width = len(common)
+    return (
+        relation.attributes[0] not in common
+        and set(relation.attributes[1:1 + width]) == set(common)
+        and _row_key_of(relation) is not None
+        and 2 * _leading_codes(relation).size * probes <= relation._mult.size
+    )
 
 
 def _joined(
@@ -1008,23 +1107,30 @@ def join(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelation:
     """Vectorized natural join multiplying multiplicities (``r̃join``).
 
     The larger operand (the right one on a tie) is range-searched when
-    every attribute of it is a join attribute or its cached row key leads
-    with exactly the join attributes (:func:`_range_pairs`): O(d log n)
-    for ``d`` smaller-side rows against ``n`` larger-side rows.  A
-    maintained relation carries such a key once it has been patched, so a
-    fold's delta joined into it costs its delta.  Every other join sorts
-    the smaller side's key and searches it for the larger side's keys that
-    fall inside its range (:func:`_match_pairs`)."""
+    every attribute of it is a join attribute or it has a row key
+    (:func:`_row_key_of`) that leads with exactly the join attributes
+    (:func:`_range_pairs`): O(d log n) for ``d`` smaller-side rows against
+    ``n`` larger-side rows.  A patched relation carries such a key, and a
+    relation built in code order packs it once, so a fold's delta joined
+    into maintained state costs its delta.  When one attribute of few
+    values comes before the join attributes, as NK before OK in
+    J(gOC)[NK,OK], each smaller-side row is searched once per value of it
+    (:func:`_skip_pairs`).  Every other join sorts the smaller side's key
+    and searches it for the larger side's keys that fall inside its range
+    (:func:`_match_pairs`)."""
     common = left.schema.common(right.schema)
     if not common:
         return cross_product(left, right)
     left, right = _aligned(left, right)
-    larger = right if right._mult.size >= left._mult.size else left
+    larger, smaller = (right, left) if right._mult.size >= left._mult.size else (left, right)
     if _range_searchable(larger, common):
-        if larger is right:
-            ridx, lidx = _range_pairs(right, left, len(common))
-        else:
-            lidx, ridx = _range_pairs(left, right, len(common))
+        pairs = _range_pairs(larger, smaller, len(common))
+    elif _skip_searchable(larger, common, smaller._mult.size):
+        pairs = _skip_pairs(larger, smaller, len(common))
+    else:
+        pairs = None
+    if pairs is not None:
+        lidx, ridx = pairs if larger is left else pairs[::-1]
     else:
         left_key = left.schema.project_positions(common)
         right_key = right.schema.project_positions(common)
@@ -1056,7 +1162,7 @@ def group_by(relation: ColumnarRelation, attributes: Sequence[str]) -> ColumnarR
     positions = relation.schema.project_positions(attributes)
     codes, mult = _dedupe_sum([relation._codes[p] for p in positions], relation._mult)
     return ColumnarRelation._from_parts(
-        Schema(attributes), codes, mult, vocab=relation._vocab
+        Schema(attributes), codes, mult, vocab=relation._vocab, ordered=True
     )
 
 
@@ -1079,7 +1185,7 @@ def semijoin(left: ColumnarRelation, right: ColumnarRelation) -> ColumnarRelatio
     mask = np.isin(lkey, rkey)
     return ColumnarRelation._from_parts(
         left.schema, [c[mask] for c in left._codes], left._mult[mask],
-        vocab=left._vocab,
+        vocab=left._vocab, ordered=left._ordered,
     )
 
 
@@ -1101,7 +1207,7 @@ def union_all(relations: Sequence[ColumnarRelation]) -> ColumnarRelation:
     ]
     mult = np.concatenate([rel._mult for rel in relations])
     codes, mult = _dedupe_sum(codes, mult)
-    return ColumnarRelation._from_parts(schema, codes, mult, vocab=vocab)
+    return ColumnarRelation._from_parts(schema, codes, mult, vocab=vocab, ordered=True)
 
 
 def patch(
@@ -1173,107 +1279,240 @@ def patch(
     if packed:
         key = arrays[-1]
     out = ColumnarRelation._from_parts(
-        relation.schema, codes, new_mult, vocab=relation._vocab
+        relation.schema, codes, new_mult, vocab=relation._vocab, ordered=True
     )
     if row_key.radices is not None:
         out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
+    if relation._firsts is not None:
+        # Values of the leading column: a superset stays valid after a monus.
+        out._firsts = (
+            np.union1d(relation._firsts, delta._codes[0]) if insert else relation._firsts
+        )
     return out
 
 
-class _KeyGroups(NamedTuple):
-    """One operand of :func:`join_summary` grouped on the join key: the
-    sorted distinct keys, each row's group, and per group its row count,
-    exact count sum and largest count."""
+def patch_batch(
+    relation: ColumnarRelation, plus: ColumnarRelation, minus: ColumnarRelation
+) -> ColumnarRelation:
+    """``relation`` with ``plus`` added and ``minus`` taken away by monus,
+    in one pass (vectorized :func:`repro.engine.operators.patch_batch`).
 
-    keys: np.ndarray
-    inverse: np.ndarray
-    rows: np.ndarray
-    sums: np.ndarray
-    peak: np.ndarray
+    Both deltas' rows are found in ``relation``'s code-order key, as
+    :func:`patch` finds one delta's; a ``minus`` row may also take back a
+    row ``plus`` brings.  Each array is written once: the rows that keep
+    a count and ``plus``'s new rows are placed at their sorted positions
+    together, where two patches would copy every changed array twice.
+    """
+    if plus.is_empty():
+        return patch(relation, minus, False)
+    if minus.is_empty():
+        return patch(relation, plus, True)
+    if relation.schema != plus.schema or relation.schema != minus.schema:
+        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {plus.schema}")
+    relation, plus = _aligned(relation, plus)
+    relation, minus = _aligned(relation, minus)
+    row_key, plus_key = _keyed(relation, plus._codes, cover=True) if relation._codes else (None, None)
+    if row_key is None or row_key.radices is None:
+        # A zero-arity bag, or joint ranks, which hold only for their probes.
+        return patch(patch(relation, plus, True), minus, False)
+    minus_key = _probe_key(minus._codes, row_key.radices)
+    key, order = row_key.key, row_key.order
+    codes, mult = list(relation._codes), relation._mult
+    if order is not None:
+        codes, mult = [column[order] for column in codes], mult[order]
+    counts = mult.copy()
+    pos, found = _search(key, plus_key)
+    counts[pos[found]] = _checked_add(counts[pos[found]], plus._mult[found])
+    fresh = np.flatnonzero(~found)
+    fresh = fresh[np.argsort(plus_key[fresh], kind="stable")]
+    fresh_counts = plus._mult[fresh].copy()
+    taken, matched = _search(key, minus_key)
+    counts[taken[matched]] -= minus._mult[matched]
+    rest = np.flatnonzero(~matched)
+    if rest.size and fresh.size:
+        back, hit = _search(plus_key[fresh], minus_key[rest])
+        fresh_counts[back[hit]] -= minus._mult[rest[hit]]
+    kept = np.flatnonzero(counts > 0)
+    live = fresh_counts > 0
+    fresh, fresh_counts = fresh[live], fresh_counts[live]
+    packed = bool(row_key.radices)  # a key array of its own to keep in step
+    if kept.size < counts.size or fresh.size:
+        slots = pos[fresh]
+        old_at = np.arange(kept.size) + np.searchsorted(slots, kept, side="right")
+        new_at = np.searchsorted(kept, slots, side="left") + np.arange(fresh.size)
+        size = kept.size + fresh.size
+
+        def placed(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+            out = np.empty(size, dtype=old.dtype)
+            out[old_at] = old[kept]
+            out[new_at] = new
+            return out
+
+        codes = [placed(column, added[fresh]) for column, added in zip(codes, plus._codes)]
+        counts = placed(counts, fresh_counts)
+        if packed:
+            key = placed(key, plus_key[fresh])
+    out = ColumnarRelation._from_parts(
+        relation.schema, codes, counts, vocab=relation._vocab, ordered=True
+    )
+    out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
+    if relation._firsts is not None:
+        out._firsts = np.union1d(relation._firsts, plus._codes[0])
+    return out
 
 
-def _key_groups(key: np.ndarray, mult: np.ndarray) -> _KeyGroups:
-    keys, inverse = np.unique(key, return_inverse=True)
-    inverse = np.ravel(inverse)
-    peak = np.zeros(keys.size, dtype=np.int64)
-    np.maximum.at(peak, inverse, mult)
-    return _KeyGroups(
-        keys,
-        inverse,
-        np.bincount(inverse, minlength=keys.size),
-        _checked_exact_sums(inverse, mult, keys.size),
-        peak,
+def _run_sums(mult: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Exact count sums of the runs that begin at ``starts``: ``int64``
+    while ``max * count`` bounds every sum, Python ints otherwise."""
+    if int(mult.max()) * mult.size <= _INT64_MAX:
+        return np.add.reduceat(mult, starts)
+    return np.add.reduceat(mult.astype(object), starts)
+
+
+def _in_code_order(relation: ColumnarRelation) -> bool:
+    """Whether ``relation``'s stored rows are known to be in code order:
+    built in it, or carrying a row key that needs no permutation."""
+    return relation._ordered or (
+        relation._row_key is not None and relation._row_key.order is None
     )
 
 
-def _peak_rows(
-    relation: ColumnarRelation, groups: _KeyGroups, tied: np.ndarray
-) -> List[Row]:
-    """Decoded rows of ``relation`` holding the largest count of a tied group."""
-    in_tie = np.zeros(groups.keys.size, dtype=bool)
-    in_tie[tied] = True
-    at = np.nonzero(in_tie[groups.inverse] & (relation._mult == groups.peak[groups.inverse]))[0]
-    values = relation._vocab.values
-    columns = [[values[c] for c in column[at].tolist()] for column in relation._codes]
-    return list(zip(*columns))
+class ValueGroups:
+    """``relation`` grouped on ``attributes``: per distinct value its row
+    count, exact count sum and largest count (vectorized
+    :func:`repro.engine.operators.value_groups`).
+
+    When the stored rows are in code order and ``attributes`` are the
+    leading attributes, as in a patched relation stored shared-first,
+    each value is one run of rows and the groups are read off the run
+    boundaries without a sort; otherwise ``np.unique`` groups them.
+    ``keys`` holds each group's codes, one array per attribute;
+    ``inverse`` each row's group, or ``starts`` each run's first row.  The
+    least peak rows a factor's tie-break asks for are memoised, so groups
+    reused across folds decode them once.
+    """
+
+    __slots__ = (
+        "relation", "attributes", "keys", "inverse", "starts", "rows", "sums",
+        "peak", "_least",
+    )
+
+    def __init__(self, relation: ColumnarRelation, attributes: Sequence[str]):
+        self.relation = relation
+        self.attributes = tuple(attributes)
+        positions = relation.schema.project_positions(attributes)
+        cols = [relation._codes[p] for p in positions]
+        mult = relation._mult
+        self.starts: Optional[np.ndarray] = None
+        self._least: Dict[Tuple[int, Tuple[str, ...]], Row] = {}
+        if mult.size == 0:
+            self.keys = [col[:0] for col in cols]
+            self.inverse = self.rows = self.sums = self.peak = _EMPTY_INT64
+            return
+        if _in_code_order(relation) and sorted(positions) == list(range(len(cols))):
+            change = np.zeros(mult.size, dtype=bool)
+            change[0] = True
+            for col in cols:
+                change[1:] |= col[1:] != col[:-1]
+            starts = np.flatnonzero(change)
+            self.starts = starts
+            self.keys = [col[starts] for col in cols]
+            self.inverse = None  # a group is the run from its start
+            self.rows = np.diff(np.append(starts, mult.size))
+            self.sums = _run_sums(mult, starts)
+            self.peak = np.maximum.reduceat(mult, starts)
+            return
+        packed = cols[0] if len(cols) == 1 else _pack_single(cols)
+        if packed is None:
+            _, first, inverse = np.unique(
+                np.column_stack(cols), axis=0, return_index=True, return_inverse=True
+            )
+        else:
+            _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+        inverse = np.ravel(inverse)
+        self.keys = [col[first] for col in cols]
+        self.inverse = inverse
+        self.rows = np.bincount(inverse, minlength=first.size)
+        self.sums = _checked_exact_sums(inverse, mult, first.size)
+        self.peak = np.zeros(first.size, dtype=np.int64)
+        np.maximum.at(self.peak, inverse, mult)
+
+    def least_peak_rows(self, groups: Sequence[int], kept: Sequence[str]) -> List[Row]:
+        """Per group, the smallest projection onto ``kept`` (under Python
+        tuple order) of the rows holding the group's largest count."""
+        kept = tuple(kept)
+        missing = [g for g in dict.fromkeys(groups) if (g, kept) not in self._least]
+        if missing:
+            relation = self.relation
+            mult = relation._mult
+            if self.starts is not None:
+                # Each group is one run: search it alone.
+                found = []
+                for g in missing:
+                    start = int(self.starts[g])
+                    run = mult[start:start + int(self.rows[g])]
+                    found.append(start + np.flatnonzero(run == self.peak[g]))
+                at = np.concatenate(found)
+                owner = np.repeat(missing, [rows.size for rows in found])
+            else:
+                wanted = np.zeros(self.peak.size, dtype=bool)
+                wanted[missing] = True
+                at = np.flatnonzero(wanted[self.inverse])
+                at = at[mult[at] == self.peak[self.inverse[at]]]
+                owner = self.inverse[at]
+            values = relation._vocab.values
+            columns = [
+                [values[c] for c in relation._codes[p][at].tolist()]
+                for p in relation.schema.project_positions(kept)
+            ]
+            least: Dict[int, Row] = {}
+            for group, row in zip(owner.tolist(), zip(*columns) if kept else [()] * at.size):
+                if group not in least or row < least[group]:
+                    least[group] = row
+            for group in missing:
+                self._least[(group, kept)] = least[group]
+        return [self._least[(g, kept)] for g in groups]
 
 
 def join_summary(
-    left: ColumnarRelation, right: ColumnarRelation
-) -> Tuple[int, int, int, List[Row], List[Row]]:
+    left: ValueGroups, right: ValueGroups
+) -> Tuple[int, int, int, List[Tuple[int, int]]]:
     """Vectorized :func:`repro.engine.operators.join_summary`.
 
-    Each operand is grouped once on the packed join key; a key value with
-    ``l`` and ``r`` rows, count sums ``L`` and ``R`` and largest counts
-    ``ml`` and ``mr`` contributes ``l·r`` rows and ``L·R`` to the total,
-    and its largest product is ``ml·mr``, overflow-checked by
+    The two operands' group keys are matched once; a value with ``l`` and
+    ``r`` rows, count sums ``L`` and ``R`` and largest counts ``ml`` and
+    ``mr`` contributes ``l·r`` rows and ``L·R`` to the total, and its
+    largest product is ``ml·mr``, overflow-checked by
     :func:`_pair_products` exactly as the join checks its pairs."""
-    left, right = _aligned(left, right)
-    if left.is_empty() or right.is_empty():
-        return 0, 0, 0, [], []
-    common = left.schema.common(right.schema)
-    lkey, rkey = _pack_keys(
-        [left._codes[p] for p in left.schema.project_positions(common)],
-        [right._codes[p] for p in right.schema.project_positions(common)],
-    )
-    lgroups, rgroups = _key_groups(lkey, left._mult), _key_groups(rkey, right._mult)
-    _, li, ri = np.intersect1d(
-        lgroups.keys, rgroups.keys, assume_unique=True, return_indices=True
-    )
+    if right.relation._vocab is not left.relation._vocab:
+        right = ValueGroups(_reencode(right.relation, left.relation._vocab), right.attributes)
+    if left.peak.size == 0 or right.peak.size == 0:
+        return 0, 0, 0, []
+    lkey, rkey = _pack_keys(left.keys, right.keys)
+    _, li, ri = np.intersect1d(lkey, rkey, assume_unique=True, return_indices=True)
     if li.size == 0:
-        return 0, 0, 0, [], []
-    rows = int(np.dot(lgroups.rows[li], rgroups.rows[ri]))
+        return 0, 0, 0, []
+    rows = int(np.dot(left.rows[li], right.rows[ri]))
     # One term per shared value, in Python ints: exact past int64.
-    total = sum(
-        a * b for a, b in zip(lgroups.sums[li].tolist(), rgroups.sums[ri].tolist())
-    )
-    products = _pair_products(lgroups.peak[li], rgroups.peak[ri])
+    total = sum(a * b for a, b in zip(left.sums[li].tolist(), right.sums[ri].tolist()))
+    products = _pair_products(left.peak[li], right.peak[ri])
     best = int(products.max())
     tied = products == best
-    return (
-        rows,
-        total,
-        best,
-        _peak_rows(left, lgroups, li[tied]),
-        _peak_rows(right, rgroups, ri[tied]),
-    )
+    return rows, total, best, list(zip(li[tied].tolist(), ri[tied].tolist()))
 
 
-def max_rows_per_value(relation: ColumnarRelation, attributes: Sequence[str]) -> int:
-    """Vectorized ``mcf`` for :func:`repro.engine.operators.join_bound`: each
-    code column's peak, ``bincount(column).max()``, the minimum over the
-    columns.  A relation never changes, so each column's peak is computed
-    once and memoised on it (shared with its renames)."""
-    if relation._mult.size == 0:
-        return 0
-    if relation._peaks is None:
-        relation._peaks = {}
-    peaks = relation._peaks
-    positions = relation.schema.project_positions(attributes)
-    for p in positions:
-        if p not in peaks:
-            peaks[p] = int(np.bincount(relation._codes[p]).max())
-    return min(peaks[p] for p in positions)
+def column_peak(relation: ColumnarRelation, position: int) -> int:
+    """Most rows sharing one code of a column of a non-empty relation:
+    ``bincount`` over the codes when they are dense enough, a sort of the
+    column otherwise (a short column of large codes)."""
+    column = relation._codes[position]
+    if column.size == 1:
+        return 1
+    if int(column.max()) <= 4 * column.size:
+        return int(np.bincount(column).max())
+    ordered = np.sort(column)
+    bounds = np.flatnonzero(ordered[1:] != ordered[:-1])
+    return int(np.diff(bounds, prepend=-1, append=ordered.size - 1).max())
 
 
 def clamp_counts_to_top_k(relation: ColumnarRelation, k: int) -> ColumnarRelation:

@@ -12,9 +12,11 @@ These are the building blocks the paper's algorithms are written in:
   (:func:`join_bound`).
 * :func:`patch` — bag union or monus with a delta, the one way maintained
   state absorbs an update; on columnar relations its cost follows the
-  delta, not the relation.
-* :func:`join_summary` — the row count, total and largest multiplicity of
-  a join, and the rows that reach the largest, without materialising it.
+  delta, not the relation.  :func:`patch_batch` folds a batch's insert
+  and delete deltas of one relation in at once.
+* :func:`value_groups` and :func:`join_summary` — a relation grouped on
+  some attributes, and the row count, total and largest multiplicity of a
+  join read off two such groupings without materialising it.
 * :func:`select`, :func:`project`, :func:`cross_product`, :func:`union_all`,
   :func:`difference` — standard bag operators used by tests, baselines and
   the naive algorithm.
@@ -39,7 +41,7 @@ topjoins/botjoins requires.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine import columnar as _columnar
 from repro.engine.columnar import ColumnarRelation
@@ -117,20 +119,104 @@ def join_all(relations: Sequence[Relation]) -> Relation:
     return result
 
 
+def column_peak(relation: Relation, position: int) -> int:
+    """Most distinct rows of a non-empty ``relation`` sharing one value of
+    the column at ``position``, counted over the whole column (the one
+    place a column's peak is computed)."""
+    if isinstance(relation, ColumnarRelation):
+        return _columnar.column_peak(relation, position)
+    return max(Counter(row[position] for row in relation.counts).values())
+
+
+def _peaks(relation: Relation, positions: Sequence[int]) -> Dict[int, int]:
+    """``relation``'s exact column peaks at ``positions``, each computed
+    once and memoised on it (a relation never changes; renames share the
+    memo)."""
+    if relation._peaks is None:
+        relation._peaks = {}
+    peaks = relation._peaks
+    for p in positions:
+        if p not in peaks:
+            peaks[p] = column_peak(relation, p)
+    return peaks
+
+
 def max_rows_per_value(relation: Relation, attributes: Sequence[str]) -> int:
     """Most distinct rows sharing one value of ``attributes`` (the ``mcf`` of
-    :func:`join_bound`; 0 for an empty relation).
+    :func:`join_bound`; 0 for an empty relation), exact.
 
     Rows sharing a value combination share each of its values, so for a
-    composite key the minimum over its columns is a valid upper bound."""
-    if isinstance(relation, ColumnarRelation):
-        return _columnar.max_rows_per_value(relation, attributes)
+    composite key the minimum over its columns' peaks bounds it; it is 1
+    exactly when some column is unique, which :func:`unique_on` tests."""
     if relation.is_empty():
         return 0
-    return min(
-        max(Counter(row[p] for row in relation.counts).values())
-        for p in relation.schema.project_positions(attributes)
-    )
+    positions = relation.schema.project_positions(attributes)
+    peaks = _peaks(relation, positions)
+    return min(peaks[p] for p in positions)
+
+
+def _peak_range(relation: Relation, position: int) -> Optional[Tuple[int, int]]:
+    """What ``relation`` knows of a column's peak without a scan: the
+    exact peak twice, the ``(low, high)`` bounds :func:`patch` handed on,
+    or ``None``."""
+    if relation._peaks and position in relation._peaks:
+        peak = relation._peaks[position]
+        return peak, peak
+    if relation._peak_bounds:
+        return relation._peak_bounds.get(position)
+    return None
+
+
+def _peak_bound(relation: Relation, attributes: Sequence[str]) -> int:
+    """An upper bound on :func:`max_rows_per_value` for join ordering: per
+    column the exact peak or the bound :func:`patch` handed on, else the
+    exact peak, computed and memoised.  So a join order over maintained
+    relations costs no scan of a patched column."""
+    if relation.is_empty():
+        return 0
+    positions = relation.schema.project_positions(attributes)
+    highs = []
+    for p in positions:
+        known = _peak_range(relation, p)
+        highs.append(_peaks(relation, [p])[p] if known is None else known[1])
+    return min(highs)
+
+
+def unique_on(relation: Relation, attributes: Sequence[str]) -> bool:
+    """Whether some column of ``attributes`` holds a distinct value in
+    every row, i.e. ``max_rows_per_value(relation, attributes) == 1``,
+    exactly.  A column whose handed-on bounds already decide it (a high
+    of 1, or a low of at least 2) is not scanned."""
+    if relation.is_empty():
+        return False
+    for p in relation.schema.project_positions(attributes):
+        low, high = _peak_range(relation, p) or (1, 2)
+        if high == 1:
+            return True
+        if low < 2 and _peaks(relation, [p])[p] == 1:
+            return True
+    return False
+
+
+def _handed_peaks(
+    relation: Relation, plus: Optional[Relation], minus: Optional[Relation]
+) -> Optional[Dict[int, Tuple[int, int]]]:
+    """``(low, high)`` column-peak bounds for ``relation`` with ``plus``
+    added and ``minus`` taken away, for each column whose peak or bounds
+    ``relation`` knows: a value gains at most ``plus``'s rows of it and
+    loses at most ``minus``'s, so the high grows by ``plus``'s peak and
+    the low drops by ``minus``'s.  Columns never asked about stay
+    unknown."""
+    known = {p: _peak_range(relation, p) for p in range(relation.schema.arity)}
+    known = {p: bounds for p, bounds in known.items() if bounds is not None}
+    if not known:
+        return None
+    gained = _peaks(plus, list(known)) if plus is not None and not plus.is_empty() else {}
+    lost = _peaks(minus, list(known)) if minus is not None and not minus.is_empty() else {}
+    return {
+        p: (max(low - lost.get(p, 0), 0), high + gained.get(p, 0))
+        for p, (low, high) in known.items()
+    }
 
 
 def join_bound(left: Relation, right: Relation) -> int:
@@ -139,14 +225,17 @@ def join_bound(left: Relation, right: Relation) -> int:
     Each ``left`` row meets at most ``mcf`` rows of ``right`` on the shared
     key and vice versa, so the join has at most
     ``min(|L|·mcf_R, |R|·mcf_L)`` rows; a cross product has ``|L|·|R|``.
+    The ``mcf`` are upper bounds (:func:`_peak_bound`), and ``mcf_L`` is
+    not asked for when ``|R|`` alone reaches ``|L|·mcf_R`` (``mcf_L`` is at
+    least 1).
     """
     common = left.schema.common(right.schema)
     if not common:
         return left.distinct_count() * right.distinct_count()
-    return min(
-        left.distinct_count() * max_rows_per_value(right, common),
-        right.distinct_count() * max_rows_per_value(left, common),
-    )
+    bound = left.distinct_count() * _peak_bound(right, common)
+    if right.distinct_count() >= bound:
+        return bound
+    return min(bound, right.distinct_count() * _peak_bound(left, common))
 
 
 def next_join(result: Relation, candidates: Sequence[Relation]) -> int:
@@ -166,6 +255,64 @@ def next_join(result: Relation, candidates: Sequence[Relation]) -> int:
     return min(pool, key=lambda i: join_bound(result, candidates[i]))
 
 
+def value_groups(relation: Relation, attributes: Sequence[str]):
+    """``relation`` grouped on ``attributes``: per distinct value its row
+    count, count sum and largest count, and on request the least rows
+    holding that largest count (``least_peak_rows``).
+
+    :func:`join_summary` reads two of them; a caller that keeps one
+    operand across calls keeps its groups.  The columnar groups of a
+    relation stored in code order with ``attributes`` leading need no
+    sort (:class:`~repro.engine.columnar.ValueGroups`)."""
+    if isinstance(relation, ColumnarRelation):
+        return _columnar.ValueGroups(relation, attributes)
+    return _ValueGroups(relation, attributes)
+
+
+class _ValueGroups:
+    """:func:`value_groups` of a python relation; a group is named by its
+    value."""
+
+    __slots__ = ("relation", "attributes", "groups", "_least")
+
+    def __init__(self, relation: Relation, attributes: Sequence[str]):
+        self.relation = relation
+        self.attributes = tuple(attributes)
+        positions = relation.schema.project_positions(attributes)
+        #: value -> [row count, count sum, largest count]
+        self.groups: Dict[Row, List[int]] = {}
+        for row, cnt in relation.items():
+            key = tuple(row[p] for p in positions)
+            group = self.groups.get(key)
+            if group is None:
+                self.groups[key] = [1, cnt, cnt]
+            else:
+                group[0] += 1
+                group[1] += cnt
+                group[2] = max(group[2], cnt)
+        self._least: Dict[Tuple[Row, Tuple[str, ...]], Row] = {}
+
+    def least_peak_rows(self, groups: Sequence[Row], kept: Sequence[str]) -> List[Row]:
+        """Per group, the smallest projection onto ``kept`` of the rows
+        holding the group's largest count."""
+        kept = tuple(kept)
+        missing = {g for g in groups if (g, kept) not in self._least}
+        if missing:
+            schema = self.relation.schema
+            on = schema.project_positions(self.attributes)
+            at = schema.project_positions(kept)
+            least: Dict[Row, Row] = {}
+            for row, cnt in self.relation.items():
+                key = tuple(row[p] for p in on)
+                if key in missing and cnt == self.groups[key][2]:
+                    out = tuple(row[p] for p in at)
+                    if key not in least or out < least[key]:
+                        least[key] = out
+            for key in missing:
+                self._least[(key, kept)] = least[key]
+        return [self._least[(g, kept)] for g in groups]
+
+
 class JoinSummary(NamedTuple):
     """What :func:`join_summary` reports about ``join(left, right)``."""
 
@@ -174,33 +321,35 @@ class JoinSummary(NamedTuple):
     total: int
     #: its largest multiplicity, 0 when it is empty.
     best: int
-    #: the rows of each operand that meet in a join row of multiplicity
-    #: ``best``, in no particular order.
-    left_best: List[Row]
-    right_best: List[Row]
+    #: the shared values whose rows meet in a join row of multiplicity
+    #: ``best``, as ``(left group, right group)`` of the two value groups.
+    tied: List[Tuple[object, object]]
 
 
-def join_summary(left: Relation, right: Relation) -> JoinSummary:
-    """Size, total and peak of ``join(left, right)`` without materialising it.
+def join_summary(left, right) -> JoinSummary:
+    """Size, total and peak of the join of two relations, without
+    materialising it, from their :func:`value_groups` on the attributes
+    they share.
 
-    Both operands are grouped on their common attributes: a value met by
-    ``l`` left and ``r`` right rows, whose counts sum to ``L`` and ``R``
-    and peak at ``ml`` and ``mr``, contributes ``l·r`` join rows, ``L·R``
-    to the total, and rows of count at most ``ml·mr`` — exactly ``ml·mr``
-    for the pairs of peak rows, since counts are positive.  O(|left| +
-    |right|); a columnar product past ``int64`` raises the join's
-    :class:`~repro.exceptions.MultiplicityOverflowError`.
+    A value met by ``l`` left and ``r`` right rows, whose counts sum to
+    ``L`` and ``R`` and peak at ``ml`` and ``mr``, contributes ``l·r``
+    join rows, ``L·R`` to the total, and rows of count at most ``ml·mr``
+    — exactly ``ml·mr`` for the pairs of peak rows, since counts are
+    positive.  O(groups); a columnar product past ``int64`` raises the
+    join's :class:`~repro.exceptions.MultiplicityOverflowError`.
     """
-    common = left.schema.common(right.schema)
-    if not common:
-        raise SchemaError("join_summary needs operands that share an attribute")
-    if _any_columnar(left, right):
-        return JoinSummary(*_columnar.join_summary(_promote(left), _promote(right)))
-    groups = [_value_groups(side, common) for side in (left, right)]
+    if left.attributes != right.attributes or not left.attributes:
+        raise SchemaError("join_summary needs groups on the same shared attributes")
+    if isinstance(left.relation, ColumnarRelation) or isinstance(right.relation, ColumnarRelation):
+        if not isinstance(left, _columnar.ValueGroups):
+            left = _columnar.ValueGroups(_promote(left.relation), left.attributes)
+        if not isinstance(right, _columnar.ValueGroups):
+            right = _columnar.ValueGroups(_promote(right.relation), right.attributes)
+        return JoinSummary(*_columnar.join_summary(left, right))
     rows = total = best = 0
-    tied: Set[Row] = set()
-    for key, (left_rows, left_total, left_peak) in groups[0].items():
-        match = groups[1].get(key)
+    tied: List[Tuple[object, object]] = []
+    for key, (left_rows, left_total, left_peak) in left.groups.items():
+        match = right.groups.get(key)
         if match is None:
             continue
         right_rows, right_total, right_peak = match
@@ -208,48 +357,10 @@ def join_summary(left: Relation, right: Relation) -> JoinSummary:
         total += left_total * right_total
         product = left_peak * right_peak
         if product > best:
-            best, tied = product, {key}
+            best, tied = product, [(key, key)]
         elif product == best:
-            tied.add(key)
-    return JoinSummary(
-        rows,
-        total,
-        best,
-        _peak_rows(left, common, groups[0], tied),
-        _peak_rows(right, common, groups[1], tied),
-    )
-
-
-def _value_groups(relation: Relation, attributes: Sequence[str]) -> Dict[Row, List[int]]:
-    """Per value of ``attributes``: its row count, count sum and largest count."""
-    positions = relation.schema.project_positions(attributes)
-    groups: Dict[Row, List[int]] = {}
-    for row, cnt in relation.items():
-        key = tuple(row[p] for p in positions)
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [1, cnt, cnt]
-        else:
-            group[0] += 1
-            group[1] += cnt
-            group[2] = max(group[2], cnt)
-    return groups
-
-
-def _peak_rows(
-    relation: Relation,
-    attributes: Sequence[str],
-    groups: Mapping[Row, List[int]],
-    tied: Set[Row],
-) -> List[Row]:
-    """Rows of ``relation`` holding the largest count of a tied group."""
-    positions = relation.schema.project_positions(attributes)
-    out = []
-    for row, cnt in relation.items():
-        key = tuple(row[p] for p in positions)
-        if key in tied and cnt == groups[key][2]:
-            out.append(row)
-    return out
+            tied.append((key, key))
+    return JoinSummary(rows, total, best, tied)
 
 
 def cross_product(left: Relation, right: Relation) -> Relation:
@@ -343,19 +454,50 @@ def patch(relation: Relation, delta: Relation, insert: bool) -> Relation:
     delta's rows in ``relation``'s code-order key and copies only the
     arrays it changes; the python backend copies the dict and updates the
     delta's counts, or returns ``relation`` itself when a monus matches
-    no row.
+    no row.  The output carries an upper bound on each column peak that
+    ``relation`` knew (:func:`_handed_peaks`), for :func:`join_bound`.
     """
     if _any_columnar(relation, delta):
-        return _columnar.patch(_promote(relation), _promote(delta), insert)
-    if relation.schema != delta.schema:
-        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
-    if not insert and not any(row in relation.counts for row in delta.counts):
-        return relation
+        out = _columnar.patch(_promote(relation), _promote(delta), insert)
+    else:
+        if relation.schema != delta.schema:
+            raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
+        if not insert and not any(row in relation.counts for row in delta.counts):
+            return relation
+        out = _python_patch(relation, *((delta, None) if insert else (None, delta)))
+    if out is not relation:
+        out._peak_bounds = _handed_peaks(relation, *((delta, None) if insert else (None, delta)))
+    return out
+
+
+def patch_batch(relation: Relation, plus: Relation, minus: Relation) -> Relation:
+    """``relation`` with ``plus`` added and ``minus`` taken away by monus:
+    the batch's deltas of one maintained relation folded in at once.
+
+    The same bag as ``patch(patch(relation, plus, True), minus, False)``
+    when ``minus`` takes away no more copies of a row than ``relation``
+    and ``plus`` hold, as a batch's exact deltas never do (so neither
+    order clips a count at zero).  The columnar kernel writes each array
+    once instead of twice (:func:`~repro.engine.columnar.patch_batch`).
+    """
+    if _any_columnar(relation, plus, minus):
+        out = _columnar.patch_batch(_promote(relation), _promote(plus), _promote(minus))
+    else:
+        if not relation.schema == plus.schema == minus.schema:
+            raise SchemaError(f"patch schema mismatch: {relation.schema} vs {plus.schema}")
+        out = _python_patch(relation, plus, minus)
+    if out is not relation:
+        out._peak_bounds = _handed_peaks(relation, plus, minus)
+    return out
+
+
+def _python_patch(
+    relation: Relation, plus: Optional[Relation], minus: Optional[Relation]
+) -> Relation:
     counts = dict(relation.counts)
-    for row, cnt in delta.items():
-        if insert:
-            counts[row] = counts.get(row, 0) + cnt
-            continue
+    for row, cnt in plus.items() if plus is not None else ():
+        counts[row] = counts.get(row, 0) + cnt
+    for row, cnt in minus.items() if minus is not None else ():
         remaining = counts.get(row, 0) - cnt
         if remaining > 0:
             counts[row] = remaining

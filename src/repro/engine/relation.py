@@ -47,7 +47,7 @@ class Relation:
     2
     """
 
-    __slots__ = ("_schema", "_counts", "_column_values_cache")
+    __slots__ = ("_schema", "_counts", "_column_values_cache", "_peaks", "_peak_bounds")
 
     def __init__(
         self,
@@ -73,6 +73,10 @@ class Relation:
                 counts[row] = counts.get(row, 0) + 1
         self._counts = counts
         self._column_values_cache: Optional[Dict[str, frozenset]] = None
+        # Column peaks and their handed-on bounds, by position
+        # (repro.engine.operators.max_rows_per_value).
+        self._peaks: Optional[Dict[int, int]] = None
+        self._peak_bounds: Optional[Mapping[int, Tuple[int, int]]] = None
 
     def _check_row(self, row: Sequence[object]) -> None:
         if len(row) != self._schema.arity:
@@ -201,9 +205,15 @@ class Relation:
         return Relation._from_counts(self._schema, counts)
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
-        """Return the same bag under renamed attributes."""
+        """Return the same bag under renamed attributes; columns keep their
+        positions, so the column peaks and their bounds are handed on."""
         new_attrs = [mapping.get(a, a) for a in self._schema.attributes]
-        return Relation._from_counts(Schema(new_attrs), dict(self._counts))
+        renamed = Relation._from_counts(Schema(new_attrs), dict(self._counts))
+        if self._peaks is None:
+            self._peaks = {}
+        renamed._peaks = self._peaks
+        renamed._peak_bounds = self._peak_bounds
+        return renamed
 
     def scale_counts(self, factor: int) -> "Relation":
         """Multiply every multiplicity by a positive integer ``factor``."""
@@ -240,6 +250,8 @@ class Relation:
         rel._schema = schema
         rel._counts = counts
         rel._column_values_cache = None
+        rel._peaks = None
+        rel._peak_bounds = None
         return rel
 
 

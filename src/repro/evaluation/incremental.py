@@ -359,6 +359,9 @@ class IncrementalEvaluator:
                     base = _patched_relation(base, delta.relation, rows, insert)
                 works[index].stage_fold(delta.relation, rows, insert, base)
             new_db = new_db.with_relation(delta.relation, base)
+        # ---- the levels and tables every fork's folds left pending
+        for work in works.values():
+            work.commit_pending()
         # ---- commit (nothing below raises)
         for index, work in works.items():
             self._states[index].commit_update_batch(work)

@@ -20,37 +20,47 @@ consistent under committed updates:
   stays put on that path (it is the complement of a subtree holding the
   update) and moves everywhere else; an empty delta ends its branch.
   Every maintained relation — atom, botjoin, topjoin, table factor —
-  absorbs its delta through one engine operator,
-  :func:`~repro.engine.operators.patch`: bag union for inserts, monus
-  for deletes (monus is exact because a delete's delta never exceeds the
-  removed tuples' own contribution).  On the columnar backend a patch
-  locates the delta's rows in the relation's code-order key and copies
-  only the arrays it changes, so it never re-sorts the relation, and the
-  patched relation carries that key, so a later delta joined into it is
-  a range search.  An atom without a selection is never patched itself:
-  a fold binds it from the patched database relation
-  (:meth:`JoinState.stage_fold`), which shares its arrays and key.
-* **GHD nodes** are never materialised as bags.  A step joins its
-  changed input with the node's other atoms once, through
-  :func:`join_aggregate`, keeping only the attributes the node shares
-  with its parent and children.  ``ΔK(v)`` and every ``ΔJ(c)`` of the
-  step start from that one core, so a fold's cost follows the delta.
+  absorbs its deltas through the engine's patches
+  (:func:`~repro.engine.operators.patch`, and
+  :func:`~repro.engine.operators.patch_batch` for a batch's deltas of one
+  relation at once): bag union for inserts, monus for deletes (monus is
+  exact because a delete's delta never exceeds the removed tuples' own
+  contribution).  On the columnar backend a patch locates the delta's
+  rows in the relation's code-order key and copies only the arrays it
+  changes, so it never re-sorts the relation, and the patched relation
+  carries that key, so a later delta joined into it is a range search.
+  An atom without a selection is never patched itself: a fold binds it
+  from the patched database relation (:meth:`JoinState.stage_fold`),
+  which shares its arrays and key.  A fold stages each level's delta;
+  the next read of the level patches it in, and the end of the batch
+  (:meth:`JoinState.commit_pending`) patches every level still pending,
+  once however many of the batch's folds moved it.
+* **GHD nodes** are never materialised as bags.  A node step computes
+  all its outputs — ``ΔK(v)``, every ``ΔJ(c)`` and the factor deltas of
+  the tables of ``v``'s atoms, whose parts are ``v``'s inputs — from one
+  join plan rooted at the changed input's delta (:func:`_step_joins`):
+  each input is joined once per group of outputs that need it, only onto
+  what the delta already reached, so a fold's joins follow the delta.
 * **Multiplicity tables** are stored factored by attribute-connected
   components (the same layout the one-shot algorithm uses).  An update
   changes exactly one input part of each table — the updated atom for
   co-located relations, the path-child botjoin for tables on the path,
   the node's topjoin everywhere else — so only the one factor containing
-  that part is patched (``factor ± γ(Δpart ⋈ other parts)``); all other
-  factors are reused as-is.  Both the cold build and the patch compute
-  ``γ(⋈ parts)`` with :func:`join_aggregate`, which joins in UES-bound
-  order and sums out attributes as soon as nothing later needs them.
+  that part changes (``factor ± γ(Δpart ⋈ other parts)``, the step's
+  factor delta); all other factors are reused as-is.  A cold build
+  computes ``γ(⋈ parts)`` with :func:`join_aggregate`, which joins in
+  UES-bound order and sums out attributes as soon as nothing later
+  needs them; the UES bounds of maintained relations are the column
+  peaks each patch hands on, so ordering a fold's joins scans no
+  maintained column.
 * **Keyed factors** are never materialised.  When a component's two parts
   share exactly the attributes it sums out and one part has at most one
   row per value of its kept attributes, the group sums nothing, and the
   factor is a :class:`~repro.core.result.KeyedFactor` over the parts
-  (:func:`table_factor`).  An update re-forms it over the new part
-  instead of patching it, checks the key again only when the keyed part
-  changed, and materialises it when the key breaks, so a maintained
+  (:func:`table_factor`).  The end of a batch re-forms it over the moved
+  part (:meth:`~repro.core.result.KeyedFactor.with_part`, which reuses
+  the other part's groups), checks the key again only when the keyed
+  part moved, and materialises it when the key breaks, so a maintained
   factor always has the form a cold build over the same parts picks.
 
 Every level below the botjoins is **lazy**: a count-only consumer never
@@ -78,11 +88,14 @@ from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -91,9 +104,11 @@ from repro.engine.operators import (
     group_by,
     join,
     join_all,
-    max_rows_per_value,
     next_join,
     patch,
+    patch_batch,
+    union_all,
+    unique_on,
 )
 from repro.engine.relation import Relation
 from repro.engine.schema import Schema
@@ -123,8 +138,7 @@ def effective_attributes(
     return tuple(v for v in atom.variables if v not in exclusive)
 
 
-@dataclass(frozen=True)
-class _TablePart:
+class _TablePart(NamedTuple):
     """One symbolic input of a multiplicity table, and the name a fold
     gives each level it moves.
 
@@ -278,9 +292,11 @@ def _key_part(
     ``γ_keep(⋈ parts)`` sums nothing when there are exactly two parts,
     they share exactly the attributes it sums out, and one of them has at
     most one row per value of its non-empty kept attributes — the ``mcf``
-    of PostBOUND's UES bound, :func:`max_rows_per_value`, is 1.  ``known``
-    holds the key checks of parts that have not changed since they were
-    made; a known key is taken without checking the other part.
+    of PostBOUND's UES bound, :func:`max_rows_per_value`, is 1, which
+    :func:`unique_on` answers exactly (scanning a column only when the
+    peak bounds a patch handed on do not decide it).  ``known`` holds the
+    key checks of parts that have not changed since they were made; a
+    known key is taken without checking the other part.
     """
     if len(parts) != 2:
         return None
@@ -295,7 +311,7 @@ def _key_part(
         if index in known:
             continue
         kept = [a for a in part.attributes if a not in shared]
-        if kept and max_rows_per_value(part, kept) == 1:
+        if kept and unique_on(part, kept):
             return index
     return None
 
@@ -423,6 +439,9 @@ class JoinState:
         self._topjoins: Optional[Dict[str, Optional[Relation]]] = None
         self._layouts: Dict[str, TableLayout] = {}
         self._tables: Dict[str, MultiplicityTable] = {}
+        # A batch's staged deltas, on its fork only (see commit_pending).
+        self._pending: Dict[_TablePart, Tuple[List[Relation], List[Relation]]] = {}
+        self._moved: Dict[Tuple[str, int], _MovedFactor] = {}
 
     # ------------------------------------------------------------- accessors
     @property
@@ -432,7 +451,7 @@ class JoinState:
     @property
     def count(self) -> int:
         """``|Q(D)|`` for this component, from the root botjoin."""
-        return self.botjoins[self.tree.root].total_count()
+        return self._level(_TablePart("bot", self.tree.root)).total_count()
 
     @property
     def topjoins_materialised(self) -> bool:
@@ -445,6 +464,8 @@ class JoinState:
     def topjoins(self) -> Dict[str, Optional[Relation]]:
         """All topjoins ``J(v)``, built on first use, maintained after."""
         if self._topjoins is None:
+            for part in [part for part in self._pending if part.kind == "bot"]:
+                self._level(part)  # a first build mid-batch reads current botjoins
             # First materialisation from committed botjoins — there is no
             # staged predecessor state for an update to corrupt.
             # repro-lint: disable=R002 -- lazy first build, not an update
@@ -457,8 +478,11 @@ class JoinState:
         return self._layouts[relation]
 
     def _part_value(self, part: _TablePart) -> Relation:
-        topjoins = self.topjoins() if part.kind == "top" else self._topjoins
-        return part_relation(part, self.bound, self.botjoins, topjoins)
+        if part.kind == "top":
+            self.topjoins()
+        if part in self._pending:
+            return self._level(part)
+        return part_relation(part, self.bound, self.botjoins, self._topjoins)
 
     def multiplicity_table(self, relation: str) -> MultiplicityTable:
         """``T^i`` for one relation — built once, patched under updates."""
@@ -486,6 +510,8 @@ class JoinState:
             clone._topjoins = dict(self._topjoins)
         clone._tables = dict(self._tables)
         clone._layouts = dict(self._layouts)
+        clone._pending = {}
+        clone._moved = {}
         return clone
 
     # --------------------------------------------------------------- updates
@@ -493,36 +519,59 @@ class JoinState:
         """Adopt a :meth:`fork` that a batch was staged into
         (:meth:`stage_fold`, once per delta side).
 
-        Rebinds this state's dicts to the fork's, so nothing here raises;
-        the fork must not be used afterwards.  Committed attributes are
-        assigned here, in :meth:`_commit_fold` and in ``__init__`` only
-        (enforced by lint rule R002).
+        The fork's pending deltas are written first
+        (:meth:`commit_pending`, a no-op once ``apply_batch`` ran it), then
+        this state's dicts are rebound to the fork's, which raises
+        nothing; the fork must not be used afterwards.  Committed
+        attributes are assigned in methods named for a commit and in
+        ``__init__`` only (enforced by lint rule R002).
         """
+        work.commit_pending()
         self.bound = work.bound
         self.botjoins = work.botjoins
         self._topjoins = work._topjoins
         self._tables = work._tables
         self._layouts = work._layouts
 
-    def _commit_fold(
-        self,
-        changes: Mapping[_TablePart, Tuple[Relation, Relation]],
-        tables: Mapping[str, MultiplicityTable],
-    ) -> None:
-        """Write one fully staged fold into this state, a batch's fork.
+    def _commit_atom(self, relation: str, new: Relation) -> None:
+        """Write a fold's new atom into this state, a batch's fork."""
+        self.bound.atom_relations[relation] = new
 
-        ``changes`` maps every atom, botjoin and topjoin the fold moved to
-        its delta and new value.  Runs after every read of the fold, so
-        each fold reads the state the previous folds of the batch left.
-        Dict writes only.
-        """
-        for part, (_, new) in changes.items():
-            if part.kind == "atom":
-                self.bound.atom_relations[part.key] = new
-            elif part.kind == "bot":
-                self.botjoins[part.key] = new
-            else:
-                self.topjoins()[part.key] = new
+    def _level(self, part: _TablePart) -> Relation:
+        """A botjoin or topjoin as the batch's folds so far left it: its
+        pending deltas, if any, are written first (:meth:`_commit_level`)."""
+        if part in self._pending:
+            self._commit_level(part)
+        return self.botjoins[part.key] if part.kind == "bot" else self._topjoins[part.key]
+
+    def _commit_level(self, part: _TablePart) -> None:
+        """Patch a level's pending deltas into this fork at once
+        (:func:`~repro.engine.operators.patch_batch`)."""
+        plus, minus = self._pending.pop(part)
+        current = self.botjoins[part.key] if part.kind == "bot" else self._topjoins[part.key]
+        with _overflow_named(part.label):
+            new = patch_batch(current, _union(plus, current), _union(minus, current))
+        if part.kind == "bot":
+            self.botjoins[part.key] = new
+        else:
+            self._topjoins[part.key] = new
+
+    def commit_pending(self) -> None:
+        """Write every level and table the batch's folds left pending into
+        this fork: each level's deltas in one patch, each moved table
+        factor in its final form (:meth:`_moved_factor`).  Fallible (an
+        ``int64`` overflow names the level or table), so
+        :meth:`~repro.evaluation.incremental.IncrementalEvaluator.apply_batch`
+        runs it on every fork before any state adopts its own."""
+        for part in list(self._pending):
+            self._commit_level(part)
+        tables: Dict[str, MultiplicityTable] = {}
+        for (rel, index), moved in self._moved.items():
+            table = tables.get(rel, self._tables[rel])
+            factor = self._moved_factor(rel, index, moved)
+            factors = table.factors[:index] + (factor,) + table.factors[index + 1:]
+            tables[rel] = MultiplicityTable(rel, factors, table.multiplier)
+        self._moved = {}
         self._tables.update(tables)
 
     def stage_fold(
@@ -538,12 +587,15 @@ class JoinState:
         are multilinear in each relation's multiplicity vector, and the
         fold changes at most one input of each derived structure — so the
         whole delta *relation* propagates as a worklist of node steps
-        (:meth:`_node_deltas`).  Each level a step moves is patched,
-        recorded in ``changes``, and queued as the changed input of its
-        reader: a botjoin's parent, a topjoin's own node.  Called on a
-        batch's fork only: every read sees the state after the batch's
-        previous folds, and :meth:`_commit_fold` writes this fold's levels
-        last.
+        (:meth:`_node_deltas`).  Each level a step moves gets its delta
+        staged, and is queued as the changed input of its reader: a
+        botjoin's parent, a topjoin's own node.  A table's parts are the
+        inputs of its relation's node, so that node's step also stages the
+        table's moved factor.  Called on a batch's fork only: a step reads
+        each level with the batch's previous folds patched in
+        (:meth:`_level`), and :meth:`commit_pending` patches the rest at
+        the end of the batch, once per level and table however many folds
+        moved it.
 
         ``base`` is the database relation with this delta already patched
         in.  An atom without a selection is bound from it, a rename that
@@ -556,153 +608,247 @@ class JoinState:
         delta = bound_delta(self.query, relation, rows, type(current))
         if delta.is_empty():
             return
-        # Every level this fold moves: its delta and its new value.
-        changes: Dict[_TablePart, Tuple[Relation, Relation]] = {}
         if relation not in self.query.selections:
             # What ConjunctiveQuery.bound_relation does without a selection.
             new_atom = base.rename(dict(zip(base.attributes, current.attributes)))
         else:
             with _overflow_named(atom.label):
                 new_atom = patch(current, delta, insert)
-        changes[atom] = (delta, new_atom)
         steps = [(tree.node_of_relation(relation), atom, delta)]
         while steps:
             node, changed, delta = steps.pop()
-            for level, level_delta in self._node_deltas(node, changed, delta):
-                with _overflow_named(level.label):
-                    new = patch(self._part_value(level), level_delta, insert)
-                changes[level] = (level_delta, new)
+            for level, level_delta in self._node_deltas(node, changed, delta, insert):
+                plus, minus = self._pending.setdefault(level, ([], []))
+                (plus if insert else minus).append(level_delta)
                 reader = tree.parent(level.key) if level.kind == "bot" else level.key
                 if reader is not None:
                     steps.append((reader, level, level_delta))
-
-        tables: Dict[str, MultiplicityTable] = {}
-        for rel in self._tables:
-            if rel == relation:
-                continue  # T^i excludes R_i itself: unchanged by design
-            patched = self._stage_table_patch(rel, changes, insert)
-            if patched is not None:
-                tables[rel] = patched
-        self._commit_fold(changes, tables)
+        self._commit_atom(relation, new_atom)
 
     def _node_deltas(
-        self, node: str, changed: _TablePart, delta: Relation
+        self, node: str, changed: _TablePart, delta: Relation, insert: bool
     ) -> List[Tuple[_TablePart, Relation]]:
-        """The non-empty level deltas one changed input of ``node`` makes.
+        """The non-empty level deltas one changed input of ``node`` makes;
+        the deltas of the moved factors of the tables of ``node``'s atoms
+        are staged in :attr:`_moved`.
 
         ``changed`` is one of the node's atoms, one child's botjoin or the
-        node's own topjoin, and ``delta`` is its delta.  ``K(node)`` joins
-        the node's atoms with its children's botjoins, and a child's ``J``
-        joins them with ``J(node)`` and that child's siblings' botjoins,
-        so every level ``changed`` feeds shares one core: ``delta`` joined
-        once with the node's other atoms, keeping what the node shares
-        with its parent and children.  The core joined with the other
-        children's botjoins is ``ΔK(node)``, which a change of ``J(node)``
-        does not move.  When topjoins exist, the core joined once with
-        ``J(node)``, then with a child's siblings' botjoins, is that
-        child's ``ΔJ``.  Every other input is read as the fold found it:
-        a fold moves at most one input of each level, and for a delete
-        the pre-fold state is exactly the removed contribution.  An
-        overflow in the core names the first level it feeds.
+        node's own topjoin, and ``delta`` its delta.  Each output of the
+        step is ``delta`` joined with some of the node's other inputs:
+        ``ΔK(node)`` with its atoms and children's botjoins (a change of
+        ``J(node)`` does not move it), a child's ``ΔJ`` with the atoms,
+        ``J(node)`` and that child's siblings' botjoins, and the delta of a
+        materialised table factor whose component holds ``changed`` with
+        that component's other parts.  One plan (:func:`_step_joins`)
+        computes them all, joining each input once per group of outputs
+        that need it and only ever onto what the delta reached, so an L
+        delta at q3's root never meets R or N before K(gOC) has given it
+        NK: every join of the step is at most the delta's size.  T^N's
+        factor, ``γ_NK(ΔL ⋈ K(gOC) ⋈ K(gSP) ⋈ K(gPS))``, feeds T^R's
+        (joined with N) and ``ΔK(root)`` (with N and R).  A keyed factor
+        needs no join: its moved part is recorded for
+        :meth:`_moved_factor`.  Every other input is read as the fold
+        found it: a fold moves at most one input of each level, and for a
+        delete the pre-fold state is exactly the removed contribution.  An
+        overflow in a join names the first output it feeds.
         """
         tree = self.tree
-        children = [c for c in tree.children(node) if _TablePart("bot", c) != changed]
-        if changed.kind == "top":
-            if self._topjoins is None or not children:
-                return []
-            first = _TablePart("top", children[0])
-        else:
-            first = _TablePart("bot", node)
-        others = [
-            self.bound.atom_relation(rel)
-            for rel in tree.node(node).relations
-            if _TablePart("atom", rel) != changed
-        ]
-        keep = set(tree.shared_with_parent(node)).union(
-            *(tree.shared_with_parent(child) for child in tree.children(node))
-        )
-        with _overflow_named(first.label):
-            core = join_aggregate([delta] + others, sorted(keep))
-        if core.is_empty():
-            return []
-        found: List[Tuple[_TablePart, Relation]] = []
+        parts = [_TablePart("atom", rel) for rel in tree.node(node).relations]
+        parts += [_TablePart("bot", child) for child in tree.children(node)]
+        if self._topjoins is not None and self._topjoins[node] is not None:
+            parts.append(_TablePart("top", node))
+        # The changed input is not read: its delta stands in for it.
+        inputs = {
+            part: self.bound.atom_relation(part.key) if part.kind == "atom" else self._level(part)
+            for part in parts
+            if part != changed
+        }
+        targets: List[_Target] = []
         if changed.kind != "top":
-            found.append(self._level_delta(first, core, children))
-        if self._topjoins is not None and children:
-            top = None if changed.kind == "top" else self._topjoins[node]
-            if top is not None:
-                with _overflow_named(_TablePart("top", children[0]).label):
-                    core = join(core, top)
-            for child in children:
-                siblings = [s for s in children if s != child]
-                found.append(self._level_delta(_TablePart("top", child), core, siblings))
-        return [(level, d) for level, d in found if not d.is_empty()]
-
-    def _level_delta(
-        self, level: _TablePart, core: Relation, botjoins: Sequence[str]
-    ) -> Tuple[_TablePart, Relation]:
-        """``level`` and its delta: ``core`` joined with the botjoins of
-        the nodes ``botjoins``, grouped on ``level``'s attributes.
-
-        The joins run left-deep from the core: sibling botjoins may share
-        no attribute (they meet only through the node's atoms), so joined
-        with each other first they would cross-multiply."""
-        keep = sorted(self.tree.shared_with_parent(level.key))
-        with _overflow_named(level.label):
-            joined = join_all([core] + [self.botjoins[n] for n in botjoins])
-            # Rows are distinct: grouping on all of them, in order, sums nothing.
-            return level, joined if list(joined.attributes) == keep else group_by(joined, keep)
-
-    def _stage_table_patch(
-        self,
-        rel: str,
-        changes: Mapping[_TablePart, Tuple[Relation, Relation]],
-        insert: bool,
-    ) -> Optional[MultiplicityTable]:
-        """The patched table for ``rel``, or ``None`` when it is unchanged.
-
-        At most one symbolic part of the table moved in this fold; only
-        the factor containing it changes, and every other factor object is
-        reused untouched.  A materialised factor is patched with ``factor
-        ± γ(Δpart ⋈ other parts)``.  A factor that :func:`_key_part`
-        keeps as a :class:`KeyedFactor` is re-formed over the new part
-        instead: the key of a part that did not change stands, so only a
-        changed part is checked again, and a keyed factor whose key broke
-        is materialised over the new parts.  It reads the fork's factors
-        and parts, which the previous folds of the batch produced.
-        """
-        layout = self.layout(rel)
-        table = self._tables[rel]
-        for index, component in enumerate(layout.components):
-            moved = [i for i, part in enumerate(component.parts) if part in changes]
-            if not moved:
+            targets.append(
+                _Target(
+                    _TablePart("bot", node),
+                    frozenset(part for part in inputs if part.kind != "top"),
+                    tuple(sorted(tree.shared_with_parent(node))),
+                )
+            )
+        if self._topjoins is not None:
+            for child in tree.children(node):
+                botjoin = _TablePart("bot", child)
+                if botjoin != changed:
+                    targets.append(
+                        _Target(
+                            _TablePart("top", child),
+                            frozenset(part for part in inputs if part != botjoin),
+                            tuple(sorted(tree.shared_with_parent(child))),
+                        )
+                    )
+        for rel in tree.node(node).relations:
+            if rel not in self._tables:
                 continue
-            (changed,) = moved
-            part_delta, part_new = changes[component.parts[changed]]
-            parts = [
-                part_new if i == changed else self._part_value(part)
-                for i, part in enumerate(component.parts)
-            ]
-            old = table.factors[index]
-            # What the last form decision learnt about the unchanged part:
-            # a keyed factor's key, or, for a materialised one, no key.
-            if isinstance(old, KeyedFactor):
-                known = {old.key: True} if old.key != changed else {}
+            for index, component in enumerate(self.layout(rel).components):
+                if changed not in component.parts:
+                    continue
+                moved = self._moved.setdefault((rel, index), _MovedFactor(set(), [], []))
+                moved.parts.add(component.parts.index(changed))
+                if not isinstance(self._tables[rel].factors[index], KeyedFactor):
+                    targets.append(
+                        _Target((rel, index), frozenset(component.parts) - {changed}, component.effective)
+                    )
+        found = _step_joins(delta, inputs, targets)
+        levels: List[Tuple[_TablePart, Relation]] = []
+        for target in targets:
+            target_delta = found.get(target.key)
+            if target_delta is None or target_delta.is_empty():
+                continue
+            if isinstance(target.key, _TablePart):
+                levels.append((target.key, target_delta))
             else:
-                known = {i: False for i in range(len(parts)) if i != changed}
-            keep = component.effective
-            with _overflow_named(_table_label(rel, index)):
-                key = _key_part(parts, keep, known)
-                if key is not None:
-                    new_factor: Factor = KeyedFactor((parts[0], parts[1]), keep, key)
-                elif isinstance(old, KeyedFactor):
-                    new_factor = join_aggregate(parts, keep)
-                else:
-                    others = [part for i, part in enumerate(parts) if i != changed]
-                    factor_delta = join_aggregate([part_delta] + others, keep)
-                    if factor_delta.is_empty():
-                        return None
-                    new_factor = patch(old, factor_delta, insert)
-            factors = table.factors[:index] + (new_factor,) + table.factors[index + 1:]
-            return MultiplicityTable(rel, factors, table.multiplier)
-        return None
+                moved = self._moved[target.key]
+                (moved.plus if insert else moved.minus).append(target_delta)
+        return levels
+
+    def _moved_factor(self, rel: str, index: int, moved: "_MovedFactor") -> Factor:
+        """Factor ``index`` of ``rel``'s table after the batch moved some of
+        its parts, over their final values.
+
+        A :class:`KeyedFactor` whose key part did not move keeps its key
+        and regroups only the moved part (:meth:`KeyedFactor.with_part`);
+        one whose key part moved checks the key again and is materialised
+        over the new parts when it broke.  A materialised factor becomes
+        keyed when a moved part now has the key (:func:`_key_part`, which
+        checks only the moved parts), and is otherwise patched with the
+        factor deltas the batch's steps staged, at once.  So a maintained
+        factor always has the form a cold build over the same parts picks.
+        """
+        component = self.layout(rel).components[index]
+        old = self._tables[rel].factors[index]
+        keep = component.effective
+        parts = [self._part_value(part) for part in component.parts]
+        with _overflow_named(_table_label(rel, index)):
+            if isinstance(old, KeyedFactor):
+                if old.key not in moved.parts:
+                    (position,) = moved.parts
+                    return old.with_part(position, parts[position], old.key)
+                key = _key_part(parts, keep, {})
+                if key is None:
+                    return join_aggregate(parts, keep)
+                if len(moved.parts) == 1:
+                    return old.with_part(old.key, parts[old.key], key)
+                return KeyedFactor((parts[0], parts[1]), keep, key)
+            known = {i: False for i in range(len(parts)) if i not in moved.parts}
+            key = _key_part(parts, keep, known)
+            if key is not None:
+                return KeyedFactor((parts[0], parts[1]), keep, key)
+            return patch_batch(old, _union(moved.plus, old), _union(moved.minus, old))
+
+
+@dataclass
+class _MovedFactor:
+    """What a batch's folds did to one table factor: the positions of its
+    moved parts, and a materialised factor's deltas by sign."""
+
+    parts: Set[int]
+    plus: List[Relation]
+    minus: List[Relation]
+
+
+def _union(deltas: Sequence[Relation], like: Relation) -> Relation:
+    """The bag union of ``deltas``, or an empty bag shaped like ``like``."""
+    if not deltas:
+        return type(like)(like.schema, ())
+    return deltas[0] if len(deltas) == 1 else union_all(deltas)
+
+
+@dataclass(frozen=True)
+class _Target:
+    """One output of a node step: the changed input's delta joined with
+    ``inputs`` (other inputs of the node), grouped on ``keep``.  ``key``
+    is the level it moves, or ``(relation, index)`` of a table factor."""
+
+    key: object
+    inputs: FrozenSet[_TablePart]
+    keep: Tuple[str, ...]
+
+    @property
+    def label(self) -> str:
+        """How an overflow in this output's joins names it."""
+        if isinstance(self.key, _TablePart):
+            return self.key.label
+        return _table_label(*self.key)
+
+
+def _step_joins(
+    delta: Relation,
+    inputs: Mapping[_TablePart, Relation],
+    targets: Sequence[_Target],
+) -> Dict[object, Relation]:
+    """Every target of one node step from one join plan, rooted at ``delta``.
+
+    A prefix of joins is shared by every target that needs all of its
+    inputs.  From the current result, the next input joined is one that
+    shares an attribute with it (a cross product only when none does),
+    needed by the most pending targets, the smallest
+    :func:`~repro.engine.operators.join_bound` breaking ties
+    (:func:`~repro.engine.operators.next_join`), then the earliest in the
+    node's input order; the targets that need it take that branch, the
+    others choose again from the same result.  A target whose inputs are
+    all joined is grouped on its ``keep``.  Before a join the result is
+    summed onto what the branch still needs, as :func:`join_aggregate`
+    does, when that grouping was made for an output anyway or the result
+    outgrew the delta (so T^N's ``γ_NK`` is what N joins); a result no
+    larger than the delta is joined as it is.  A branch whose join is
+    empty ends: its targets get no delta.
+    """
+    # Inputs by position, and each target's inputs as a bit mask over them.
+    order = list(inputs)
+    relations = [inputs[part] for part in order]
+    attributes = [set(relation.attributes) for relation in relations]
+    masks = [sum(1 << order.index(part) for part in target.inputs) for target in targets]
+    found: Dict[object, Relation] = {}
+    small = delta.distinct_count()
+
+    def grow(result: Relation, joined: int, group: List[int]) -> None:
+        groupings: Dict[Tuple[str, ...], Relation] = {tuple(result.attributes): result}
+
+        def grouped(attrs: Sequence[str]) -> Relation:
+            # Rows are distinct: grouping on all of them, in order, sums nothing.
+            if tuple(attrs) not in groupings:
+                groupings[tuple(attrs)] = group_by(result, attrs)
+            return groupings[tuple(attrs)]
+
+        pending = []
+        for t in group:
+            if masks[t] == joined:
+                with _overflow_named(targets[t].label):
+                    found[targets[t].key] = grouped(targets[t].keep)
+            else:
+                pending.append(t)
+        have = set(result.attributes)
+        while pending:
+            needs = [sum(masks[t] >> i & 1 for t in pending) for i in range(len(order))]
+            candidates = [i for i, n in enumerate(needs) if n and not joined >> i & 1]
+            connected = [i for i in candidates if have & attributes[i]] or candidates
+            most = max(needs[i] for i in connected)
+            pool = [i for i in connected if needs[i] == most]
+            choice = pool[next_join(result, [relations[i] for i in pool])]
+            branch = [t for t in pending if masks[t] >> choice & 1]
+            pending = [t for t in pending if not masks[t] >> choice & 1]
+            needed = set()
+            for t in branch:
+                needed.update(targets[t].keep)
+                for i in candidates:
+                    if masks[t] >> i & 1:
+                        needed |= attributes[i]
+            kept = tuple(a for a in result.attributes if a in needed)
+            with _overflow_named(targets[branch[0]].label):
+                # Summing out costs a group-by: worth it on a result larger
+                # than the delta, or when an output grouped the same way.
+                summed = kept in groupings or result.distinct_count() > small
+                base = grouped(kept) if summed else result
+                grown = join_all([base, relations[choice]])
+            if not grown.is_empty():
+                grow(grown, joined | 1 << choice, branch)
+
+    grow(delta, 0, list(range(len(targets))))
+    return found

@@ -19,9 +19,12 @@ from repro.workloads.tpch_queries import tpch_workloads
 #: up to 10; pass larger scales explicitly when you have the time budget.
 DEFAULT_SCALES = (0.0001, 0.0003, 0.001, 0.003)
 
-#: q3's GHD node {R,N,L} materialises Nation × Lineitem, which grows 25×
-#: faster than the other queries' intermediates — cap its default scale
-#: (the paper similarly stops q3 early "due to the memory limit issue").
+#: The sweep runs on the python backend (``runner.tpch_database``), where
+#: q3's TSens read (its tables over the Fig. 5a GHD, L skipped) grows far
+#: faster than q1's and q2's: 0.73 s against q1's 0.09 s at 0.003, and
+#: 4.7 s against 0.17 s at 0.01 (seed 0, 2-core host).  The cap keeps a
+#: sweep over larger scales from being all q3 (the paper also stops q3
+#: early, for memory); no node is stored as a bag.
 Q3_MAX_SCALE = 0.003
 
 

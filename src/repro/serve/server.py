@@ -20,7 +20,9 @@ around one maintained :class:`~repro.session.PreparedQuery`:
 The event loop itself does no engine work: requests ``await`` futures
 resolved by the admission/writer threads (or run blocking calls in the
 default executor), so one slow sensitivity computation never stalls
-frame parsing for other connections.  Connections are handled
+frame parsing for other connections.  Each op refuses a frame key it
+does not take with :class:`~repro.exceptions.ProtocolError`, naming the
+keys it takes.  Connections are handled
 request-at-a-time; concurrency — and hence coalescing — comes from many
 connections, which is how real callers (and the bench/property suites)
 drive the server.  Shutdown is graceful: a ``shutdown`` frame (or
@@ -51,6 +53,10 @@ from repro.serve.protocol import (
 )
 from repro.serve.tenants import TenantRegistry
 from repro.session import PreparedQuery
+
+#: Mechanism parameters a ``release`` frame passes through to
+#: :meth:`PreparedQuery.release`.
+_RELEASE_KEYS = ("mechanism", "primary", "ell", "delta", "clamp_nonnegative", "max_threshold")
 
 
 class SessionServer:
@@ -293,6 +299,15 @@ class SessionServer:
             lease.release()
 
     @staticmethod
+    def _known(op: str, params: Dict[str, object], keys: Tuple[str, ...]) -> None:
+        """Refuse a frame key ``op`` does not take (a misspelt
+        ``skip_relations`` would otherwise be ignored)."""
+        for key in params:
+            if key not in keys:
+                takes = f"takes {', '.join(repr(k) for k in keys)}" if keys else "takes no keys"
+                raise ProtocolError(f"{op} takes no {key!r}; it {takes}")
+
+    @staticmethod
     def _skip(params: Dict[str, object]) -> Tuple[str, ...]:
         skip = params.get("skip_relations", ())
         if not isinstance(skip, (list, tuple)) or not all(
@@ -303,10 +318,12 @@ class SessionServer:
 
     # ------------------------------------------------------------- handlers
     async def _op_count(self, params):
+        self._known("count", params, ())
         count, epoch = await self._admit_read("count")
         return {"count": count}, epoch
 
     async def _op_probe(self, params):
+        self._known("probe", params, ("relation", "rows"))
         relation = params.get("relation")
         rows = params.get("rows")
         if not isinstance(relation, str) or not isinstance(rows, list):
@@ -327,6 +344,7 @@ class SessionServer:
             raise ProtocolError(
                 "sensitivity takes no 'top_k'; ask the top_k op with 'k'"
             )
+        self._known("sensitivity", params, ("method", "skip_relations"))
         result, epoch = await self._admit_read(
             "sensitivity",
             method=params.get("method", "auto"),
@@ -335,6 +353,7 @@ class SessionServer:
         return sensitivity_result_to_dict(result), epoch
 
     async def _op_top_k(self, params):
+        self._known("top_k", params, ("k", "skip_relations"))
         k = params.get("k")
         if isinstance(k, bool) or not isinstance(k, int) or k < 1:
             raise ProtocolError("top_k needs a positive integer 'k'")
@@ -344,12 +363,14 @@ class SessionServer:
         return sensitivity_result_to_dict(result), epoch
 
     async def _op_explain(self, params):
+        self._known("explain", params, ("skip_relations",))
         result, epoch = await self._admit_read(
             "explain", skip_relations=self._skip(params)
         )
         return explanation_to_dict(result), epoch
 
     async def _op_release(self, params):
+        self._known("release", params, ("tenant", "epsilon") + _RELEASE_KEYS)
         tenant_id = params.get("tenant")
         if not isinstance(tenant_id, str) or not tenant_id:
             raise TenantError("release needs a non-empty string 'tenant'")
@@ -358,14 +379,7 @@ class SessionServer:
         if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
             raise ProtocolError("release needs a numeric 'epsilon'")
         kwargs: Dict[str, object] = {"accountant": tenant.accountant}
-        for name in (
-            "mechanism",
-            "primary",
-            "ell",
-            "delta",
-            "clamp_nonnegative",
-            "max_threshold",
-        ):
+        for name in _RELEASE_KEYS:
             if name in params:
                 kwargs[name] = params[name]
 
@@ -385,6 +399,7 @@ class SessionServer:
             lease.release()
 
     async def _op_apply(self, params):
+        self._known("apply", params, ("batch",))
         batch = params.get("batch")
         if not isinstance(batch, list):
             raise ProtocolError("apply needs a list 'batch'")
@@ -395,6 +410,7 @@ class SessionServer:
         )
 
     async def _op_stats(self, params):
+        self._known("stats", params, ())
         lease = self.manager.acquire()
         try:
             session_stats = await asyncio.wrap_future(
@@ -415,6 +431,7 @@ class SessionServer:
             lease.release()
 
     async def _op_epoch(self, params):
+        self._known("epoch", params, ())
         head = self.manager.head
         return (
             {
@@ -426,6 +443,7 @@ class SessionServer:
         )
 
     async def _op_shutdown(self, params):
+        self._known("shutdown", params, ())
         return {"shutting_down": True}, None
 
     def __repr__(self) -> str:

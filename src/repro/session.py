@@ -453,16 +453,18 @@ class PreparedQuery:
         Profiles the *maintained* join state: the botjoins/topjoins/tables
         the session already holds (folded under updates) are measured in
         place rather than recomputed.  The local sensitivity and per-table
-        maxima are ``sensitivity(method="tsens")``'s, selections included.
-        A plan of several components raises
-        :class:`~repro.exceptions.QueryStructureError`.
+        maxima are the session's default read's (``sensitivity()``,
+        selections included): a path query's Algorithm 1 read takes them
+        off the same tables as TSens, so the profile reuses that cached
+        read instead of adding a ``tsens`` one.  A plan of several
+        components raises :class:`~repro.exceptions.QueryStructureError`.
         """
         skip = self._skip(skip_relations)
         key = ("explain", skip)
         with self._lock:
             if key not in self._results:
                 state = self._only_state("explain")
-                result = self.sensitivity(method="tsens", skip_relations=skip)
+                result = self.sensitivity(skip_relations=skip)
                 self._results[key] = _explain(self._query, state, result)
             return self._results[key]  # type: ignore[return-value]
 

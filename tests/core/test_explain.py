@@ -30,6 +30,27 @@ class TestExplain:
             assert len(table.factor_sizes) >= 1
             assert table.dense_size_if_materialised >= max(table.factor_sizes)
 
+    @pytest.mark.parametrize("backend", ["python", "columnar"])
+    def test_path_query_profiles_its_cached_read(self, fig3_query, fig3_db, backend):
+        """A path query's default read is Algorithm 1's, off the same
+        tables as TSens, so ``explain`` reuses it: two cached results
+        (the read and the profile), not three, and the profile a fresh
+        session takes from a ``tsens`` read."""
+        from dataclasses import replace
+
+        from repro.core.explain import explain as profile
+
+        db = fig3_db.with_backend(backend)
+        session = prepare(fig3_query, db)
+        assert session.sensitivity().method == "path"
+        report = session.explain()
+        assert session.stats()["cached_results"] == 2
+        fresh = prepare(fig3_query, db)
+        (state,) = fresh._states()
+        expected = profile(fig3_query, state, fresh.sensitivity(method="tsens"))
+        assert replace(report, seconds=0.0) == replace(expected, seconds=0.0)
+        assert [t.relation for t in report.tables] == list(fig3_query.relation_names)
+
     def test_skip_relations(self, fig1_query, fig1_db):
         report = prepare(fig1_query, fig1_db).explain(skip_relations=("R1",))
         assert "R1" not in [t.relation for t in report.tables]

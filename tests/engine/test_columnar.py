@@ -429,3 +429,98 @@ class TestSortCache:
         once = join(left, right)
         again = join(left, right)
         assert symmetric_difference_size(once, again) == 0
+
+
+class TestOneRowDedupe:
+    """A relation of zero or one row skips ``_dedupe_sum``'s grouping: it
+    is already distinct and in code order.  Built by the constructor,
+    ``group_by`` or ``union_all``, it equals the general path in bag and
+    schema on both backends, and in codes and code order on columnar."""
+
+    ROW = ("x", 2**53 + 1, 7)
+
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_constructor(self, count):
+        rows = {self.ROW: count}
+        py, col = both(["A", "B", "C"], rows)
+        assert col.schema == py.schema and dict(col.counts) == dict(py.counts)
+        # The general path: the same row split over two input rows.
+        general = ColumnarRelation(["A", "B", "C"], list(rows) * count) if count else col
+        assert dict(general.counts) == dict(col.counts)
+        assert [c.tolist() for c in col._codes] == [c.tolist() for c in general._codes]
+        assert col._ordered and col.distinct_count() == (1 if count else 0)
+
+    @pytest.mark.parametrize("attributes", [["B"], ["C", "A"], []])
+    def test_group_by(self, attributes):
+        py, col = both(["A", "B", "C"], {self.ROW: 3})
+        expected = group_by(py, attributes)
+        got = group_by(col, attributes)
+        assert got.schema == expected.schema and dict(got.counts) == dict(expected.counts)
+        assert got._ordered
+        empty = group_by(ColumnarRelation(["A", "B", "C"], {}), attributes)
+        assert empty.is_empty() and empty.schema == expected.schema
+
+    def test_union_all(self):
+        py, col = both(["A", "B", "C"], {self.ROW: 2})
+        py_empty, col_empty = both(["A", "B", "C"], {})
+        for parts, reference in (
+            ([col], [py]), ([col, col_empty], [py, py_empty]), ([col_empty], [py_empty])
+        ):
+            got, expected = union_all(parts), union_all(reference)
+            assert got.schema == expected.schema and dict(got.counts) == dict(expected.counts)
+        two = union_all([col, col])
+        assert dict(two.counts) == {self.ROW: 4}
+
+    def test_one_row_patches_and_joins_like_any_relation(self):
+        """Its row key packs without a sort, so it patches and is
+        range-searched like a relation built by the general path."""
+        py, col = both(["A", "B", "C"], {self.ROW: 2})
+        delta = {("y", 1, 1): 1, self.ROW: 1}
+        for relation, kind in ((py, Relation), (col, ColumnarRelation)):
+            out = patch(relation, kind(["A", "B", "C"], delta), True)
+            assert dict(out.counts) == {self.ROW: 3, ("y", 1, 1): 1}
+        probe = ColumnarRelation(["A", "B", "C", "D"], {self.ROW + (0,): 1})
+        assert dict(join(probe, col).counts) == {self.ROW + (0,): 2}
+
+
+class TestValueGroups:
+    """``value_groups`` reads runs off a relation stored in code order
+    with the grouped attributes leading, and groups with ``np.unique``
+    otherwise; both give the python backend's groups and peak rows."""
+
+    ROWS = {("n1", 3, "a"): 2, ("n1", 1, "b"): 2, ("n2", 1, "a"): 1, ("n0", 2, "c"): 5,
+            ("n2", 9, "d"): 1, ("n1", 4, "e"): 1}
+
+    @staticmethod
+    def _groups(groups):
+        from repro.engine.operators import _ValueGroups
+
+        if isinstance(groups, _ValueGroups):
+            return {value: tuple(stats) for value, stats in groups.groups.items()}
+        values = groups.relation._vocab.values
+        keys = zip(*[[values[c] for c in col.tolist()] for col in groups.keys])
+        return {
+            key: (int(r), int(s), int(p))
+            for key, r, s, p in zip(keys, groups.rows, groups.sums, groups.peak)
+        }
+
+    @pytest.mark.parametrize("attributes", [["N"], ["N", "K"]])
+    def test_runs_and_unique_paths_agree(self, attributes):
+        from repro.engine.operators import value_groups
+
+        py, col = both(["N", "K", "V"], self.ROWS)
+        keyed = patch(col, ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}), True)
+        keyed = patch(keyed, ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}), False)
+        shuffled = ColumnarRelation._from_parts(
+            col.schema, [c[::-1] for c in col._codes], col._mult[::-1], vocab=col._vocab
+        )
+        runs, unique = value_groups(keyed, attributes), value_groups(shuffled, attributes)
+        assert runs.starts is not None and unique.starts is None
+        expected = value_groups(py, attributes)
+        assert self._groups(runs) == self._groups(unique) == self._groups(expected)
+        kept = [a for a in ("K", "V") if a not in attributes]
+        for groups in (runs, unique):
+            values = groups.relation._vocab.values
+            keys = list(zip(*[[values[c] for c in col.tolist()] for col in groups.keys]))
+            least = dict(zip(keys, groups.least_peak_rows(list(range(len(keys))), kept)))
+            assert least == {k: expected.least_peak_rows([k], kept)[0] for k in keys}

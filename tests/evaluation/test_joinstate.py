@@ -749,3 +749,138 @@ class TestKeyedTableOnQ3:
         support = factor.distinct_count()
         assert outputs and max(outputs) < support
         assert factor._materialised is None
+
+
+def _warm_q3(backend, scale=0.001):
+    """An evaluator over q3's Fig. 5a plan at TPC-H ``scale`` whose state
+    holds its topjoins and every table a read with L skipped builds."""
+    from repro.datasets.tpch import generate_tpch
+    from repro.workloads.tpch_queries import q3_workload
+
+    workload = q3_workload()
+    db = workload.prepare(generate_tpch(scale, seed=0, backend=backend))
+    evaluator, state = _evaluator(workload.query, workload.tree, db)
+    state.topjoins()
+    for relation in workload.query.relation_names:
+        if relation not in workload.skip_relations:
+            state.multiplicity_table(relation)
+    return workload, evaluator, state
+
+
+def _refresh_batch(db, round_):
+    """A refresh batch in the q3 workload's shape: three orders deleted
+    with their lineitems, three new orders of existing customers, each
+    with two lineitems over existing partsupps."""
+    orders = sorted(db.relation("O").counts)
+    lines = sorted(db.relation("L").counts)
+    partsupps = sorted(db.relation("PS").counts)
+    gone = orders[5 * round_: 5 * round_ + 3]
+    gone_keys = {ok for _, ok in gone}
+    minus_l = {row: db.relation("L").counts[row] for row in lines if row[0] in gone_keys}
+    top = max(ok for _, ok in orders) + 1
+    plus_o, plus_l = {}, {}
+    for i in range(3):
+        ck = orders[(7 * round_ + 11 * i) % len(orders)][0]
+        plus_o[(ck, top + i)] = 1
+        for j in range(2):
+            sk, pk = partsupps[(13 * round_ + 5 * i + j) % len(partsupps)]
+            plus_l[(top + i, sk, pk)] = 1
+    return [
+        RelationDelta("O", plus_o, dict.fromkeys(gone, 1)),
+        RelationDelta("L", plus_l, minus_l),
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestRootStepFollowsTheDelta:
+    def test_every_join_of_the_root_step_is_at_most_the_l_delta(self, backend, monkeypatch):
+        """An L delta shares no attribute with the root's atoms R and N,
+        which once made the root's step start from the cross product
+        ΔL × R ⋈ N (25 rows per L row).  Its one plan now reaches N and R
+        only through K(gOC) and K(gSP), so each join of the step, the T^R
+        and T^N factor deltas included, has at most |ΔL| rows; the folded
+        state still equals a fresh build."""
+        from repro.engine import operators
+        from repro.evaluation import joinstate
+
+        workload, evaluator, state = _warm_q3(backend)
+        db = evaluator.db
+        lines = sorted(db.relation("L").counts)[:40:2]
+        delta = RelationDelta("L", {}, {row: db.relation("L").counts[row] for row in lines})
+        root = workload.tree.root
+        real_step, real_join = joinstate.JoinState._node_deltas, operators.join
+        in_root, sizes = [False], []
+
+        def step(self, node, changed, *args):
+            in_root[0] = node == root and (changed.kind, changed.key) == ("atom", "L")
+            try:
+                return real_step(self, node, changed, *args)
+            finally:
+                in_root[0] = False
+
+        def join(left, right):
+            out = real_join(left, right)
+            if in_root[0]:
+                sizes.append(out.distinct_count())
+            return out
+
+        monkeypatch.setattr(joinstate.JoinState, "_node_deltas", step)
+        monkeypatch.setattr(operators, "join", join)
+        monkeypatch.setattr(joinstate, "join", join)
+        for insert in (False, True):
+            sizes.clear()
+            evaluator.apply_batch(
+                [RelationDelta("L", delta.minus, {}) if insert else delta]
+            )
+            assert sizes and max(sizes) <= len(lines), sizes
+        monkeypatch.undo()
+        fresh = JoinState(workload.query, workload.tree, evaluator.db)
+        assert state.count == fresh.count
+        for relation in state.tables_materialised:
+            assert state.multiplicity_table(relation).argmax() == (
+                fresh.multiplicity_table(relation).argmax()
+            )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestWarmFoldsScanNoMaintainedColumn:
+    def test_join_order_reads_handed_on_peak_bounds(self, backend, monkeypatch):
+        """A patch hands each known column peak on as bounds, so once
+        warm a refresh apply orders its joins without a whole-column peak
+        of any maintained relation (atom, level, database relation): the
+        only peaks it computes are of deltas and fresh join results."""
+        from repro.engine import operators
+
+        workload, evaluator, state = _warm_q3(backend)
+        for round_ in range(2):
+            evaluator.apply_batch(_refresh_batch(evaluator.db, round_))
+        real_bound, real_peak = operators.join_bound, operators.column_peak
+        ordering, scanned = [False], []
+
+        def join_bound(left, right):
+            ordering[0] = True
+            try:
+                return real_bound(left, right)
+            finally:
+                ordering[0] = False
+
+        def column_peak(relation, position):
+            if ordering[0]:
+                scanned.append(relation)
+            return real_peak(relation, position)
+
+        def maintained():
+            db = evaluator.db
+            levels = list(state.bound.atom_relations.values()) + list(state.botjoins.values())
+            levels += [top for top in state.topjoins().values() if top is not None]
+            levels += [db.relation(name) for name in workload.query.relation_names]
+            return {id(level) for level in levels}
+
+        monkeypatch.setattr(operators, "join_bound", join_bound)
+        monkeypatch.setattr(operators, "column_peak", column_peak)
+        for round_ in range(2, 5):
+            before = maintained()
+            evaluator.apply_batch(_refresh_batch(evaluator.db, round_))
+            kept = before | maintained()
+            assert not [rel for rel in scanned if id(rel) in kept]
+            assert all(rel.distinct_count() <= 40 for rel in scanned)

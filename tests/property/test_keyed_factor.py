@@ -7,10 +7,13 @@ On both backends, over random two-part components with and without the
 key, the stored factor must answer exactly as the materialised
 ``join_aggregate(parts, keep)``: argmax value and tie-broken tuple (over
 ints, strings and ints past 2**53), ``distinct_count``, ``total_count``
-and lookups of present and absent keys.  A columnar overflow raises the
-located error the materialised build raises, and folds that break and
-restore the key leave a maintained table equal to a fresh build, in
-values and in form.
+and lookups of present and absent keys, which read through the parts and
+leave the factor unmaterialised.  A columnar overflow raises the located
+error the materialised build raises, in a build and in a fold, which then
+commits nothing.  A fold of either part re-forms the factor over the new
+part, reusing the other part's groups, and folds (one row or several, on
+either part, that break and restore the key) leave a maintained table
+equal to a fresh build, in values and in form.
 """
 
 import itertools
@@ -18,8 +21,8 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.result import KeyedFactor
-from repro.engine import Database, Relation
+from repro.core.result import KeyedFactor, MultiplicityTable
+from repro.engine import Database, Relation, patch
 from repro.engine.columnar import ColumnarRelation
 from repro.evaluation import IncrementalEvaluator, joinstate
 from repro.evaluation.joinstate import JoinState, RelationDelta, join_aggregate, table_factor
@@ -250,3 +253,159 @@ class TestOverflowIsLocated:
         assert keyed == build_error()
         python = JoinState(TRIANGLE, TREE, _database(relations, "python"))
         assert python.multiplicity_table("O").argmax() == ({"CK": 5, "K": 0}, 2**64)
+
+
+# ------------------------------------------------------ lookups and folds
+@st.composite
+def keyed_folds(draw):
+    """A keyed component and a fold of either part: rows of that part's
+    schema inserted, or some of its rows deleted."""
+    parts, keep = draw(components())
+    side = draw(st.integers(0, 1))
+    attrs, rows = parts[side]
+    values = st.sampled_from(sorted({v for _, r in parts for row in r for v in row}, key=repr))
+    insert = draw(st.booleans()) or not rows
+    if insert:
+        delta = draw(
+            st.dictionaries(st.tuples(*[values] * len(attrs)), st.integers(1, 3), min_size=1, max_size=3)
+        )
+    else:
+        chosen = draw(st.lists(st.sampled_from(sorted(rows, key=repr)), min_size=1, unique=True))
+        delta = {row: draw(st.integers(1, rows[row])) for row in chosen}
+    return parts, keep, side, delta, insert
+
+
+def _assert_same_answers(factor, reference):
+    assert factor.attributes == reference.attributes
+    assert factor.argmax_count() == reference.argmax_count()
+    assert factor.distinct_count() == reference.distinct_count()
+    assert factor.total_count() == reference.total_count()
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestKeyedFactorLookups:
+    @given(components())
+    @settings(max_examples=100, deadline=None)
+    @example(PEAK_TIES)
+    @example(BIG_TIES)
+    def test_lookups_read_through_the_parts(self, backend, case):
+        """Present and absent keys answer the materialised factor's
+        counts, and the factor stays unmaterialised."""
+        spec, keep = case
+        parts = [BACKENDS[backend](list(attrs), rows) for attrs, rows in spec]
+        factor = table_factor(parts, keep)
+        if not isinstance(factor, KeyedFactor):
+            return
+        reference = join_aggregate(parts, keep)
+        domain = sorted({v for _, rows in spec for row in rows for v in row}, key=repr)
+        keys = list(itertools.product(domain[:3], repeat=len(keep)))[:12]
+        keys += sorted(reference.counts, key=repr)[:6]
+        assert factor.multiplicities(keys) == reference.multiplicities(keys)
+        assert factor.multiplicity(keys[0]) == reference.multiplicity(keys[0])
+        table = MultiplicityTable("X", (factor,))
+        assignments = [dict(zip(keep, key)) for key in keys]
+        assert table.sensitivities_of(assignments) == reference.multiplicities(keys)
+        assert factor._materialised is None
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestKeyedFactorFolds:
+    @given(keyed_folds())
+    @settings(max_examples=150, deadline=None)
+    def test_patched_factor_equals_a_fresh_one(self, backend, case):
+        """A fold of either part re-forms the factor as a fold does: the
+        unchanged key part keeps the key and its groups; a changed key
+        part is checked again.  The result has the fresh build's form and
+        answers."""
+        spec, keep, side, delta, insert = case
+        kind = BACKENDS[backend]
+        parts = [kind(list(attrs), rows) for attrs, rows in spec]
+        factor = table_factor(parts, keep)
+        if not isinstance(factor, KeyedFactor):
+            return
+        moved = patch(parts[side], kind(list(spec[side][0]), delta), insert)
+        new_parts = [moved if i == side else part for i, part in enumerate(parts)]
+        fresh = table_factor(new_parts, keep)
+        if factor.key != side:
+            folded = factor.with_part(side, moved, factor.key)
+            assert folded._groups[1 - side] is factor._groups[1 - side]
+        else:
+            key = joinstate._key_part(new_parts, keep, {})
+            folded = (
+                join_aggregate(new_parts, keep) if key is None
+                else factor.with_part(side, moved, key)
+            )
+        assert isinstance(folded, KeyedFactor) == isinstance(fresh, KeyedFactor)
+        _assert_same_answers(folded, join_aggregate(new_parts, keep))
+
+
+@st.composite
+def batch_streams(draw):
+    """Signed multi-row batches on the triangle's R (J(g1), the unkeyed
+    part of O's factor) and C (its key part)."""
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        relation = draw(st.sampled_from(["C", "R"]))
+        attrs = TRIANGLE.atom(relation).variables
+        rows = st.tuples(*[st.sampled_from(DOMAIN[a]) for a in attrs])
+        batches.append(
+            (relation, draw(st.dictionaries(rows, st.integers(1, 2), min_size=1, max_size=3)),
+             draw(st.booleans()))
+        )
+    return batches
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+class TestMaintainedKeyedFolds:
+    @given(batch_streams())
+    @settings(max_examples=60, deadline=None)
+    def test_multi_row_folds_on_either_part_match_fresh_build(self, backend, batches):
+        relations = {
+            "R": {(0, 0): 2, (1, 0): 1, (1, 2): 3},
+            "C": {(0, 0): 1, (1, 1): 2, (0, 2): 1},
+            "O": {(0, 0): 1, (1, 2): 2},
+        }
+        evaluator, state = _evaluator(relations, backend)
+        state.topjoins()
+        for relation in TRIANGLE.relation_names:
+            state.multiplicity_table(relation)
+        for relation, rows, insert in batches:
+            current = relations[relation]
+            if not insert:
+                rows = {row: min(cnt, current[row]) for row, cnt in rows.items() if row in current}
+                if not rows:
+                    continue
+            evaluator.apply_batch(
+                [RelationDelta(relation, rows if insert else {}, {} if insert else rows)]
+            )
+            for row, cnt in rows.items():
+                current[row] = current.get(row, 0) + (cnt if insert else -cnt)
+                if not current[row]:
+                    del current[row]
+            fresh = JoinState(TRIANGLE, TREE, _database(relations, backend))
+            assert state.count == fresh.count
+            for name in TRIANGLE.relation_names:
+                _same_table(state.multiplicity_table(name), fresh.multiplicity_table(name))
+
+    def test_fold_overflow_is_located_and_commits_nothing(self, backend):
+        """J(g1) at (K 0, N 0) reaches 2**62 and meets C's count 4 in
+        O's keyed factor: past int64 on columnar, where the count (O joins
+        nothing) does not overflow.  The error names the table and factor
+        and the state keeps every level and table; python answers."""
+        relations = {"R": {(0, 0): 1}, "C": {(0, 5): 4}, "O": {(9, 9): 1}}
+        evaluator, state = _evaluator(relations, backend)
+        state.topjoins()
+        before = {name: state.multiplicity_table(name) for name in TRIANGLE.relation_names}
+        assert isinstance(before["O"].factors[0], KeyedFactor)
+        levels = (dict(state.botjoins), dict(state.topjoins()), dict(state.bound.atom_relations))
+        delta = RelationDelta("R", {(0, 0): 2**62 - 1}, {})
+        if backend == "python":
+            evaluator.apply_batch([delta])
+            assert state.multiplicity_table("O").argmax() == ({"CK": 5, "K": 0}, 2**64)
+            return
+        with pytest.raises(MultiplicityOverflowError) as raised:
+            evaluator.apply_batch([delta])
+        assert str(raised.value).startswith("multiplicity table for 'O', factor 0: ")
+        assert {name: state.multiplicity_table(name) for name in before} == before
+        assert (dict(state.botjoins), dict(state.topjoins()), dict(state.bound.atom_relations)) == levels
+        assert evaluator.db.relation("R").multiplicity((0, 0)) == 1

@@ -1,11 +1,13 @@
 """Property suite for the columnar join's two paths.
 
 When every attribute of the larger operand is a join attribute, or the
-larger operand carries a cached row key whose leading attributes are
-exactly the join attributes, the columnar `join` range-searches the
-smaller operand's key columns in the larger operand's code-order row
-key; every other join sorts the smaller side's key and searches it for
-the larger side's keys inside its range.  Either way the output must
+larger operand has a row key (cached, or packed on first use when it was
+built in code order) whose leading attributes are exactly the join
+attributes, the columnar `join` range-searches the smaller operand's key
+columns in the larger operand's code-order row key, once per value of a
+free first attribute when one of few values comes before them; every
+other join sorts the smaller side's key and searches it for the larger
+side's keys inside its range.  Either way the output must
 equal the python backend's join (schema and counts), and ``join(l, r)``
 must equal ``join(r, l)`` up to attribute order.  Inputs cover a keyed
 larger side with 1–3 key columns in a different column order on each
@@ -17,7 +19,9 @@ radices, and a key past 62 bits, which takes the joint-rank fallback.
 Patched relations of arity ≤4 whose row key leads with 1–2 join
 attributes are range-searched by smaller sides whose keys lie inside,
 overlap or miss their range, including codes past the key's radices,
-repeated join keys and no rows at all; and the sort path's range pruning
+repeated join keys and no rows at all; relations built or patched with
+a free first attribute of 1–3 values are searched past it, and a patch
+hands the first attribute's values on; and the sort path's range pruning
 returns the pairs an unpruned search returns, in the same order.
 """
 
@@ -134,14 +138,15 @@ class TestJoinEqualsPythonBackend:
 class TestKeyedSideOutOfCodeOrder:
     def test_join_output(self):
         """The sort path follows its larger side's row order: here the
-        right operand's, so the output is not in code order.  Used as the
-        keyed side of the next join, it is sorted once for its key."""
+        right operand's, whose join attribute K1 is not its first, so the
+        output is not in code order.  Used as the keyed side of the next
+        join, it is sorted once for its key."""
         reset_vocabulary()
-        left = ColumnarRelation(["K2", "K1"], {(1, 0): 1, (0, 1): 2})
-        right = ColumnarRelation(["K1", "Z"], {(0, 5): 1, (1, 3): 2, (1, 4): 1})
+        left = ColumnarRelation(["K2", "K1"], {(0, 10): 1, (1, 11): 2})
+        right = ColumnarRelation(["Z", "K1"], {(20, 11): 1, (21, 10): 2, (22, 12): 1})
         keyed = join(left, right)
         assert not _in_code_order(keyed)
-        probe = ColumnarRelation(["Z", "K1", "K2"], {(3, 1, 0): 1, (5, 0, 1): 4})
+        probe = ColumnarRelation(["Z", "K1", "K2"], {(20, 11, 1): 1, (21, 10, 0): 4})
         _assert_join_agrees(keyed, probe)
         assert keyed._row_key.order is not None
 
@@ -325,17 +330,26 @@ class TestRangeSearch:
         assert len(searched) == 4 and all(rel is keyed for rel in searched)
 
     def test_unkeyed_larger_side_takes_the_sort_path(self, monkeypatch):
-        """A fresh relation with attributes outside the join key carries
-        no row key, so it is not range-searched; once patched it is."""
+        """A relation out of code order with attributes outside the join
+        key carries no row key, so it is not range-searched; once patched
+        it is.  A relation built in code order (the constructor) packs its
+        key on first use and is range-searched at once."""
         reset_vocabulary()
-        fresh = ColumnarRelation(["K1", "X1"], {(i % 7, i): 1 for i in range(40)})
+        counts = {(i % 7, i): 1 for i in range(40)}
+        unordered = _unordered(("K1", "X1"), counts)
         probe = ColumnarRelation(["K1"], {(3,): 2, (9,): 1})
         searched = _range_searched(monkeypatch)
-        _assert_join_agrees(probe, fresh)
+        _assert_join_agrees(probe, unordered)
         assert searched == []
-        patched = patch(fresh, ColumnarRelation(["K1", "X1"], {(3, 99): 1}), True)
+        patched = patch(unordered, ColumnarRelation(["K1", "X1"], {(3, 99): 1}), True)
         _assert_join_agrees(probe, patched)
         assert searched and all(rel is patched for rel in searched)
+        searched.clear()
+        fresh = ColumnarRelation(["K1", "X1"], counts)
+        assert fresh._row_key is None
+        _assert_join_agrees(probe, fresh)
+        assert searched and all(rel is fresh for rel in searched)
+        assert fresh._row_key is not None and fresh._row_key.order is None
 
     def test_join_attributes_not_leading_take_the_sort_path(self, monkeypatch):
         reset_vocabulary()
@@ -385,3 +399,73 @@ class TestSortPathPruning:
             want = _unpruned_pairs(a, b)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
             assert all(g.dtype == np.int64 for g in got)
+
+
+@st.composite
+def skip_cases(draw):
+    """A relation keyed (F, join attributes..., extras) with few values of
+    F, and a probe over the join attributes plus its own, smaller by
+    enough that one search per F value beats a scan."""
+    join_attrs = ["K1", "K2"][: draw(st.integers(min_value=1, max_value=2))]
+    extras = ["X1"][: draw(st.integers(min_value=0, max_value=1))]
+    attrs = ["F"] + join_attrs + extras
+    firsts = draw(st.integers(min_value=1, max_value=3))
+    rows = {}
+    for i in range(draw(st.integers(min_value=20, max_value=60))):
+        row = [i % firsts] + [draw(st.integers(0, 6)) for _ in attrs[1:]]
+        rows[tuple(row)] = draw(st.integers(1, 3))
+    probe_attrs = draw(st.permutations(join_attrs + ["Y1"][: draw(st.integers(0, 1))]))
+    probe = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 8)] * len(probe_attrs)), st.integers(1, 3), max_size=3
+        )
+    )
+    patched = draw(st.booleans())
+    return tuple(attrs), rows, patched, tuple(probe_attrs), probe
+
+
+class TestSkipSearch:
+    @given(skip_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_same_bag_as_python(self, case):
+        """Past one free leading attribute of few values the larger side is
+        searched once per value of it (``_skip_pairs``), whether it was
+        built in code order or patched; the bag equals the python join."""
+        attrs, rows, patched, probe_attrs, probe_rows = case
+        reset_vocabulary()
+        keyed = ColumnarRelation(list(attrs), rows)
+        if patched:
+            first = next(iter(rows))
+            keyed = patch(keyed, ColumnarRelation(list(attrs), {first: 1}), True)
+        probe = ColumnarRelation(list(probe_attrs), probe_rows)
+        searched = []
+        real = columnar._skip_pairs
+
+        def spy(relation, smaller, width):
+            searched.append(relation)
+            return real(relation, smaller, width)
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(columnar, "_skip_pairs", spy)
+            _assert_join_agrees(probe, keyed)
+            _assert_join_agrees(keyed, probe)
+        if probe.distinct_count() and 2 * len({r[0] for r in rows}) * probe.distinct_count() <= keyed.distinct_count():
+            assert searched and all(rel is keyed for rel in searched)
+
+    def test_leading_values_are_handed_on_by_patch(self):
+        """A patch hands the leading column's values on: a superset after
+        a monus (the searches of a gone value find nothing), the union
+        with the delta's after an insert."""
+        reset_vocabulary()
+        keyed = ColumnarRelation(["F", "K1"], {(f, k): 1 for f in range(3) for k in range(20)})
+        probe = ColumnarRelation(["K1"], {(4,): 1, (19,): 2})
+        _assert_join_agrees(probe, keyed)
+        gone = patch(keyed, ColumnarRelation(["F", "K1"], {(2, k): 1 for k in range(20)}), False)
+        assert gone._firsts is keyed._firsts
+        _assert_join_agrees(probe, gone)
+        grown = patch(gone, ColumnarRelation(["F", "K1"], {(7, 4): 1}), True)
+        decoded = {grown._vocab.values[c] for c in grown._firsts.tolist()}
+        assert decoded == {0, 1, 2, 7}
+        assert dict(join(probe, grown).counts) == {
+            (4, 0): 1, (4, 1): 1, (4, 7): 1, (19, 0): 2, (19, 1): 2,
+        }

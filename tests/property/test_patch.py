@@ -9,7 +9,9 @@ output, rows stored in reverse) and operands encoded under different
 vocabularies.  On columnar the output is in code order and carries its
 key, so patching it again sorts nothing; a sum past ``int64`` raises
 :class:`MultiplicityOverflowError` and a sum of exactly ``2**63 - 1``
-does not.
+does not.  ``patch_batch(r, plus, minus)`` equals an insert patch then a
+monus patch whenever ``minus`` takes away no more than ``r`` and
+``plus`` hold, including rows ``plus`` brings and ``minus`` takes back.
 """
 
 import numpy as np
@@ -141,16 +143,17 @@ class TestColumnarCodeOrder:
         assert _in_code_order(again)
 
     def test_join_output(self, insert):
-        """The smaller join side probes the larger one, so the output
-        follows the larger side's order: here by B, whose codes run
-        against A's whichever of 0 and 1 was encoded first.  The patch
+        """The sort path probes the larger join side with the smaller
+        one, so the output follows the larger side's order: here by B
+        (the right side's join attribute follows one C value), whose codes
+        run against A's whichever of 0 and 1 was encoded first.  The patch
         sorts it once and returns a code-ordered bag."""
         left = ColumnarRelation(["A", "B"], {(1, 0): 1, (0, 1): 2})
-        right = ColumnarRelation(["B", "C"], {(0, 5): 1, (1, 3): 2, (1, 4): 1})
+        right = ColumnarRelation(["C", "B"], {(5, 0): 1, (5, 1): 2, (5, 7): 1})
         joined = join(left, right)
         assert not _in_code_order(joined)
         attrs = joined.attributes
-        delta = {(0, 1, 3): 3, (1, 0, 5): 1, (9, 9, 9): 2}
+        delta = {(0, 1, 5): 3, (1, 0, 5): 1, (9, 9, 9): 2}
         out = patch(joined, ColumnarRelation(list(attrs), delta), insert)
         expected = _reference(attrs, dict(joined.counts), delta, insert)
         assert dict(out.counts) == dict(expected.counts)
@@ -197,3 +200,61 @@ class TestOverflow:
         with pytest.raises(MultiplicityOverflowError):
             patch(r, ColumnarRelation([], {(): 1}), True)
         assert patch(r, ColumnarRelation([], {(): 2**63 - 1}), False).is_empty()
+
+
+@st.composite
+def batch_triples(draw):
+    """(attributes, r, plus, minus) where ``minus`` takes away at most
+    what ``r`` and ``plus`` hold, as a batch's exact deltas do: some of
+    ``plus``'s new rows, some of ``r``'s rows, some rows down to zero."""
+    attrs, r, plus = draw(bag_pairs())
+    held = dict(r)
+    for row, cnt in plus.items():
+        held[row] = held.get(row, 0) + cnt
+    chosen = draw(st.lists(st.sampled_from(sorted(held)), unique=True)) if held else []
+    minus = {row: draw(st.integers(1, held[row])) for row in chosen}
+    return attrs, r, plus, minus
+
+
+BATCH_TAKES_BACK = (("A", "B"), {(0, 1): 2}, {(3, 3): 2, (0, 1): 1}, {(3, 3): 2, (0, 1): 3})
+
+
+@pytest.mark.parametrize("backend", list(BACKENDS))
+class TestPatchBatchEqualsTwoPatches:
+    @given(batch_triples(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(BATCH_TAKES_BACK, False)
+    @example(((), {(): 2}, {(): 1}, {(): 3}), False)
+    def test_same_bag_in_code_order(self, backend, case, unordered):
+        """One pass over both deltas gives the bag of an insert patch then
+        a monus patch; on columnar in code order, keyed, patchable again."""
+        from repro.engine import patch_batch
+
+        attrs, r, plus, minus = case
+        make = BACKENDS[backend]
+        base = _unordered(attrs, r) if unordered and backend == "columnar" and attrs else make(list(attrs), r)
+        out = patch_batch(base, make(list(attrs), plus), make(list(attrs), minus))
+        expected = patch(
+            patch(Relation(list(attrs), r), Relation(list(attrs), plus), True),
+            Relation(list(attrs), minus), False,
+        )
+        assert out.schema == expected.schema and dict(out.counts) == dict(expected.counts)
+        if backend == "columnar" and attrs and (plus or minus):
+            assert _in_code_order(out) and out._row_key.order is None
+            again = patch(out, ColumnarRelation(list(attrs), plus), True)
+            assert dict(again.counts) == dict(
+                union_all([expected, Relation(list(attrs), plus)]).counts
+            )
+
+    def test_overflow_raises_on_columnar(self, backend):
+        attrs = ["A"]
+        make = BACKENDS[backend]
+        from repro.engine import patch_batch
+
+        base = make(attrs, {(1,): 2**62, (2,): 1})
+        plus, minus = make(attrs, {(1,): 2**62}), make(attrs, {(2,): 1})
+        if backend == "python":
+            assert dict(patch_batch(base, plus, minus).counts) == {(1,): 2**63}
+            return
+        with pytest.raises(MultiplicityOverflowError):
+            patch_batch(base, plus, minus)

@@ -140,6 +140,43 @@ class TestErrors:
         with pytest.raises(UnknownRelationError, match="Nope"):
             client.call(op, skip_relations=["Nope"], **params)
 
+    def test_unknown_frame_keys_are_refused(self, client):
+        """A misspelt ``skip_relations`` (``skip``) used to answer S's
+        unskipped witness; every op now names the key it does not take
+        and the keys it does."""
+        assert client.sensitivity(skip_relations=["S"])["local_sensitivity"] == 1
+        with pytest.raises(ProtocolError, match="sensitivity takes no 'skip'") as raised:
+            client.call("sensitivity", skip=["S"])
+        assert "'method', 'skip_relations'" in str(raised.value)
+        for op, params in [
+            ("count", {"skip_relations": []}),
+            ("probe", {"relation": "S", "rows": [[2, 4]], "row": [2, 4]}),
+            ("top_k", {"k": 2, "skip": ["S"]}),
+            ("explain", {"skip": ["S"]}),
+            ("release", {"epsilon": 0.5, "primary": "R", "ell": 5, "mechanisms": "tsensdp"}),
+            ("apply", {"batch": [], "atomic": True}),
+            ("stats", {"verbose": True}),
+            ("epoch", {"since": 3}),
+        ]:
+            with pytest.raises(ProtocolError, match=f"^{op} takes no "):
+                client.call(op, **params)
+        assert client.count() == 2
+        assert client.epoch()["epoch"] == 0
+
+    def test_every_client_method_round_trips(self, client):
+        assert client.count() == 2
+        assert client.probe("S", [(2, 4)]) == [2]
+        assert client.sensitivity(method="tsens", skip_relations=["S"])["local_sensitivity"] == 1
+        assert client.top_k(2, skip_relations=["S"])["method"] == "tsens-top2"
+        assert client.explain(skip_relations=["S"])["local_sensitivity"] == 1
+        outcome = client.release(0.5, mechanism="tsensdp", primary="R", ell=5, delta=1e-6)
+        assert outcome["true_count"] == 2
+        assert client.insert("S", (2, 5)) == 4
+        assert client.delete("S", (2, 5)) == 2
+        assert client.apply([("insert", "R", (9, 2))])["count"] == 3
+        assert client.stats()["session"]["relation_cardinalities"]["R"] == 3
+        assert client.epoch()["epoch"] == 3
+
     def test_release_without_tenant(self, server):
         with ServeClient(server.host, server.port) as anonymous:
             with pytest.raises(ServeError):
