@@ -1332,20 +1332,24 @@ def patch_batch(
     if rest.size and fresh.size:
         back, hit = _search(plus_key[fresh], minus_key[rest])
         fresh_counts[back[hit]] -= minus._mult[rest[hit]]
-    kept = np.flatnonzero(counts > 0)
+    kept = counts > 0
+    gone = np.flatnonzero(~kept)
     live = fresh_counts > 0
     fresh, fresh_counts = fresh[live], fresh_counts[live]
     packed = bool(row_key.radices)  # a key array of its own to keep in step
-    if kept.size < counts.size or fresh.size:
+    if gone.size or fresh.size:
         slots = pos[fresh]
-        old_at = np.arange(kept.size) + np.searchsorted(slots, kept, side="right")
-        new_at = np.searchsorted(kept, slots, side="left") + np.arange(fresh.size)
-        size = kept.size + fresh.size
+        size = counts.size - gone.size + fresh.size
+        # A new row lands past the kept rows before its slot and the new
+        # rows before it; one mask then places every array.
+        new = np.zeros(size, dtype=bool)
+        new[slots - np.searchsorted(gone, slots) + np.arange(fresh.size)] = True
+        old = ~new
 
-        def placed(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-            out = np.empty(size, dtype=old.dtype)
-            out[old_at] = old[kept]
-            out[new_at] = new
+        def placed(column: np.ndarray, added: np.ndarray) -> np.ndarray:
+            out = np.empty(size, dtype=column.dtype)
+            out[new] = added
+            out[old] = column[kept] if gone.size else column
             return out
 
         codes = [placed(column, added[fresh]) for column, added in zip(codes, plus._codes)]
