@@ -69,7 +69,7 @@ import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.engine.database import Database
-from repro.engine.operators import group_by, join, patch, patch_batch
+from repro.engine.operators import group_by, join, patch
 from repro.engine.relation import Row
 from repro.evaluation.joinstate import JoinState, RelationDelta, _overflow_named
 from repro.query.conjunctive import ConjunctiveQuery
@@ -132,34 +132,26 @@ def compact_updates(
     return deltas
 
 
-def _patched_relation(
-    base, relation: str, plus: Mapping[Row, int], minus: Mapping[Row, int]
-):
-    """``base`` with both sides of ``relation``'s delta folded in.
+def _patched_relation(base, relation: str, rows: Mapping[Row, int], insert: bool):
+    """``base`` with one side of ``relation``'s delta folded in.
 
-    One :func:`~repro.engine.operators.patch` of a one-sided delta, or
-    :func:`~repro.engine.operators.patch_batch` of both sides, whatever
-    its size — on the columnar backend the database relation's rows stay
-    in code order and the patch costs a lookup of the delta rows plus one
-    copy of the arrays it changes.
+    One :func:`~repro.engine.operators.patch`, whatever its size — on the
+    columnar backend the database relation's rows stay in code order and
+    the patch costs a lookup of the delta rows plus a copy of the arrays
+    it changes.
 
-    The monus drops exactly the minus side's total count if and only if
-    no row loses more copies than ``base`` holds (the sides of a
-    compacted delta share no row), so that comparison is the over-delete
-    guard; the rows are looked up only to name the offending one.
+    The monus drops exactly the side's total count if and only if no row
+    loses more copies than ``base`` holds, so that comparison is the
+    over-delete guard; the rows are looked up only to name the offending
+    one.
     """
-    kind = type(base)
-    if plus and minus:
-        patched = patch_batch(base, kind(base.schema, dict(plus)), kind(base.schema, dict(minus)))
-    else:
-        patched = patch(base, kind(base.schema, dict(plus or minus)), bool(plus))
-    added = sum(plus.values())
-    if minus and base.total_count() + added - patched.total_count() != sum(minus.values()):
-        deleted = list(minus)
+    patched = patch(base, type(base)(base.schema, dict(rows)), insert)
+    if not insert and base.total_count() - patched.total_count() != sum(rows.values()):
+        deleted = list(rows)
         for row, available in zip(deleted, base.multiplicities(deleted)):
-            if minus[row] > available:
+            if rows[row] > available:
                 raise SessionError(
-                    f"delta deletes {minus[row]} of {row!r} from "
+                    f"delta deletes {rows[row]} of {row!r} from "
                     f"{relation!r} but only {available} exist; "
                     "compact the update stream against the current "
                     "database first"
@@ -328,12 +320,10 @@ class IncrementalEvaluator:
 
         The batch folds into every maintained structure in one vectorized
         pass per touched relation side: each database relation takes one
-        :func:`~repro.engine.operators.patch` (``patch_batch`` when both
-        sides are there), and each side folds into a fork of the touched
-        component's :class:`JoinState` (:meth:`JoinState.stage_fold`),
-        which binds the atom from the patched relation and stages every
-        derived level's delta, patched in once at the end of the batch
-        (:meth:`JoinState.commit_pending`).
+        :func:`~repro.engine.operators.patch` per side, and that side
+        folds into a fork of the touched component's :class:`JoinState`
+        (:meth:`JoinState.stage_fold`), which binds the atom from the
+        patched relation and patches every derived level the same way.
         An ``int64`` overflow names the structure it hit (``relation
         'R'`` for the database relation itself).
         Validation and every fallible step (including columnar ``int64``
@@ -353,22 +343,20 @@ class IncrementalEvaluator:
             self._check_probe_arity(
                 state, delta.relation, list(delta.plus) + list(delta.minus)
             )
-        # ---- stage (all fallible, over-deletes too): a delta patches its
-        # database relation once, then each side folds into a fork of its
-        # component's join state, which binds the atom from that patch
+        # ---- stage (all fallible, over-deletes too): each side of a
+        # delta patches its database relation once, then folds into a
+        # fork of its component's join state, which binds the atom from
+        # that patch
         new_db = self._db
         works: Dict[int, JoinState] = {}
         for delta in deltas:
             index = self._component_of[delta.relation]
             if index not in works:
                 works[index] = self._states[index].fork()
-            with _overflow_named(f"relation {delta.relation!r}"):
-                base = _patched_relation(
-                    new_db.relation(delta.relation), delta.relation, delta.plus, delta.minus
-                )
+            base = new_db.relation(delta.relation)
             for rows, insert in delta.sides():
-                # Nothing reads the atom between the two sides' folds, so
-                # both bind it from the relation with the whole delta in.
+                with _overflow_named(f"relation {delta.relation!r}"):
+                    base = _patched_relation(base, delta.relation, rows, insert)
                 works[index].stage_fold(delta.relation, rows, insert, base)
             new_db = new_db.with_relation(delta.relation, base)
         # ---- the levels and tables every fork's folds left pending
