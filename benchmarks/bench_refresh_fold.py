@@ -11,12 +11,14 @@ delta rows in the relation's code-order key and copies only the arrays it
 changes.  Before, a fold concatenated and regrouped the whole relation
 (``union_all``) or matched it whole against the delta (monus).
 
-The bench times every patch call the folds make, then runs the
-whole-relation reference on the same ``(relation, delta, insert)``
-inputs: ``union_all`` for inserts and, for deletes, the monus kernel
-``difference`` ran before it became the delete side of ``patch``.  It
-asserts that the two agree on every input, and on columnar that the
-inputs on relations of ≥100k rows patch ≥3× faster than the reference.
+The bench times every patch call the folds make — a batch's one patch of
+each database relation, a selected atom's patches, and each level's and
+table factor's one patch at the end of the batch — then runs the
+whole-relation reference on the same ``(relation, plus, minus)`` inputs:
+``union_all`` with ``plus``, then the monus kernel ``difference`` ran
+before it became the minus side of ``patch``.  It asserts that the two
+agree on every input, and on columnar that the inputs on relations of
+≥100k rows patch ≥3× faster than the reference.
 That gate runs at TPC-H 0.02, where Lineitem (~120k rows), the topjoin
 J(gOC) and the botjoin K(gSP) cross 100k rows.  At 0.005 only q3's O
 table factor did, and it is now kept as its two parts (a keyed factor)
@@ -134,8 +136,14 @@ def _whole_relation_monus(left, right):
     return Relation._from_counts(left.schema, counts)
 
 
-def _reference(relation, delta, insert):
-    return union_all([relation, delta]) if insert else _whole_relation_monus(relation, delta)
+def _reference(relation, plus, minus):
+    """``(relation ⊎ plus) ∸ minus`` by whole relations: ``union_all``,
+    then :func:`_whole_relation_monus`."""
+    if plus is not None:
+        relation = union_all([relation, plus])
+    if minus is not None:
+        relation = _whole_relation_monus(relation, minus)
+    return relation
 
 
 def _keyed_side(left, right):
@@ -198,10 +206,10 @@ def test_refresh_fold_patch_vs_union(benchmark, backend):
     gate reads the per-call timings."""
     rounds = []  # per round: (relation rows, patch seconds, reference seconds)
 
-    def checked_patch(relation, delta, insert):
-        out, seconds = _seconds(patch, relation, delta, insert)
-        expected, reference = _seconds(_reference, relation, delta, insert)
-        assert _same_bag(out, expected), (relation.attributes, insert)
+    def checked_patch(relation, plus=None, minus=None):
+        out, seconds = _seconds(patch, relation, plus, minus)
+        expected, reference = _seconds(_reference, relation, plus, minus)
+        assert _same_bag(out, expected), relation.attributes
         rounds[-1].append((relation.distinct_count(), seconds, reference))
         return out
 

@@ -119,7 +119,7 @@ def _truncate_by_frequency(
     over = type(relation)(
         attributes, [key for key, freq in groups.items() if freq > threshold]
     )
-    return patch(relation, semijoin(relation, over), False)
+    return patch(relation, minus=semijoin(relation, over))
 
 
 def run_privsql(

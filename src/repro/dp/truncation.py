@@ -83,7 +83,7 @@ def _truncated(
     over = type(base)(
         base.schema, [row for row, level in sensitivities.items() if level > threshold]
     )
-    return db.with_relation(primary, patch(base, semijoin(base, over), False))
+    return db.with_relation(primary, patch(base, minus=semijoin(base, over)))
 
 
 class TruncationOracle:

@@ -25,7 +25,6 @@ from repro.engine.operators import (
     join,
     join_all,
     patch,
-    patch_batch,
     project,
     select,
     semijoin,
@@ -54,7 +53,6 @@ __all__ = [
     "join",
     "join_all",
     "patch",
-    "patch_batch",
     "project",
     "reset_vocabulary",
     "select",

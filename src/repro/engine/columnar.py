@@ -34,9 +34,9 @@ per-tuple versions, only via vectorized kernels:
 * group-by deduplicates with ``np.unique`` on the stacked key columns and
   sums multiplicities with ``np.add.at``;
 * semijoin is an ``np.isin`` mask; union is concatenate + regroup;
-* patch (bag union or monus with a delta, which is also `difference`)
-  locates the delta's rows by ``searchsorted`` in the relation's packed
-  row key and copies only the arrays it changes.
+* patch (``(relation ⊎ plus) ∸ minus``, which is also `difference`)
+  locates both sides' rows by one ``searchsorted`` in the relation's
+  packed row key and writes each array it changes once.
 
 **Code order.** Every relation built through :func:`_dedupe_sum` — the
 constructor, `group_by`, `union_all` — stores its rows sorted
@@ -492,9 +492,9 @@ def _keyed(
     same space.
 
     The key is computed once per relation and cached on it (a patched
-    relation is born with its own).  It is reused unless ``cover`` — an
-    insert, whose new rows need keys of their own — meets a probe code its
-    radices do not cover; it is then re-packed over the rows already in
+    relation is born with its own).  It is reused unless ``cover`` — a
+    patch with a ``plus`` side, whose new rows need keys of their own —
+    meets a probe code its radices do not cover; it is then re-packed over the rows already in
     code order, so no relation is sorted twice.  Rows whose span does not
     fit 62 bits fall back to joint ranks against the probes.
     """
@@ -524,29 +524,37 @@ def _keyed(
     return row_key, probe_key
 
 
-def _spliced(
-    arrays: Sequence[np.ndarray], slots: np.ndarray, values: Sequence[np.ndarray]
+def _placed(
+    arrays: Sequence[np.ndarray],
+    gone: np.ndarray,
+    slots: np.ndarray,
+    values: Sequence[np.ndarray],
 ) -> List[np.ndarray]:
-    """Copies of ``arrays`` with ``values`` inserted before the sorted
-    ``slots``; one placement mask serves every array."""
-    size = arrays[0].size + slots.size
+    """Copies of the aligned ``arrays`` without the rows at ``gone`` and
+    with ``values`` inserted before the rows at ``slots`` (both sorted):
+    one pair of placement masks serves every array, and each array is
+    written once."""
+    kept = None
+    if gone.size:
+        kept = np.ones(arrays[0].size, dtype=bool)
+        kept[gone] = False
+    if not slots.size:
+        return [array[kept] for array in arrays]
+    size = arrays[0].size - gone.size + slots.size
+    # A new row lands past the kept rows before its slot and the new rows
+    # before it.
     target = slots + np.arange(slots.size)
-    kept = np.ones(size, dtype=bool)
-    kept[target] = False
+    if gone.size:
+        target -= np.searchsorted(gone, slots)
+    old = np.ones(size, dtype=bool)
+    old[target] = False
     out = []
     for array, value in zip(arrays, values):
-        spliced = np.empty(size, dtype=array.dtype)
-        spliced[target] = value
-        spliced[kept] = array
-        out.append(spliced)
+        placed = np.empty(size, dtype=array.dtype)
+        placed[target] = value
+        placed[old] = array if kept is None else array[kept]
+        out.append(placed)
     return out
-
-
-def _dropped(arrays: Sequence[np.ndarray], rows: np.ndarray) -> List[np.ndarray]:
-    """Copies of ``arrays`` without ``rows``; one mask serves every array."""
-    kept = np.ones(arrays[0].size, dtype=bool)
-    kept[rows] = False
-    return [array[kept] for array in arrays]
 
 
 def _search(key: np.ndarray, probe_key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1210,158 +1218,126 @@ def union_all(relations: Sequence[ColumnarRelation]) -> ColumnarRelation:
     return ColumnarRelation._from_parts(schema, codes, mult, vocab=vocab, ordered=True)
 
 
-def patch(
-    relation: ColumnarRelation, delta: ColumnarRelation, insert: bool
-) -> ColumnarRelation:
-    """``relation`` with ``delta`` added (``insert``) or subtracted by monus.
+def _side(
+    relation: ColumnarRelation, side: Optional[ColumnarRelation]
+) -> Optional[ColumnarRelation]:
+    """One side of a :func:`patch` under ``relation``'s vocabulary, or
+    ``None`` when it holds no row."""
+    if side is None:
+        return None
+    if side.schema != relation.schema:
+        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {side.schema}")
+    return None if side.is_empty() else _aligned(relation, side)[1]
 
-    Equal as a bag to ``union_all([relation, delta])`` or
-    ``difference(relation, delta)``, in delta time: the delta's rows are
-    found by ``searchsorted`` in ``relation``'s code-order key
-    (:func:`_keyed`), matched counts change in a copied count vector
-    (:func:`_checked_add` for inserts), rows that reach zero are deleted
-    and new rows are inserted at their sorted positions.  Code columns
-    nothing touches are shared.  The output is in code order and carries
-    its key, so patching it again neither sorts nor re-packs.  An empty
-    delta returns ``relation`` itself.
+
+def patch(
+    relation: ColumnarRelation,
+    plus: Optional[ColumnarRelation] = None,
+    minus: Optional[ColumnarRelation] = None,
+) -> ColumnarRelation:
+    """``(relation ⊎ plus) ∸ minus`` in delta time (vectorized
+    :func:`repro.engine.operators.patch`).
+
+    Both sides' rows are found by one ``searchsorted`` in ``relation``'s
+    code-order key (:func:`_keyed`, joint ranks included), and a row both
+    sides touch is merged, so ``minus`` may take back a row ``plus``
+    brings.  Matched counts change in the touched rows only
+    (:func:`_checked_add` for ``plus``, before ``minus`` takes anything),
+    rows that reach zero go and ``plus``'s new rows land at their sorted
+    positions, each array written once (:func:`_placed`).  Code columns
+    nothing moves are shared.  The output is in code order and carries
+    its key, so patching it again neither sorts nor re-packs.  When no
+    count changes, ``relation`` itself comes back.
     """
-    if relation.schema != delta.schema:
-        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
-    if delta.is_empty():
+    plus, minus = _side(relation, plus), _side(relation, minus)
+    if plus is None and minus is None:
         return relation
-    relation, delta = _aligned(relation, delta)
     if not relation._codes:
-        base = relation._mult
-        if insert:
-            total = _checked_add(base, delta._mult) if base.size else delta._mult
-        else:
-            total = base - delta._mult  # an empty base broadcasts to empty
+        total = relation._mult
+        if plus is not None:
+            total = _checked_add(total, plus._mult) if total.size else plus._mult
+        if minus is not None and total.size:
+            total = total - minus._mult
             total = total[total > 0]
+        if total is relation._mult:
+            return relation
         return ColumnarRelation._from_parts(
             relation.schema, (), total, vocab=relation._vocab
         )
-    row_key, probe_key = _keyed(relation, delta._codes, cover=insert)
-    key, order = row_key.key, row_key.order
-    packed = bool(row_key.radices)  # a key array of its own to keep in step
-    codes = list(relation._codes)
-    mult = relation._mult
-    if order is not None:
-        codes = [column[order] for column in codes]
-        mult = mult[order]
-    pos, found = _search(key, probe_key)
-    at = pos[found]
-    arity = len(codes)
-    arrays = codes + [mult] + ([key] if packed else [])
-    if insert:
-        counts = _checked_add(mult[at], delta._mult[found])
-        fresh = np.nonzero(~found)[0]
-        fresh = fresh[np.argsort(probe_key[fresh], kind="stable")]
-        slots = pos[fresh]
-        # A matched row moves up by the new rows inserted at or before it.
-        at = at + np.searchsorted(slots, at, side="right")
-        if fresh.size:
-            added = [column[fresh] for column in delta._codes]
-            arrays = _spliced(
-                arrays, slots, added + [delta._mult[fresh], probe_key[fresh]]
-            )
+    # One probe per row of either side, plus's first.
+    split = 0 if plus is None else plus._mult.size
+    if plus is None or minus is None:
+        probes = (minus if plus is None else plus)._codes
     else:
-        counts = mult[at] - delta._mult[found]
-        gone = np.sort(at[counts <= 0])
-        at, counts = at[counts > 0], counts[counts > 0]
-        # A surviving row moves down by the deleted rows before it.
-        at = at - np.searchsorted(gone, at)
-        if gone.size:
-            arrays = _dropped(arrays, gone)
-    codes, new_mult = arrays[:arity], arrays[arity]
-    if new_mult is relation._mult:
-        new_mult = new_mult.copy()
-    new_mult[at] = counts
-    if packed:
-        key = arrays[-1]
-    out = ColumnarRelation._from_parts(
-        relation.schema, codes, new_mult, vocab=relation._vocab, ordered=True
-    )
-    if row_key.radices is not None:
-        out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
-    if relation._firsts is not None:
-        # Values of the leading column: a superset stays valid after a monus.
-        out._firsts = (
-            np.union1d(relation._firsts, delta._codes[0]) if insert else relation._firsts
-        )
-    return out
-
-
-def patch_batch(
-    relation: ColumnarRelation, plus: ColumnarRelation, minus: ColumnarRelation
-) -> ColumnarRelation:
-    """``relation`` with ``plus`` added and ``minus`` taken away by monus,
-    in one pass (vectorized :func:`repro.engine.operators.patch_batch`).
-
-    Both deltas' rows are found in ``relation``'s code-order key, as
-    :func:`patch` finds one delta's; a ``minus`` row may also take back a
-    row ``plus`` brings.  Each array is written once: the rows that keep
-    a count and ``plus``'s new rows are placed at their sorted positions
-    together, where two patches would copy every changed array twice.
-    """
-    if plus.is_empty():
-        return patch(relation, minus, False)
-    if minus.is_empty():
-        return patch(relation, plus, True)
-    if relation.schema != plus.schema or relation.schema != minus.schema:
-        raise SchemaError(f"patch schema mismatch: {relation.schema} vs {plus.schema}")
-    relation, plus = _aligned(relation, plus)
-    relation, minus = _aligned(relation, minus)
-    row_key, plus_key = _keyed(relation, plus._codes, cover=True) if relation._codes else (None, None)
-    if row_key is None or row_key.radices is None:
-        # A zero-arity bag, or joint ranks, which hold only for their probes.
-        return patch(patch(relation, plus, True), minus, False)
-    minus_key = _probe_key(minus._codes, row_key.radices)
+        probes = [np.concatenate(pair) for pair in zip(plus._codes, minus._codes)]
+    row_key, probe_key = _keyed(relation, probes, cover=plus is not None)
     key, order = row_key.key, row_key.order
     codes, mult = list(relation._codes), relation._mult
     if order is not None:
         codes, mult = [column[order] for column in codes], mult[order]
-    counts = mult.copy()
-    pos, found = _search(key, plus_key)
-    counts[pos[found]] = _checked_add(counts[pos[found]], plus._mult[found])
-    fresh = np.flatnonzero(~found)
-    fresh = fresh[np.argsort(plus_key[fresh], kind="stable")]
-    fresh_counts = plus._mult[fresh].copy()
-    taken, matched = _search(key, minus_key)
-    counts[taken[matched]] -= minus._mult[matched]
-    rest = np.flatnonzero(~matched)
-    if rest.size and fresh.size:
-        back, hit = _search(plus_key[fresh], minus_key[rest])
-        fresh_counts[back[hit]] -= minus._mult[rest[hit]]
-    kept = counts > 0
-    gone = np.flatnonzero(~kept)
-    live = fresh_counts > 0
-    fresh, fresh_counts = fresh[live], fresh_counts[live]
-    packed = bool(row_key.radices)  # a key array of its own to keep in step
-    if gone.size or fresh.size:
+    pos, found = _search(key, probe_key)
+    # The rows of ``relation`` each side touches, and their counts after
+    # the patch.
+    at: List[np.ndarray] = []
+    counts: List[np.ndarray] = []
+    fresh = gone = slots = _EMPTY_INT64
+    if plus is not None:
+        by_key = np.argsort(probe_key[:split], kind="stable")
+        hit = found[:split]
+        at.append(pos[:split][hit])
+        counts.append(_checked_add(mult[at[0]], plus._mult[hit]))
+        fresh = by_key[~hit[by_key]]  # plus's new rows, in key order
+        fresh_counts = plus._mult[fresh]
+    if minus is not None:
+        hit = found[split:]
+        if plus is not None:
+            # A row both sides touch: minus takes from plus's entry of it.
+            twin, paired = _search(probe_key[:split][by_key], probe_key[split:])
+            taken = np.zeros(split, dtype=np.int64)
+            taken[by_key[twin[paired]]] = minus._mult[paired]
+            counts[0] = counts[0] - taken[found[:split]]
+            fresh_counts = fresh_counts - taken[fresh]
+            fresh, fresh_counts = fresh[fresh_counts > 0], fresh_counts[fresh_counts > 0]
+            hit = hit & ~paired
+        at.append(pos[split:][hit])
+        counts.append(mult[at[-1]] - minus._mult[hit])
+    at, counts = (at[0], counts[0]) if len(at) == 1 else (np.concatenate(at), np.concatenate(counts))
+    if minus is not None:
+        live = counts > 0
+        gone = np.sort(at[~live])
+        at, counts = at[live], counts[live]
+    if not (at.size or gone.size or fresh.size):
+        return relation
+    # A row that stays moves down by the rows gone before it and up by
+    # the new rows placed at or before it.
+    moved = at
+    if gone.size:
+        moved = moved - np.searchsorted(gone, at)
+    if fresh.size:
         slots = pos[fresh]
-        size = counts.size - gone.size + fresh.size
-        # A new row lands past the kept rows before its slot and the new
-        # rows before it; one mask then places every array.
-        new = np.zeros(size, dtype=bool)
-        new[slots - np.searchsorted(gone, slots) + np.arange(fresh.size)] = True
-        old = ~new
-
-        def placed(column: np.ndarray, added: np.ndarray) -> np.ndarray:
-            out = np.empty(size, dtype=column.dtype)
-            out[new] = added
-            out[old] = column[kept] if gone.size else column
-            return out
-
-        codes = [placed(column, added[fresh]) for column, added in zip(codes, plus._codes)]
-        counts = placed(counts, fresh_counts)
-        if packed:
-            key = placed(key, plus_key[fresh])
+        moved = moved + np.searchsorted(slots, at, side="right")
+    packed = bool(row_key.radices)  # a key array of its own to keep in step
+    arrays = codes + [mult] + ([key] if packed else [])
+    if gone.size or fresh.size:
+        values = []
+        if fresh.size:
+            values = [column[fresh] for column in plus._codes] + [fresh_counts, probe_key[fresh]]
+        arrays = _placed(arrays, gone, slots, values)
+    arity = len(codes)
+    codes, new_mult = arrays[:arity], arrays[arity]
+    if new_mult is relation._mult:
+        new_mult = new_mult.copy()
+    new_mult[moved] = counts
     out = ColumnarRelation._from_parts(
-        relation.schema, codes, counts, vocab=relation._vocab, ordered=True
+        relation.schema, codes, new_mult, vocab=relation._vocab, ordered=True
     )
-    out._row_key = _RowKey(key if packed else codes[0], None, row_key.radices)
+    if row_key.radices is not None:
+        out._row_key = _RowKey(arrays[-1] if packed else codes[0], None, row_key.radices)
     if relation._firsts is not None:
-        out._firsts = np.union1d(relation._firsts, plus._codes[0])
+        # Values of the leading column: a superset stays valid after a monus.
+        out._firsts = relation._firsts
+        if plus is not None:
+            out._firsts = np.union1d(relation._firsts, plus._codes[0])
     return out
 
 

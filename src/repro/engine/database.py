@@ -188,7 +188,8 @@ class Database:
     def _patched(self, name: str, row: Sequence[object], insert: bool) -> Relation:
         """Relation ``name`` with one occurrence of ``row`` patched in or out."""
         base = self.relation(name)
-        return patch(base, type(base)(base.schema, [row]), insert)
+        one = type(base)(base.schema, [row])
+        return patch(base, plus=one) if insert else patch(base, minus=one)
 
     def cascade_delete(self, name: str, row: Sequence[object]) -> "Database":
         """Delete ``row`` from ``name`` and cascade along foreign keys.
@@ -219,7 +220,7 @@ class Database:
                 if doomed.is_empty():
                     continue
                 frontier.extend((fk.child, crow) for crow in doomed)
-                updated[fk.child] = patch(child_rel, doomed, False)
+                updated[fk.child] = patch(child_rel, minus=doomed)
         return self._copy_with(updated)
 
     def _copy_with(self, relations: Dict[str, Relation]) -> "Database":

@@ -10,10 +10,10 @@ These are the building blocks the paper's algorithms are written in:
 * :func:`next_join` — the join-order policy of the early-aggregating
   multiplicity-table build, by PostBOUND's UES upper bound
   (:func:`join_bound`).
-* :func:`patch` — bag union or monus with a delta, the one way maintained
-  state absorbs an update; on columnar relations its cost follows the
-  delta, not the relation.  :func:`patch_batch` folds a batch's insert
-  and delete deltas of one relation in at once.
+* :func:`patch` — ``(relation ⊎ plus) ∸ minus``, the one way a stored
+  relation changes: a database update, a maintained level's batch of
+  deltas and :func:`difference` alike.  On columnar relations its cost
+  follows the delta, not the relation.
 * :func:`value_groups` and :func:`join_summary` — a relation grouped on
   some attributes, and the row count, total and largest multiplicity of a
   join read off two such groupings without materialising it.
@@ -24,8 +24,7 @@ These are the building blocks the paper's algorithms are written in:
 Every operator is **backend-dispatching**: when an operand is a
 :class:`~repro.engine.columnar.ColumnarRelation` the vectorized kernel in
 :mod:`repro.engine.columnar` runs (other operands are promoted to columnar
-first — promotion of the tiny unit relations used by the path algorithm is
-O(1)); otherwise the per-tuple dict implementation below runs.  The layers
+first); otherwise the per-tuple dict implementation below runs.  The layers
 above the engine call these functions and never see the physical layout.
 
 Joins match rows on the common attributes: the python backend hashes the
@@ -445,72 +444,53 @@ def union_all(relations: Iterable[Relation]) -> Relation:
     return Relation._from_counts(schema, out)
 
 
-def patch(relation: Relation, delta: Relation, insert: bool) -> Relation:
-    """``relation`` with the bag ``delta`` folded in.
+def patch(
+    relation: Relation,
+    plus: Optional[Relation] = None,
+    minus: Optional[Relation] = None,
+) -> Relation:
+    """``(relation ⊎ plus) ∸ minus``: ``relation`` with the bag ``plus``
+    added, then the bag ``minus`` taken away by monus (counts floor at
+    zero, rows absent from ``relation ⊎ plus`` are ignored).
 
-    ``union_all([relation, delta])`` when ``insert``, else
-    ``difference(relation, delta)`` — counts floor at zero and rows absent
-    from ``relation`` are ignored.  The columnar kernel locates the
-    delta's rows in ``relation``'s code-order key and copies only the
-    arrays it changes; the python backend copies the dict and updates the
-    delta's counts, or returns ``relation`` itself when a monus matches
-    no row.  The output carries an upper bound on each column peak that
+    The one way a stored relation changes, and ``relation`` itself when
+    no count changes.  The columnar kernel finds both sides' rows in
+    ``relation``'s code-order key and writes each array it changes once;
+    the python backend copies the dict and updates the sides' counts.
+    The output carries an upper bound on each column peak that
     ``relation`` knew (:func:`_handed_peaks`), for :func:`join_bound`.
     """
-    if _any_columnar(relation, delta):
-        out = _columnar.patch(_promote(relation), _promote(delta), insert)
-    else:
-        if relation.schema != delta.schema:
-            raise SchemaError(f"patch schema mismatch: {relation.schema} vs {delta.schema}")
-        if not insert and not any(row in relation.counts for row in delta.counts):
-            return relation
-        out = _python_patch(relation, *((delta, None) if insert else (None, delta)))
-    if out is not relation:
-        out._peak_bounds = _handed_peaks(relation, *((delta, None) if insert else (None, delta)))
-    return out
-
-
-def patch_batch(relation: Relation, plus: Relation, minus: Relation) -> Relation:
-    """``relation`` with ``plus`` added and ``minus`` taken away by monus:
-    the batch's deltas of one maintained relation folded in at once.
-
-    The same bag as ``patch(patch(relation, plus, True), minus, False)``
-    when ``minus`` takes away no more copies of a row than ``relation``
-    and ``plus`` hold, as a batch's exact deltas never do (so neither
-    order clips a count at zero).  The columnar kernel writes each array
-    once instead of twice (:func:`~repro.engine.columnar.patch_batch`).
-    """
     if _any_columnar(relation, plus, minus):
-        out = _columnar.patch_batch(_promote(relation), _promote(plus), _promote(minus))
+        out = _columnar.patch(
+            _promote(relation),
+            *(None if side is None else _promote(side) for side in (plus, minus)),
+        )
     else:
-        if not relation.schema == plus.schema == minus.schema:
-            raise SchemaError(f"patch schema mismatch: {relation.schema} vs {plus.schema}")
-        out = _python_patch(relation, plus, minus)
+        for side in (plus, minus):
+            if side is not None and side.schema != relation.schema:
+                raise SchemaError(f"patch schema mismatch: {relation.schema} vs {side.schema}")
+        if (plus is None or plus.is_empty()) and (
+            minus is None or not any(row in relation.counts for row in minus.counts)
+        ):
+            return relation
+        counts = dict(relation.counts)
+        for row, cnt in plus.items() if plus is not None else ():
+            counts[row] = counts.get(row, 0) + cnt
+        for row, cnt in minus.items() if minus is not None else ():
+            remaining = counts.get(row, 0) - cnt
+            if remaining > 0:
+                counts[row] = remaining
+            else:
+                counts.pop(row, None)
+        out = Relation._from_counts(relation.schema, counts)
     if out is not relation:
         out._peak_bounds = _handed_peaks(relation, plus, minus)
     return out
 
 
-def _python_patch(
-    relation: Relation, plus: Optional[Relation], minus: Optional[Relation]
-) -> Relation:
-    counts = dict(relation.counts)
-    for row, cnt in plus.items() if plus is not None else ():
-        counts[row] = counts.get(row, 0) + cnt
-    for row, cnt in minus.items() if minus is not None else ():
-        remaining = counts.get(row, 0) - cnt
-        if remaining > 0:
-            counts[row] = remaining
-        else:
-            counts.pop(row, None)
-    return Relation._from_counts(relation.schema, counts)
-
-
 def difference(left: Relation, right: Relation) -> Relation:
     """Bag difference ``left ∸ right`` (monus: counts floor at zero)."""
-    if left.schema != right.schema:
-        raise SchemaError(f"difference schema mismatch: {left.schema} vs {right.schema}")
-    return patch(left, right, False)
+    return patch(left, minus=right)
 
 
 def symmetric_difference_size(left: Relation, right: Relation) -> int:

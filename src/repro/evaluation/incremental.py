@@ -50,7 +50,10 @@ the database and into the per-component
 owning the botjoins (and, lazily, the topjoins and multiplicity tables
 the sensitivity algorithms and probes read) — in one vectorized pass per
 relation side, with no re-decomposition and no re-binding of untouched
-relations.  Probes read that folded state directly.  Each touched
+relations.  A database relation takes one
+:func:`~repro.engine.operators.patch` per batch, with both sides of its
+delta, and both sides' folds bind its atom from that one relation.
+Probes read that folded state directly.  Each touched
 component folds the batch into a fork of its state, and the components
 adopt their forks only once every fork has folded, so a mid-batch failure
 leaves the evaluator bit-identical to its pre-batch state.  This is the
@@ -132,26 +135,36 @@ def compact_updates(
     return deltas
 
 
-def _patched_relation(base, relation: str, rows: Mapping[Row, int], insert: bool):
-    """``base`` with one side of ``relation``'s delta folded in.
+def _patched_relation(
+    base, relation: str, plus: Mapping[Row, int], minus: Mapping[Row, int]
+):
+    """``base`` with both sides of ``relation``'s delta folded in.
 
     One :func:`~repro.engine.operators.patch`, whatever its size — on the
     columnar backend the database relation's rows stay in code order and
-    the patch costs a lookup of the delta rows plus a copy of the arrays
-    it changes.
+    the patch costs a lookup of the delta rows plus one copy of the
+    arrays it changes.
 
-    The monus drops exactly the side's total count if and only if no row
-    loses more copies than ``base`` holds, so that comparison is the
-    over-delete guard; the rows are looked up only to name the offending
-    one.
+    The monus drops exactly the minus side's total count if and only if
+    no row loses more copies than ``base`` and ``plus`` hold, so that
+    comparison is the over-delete guard.  Sides that share a row, which a
+    compacted delta's never do, are looked up as well, so the guard holds
+    against ``base`` alone; the rows are looked up only to name the
+    offending one.
     """
-    patched = patch(base, type(base)(base.schema, dict(rows)), insert)
-    if not insert and base.total_count() - patched.total_count() != sum(rows.values()):
-        deleted = list(rows)
+    kind = type(base)
+    patched = patch(
+        base,
+        kind(base.schema, dict(plus)) if plus else None,
+        kind(base.schema, dict(minus)) if minus else None,
+    )
+    dropped = base.total_count() + sum(plus.values()) - patched.total_count()
+    if dropped != sum(minus.values()) or not minus.keys().isdisjoint(plus):
+        deleted = list(minus)
         for row, available in zip(deleted, base.multiplicities(deleted)):
-            if rows[row] > available:
+            if minus[row] > available:
                 raise SessionError(
-                    f"delta deletes {rows[row]} of {row!r} from "
+                    f"delta deletes {minus[row]} of {row!r} from "
                     f"{relation!r} but only {available} exist; "
                     "compact the update stream against the current "
                     "database first"
@@ -320,10 +333,12 @@ class IncrementalEvaluator:
 
         The batch folds into every maintained structure in one vectorized
         pass per touched relation side: each database relation takes one
-        :func:`~repro.engine.operators.patch` per side, and that side
-        folds into a fork of the touched component's :class:`JoinState`
-        (:meth:`JoinState.stage_fold`), which binds the atom from the
-        patched relation and patches every derived level the same way.
+        :func:`~repro.engine.operators.patch` with both sides, and each
+        side folds into a fork of the touched component's
+        :class:`JoinState` (:meth:`JoinState.stage_fold`), which binds the
+        atom from that patched relation and stages every derived level's
+        delta, patched in once at the end of the batch
+        (:meth:`JoinState.commit_pending`).
         An ``int64`` overflow names the structure it hit (``relation
         'R'`` for the database relation itself).
         Validation and every fallible step (including columnar ``int64``
@@ -343,20 +358,20 @@ class IncrementalEvaluator:
             self._check_probe_arity(
                 state, delta.relation, list(delta.plus) + list(delta.minus)
             )
-        # ---- stage (all fallible, over-deletes too): each side of a
-        # delta patches its database relation once, then folds into a
-        # fork of its component's join state, which binds the atom from
-        # that patch
+        # ---- stage (all fallible, over-deletes too): a delta patches its
+        # database relation once, then each side folds into a fork of its
+        # component's join state, which binds the atom from that patch
         new_db = self._db
         works: Dict[int, JoinState] = {}
         for delta in deltas:
             index = self._component_of[delta.relation]
             if index not in works:
                 works[index] = self._states[index].fork()
-            base = new_db.relation(delta.relation)
+            with _overflow_named(f"relation {delta.relation!r}"):
+                base = _patched_relation(
+                    new_db.relation(delta.relation), delta.relation, delta.plus, delta.minus
+                )
             for rows, insert in delta.sides():
-                with _overflow_named(f"relation {delta.relation!r}"):
-                    base = _patched_relation(base, delta.relation, rows, insert)
                 works[index].stage_fold(delta.relation, rows, insert, base)
             new_db = new_db.with_relation(delta.relation, base)
         # ---- the levels and tables every fork's folds left pending

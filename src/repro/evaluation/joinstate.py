@@ -20,21 +20,20 @@ consistent under committed updates:
   stays put on that path (it is the complement of a subtree holding the
   update) and moves everywhere else; an empty delta ends its branch.
   Every maintained relation — atom, botjoin, topjoin, table factor —
-  absorbs its deltas through the engine's patches
-  (:func:`~repro.engine.operators.patch`, and
-  :func:`~repro.engine.operators.patch_batch` for a batch's deltas of one
-  relation at once): bag union for inserts, monus for deletes (monus is
-  exact because a delete's delta never exceeds the removed tuples' own
-  contribution).  On the columnar backend a patch locates the delta's
-  rows in the relation's code-order key and copies only the arrays it
-  changes, so it never re-sorts the relation, and the patched relation
-  carries that key, so a later delta joined into it is a range search.
-  An atom without a selection is never patched itself: a fold binds it
-  from the patched database relation (:meth:`JoinState.stage_fold`),
-  which shares its arrays and key.  A fold stages each level's delta;
-  the next read of the level patches it in, and the end of the batch
+  absorbs its deltas through the engine's one patch operator,
+  :func:`~repro.engine.operators.patch` ``(relation ⊎ plus) ∸ minus``:
+  bag union for inserts, monus for deletes (monus is exact because a
+  delete's delta never exceeds the removed tuples' own contribution).
+  On the columnar backend a patch locates the delta's rows in the
+  relation's code-order key and copies only the arrays it changes, so it
+  never re-sorts the relation, and the patched relation carries that
+  key, so a later delta joined into it is a range search.  An atom
+  without a selection is never patched itself: a fold binds it from the
+  patched database relation (:meth:`JoinState.stage_fold`), which shares
+  its arrays and key.  A fold stages each level's delta; the next read
+  of the level patches it in, and the end of the batch
   (:meth:`JoinState.commit_pending`) patches every level still pending,
-  once however many of the batch's folds moved it.
+  once with both sides however many of the batch's folds moved it.
 * **GHD nodes** are never materialised as bags.  A node step computes
   all its outputs — ``ΔK(v)``, every ``ΔJ(c)`` and the factor deltas of
   the tables of ``v``'s atoms, whose parts are ``v``'s inputs — from one
@@ -102,11 +101,9 @@ from typing import (
 from repro.engine.database import Database
 from repro.engine.operators import (
     group_by,
-    join,
     join_all,
     next_join,
     patch,
-    patch_batch,
     union_all,
     unique_on,
 )
@@ -545,12 +542,12 @@ class JoinState:
         return self.botjoins[part.key] if part.kind == "bot" else self._topjoins[part.key]
 
     def _commit_level(self, part: _TablePart) -> None:
-        """Patch a level's pending deltas into this fork at once
-        (:func:`~repro.engine.operators.patch_batch`)."""
+        """Patch a level's pending deltas into this fork at once: one
+        :func:`~repro.engine.operators.patch` with both sides."""
         plus, minus = self._pending.pop(part)
         current = self.botjoins[part.key] if part.kind == "bot" else self._topjoins[part.key]
         with _overflow_named(part.label):
-            new = patch_batch(current, _union(plus, current), _union(minus, current))
+            new = patch(current, _union(plus), _union(minus))
         if part.kind == "bot":
             self.botjoins[part.key] = new
         else:
@@ -597,10 +594,13 @@ class JoinState:
         the end of the batch, once per level and table however many folds
         moved it.
 
-        ``base`` is the database relation with this delta already patched
-        in.  An atom without a selection is bound from it, a rename that
-        shares its arrays and row key, instead of patched a second time;
-        an atom with a selection patches its filtered delta.
+        ``base`` is the database relation with the batch's whole delta of
+        ``relation`` — both sides — already patched in.  An atom without
+        a selection is bound from it, a rename that shares its arrays and
+        row key, instead of patched a second time: no step of either
+        side's fold reads the changed atom (its delta stands in for it),
+        so both sides bind it from the same relation.  An atom with a
+        selection patches its filtered delta.
         """
         tree = self.tree
         atom = _TablePart("atom", relation)
@@ -613,7 +613,7 @@ class JoinState:
             new_atom = base.rename(dict(zip(base.attributes, current.attributes)))
         else:
             with _overflow_named(atom.label):
-                new_atom = patch(current, delta, insert)
+                new_atom = patch(current, plus=delta) if insert else patch(current, minus=delta)
         steps = [(tree.node_of_relation(relation), atom, delta)]
         while steps:
             node, changed, delta = steps.pop()
@@ -740,7 +740,7 @@ class JoinState:
             key = _key_part(parts, keep, known)
             if key is not None:
                 return KeyedFactor((parts[0], parts[1]), keep, key)
-            return patch_batch(old, _union(moved.plus, old), _union(moved.minus, old))
+            return patch(old, _union(moved.plus), _union(moved.minus))
 
 
 @dataclass
@@ -753,10 +753,10 @@ class _MovedFactor:
     minus: List[Relation]
 
 
-def _union(deltas: Sequence[Relation], like: Relation) -> Relation:
-    """The bag union of ``deltas``, or an empty bag shaped like ``like``."""
+def _union(deltas: Sequence[Relation]) -> Optional[Relation]:
+    """The bag union of ``deltas``, or ``None`` when there are none."""
     if not deltas:
-        return type(like)(like.schema, ())
+        return None
     return deltas[0] if len(deltas) == 1 else union_all(deltas)
 
 

@@ -120,7 +120,7 @@ class TestBagUpdates:
         """A zero count is dropped, so the delta is empty."""
         py, col = both(["A", "B"], R_ROWS)
         for rel in (py, col):
-            assert patch(rel, type(rel)(rel.schema, {(8, 8): 0}), True) == py
+            assert patch(rel, plus=type(rel)(rel.schema, {(8, 8): 0})) == py
 
     def test_add_remove(self):
         py, col = both(["A", "B"], R_ROWS)
@@ -129,10 +129,13 @@ class TestBagUpdates:
             assert col_db.add_tuple("R", row)["R"] == py_db.add_tuple("R", row)["R"]
             assert col_db.remove_tuple("R", row)["R"] == py_db.remove_tuple("R", row)["R"]
         assert col_db.remove_tuple("R", (8, 8))["R"] == py  # absent: no-op
-        for delta, insert in [({(8, 8): 3}, True), ({(1, 2): 99}, False)]:
-            assert patch(col, ColumnarRelation(col.schema, delta), insert) == patch(
-                py, Relation(py.schema, delta), insert
-            )
+        plus, minus = {(8, 8): 3}, {(1, 2): 99}
+        assert patch(col, plus=ColumnarRelation(col.schema, plus)) == patch(
+            py, plus=Relation(py.schema, plus)
+        )
+        assert patch(col, minus=ColumnarRelation(col.schema, minus)) == patch(
+            py, minus=Relation(py.schema, minus)
+        )
 
     def test_filter(self):
         py, col = both(["A", "B"], R_ROWS)
@@ -477,7 +480,7 @@ class TestOneRowDedupe:
         py, col = both(["A", "B", "C"], {self.ROW: 2})
         delta = {("y", 1, 1): 1, self.ROW: 1}
         for relation, kind in ((py, Relation), (col, ColumnarRelation)):
-            out = patch(relation, kind(["A", "B", "C"], delta), True)
+            out = patch(relation, plus=kind(["A", "B", "C"], delta))
             assert dict(out.counts) == {self.ROW: 3, ("y", 1, 1): 1}
         probe = ColumnarRelation(["A", "B", "C", "D"], {self.ROW + (0,): 1})
         assert dict(join(probe, col).counts) == {self.ROW + (0,): 2}
@@ -509,8 +512,8 @@ class TestValueGroups:
         from repro.engine.operators import value_groups
 
         py, col = both(["N", "K", "V"], self.ROWS)
-        keyed = patch(col, ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}), True)
-        keyed = patch(keyed, ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}), False)
+        keyed = patch(col, plus=ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}))
+        keyed = patch(keyed, minus=ColumnarRelation(["N", "K", "V"], {("n9", 0, "z"): 1}))
         shuffled = ColumnarRelation._from_parts(
             col.schema, [c[::-1] for c in col._codes], col._mult[::-1], vocab=col._vocab
         )

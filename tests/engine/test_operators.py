@@ -155,9 +155,9 @@ class TestBagSetOps:
         rows = {(1, 2): 3, (2, 2): 1}
         absent = {(9, 9): 1, (1, 3): 2}
         python = Relation(["A", "B"], rows)
-        assert patch(python, Relation(["A", "B"], absent), False) is python
+        assert patch(python, minus=Relation(["A", "B"], absent)) is python
         columnar = ColumnarRelation(["A", "B"], rows)
-        out = patch(columnar, ColumnarRelation(["A", "B"], absent), False)
+        out = patch(columnar, minus=ColumnarRelation(["A", "B"], absent))
         assert dict(out.counts) == rows
 
     def test_symmetric_difference_size(self):

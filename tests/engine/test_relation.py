@@ -92,20 +92,20 @@ class TestUpdates:
     """A stored relation changes only through ``patch``."""
 
     def test_add_returns_copy(self, bag):
-        grown = patch(bag, Relation(bag.schema, [(1, 2)]), True)
+        grown = patch(bag, plus=Relation(bag.schema, [(1, 2)]))
         assert grown.multiplicity((1, 2)) == 3
         assert bag.multiplicity((1, 2)) == 2  # original untouched
 
     def test_remove_one_copy(self, bag):
-        shrunk = patch(bag, Relation(bag.schema, [(1, 2)]), False)
+        shrunk = patch(bag, minus=Relation(bag.schema, [(1, 2)]))
         assert shrunk.multiplicity((1, 2)) == 1
         assert bag.multiplicity((1, 2)) == 2
 
     def test_remove_absent_is_noop(self, bag):
-        assert patch(bag, Relation(bag.schema, [(9, 9)]), False) == bag
+        assert patch(bag, minus=Relation(bag.schema, [(9, 9)])) == bag
 
     def test_remove_all_copies(self, bag):
-        gone = patch(bag, Relation(bag.schema, {(1, 2): 10}), False)
+        gone = patch(bag, minus=Relation(bag.schema, {(1, 2): 10}))
         assert (1, 2) not in gone
         assert dict(gone.items()) == {(3, 4): 1}
 

@@ -183,7 +183,8 @@ def _applied(db: Database, deltas: Iterable[RelationDelta]) -> Database:
     for delta in deltas:
         base = db.relation(delta.relation)
         for counts, insert in ((delta.minus, False), (delta.plus, True)):
-            base = patch(base, type(base)(base.schema, counts), insert)
+            side = type(base)(base.schema, counts)
+            base = patch(base, plus=side) if insert else patch(base, minus=side)
         db = db.with_relation(delta.relation, base)
     return db
 

@@ -1,5 +1,7 @@
 """Unit tests for the incremental delta re-evaluator."""
 
+import re
+
 import pytest
 
 from repro.engine import Database, Relation, patch
@@ -329,7 +331,7 @@ class TestBatchAcrossComponents:
         rows = {(1,): 1}
         base = session.db.relation("R")
         work = state.fork()
-        work.stage_fold("R", rows, True, patch(base, type(base)(base.schema, rows), True))
+        work.stage_fold("R", rows, True, patch(base, plus=type(base)(base.schema, rows)))
         assert isinstance(work, JoinState)
         assert (work.count, state.count) == (2, 1)
         assert state.botjoins is botjoins
@@ -412,6 +414,20 @@ class TestCompaction:
             evaluator.apply_batch([bogus])
         assert evaluator.base_count == before
         assert evaluator.db.relation("R1").multiplicity(("a1", "b1", "c1")) == 1
+        # Both sides go into one patch; the guard still names the row.
+        both = RelationDelta("R1", {("a9", "b9", "c9"): 1}, {("a1", "b1", "c1"): 99})
+        with pytest.raises(SessionError, match=re.escape(repr(("a1", "b1", "c1")))):
+            evaluator.apply_batch([both])
+        assert evaluator.base_count == before
+        assert evaluator.db.relation("R1").multiplicity(("a1", "b1", "c1")) == 1
+        assert evaluator.db.relation("R1").multiplicity(("a9", "b9", "c9")) == 0
+        # A row on both sides may not take more than the database holds,
+        # although the sum of the one patch would hide it.
+        shared = RelationDelta("R1", {("a9", "b9", "c9"): 2}, {("a9", "b9", "c9"): 1})
+        with pytest.raises(SessionError, match=re.escape(repr(("a9", "b9", "c9")))):
+            evaluator.apply_batch([shared])
+        assert evaluator.base_count == before
+        assert evaluator.db.relation("R1").multiplicity(("a9", "b9", "c9")) == 0
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_session_apply_looks_each_relation_up_once(
@@ -448,9 +464,9 @@ class TestCompaction:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestOnePatchPerUpdate:
     """A session apply patches each touched database relation once per
-    delta side.  An atom without a selection is bound from that patch (a
-    rename sharing its arrays); an atom with a selection patches its own
-    filtered delta."""
+    batch, with both sides of its delta.  An atom without a selection is
+    bound from that patch (a rename sharing its arrays); an atom with a
+    selection patches its own filtered delta."""
 
     @staticmethod
     def _spy_patches(monkeypatch):
@@ -459,9 +475,9 @@ class TestOnePatchPerUpdate:
         patched = []
         real = joinstate.patch
 
-        def spy(relation, delta, insert):
+        def spy(relation, plus=None, minus=None):
             patched.append(relation)
-            return real(relation, delta, insert)
+            return real(relation, plus, minus)
 
         monkeypatch.setattr(joinstate, "patch", spy)
         monkeypatch.setattr(incremental, "patch", spy)
@@ -513,13 +529,46 @@ class TestOnePatchPerUpdate:
             assert ("a2", "e2") not in state.bound.atom_relation("R3").counts
             self._assert_matches_fresh(query, session)
 
-    def test_each_side_binds_the_atom_it_left(self, backend):
-        """Each side of a delta binds the atom from the database relation
-        after that side.  On q3, a batch that deletes one C row (C stays
+    def test_two_sided_delta_patches_its_relation_once(
+        self, fig1_query, fig1_db, backend, monkeypatch
+    ):
+        """A delta with both sides patches its database relation once, with
+        both sides, and the atom is bound from that one relation."""
+        from repro.evaluation import incremental
+
+        session = prepare(fig1_query, fig1_db.with_backend(backend))
+        session.sensitivity()
+        (state,) = session._states()
+        relation = session.db.relation("R3")
+        deleted = min(relation.counts)
+        calls = []
+        real = incremental.patch
+
+        def spy(base, plus=None, minus=None):
+            calls.append((base, plus, minus))
+            return real(base, plus, minus)
+
+        monkeypatch.setattr(incremental, "patch", spy)
+        session.apply([("insert", "R3", ("a1", "e9")), ("delete", "R3", deleted)])
+        ((base, plus, minus),) = calls
+        assert base is relation
+        assert dict(plus.counts) == {("a1", "e9"): 1}
+        assert dict(minus.counts) == {deleted: 1}
+        new_atom = state.bound.atom_relation("R3")
+        assert dict(new_atom.counts) == dict(session.db.relation("R3").counts)
+        if backend == "columnar":
+            shared = zip(new_atom._codes, session.db.relation("R3")._codes)
+            assert all(a is b for a, b in shared)
+        self._assert_matches_fresh(fig1_query, session)
+
+    def test_both_sides_bind_the_atom_from_the_whole_delta(self, backend):
+        """Both sides of a delta bind the atom from the database relation
+        with the whole delta in: no step of either side's fold reads the
+        changed atom.  On q3, a batch that deletes one C row (C stays
         unique on CK, so O's table stays keyed on C) and inserts a row
         that reuses a CK (which breaks the key) must leave O's table as a
-        fresh build has it, although the side that breaks the key is the
-        second one."""
+        fresh build has it, although only the insert side, folded second,
+        breaks the key."""
         from repro.datasets.tpch import generate_tpch
         from repro.workloads.tpch_queries import q3_workload
 

@@ -323,7 +323,8 @@ class TestKeyedFactorFolds:
         factor = table_factor(parts, keep)
         if not isinstance(factor, KeyedFactor):
             return
-        moved = patch(parts[side], kind(list(spec[side][0]), delta), insert)
+        delta = kind(list(spec[side][0]), delta)
+        moved = patch(parts[side], plus=delta) if insert else patch(parts[side], minus=delta)
         new_parts = [moved if i == side else part for i, part in enumerate(parts)]
         fresh = table_factor(new_parts, keep)
         if factor.key != side:

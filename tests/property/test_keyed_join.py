@@ -168,7 +168,7 @@ class TestPatchedKeyedSide:
         join(keyed, ColumnarRelation(["K2", "K1", "X"], {(0, 0, 0): 1}))
         assert keyed._row_key is not None
         delta = ColumnarRelation(["K1", "K2"], {(1, 1): 1, (2, 0): 2, (3, 2): 1})
-        patched = patch(keyed, delta, insert)
+        patched = patch(keyed, plus=delta) if insert else patch(keyed, minus=delta)
         radices = patched._row_key.radices
         # Fresh values take the next codes, past K2's radix; packed without
         # a check, such a code would carry into K1 and hit another row.
@@ -313,9 +313,8 @@ class TestRangeSearch:
     def test_same_bag_as_python(self, case):
         (attrs, base, delta, insert), (probe_attrs, probe_rows), filler = case
         reset_vocabulary()
-        keyed = patch(
-            ColumnarRelation(list(attrs), base), ColumnarRelation(list(attrs), delta), insert
-        )
+        base, delta = ColumnarRelation(list(attrs), base), ColumnarRelation(list(attrs), delta)
+        keyed = patch(base, plus=delta) if insert else patch(base, minus=delta)
         if keyed.is_empty():
             return
         assert keyed._row_key is not None
@@ -341,7 +340,7 @@ class TestRangeSearch:
         searched = _range_searched(monkeypatch)
         _assert_join_agrees(probe, unordered)
         assert searched == []
-        patched = patch(unordered, ColumnarRelation(["K1", "X1"], {(3, 99): 1}), True)
+        patched = patch(unordered, plus=ColumnarRelation(["K1", "X1"], {(3, 99): 1}))
         _assert_join_agrees(probe, patched)
         assert searched and all(rel is patched for rel in searched)
         searched.clear()
@@ -355,8 +354,7 @@ class TestRangeSearch:
         reset_vocabulary()
         keyed = patch(
             ColumnarRelation(["X1", "K1"], {(i, i % 5): 1 for i in range(30)}),
-            ColumnarRelation(["X1", "K1"], {(0, 4): 1}),
-            True,
+            plus=ColumnarRelation(["X1", "K1"], {(0, 4): 1}),
         )
         searched = _range_searched(monkeypatch)
         _assert_join_agrees(ColumnarRelation(["K1", "Y1"], {(4, 0): 1, (2, 1): 3}), keyed)
@@ -436,7 +434,7 @@ class TestSkipSearch:
         keyed = ColumnarRelation(list(attrs), rows)
         if patched:
             first = next(iter(rows))
-            keyed = patch(keyed, ColumnarRelation(list(attrs), {first: 1}), True)
+            keyed = patch(keyed, plus=ColumnarRelation(list(attrs), {first: 1}))
         probe = ColumnarRelation(list(probe_attrs), probe_rows)
         searched = []
         real = columnar._skip_pairs
@@ -460,10 +458,10 @@ class TestSkipSearch:
         keyed = ColumnarRelation(["F", "K1"], {(f, k): 1 for f in range(3) for k in range(20)})
         probe = ColumnarRelation(["K1"], {(4,): 1, (19,): 2})
         _assert_join_agrees(probe, keyed)
-        gone = patch(keyed, ColumnarRelation(["F", "K1"], {(2, k): 1 for k in range(20)}), False)
+        gone = patch(keyed, minus=ColumnarRelation(["F", "K1"], {(2, k): 1 for k in range(20)}))
         assert gone._firsts is keyed._firsts
         _assert_join_agrees(probe, gone)
-        grown = patch(gone, ColumnarRelation(["F", "K1"], {(7, 4): 1}), True)
+        grown = patch(gone, plus=ColumnarRelation(["F", "K1"], {(7, 4): 1}))
         decoded = {grown._vocab.values[c] for c in grown._firsts.tolist()}
         assert decoded == {0, 1, 2, 7}
         assert dict(join(probe, grown).counts) == {

@@ -57,7 +57,8 @@ class TestAddAndRemove:
             for backend, db in dbs.items():
                 base = db.relation("R")
                 after = db.add_tuple("R", row) if insert else db.remove_tuple("R", row)
-                expected = patch(base, type(base)(base.schema, [row]), insert)
+                one = type(base)(base.schema, [row])
+                expected = patch(base, plus=one) if insert else patch(base, minus=one)
                 assert dict(after.relation("R").counts) == dict(expected.counts)
                 assert dict(base.counts) == dict(db.relation("R").counts)
                 if backend == "columnar":
@@ -149,7 +150,7 @@ class TestCascadeDelete:
                 assert dict(after.relation(rel).counts) == expected[rel]
                 assert dict(db.relation(rel).counts) == counts[rel]
             base = db.relation(name)
-            one_row = patch(base, type(base)(base.schema, [row]), False)
+            one_row = patch(base, minus=type(base)(base.schema, [row]))
             assert dict(after.relation(name).counts) == dict(one_row.counts)
             if backend == "columnar":
                 for rel in SCHEMAS:
