@@ -531,26 +531,24 @@ def _placed(
     values: Sequence[np.ndarray],
 ) -> List[np.ndarray]:
     """Copies of the aligned ``arrays`` without the rows at ``gone`` and
-    with ``values`` inserted before the rows at ``slots`` (both sorted):
-    one pair of placement masks serves every array, and each array is
-    written once."""
+    with ``values`` inserted before the rows at ``slots`` (both sorted),
+    each written once through one pair of placement masks."""
     kept = None
     if gone.size:
         kept = np.ones(arrays[0].size, dtype=bool)
         kept[gone] = False
     if not slots.size:
         return [array[kept] for array in arrays]
-    size = arrays[0].size - gone.size + slots.size
     # A new row lands past the kept rows before its slot and the new rows
     # before it.
     target = slots + np.arange(slots.size)
     if gone.size:
         target -= np.searchsorted(gone, slots)
-    old = np.ones(size, dtype=bool)
+    old = np.ones(arrays[0].size - gone.size + slots.size, dtype=bool)
     old[target] = False
     out = []
     for array, value in zip(arrays, values):
-        placed = np.empty(size, dtype=array.dtype)
+        placed = np.empty(old.size, dtype=array.dtype)
         placed[target] = value
         placed[old] = array if kept is None else array[kept]
         out.append(placed)
@@ -1238,21 +1236,22 @@ def patch(
     """``(relation ⊎ plus) ∸ minus`` in delta time (vectorized
     :func:`repro.engine.operators.patch`).
 
-    Both sides' rows are found by one ``searchsorted`` in ``relation``'s
-    code-order key (:func:`_keyed`, joint ranks included), and a row both
-    sides touch is merged, so ``minus`` may take back a row ``plus``
+    The sides' rows are found by one ``searchsorted`` in ``relation``'s
+    code-order key (:func:`_keyed`, joint ranks included); a row both
+    sides name is one probe, so ``minus`` may take back a row ``plus``
     brings.  Matched counts change in the touched rows only
     (:func:`_checked_add` for ``plus``, before ``minus`` takes anything),
     rows that reach zero go and ``plus``'s new rows land at their sorted
     positions, each array written once (:func:`_placed`).  Code columns
     nothing moves are shared.  The output is in code order and carries
-    its key, so patching it again neither sorts nor re-packs.  When no
-    count changes, ``relation`` itself comes back.
+    its key, so patching it again neither sorts nor re-packs.
+    ``relation`` itself comes back when ``plus`` is empty and ``minus``
+    names no row of it.
     """
     plus, minus = _side(relation, plus), _side(relation, minus)
     if plus is None and minus is None:
         return relation
-    if not relation._codes:
+    if not relation._codes:  # arity 0: one count and no row to find
         total = relation._mult
         if plus is not None:
             total = _checked_add(total, plus._mult) if total.size else plus._mult
@@ -1261,51 +1260,48 @@ def patch(
             total = total[total > 0]
         if total is relation._mult:
             return relation
-        return ColumnarRelation._from_parts(
-            relation.schema, (), total, vocab=relation._vocab
-        )
-    # One probe per row of either side, plus's first.
-    split = 0 if plus is None else plus._mult.size
-    if plus is None or minus is None:
-        probes = (minus if plus is None else plus)._codes
-    else:
+        return ColumnarRelation._from_parts(relation.schema, (), total, vocab=relation._vocab)
+    # One probe per row of either side, plus's first, with the count it
+    # adds (``gain``) and takes away (``loss``).
+    probes = (minus if plus is None else plus)._codes
+    gain = None if plus is None else plus._mult
+    loss = None if minus is None else minus._mult
+    if plus is not None and minus is not None:
         probes = [np.concatenate(pair) for pair in zip(plus._codes, minus._codes)]
+        gain = np.concatenate([gain, np.zeros(loss.size, dtype=np.int64)])
+        loss = np.concatenate([np.zeros(plus._mult.size, dtype=np.int64), loss])
     row_key, probe_key = _keyed(relation, probes, cover=plus is not None)
     key, order = row_key.key, row_key.order
     codes, mult = list(relation._codes), relation._mult
     if order is not None:
         codes, mult = [column[order] for column in codes], mult[order]
     pos, found = _search(key, probe_key)
-    # The rows of ``relation`` each side touches, and their counts after
-    # the patch.
-    at: List[np.ndarray] = []
-    counts: List[np.ndarray] = []
-    fresh = gone = slots = _EMPTY_INT64
     if plus is not None:
-        by_key = np.argsort(probe_key[:split], kind="stable")
-        hit = found[:split]
-        at.append(pos[:split][hit])
-        counts.append(_checked_add(mult[at[0]], plus._mult[hit]))
-        fresh = by_key[~hit[by_key]]  # plus's new rows, in key order
-        fresh_counts = plus._mult[fresh]
-    if minus is not None:
-        hit = found[split:]
-        if plus is not None:
-            # A row both sides touch: minus takes from plus's entry of it.
-            twin, paired = _search(probe_key[:split][by_key], probe_key[split:])
-            taken = np.zeros(split, dtype=np.int64)
-            taken[by_key[twin[paired]]] = minus._mult[paired]
-            counts[0] = counts[0] - taken[found[:split]]
-            fresh_counts = fresh_counts - taken[fresh]
-            fresh, fresh_counts = fresh[fresh_counts > 0], fresh_counts[fresh_counts > 0]
-            hit = hit & ~paired
-        at.append(pos[split:][hit])
-        counts.append(mult[at[-1]] - minus._mult[hit])
-    at, counts = (at[0], counts[0]) if len(at) == 1 else (np.concatenate(at), np.concatenate(counts))
-    if minus is not None:
+        by_key = np.argsort(probe_key, kind="stable")
+    if plus is not None and minus is not None:
+        # A row both sides name is plus's probe just before minus's in key
+        # order: minus's hands its count to plus's and finds nothing.
+        ranked = probe_key[by_key]
+        twin = np.flatnonzero(ranked[1:] == ranked[:-1])
+        first, second = by_key[twin], by_key[twin + 1]
+        loss[first] = loss[second]
+        found[second] = False
+    at = pos[found]
+    counts = mult[at]
+    fresh = gone = slots = _EMPTY_INT64
+    if gain is not None:
+        counts = _checked_add(counts, gain[found])
+        fresh = by_key[~found[by_key]]  # probes of no row, in key order
+        fresh_counts = gain[fresh]
+    if loss is not None:
+        counts = counts - loss[found]
         live = counts > 0
         gone = np.sort(at[~live])
         at, counts = at[live], counts[live]
+        if fresh.size:
+            fresh_counts = fresh_counts - loss[fresh]
+            live = fresh_counts > 0
+            fresh, fresh_counts = fresh[live], fresh_counts[live]
     if not (at.size or gone.size or fresh.size):
         return relation
     # A row that stays moves down by the rows gone before it and up by
@@ -1321,10 +1317,9 @@ def patch(
     if gone.size or fresh.size:
         values = []
         if fresh.size:
-            values = [column[fresh] for column in plus._codes] + [fresh_counts, probe_key[fresh]]
+            values = [column[fresh] for column in probes] + [fresh_counts, probe_key[fresh]]
         arrays = _placed(arrays, gone, slots, values)
-    arity = len(codes)
-    codes, new_mult = arrays[:arity], arrays[arity]
+    codes, new_mult = arrays[: len(codes)], arrays[len(codes)]
     if new_mult is relation._mult:
         new_mult = new_mult.copy()
     new_mult[moved] = counts
@@ -1335,9 +1330,8 @@ def patch(
         out._row_key = _RowKey(arrays[-1] if packed else codes[0], None, row_key.radices)
     if relation._firsts is not None:
         # Values of the leading column: a superset stays valid after a monus.
-        out._firsts = relation._firsts
-        if plus is not None:
-            out._firsts = np.union1d(relation._firsts, plus._codes[0])
+        firsts = relation._firsts
+        out._firsts = firsts if plus is None else np.union1d(firsts, plus._codes[0])
     return out
 
 

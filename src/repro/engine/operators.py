@@ -453,10 +453,10 @@ def patch(
     added, then the bag ``minus`` taken away by monus (counts floor at
     zero, rows absent from ``relation ⊎ plus`` are ignored).
 
-    The one way a stored relation changes, and ``relation`` itself when
-    no count changes.  The columnar kernel finds both sides' rows in
-    ``relation``'s code-order key and writes each array it changes once;
-    the python backend copies the dict and updates the sides' counts.
+    The one way a stored relation changes; ``relation`` itself comes
+    back when ``plus`` is empty and ``minus`` names no row of it.  The
+    columnar kernel finds both sides' rows in ``relation``'s code-order
+    key and writes each array it changes once; the python backend copies the dict and updates the sides' counts.
     The output carries an upper bound on each column peak that
     ``relation`` knew (:func:`_handed_peaks`), for :func:`join_bound`.
     """
